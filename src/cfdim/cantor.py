@@ -68,13 +68,15 @@ class SeqPair:
     B_k: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        assert len(self.n) == len(self.m)
+        if len(self.n) != len(self.m):
+            raise ValueError(f"{len(self.n)} run starts but {len(self.m)} run ends")
         for k in range(len(self.n)):
-            assert self.n[k] < self.m[k], (k, self.n[k], self.m[k])
-            if k + 1 < len(self.n):
-                assert self.m[k] < self.n[k + 1]
-            if k:
-                assert self.m[k] - self.n[k] >= self.m[k - 1] - self.n[k - 1]
+            if not self.n[k] < self.m[k]:
+                raise ValueError(f"run {k + 1} is empty: n = {self.n[k]}, m = {self.m[k]}")
+            if k + 1 < len(self.n) and not self.m[k] < self.n[k + 1]:
+                raise ValueError(f"run {k + 1} ends at {self.m[k]}, not before the next start {self.n[k + 1]}")
+            if k and self.m[k] - self.n[k] < self.m[k - 1] - self.n[k - 1]:
+                raise ValueError(f"run {k + 1} is shorter than run {k}")
 
     @property
     def k_max(self) -> int:
@@ -303,7 +305,7 @@ class MeasureContext:
         if est is None:
             m_prev, n_k, m_k = self.seg_bounds(k)
             est = dim_solver.predim_tilde(
-                self.spec.B, 0, self.spec.i, (m_k - m_prev, m_k - n_k), degree=self.degree
+                self.spec.B, self.spec.i, (m_k - m_prev, m_k - n_k), degree=self.degree
             )
             self._s_tilde[k] = est
         return est

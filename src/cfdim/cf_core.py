@@ -191,6 +191,23 @@ def run_continuant_closed_form(i: int, n: int) -> int:
     return f.numerator
 
 
+def log_tau(i: int) -> float:
+    """float log tau(i), tau(i) = (i + sqrt(i^2+4))/2 the growth rate of q_n(i, ..., i)."""
+    return math.log((i + math.sqrt(i * i + 4)) / 2.0)
+
+
+def log_run_continuant(i: int, n: int) -> float:
+    """float log q_n(i, ..., i) via the closed form; avoids bignum logs.
+
+    log q_n = (n+1) log tau + log1p(-(zeta/tau)^{n+1}) - log(tau - zeta),
+    with zeta/tau = -1/tau^2 and tau - zeta = sqrt(i^2+4).
+    """
+    root = math.sqrt(i * i + 4)
+    tau = (i + root) / 2.0
+    corr = math.log1p(-((-1.0 / tau**2) ** (n + 1))) if n < 600 else 0.0
+    return (n + 1) * math.log(tau) + corr - math.log(root)
+
+
 # ---------------------------------------------------------------------------
 # cylinder intervals
 # ---------------------------------------------------------------------------
@@ -223,7 +240,8 @@ def basic_interval(d: Sequence[int] | DigitSeq) -> BasicInterval:
     e2 = Fraction(pn + pn1, qn + qn1)
     left, right = (e1, e2) if e1 < e2 else (e2, e1)
     length = Fraction(1, qn * (qn + qn1))
-    assert right - left == length
+    if right - left != length:
+        raise ArithmeticError("cylinder endpoints disagree with 1/(q_n (q_n + q_{n-1}))")
     return BasicInterval(order=n, digits=digits, left=left, right=right, length=length)
 
 
@@ -348,14 +366,13 @@ def expand(x: RealInput, n: int) -> DigitSeq:
 @dataclass(frozen=True)
 class QuadraticTarget:
     """The point y = (sqrt(i^2+4) - i)/2 = [i, i, ...] with its growth data:
-    tau = (i + sqrt(i^2+4))/2 > 1, zeta = (i - sqrt(i^2+4))/2, g = log tau
-    (the exponential growth rate of log q_n(y) / n)."""
+    tau = (i + sqrt(i^2+4))/2 > 1 (the exponential growth rate of q_n(y)) and
+    zeta = (i - sqrt(i^2+4))/2."""
 
     i: int
     y: Surd
     tau: mpmath.mpf
     zeta: mpmath.mpf
-    g: mpmath.mpf
     precision_bits: int = DEFAULT_PRECISION_BITS
 
     @property
@@ -376,22 +393,11 @@ class QuadraticTarget:
         qm1 = run_continuant(self.i, m - 1)
         return Fraction(1, qm * (qm + qm1))
 
-    def log_run_continuant(self, m: int) -> float:
-        """float log q_m(i,...,i) via the closed form; avoids bignum logs.
-
-        log q_m = (m+1) log tau + log1p(-(zeta/tau)^{m+1}) - log(tau - zeta),
-        with zeta/tau = -1/tau^2.
-        """
-        logtau = float(self.g)
-        ratio = -1.0 / float(self.tau) ** 2
-        corr = math.log1p(-(ratio ** (m + 1))) if m < 600 else 0.0
-        return (m + 1) * logtau + corr - math.log(float(self.tau) - float(self.zeta))
-
     def log_cylinder_length(self, m: int) -> float:
         """float log |I_m(y)| = -(log q_m + log(q_m + q_{m-1}))."""
         if m == 0:
             return 0.0
-        lq, lq1 = self.log_run_continuant(m), self.log_run_continuant(m - 1)
+        lq, lq1 = log_run_continuant(self.i, m), log_run_continuant(self.i, m - 1)
         return -(lq + _logaddexp(lq, lq1))
 
 
@@ -409,6 +415,5 @@ def target(i: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> QuadraticTar
         root = mpmath.sqrt(D)
         tau = (i + root) / 2
         zeta = (i - root) / 2
-        g = mpmath.log(tau)
     y = Surd(Fraction(-i, 2), Fraction(1, 2), D)
-    return QuadraticTarget(i=i, y=y, tau=tau, zeta=zeta, g=g, precision_bits=precision_bits)
+    return QuadraticTarget(i=i, y=y, tau=tau, zeta=zeta, precision_bits=precision_bits)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -65,11 +64,6 @@ def _parse_param(s: str):
     if "." in s or "e" in s or "E" in s:
         return float(s)
     return int(s)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("CFDIM_THREADS")
-    return int(env) if env else 1
 
 
 def _config_echo(command: str, args, fields: Sequence[str]) -> dict:
@@ -288,21 +282,20 @@ def cmd_runlength(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = args.threads if args.threads else _default_threads()
     if args.suite == "lemmas":
         rep = verify.lemma_suite(seed=args.seed)
     elif args.suite == "solver":
         rep = verify.solver_crosscheck(node_budget=args.node_budget)
     elif args.suite == "runlength":
-        cfg = verify.McConfig(seed=args.seed, samples=args.samples, n_digits=args.n, threads=threads)
+        cfg = verify.McConfig(seed=args.seed, samples=args.samples, n_digits=args.n)
         rep = verify.mc_runlength(cfg)
     elif args.suite == "nu_zero":
-        cfg = verify.McConfig(seed=args.seed, samples=args.samples, n_digits=args.n, threads=threads)
+        cfg = verify.McConfig(seed=args.seed, samples=args.samples, n_digits=args.n)
         rep = verify.mc_nu_zero(cfg, i=args.i)
     else:
         raise InputOutOfRange(f"unknown suite {args.suite!r}")
     payload = {
-        "config": _config_echo("verify", args, ("suite", "seed", "samples", "n", "i", "threads", "node_budget")),
+        "config": _config_echo("verify", args, ("suite", "seed", "samples", "n", "i", "node_budget")),
         "report": rep.to_json_dict(),
     }
     if args.csv:
@@ -388,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=200)
     v.add_argument("--n", type=int, default=1_000_000)
     v.add_argument("--i", type=int, default=1)
-    v.add_argument("--threads", type=int, default=None)
     v.add_argument("--node-budget", dest="node_budget", type=int, default=200_000_000)
     v.add_argument("--csv", action="store_true", help="emit the horizon series as CSV")
     add_common(v)

@@ -27,7 +27,6 @@ conventions  s(0) = 1  and  s(1) = 1/2  applied exactly at the endpoints.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
@@ -35,6 +34,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import transfer
+from .cf_core import log_tau
 from .errors import BudgetExceeded, NoConvergence, OutOfRange
 from .transfer import DEFAULT_DEGREE
 
@@ -60,10 +60,6 @@ def to_fraction(x: Number) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def log_tau(i: int) -> float:
-    return math.log((i + math.sqrt(i * i + 4)) / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -78,7 +74,6 @@ class DimQuery:
     alpha: Number
     i: int
     n: int = 0
-    method: str = "enumerate"
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,8 @@ class DimEstimate:
 
     def __post_init__(self):
         lo, hi = self.bracket
-        assert lo <= self.value + 1e-15 and self.value <= hi + 1e-15
+        if not (lo <= self.value + 1e-15 and self.value <= hi + 1e-15):
+            raise ValueError(f"value {self.value} lies outside its bracket [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -204,13 +200,14 @@ def sum_power(
     spec: SumKernelSpec,
     rho: float,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> float:
     """log of  sum over free strings of (exp(scale_log) * q_total)^(-2 rho).
 
-    Chunked, with per-chunk pairwise summation merged by a compensated
-    (fsum) reduction in a fixed order, so results do not depend on the chunk
-    schedule or thread count.
+    Each chunk of leaves is summed relative to its own maximum and the chunk
+    sums are merged by a compensated (fsum) reduction in a fixed order.  A
+    tail table of at most _CACHE_LIMIT leaves is streamed in chunks on its
+    first call and then cached whole, so later calls sum it as one chunk and
+    can differ from the first in the last bits.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -219,28 +216,11 @@ def sum_power(
     leaves = B**spec.free_length
     if leaves > node_budget:
         raise BudgetExceeded(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {node_budget}")
-
-    key = (B, spec.free_length, spec.tail_digit, spec.tail_i)
-    cached = _qtotal_cache.get(key) if spec.tail_i else _state_cache.get((B, spec.free_length))
-    if cached is not None:
-        arr = cached if spec.tail_i else cached[0]
-        terms = -2.0 * rho * (spec.scale_log + arr)
-        m = float(terms.max())
-        return m + math.log(float(np.exp(terms - m).sum()))
-
-    def chunk_stats(arr: np.ndarray) -> Tuple[float, float, float]:
-        terms = -2.0 * rho * (spec.scale_log + arr)
-        m = float(terms.max())
-        return m, float(np.exp(terms - m).sum())
-
     stats = []
-    if threads > 1:
-        chunks = list(_log_qtotal_arrays(B, spec))
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            stats = list(ex.map(chunk_stats, chunks))
-    else:
-        for arr in _log_qtotal_arrays(B, spec):
-            stats.append(chunk_stats(arr))
+    for arr in _log_qtotal_arrays(B, spec):
+        terms = -2.0 * rho * (spec.scale_log + arr)
+        m = float(terms.max())
+        stats.append((m, float(np.exp(terms - m).sum())))
     m = max(s[0] for s in stats)
     total = math.fsum(s1 * math.exp(m1 - m) for m1, s1 in stats)
     return m + math.log(total)
@@ -321,7 +301,6 @@ def predim_hat(
     q: DimQuery,
     node_budget: int = DEFAULT_NODE_BUDGET,
     tol: float = 1e-12,
-    threads: int = 1,
 ) -> DimEstimate:
     """Root of  sum (tau^{n alpha/(1-alpha)} q_n)^{-2 rho} = 1  over {1..B}^n."""
     B = _finite_bound(q.B)
@@ -331,7 +310,7 @@ def predim_hat(
     scale = float(af / (1 - af)) * q.n * log_tau(q.i)
     spec = SumKernelSpec(free_length=q.n, tail_i=0, tail_digit=q.i, scale_log=scale)
     root, bracket = solve_decreasing_root(
-        lambda rho: sum_power(B, spec, rho, node_budget, threads), width=tol
+        lambda rho: sum_power(B, spec, rho, node_budget), width=tol
     )
     return DimEstimate(root, bracket, n_used=q.n, B_used=B, method="enumerate-hat")
 
@@ -340,7 +319,6 @@ def predim_s(
     q: DimQuery,
     node_budget: int = DEFAULT_NODE_BUDGET,
     tol: float = 1e-12,
-    threads: int = 1,
 ) -> DimEstimate:
     """Root of  sum q_n(free digits, i, ..., i)^{-2 rho} = 1  with floor(n alpha)
     forced trailing digits."""
@@ -351,14 +329,13 @@ def predim_s(
     tail = int(q.n * af)  # exact floor: Fraction arithmetic
     spec = SumKernelSpec(free_length=q.n - tail, tail_i=tail, tail_digit=q.i)
     root, bracket = solve_decreasing_root(
-        lambda rho: sum_power(B, spec, rho, node_budget, threads), width=tol
+        lambda rho: sum_power(B, spec, rho, node_budget), width=tol
     )
     return DimEstimate(root, bracket, n_used=q.n, B_used=B, method="enumerate-s")
 
 
 def predim_tilde(
     B: int,
-    xi: Number,
     i: int,
     segment: Tuple[int, int],
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -367,7 +344,7 @@ def predim_tilde(
     method: str = "auto",
 ) -> DimEstimate:
     """Root of the one-segment sum with free digits l - tail_len and a forced
-    trailing i-run; `xi` is carried for bookkeeping only.
+    trailing i-run.
 
     Falls back to the log-space operator iteration when the free part is too
     large to enumerate (same sum, evaluated as an iterated transfer operator),
@@ -404,7 +381,6 @@ def dim_limit(
     n_schedule: Sequence[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
     tol: float = 1e-12,
-    threads: int = 1,
 ) -> DimEstimate:
     """Pre-dimensional numbers along an increasing n-schedule plus Aitken
     extrapolation; the bracket is the last raw value +- its distance to the
@@ -412,7 +388,7 @@ def dim_limit(
     if list(n_schedule) != sorted(set(n_schedule)):
         raise ValueError("n_schedule must be strictly increasing")
     raw = [
-        predim_hat(DimQuery(B=B, alpha=alpha, i=i, n=n), node_budget, tol, threads).value
+        predim_hat(DimQuery(B=B, alpha=alpha, i=i, n=n), node_budget, tol).value
         for n in n_schedule
     ]
     extrap = aitken(raw)
@@ -513,10 +489,6 @@ def _exact_or_none(v) -> Optional[Fraction]:
     if isinstance(v, float) and math.isinf(v):
         return None
     return to_fraction(v)
-
-
-def _dim_of_argument(xi: Fraction, i: int, B_schedule, **kw) -> DimEstimate:
-    return dim_full(xi, i, B_schedule, **kw) if B_schedule else dim_full(xi, i, **kw)
 
 
 def theorem_argument(
@@ -630,4 +602,4 @@ def theorem_dims(
         return DimEstimate(1.0, (1.0, 1.0), method="convention")
     if xi == 1:
         return DimEstimate(0.5, (0.5, 0.5), method="convention")
-    return _dim_of_argument(xi, i, B_schedule)
+    return dim_full(xi, i, B_schedule or DEFAULT_B_SCHEDULE)

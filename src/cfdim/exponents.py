@@ -22,6 +22,7 @@ import numpy as np
 
 from .cf_core import DigitSeq, QuadraticTarget, gauss_shift
 from .errors import Exhausted, InsufficientBlocks, NoBlocks
+from .runlength import digit_array, maximal_runs
 
 
 @dataclass(frozen=True)
@@ -45,27 +46,6 @@ class ExponentEstimate:
     k_used: int
 
 
-def _digits_array(d: Sequence[int] | DigitSeq) -> np.ndarray:
-    if isinstance(d, DigitSeq):
-        return np.asarray(d.digits, dtype=np.int64)
-    return np.asarray(d, dtype=np.int64)
-
-
-def _raw_runs(a: np.ndarray, i: int) -> List[Tuple[int, int]]:
-    hit = a == i
-    if not hit.any():
-        return []
-    h = hit.astype(np.int8)
-    d = np.diff(h)
-    starts = list(np.flatnonzero(d == 1) + 1)
-    ends = list(np.flatnonzero(d == -1) + 1)
-    if h[0]:
-        starts.insert(0, 0)
-    if h[-1]:
-        ends.append(a.size)
-    return [(int(s), int(e)) for s, e in zip(starts, ends)]
-
-
 def select_records(raw: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """First block, then each next block strictly longer than the last pick."""
     records: List[Tuple[int, int]] = []
@@ -78,18 +58,20 @@ def select_records(raw: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 
 def decompose(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
-    a = _digits_array(d)
+    a = digit_array(d)
     if a.size == 0:
         raise ValueError("empty digit sequence")
-    raw = _raw_runs(a, i)
-    if not raw:
+    starts, lengths = maximal_runs(a)
+    hit = a[starts] == i
+    if not hit.any():
         raise NoBlocks(f"digit {i} never occurs")
+    raw = list(zip(starts[hit].tolist(), (starts + lengths)[hit].tolist()))
     return BlockDecomposition(i=i, raw_blocks=tuple(raw), record_blocks=tuple(select_records(raw)))
 
 
 def decompose_oracle(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
     """Brute-force reference: scan positions one by one."""
-    a = list(_digits_array(d))
+    a = digit_array(d).tolist()
     raw = []
     pos = 0
     while pos < len(a):
@@ -139,13 +121,10 @@ def exponent_estimates(bd: BlockDecomposition, horizon: int) -> ExponentEstimate
 
 def forward_run_lengths(a: np.ndarray, i: int) -> np.ndarray:
     """f[j] = length of the i-run starting at 0-based position j (f[size]=0)."""
-    n = a.size
-    rev = (a == i)[::-1]
-    idx = np.arange(n, dtype=np.int64)
-    last_miss = np.where(~rev, idx, np.int64(-1))
-    np.maximum.accumulate(last_miss, out=last_miss)
-    f = np.zeros(n + 1, dtype=np.int64)
-    f[:n] = (idx - last_miss)[::-1]
+    starts, lengths = maximal_runs(a)
+    to_end = np.repeat(starts + lengths, lengths) - np.arange(a.size, dtype=np.int64)
+    f = np.zeros(a.size + 1, dtype=np.int64)
+    f[: a.size] = np.where(a == i, to_end, 0)
     return f
 
 
@@ -245,7 +224,7 @@ def uniform_hit_check(
     if nu_hat == 0:
         # threshold |I_N|^0 = 1 strictly exceeds any distance inside [0,1)
         return HitCheck(certain=True, possible=True)
-    a = np.asarray(d.digits, dtype=np.int64)
+    a = digit_array(d)
     if a.size < N + 1:
         raise Exhausted(f"need at least {N + 1} certified digits, have {a.size}")
     f = forward_run_lengths(a, t.i)

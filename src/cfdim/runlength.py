@@ -37,29 +37,31 @@ class RatioEstimate:
     window: Tuple[int, int]
 
 
-def _as_array(d: Sequence[int] | DigitSeq) -> np.ndarray:
-    if isinstance(d, DigitSeq):
-        return np.asarray(d.digits, dtype=np.int64)
-    return np.asarray(d, dtype=np.int64)
+def digit_array(d: Sequence[int] | DigitSeq) -> np.ndarray:
+    """The digits as an int64 array (a DigitSeq gives its certified digits)."""
+    return np.asarray(d.digits if isinstance(d, DigitSeq) else d, dtype=np.int64)
+
+
+def maximal_runs(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """0-based starts and lengths of the maximal blocks of equal consecutive
+    entries of `a`, left to right."""
+    new_run = np.ones(a.size, dtype=bool)
+    new_run[1:] = a[1:] != a[:-1]
+    starts = np.flatnonzero(new_run)
+    return starts, np.diff(np.append(starts, a.size))
 
 
 def run_profile(d: Sequence[int] | DigitSeq) -> RunProfile:
     """Single left-to-right pass: R_n = max(R_{n-1}, current run length)."""
-    a = _as_array(d)
+    a = digit_array(d)
     n = a.size
     if n == 0:
         raise ValueError("empty digit sequence")
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = a[1:] != a[:-1]
-    starts = np.flatnonzero(new_run)
+    starts, lengths = maximal_runs(a)
     # run length ending at each position: position index minus its run start
-    idx = np.arange(n, dtype=np.int64)
-    run_start = starts[np.searchsorted(starts, idx, side="right") - 1]
-    ending = idx - run_start + 1
+    ending = np.arange(1, n + 1, dtype=np.int64) - np.repeat(starts, lengths)
     R = np.maximum.accumulate(ending)
-    lengths = np.diff(np.append(starts, n))
-    blocks = tuple((int(s), int(l), int(a[s])) for s, l in zip(starts, lengths))
+    blocks = tuple(zip(starts.tolist(), lengths.tolist(), a[starts].tolist()))
     return RunProfile(n_max=n, R=R, blocks=blocks)
 
 
@@ -87,7 +89,7 @@ def ratio_estimates(rp: RunProfile, tail_fraction: float = 0.5) -> RatioEstimate
 
 def run_profile_oracle(d: Sequence[int] | DigitSeq) -> np.ndarray:
     """Quadratic brute force: R_n by checking every (start, length) pair."""
-    a = list(_as_array(d))
+    a = digit_array(d).tolist()
     n = len(a)
     R = np.zeros(n, dtype=np.int64)
     for m in range(1, n + 1):

@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .cf_core import log_run_continuant
 from .errors import NoConvergence
 
 DEFAULT_DEGREE = 32
@@ -65,10 +66,6 @@ class ChebyshevGrid:
             m = self.interp_matrix(1.0 / (a + self.nodes))
             self._digit_rows[a] = m
         return m
-
-    def interp_value(self, values: np.ndarray, r: float) -> float:
-        row = self.interp_matrix(np.array([r]))[0]
-        return float(row @ values)
 
 
 _GRIDS: Dict[int, ChebyshevGrid] = {}
@@ -132,16 +129,8 @@ def run_tail_logs(i: int, t: int) -> Tuple[float, float]:
     """(log q_t(i..i), q_{t-1}/q_t) via the closed form, stable for huge t."""
     if t == 0:
         return 0.0, 0.0
-    D = i * i + 4
-    tau = (i + math.sqrt(D)) / 2.0
-
-    def logq(k: int) -> float:
-        ratio = -1.0 / tau**2
-        corr = math.log1p(-(ratio ** (k + 1))) if k < 600 else 0.0
-        return (k + 1) * math.log(tau) + corr - math.log(math.sqrt(D))
-
-    lq, lq1 = logq(t), logq(t - 1)
-    return lq, math.exp(lq1 - lq)
+    lq = log_run_continuant(i, t)
+    return lq, math.exp(log_run_continuant(i, t - 1) - lq)
 
 
 @dataclass

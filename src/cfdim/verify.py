@@ -92,8 +92,6 @@ class McConfig:
     seed: int
     samples: int
     n_digits: int
-    precision_bits: Optional[int] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.samples < 1 or self.n_digits < 1:
@@ -227,12 +225,43 @@ def mc_runlength(cfg: McConfig, fixtures: Optional[Dict] = None) -> Report:
     return rep
 
 
-def _record_tracker_estimates(records: List[Tuple[int, int]], horizon: int, i: int):
-    bd = exponents.BlockDecomposition(i=i, raw_blocks=tuple(records), record_blocks=tuple(records))
-    try:
-        return exponents.exponent_estimates(bd, horizon)
-    except InsufficientBlocks:
-        return None
+class RecordTracker:
+    """Record blocks of the digit i, tracked as `push` feeds the next digit of
+    every sample; they equal `exponents.decompose(...).record_blocks` of the
+    digits pushed so far."""
+
+    def __init__(self, samples: int, i: int):
+        self.i = i
+        self.pos = 0
+        self.runlen = np.zeros(samples, dtype=np.int64)
+        self.best = np.zeros(samples, dtype=np.int64)
+        self._closed: List[List[Tuple[int, int]]] = [[] for _ in range(samples)]
+
+    def push(self, digits: np.ndarray) -> None:
+        self.pos += 1
+        isi = digits == self.i
+        ended = (~isi) & (self.runlen > 0)
+        for k in np.nonzero(ended & (self.runlen > self.best))[0]:
+            rl = int(self.runlen[k])
+            self._closed[k].append((self.pos - 1 - rl, self.pos - 1))
+            self.best[k] = rl
+        self.runlen = np.where(isi, self.runlen + 1, 0)
+
+    def records(self, k: int) -> Tuple[Tuple[int, int], ...]:
+        """Record blocks of sample k, the still-open run included when it is one."""
+        rl = int(self.runlen[k])
+        open_run = ((self.pos - rl, self.pos),) if rl > self.best[k] else ()
+        return tuple(self._closed[k]) + open_run
+
+    def estimates(self, k: int) -> Optional[exponents.ExponentEstimate]:
+        """Exponent estimates of sample k at the current position, or None
+        when there are too few records."""
+        recs = self.records(k)
+        bd = exponents.BlockDecomposition(i=self.i, raw_blocks=recs, record_blocks=recs)
+        try:
+            return exponents.exponent_estimates(bd, self.pos)
+        except InsufficientBlocks:
+            return None
 
 
 def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Report:
@@ -241,33 +270,18 @@ def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Re
     fx = (fixtures or load_fixtures())["mc_nu_zero"]
     horizons = _horizon_schedule(cfg.n_digits)
     chain = LebesgueDigitChain(cfg.seed, cfg.samples)
-    runlen = np.zeros(cfg.samples, dtype=np.int64)
-    best = np.zeros(cfg.samples, dtype=np.int64)
-    records: List[List[Tuple[int, int]]] = [[] for _ in range(cfg.samples)]
+    tracker = RecordTracker(cfg.samples, i)
     fracs: List[Tuple[int, float, float]] = []
     hs = iter(horizons)
     next_h = next(hs)
-    pos = 0
     hat_le_nu_violations = 0
     for digits in chain.next_digits(cfg.n_digits):
-        pos += 1
-        isi = digits == i
-        ended = (~isi) & (runlen > 0)
-        improved = np.nonzero(ended & (runlen > best))[0]
-        for k in improved:
-            rl = int(runlen[k])
-            records[k].append((pos - 1 - rl, pos - 1))
-            best[k] = rl
-        runlen = np.where(isi, runlen + 1, 0)
-        if pos == next_h:
+        tracker.push(digits)
+        if tracker.pos == next_h:
             exceed = 0
             used = 0
             for k in range(cfg.samples):
-                recs = list(records[k])
-                rl = int(runlen[k])
-                if rl > best[k]:
-                    recs.append((pos - rl, pos))
-                est = _record_tracker_estimates(recs, pos, i)
+                est = tracker.estimates(k)
                 if est is None:
                     continue
                 used += 1
@@ -275,7 +289,7 @@ def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Re
                     exceed += 1
                 if est.nu_hat_est > est.nu_est + 1e-15:
                     hat_le_nu_violations += 1
-            fracs.append((pos, exceed / max(used, 1), used))
+            fracs.append((tracker.pos, exceed / max(used, 1), used))
             next_h = next(hs, -1)
     rep = Report(suite="mc_nu_zero", config={"seed": cfg.seed, "samples": cfg.samples, "n_digits": cfg.n_digits, "i": i})
     for h, frac, used in fracs:

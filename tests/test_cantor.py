@@ -9,6 +9,7 @@ import pytest
 from cfdim import dim_solver, exponents, runlength
 from cfdim.cantor import (
     CantorSpec,
+    SeqPair,
     admissible_children,
     construct_sequences,
     construct_sequences_infinite,
@@ -97,6 +98,20 @@ def test_construct_sequences_runlength_targets():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        ((0, 5), (2,)),  # unequal counts
+        ((0, 5), (2, 5)),  # empty run
+        ((0, 2), (3, 6)),  # run overlaps the next one
+        ((0, 5), (3, 6)),  # run shorter than its predecessor
+    ],
+)
+def test_seq_pair_rejects_bad_schedules(n, m):
+    with pytest.raises(ValueError):
+        SeqPair(n, m)
+
+
 def test_admissible_children(spec13):
     assert admissible_children(spec13, (2, 3)) == (1,)  # inside the first run
     assert admissible_children(spec13, (2, 3, 1, 1, 1)) == (1, 2, 3)  # after m_1
@@ -161,7 +176,7 @@ def test_child_sum_consistency_random_nodes(spec13):
 
 def test_measure_mass_supplied_exponents(spec13):
     # supplying the solved exponents reproduces the cached masses
-    ctx_vals = {k: dim_solver.predim_tilde(3, 0, 1, (spec13.sp.m[k - 1] - (spec13.sp.m[k - 2] if k >= 2 else 0), spec13.sp.m[k - 1] - spec13.sp.n[k - 1])).value for k in (1, 2)}
+    ctx_vals = {k: dim_solver.predim_tilde(3, 1, (spec13.sp.m[k - 1] - (spec13.sp.m[k - 2] if k >= 2 else 0), spec13.sp.m[k - 1] - spec13.sp.n[k - 1])).value for k in (1, 2)}
     a = measure_mass(spec13, (2, 3, 1, 1, 1), s_tilde=ctx_vals)
     b = measure_mass(spec13, (2, 3, 1, 1, 1))
     assert a.log_mass == pytest.approx(b.log_mass, abs=1e-12)

@@ -242,6 +242,14 @@ def test_target_golden_ratio_values():
     assert abs(float(t.y) - ((1 + math.sqrt(5)) / 2 - 1)) < 1e-15
 
 
+def test_log_run_continuant_matches_exact():
+    for i in range(1, 6):
+        for n in (0, 1, 2, 5, 40, 599, 600, 2000):
+            q = run_continuant(i, n)
+            assert cf_core.log_run_continuant(i, n) == pytest.approx(math.log(q), rel=1e-13, abs=1e-13)
+        assert cf_core.log_tau(i) == pytest.approx(math.log(float(target(i).tau)), rel=1e-15)
+
+
 def test_log_cylinder_length_matches_exact():
     t = target(2)
     for m in (1, 3, 10, 50, 200):

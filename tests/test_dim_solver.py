@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ import pytest
 from cfdim import dim_solver as ds
 from cfdim.cf_core import continuants
 from cfdim.dim_solver import (
+    DimEstimate,
     DimQuery,
     SumKernelSpec,
     aitken,
@@ -36,12 +38,17 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 def _exact_free_sum(B, n, rho2, tail=()):
-    """Oracle: exact rational sum of q^(-2 rho) over {1..B}^n with rho2 = 2 rho int."""
-    tot = Fraction(0)
-    for digs in itertools.product(range(1, B + 1), repeat=n):
-        q = continuants(list(digs) + list(tail)).qk(n + len(tail))
-        tot += Fraction(1, q**rho2)
-    return tot
+    """Oracle: exact rational sum of q^(-rho2) over {1..B}^n followed by `tail`,
+    with rho2 = 2 rho an integer.  Continuants by the integer recursion, summed
+    over the common denominator of the distinct q^rho2."""
+    states = [(1, 0)]  # (q_k, q_{k-1}) of every prefix, from (q_0, q_{-1})
+    for _ in range(n):
+        states = [(a * q + q1, q) for q, q1 in states for a in range(1, B + 1)]
+    for a in tail:
+        states = [(a * q + q1, q) for q, q1 in states]
+    counts = Counter(q for q, _ in states)
+    den = math.lcm(*counts) ** rho2
+    return Fraction(sum(c * (den // q**rho2) for q, c in counts.items()), den)
 
 
 def test_sum_power_single_term():
@@ -88,16 +95,17 @@ def test_sum_power_chunked_matches_cached(monkeypatch):
     assert streamed == pytest.approx(math.log(float(exact)), rel=5e-13)
 
 
-def test_sum_power_threads_deterministic():
-    spec = SumKernelSpec(free_length=8, tail_i=2, tail_digit=1)
-    a = sum_power(3, spec, 0.7, threads=1)
-    b = sum_power(3, spec, 0.7, threads=4)
-    assert a == b
-
-
 # ---------------------------------------------------------------------------
 # pre-dimensional numbers
 # ---------------------------------------------------------------------------
+
+
+def test_dim_estimate_rejects_value_outside_bracket():
+    DimEstimate(0.5, (0.5, 0.5))
+    with pytest.raises(ValueError):
+        DimEstimate(0.6, (0.4, 0.5))
+    with pytest.raises(ValueError):
+        DimEstimate(0.3, (0.4, 0.5))
 
 
 def test_predim_b1_is_zero():
@@ -150,26 +158,26 @@ def test_predim_order_one_has_no_root():
 
 def test_predim_tilde_identities():
     # tail_len = 0 coincides with the hat number at alpha = 0
-    t0 = predim_tilde(3, 0, 1, (8, 0)).value
+    t0 = predim_tilde(3, 1, (8, 0)).value
     h0 = predim_hat(DimQuery(B=3, alpha=0, i=1, n=8)).value
     assert t0 == pytest.approx(h0, abs=1e-11)
-    assert predim_tilde(1, 0.5, 1, (9, 4)).value == 0.0
+    assert predim_tilde(1, 1, (9, 4)).value == 0.0
     # same sum as predim_s(alpha=1/2, n=12)
-    t = predim_tilde(3, Fraction(1, 2), 1, (12, 6)).value
+    t = predim_tilde(3, 1, (12, 6)).value
     s = predim_s(DimQuery(B=3, alpha=Fraction(1, 2), i=1, n=12)).value
     assert t == pytest.approx(s, abs=1e-9)
 
 
 def test_predim_tilde_operator_backend_agrees():
     for seg in ((20, 12), (30, 20)):
-        e = predim_tilde(3, 0.7, 1, seg, method="enumerate").value
-        o = predim_tilde(3, 0.7, 1, seg, method="operator").value
+        e = predim_tilde(3, 1, seg, method="enumerate").value
+        o = predim_tilde(3, 1, seg, method="operator").value
         assert o == pytest.approx(e, abs=1e-10)
 
 
 def test_predim_tilde_budget_error():
     with pytest.raises(BudgetExceeded):
-        predim_tilde(3, 0.7, 1, (60, 10), method="enumerate", node_budget=10**6)
+        predim_tilde(3, 1, (60, 10), method="enumerate", node_budget=10**6)
 
 
 # ---------------------------------------------------------------------------

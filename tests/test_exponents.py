@@ -16,6 +16,7 @@ from cfdim.exponents import (
     decompose_oracle,
     distance_bracket,
     exponent_estimates,
+    forward_run_lengths,
     uniform_hit_check,
 )
 from cfdim.surd import Surd
@@ -106,6 +107,14 @@ def test_random_digits_nu_small():
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------
+
+
+@given(digit_lists, st.integers(min_value=1, max_value=4))
+def test_forward_run_lengths_match_prefix_scan(digits, i):
+    d = digit_seq(digits, complete=True)
+    f = forward_run_lengths(np.asarray(digits), i)
+    assert f[-1] == 0
+    assert f[:-1].tolist() == [common_prefix_with_target(d, n, i) for n in range(len(digits))]
 
 
 def test_distance_bracket_upper_example():

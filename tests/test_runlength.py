@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cfdim.errors import EmptyWindow
-from cfdim.runlength import RunProfile, ratio_estimates, run_profile, run_profile_oracle
+from cfdim.runlength import RunProfile, maximal_runs, ratio_estimates, run_profile, run_profile_oracle
 
 digit_lists = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=200)
 
@@ -31,6 +31,14 @@ def test_profile_invariants_small():
 def test_blocks_are_maximal_runs():
     rp = run_profile([7, 7, 1, 1, 1, 2, 7])
     assert rp.blocks == ((0, 2, 7), (2, 3, 1), (5, 1, 2), (6, 1, 7))
+
+
+@given(digit_lists)
+def test_maximal_runs_tile_the_digits(digits):
+    a = np.asarray(digits)
+    starts, lengths = maximal_runs(a)
+    assert (np.repeat(a[starts], lengths) == a).all()
+    assert (lengths >= 1).all() and (a[starts[1:]] != a[starts[:-1]]).all()
 
 
 @given(digit_lists)

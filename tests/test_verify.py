@@ -11,6 +11,7 @@ from cfdim.errors import InsufficientBlocks
 from cfdim.verify import (
     LebesgueDigitChain,
     McConfig,
+    RecordTracker,
     Report,
     lemma_suite,
     load_fixtures,
@@ -19,7 +20,6 @@ from cfdim.verify import (
     sample_digit_matrix,
     sample_digits_decimal,
     solver_crosscheck,
-    _record_tracker_estimates,
 )
 
 
@@ -106,28 +106,15 @@ def test_record_tracker_matches_decompose_reference():
     n = 30_000
     M = sample_digit_matrix(99, 25, n)
     chain = LebesgueDigitChain(99, 25)
-    runlen = np.zeros(25, dtype=np.int64)
-    best = np.zeros(25, dtype=np.int64)
-    records = [[] for _ in range(25)]
-    pos = 0
+    tracker = RecordTracker(25, 1)
     for digits in chain.next_digits(n):
-        pos += 1
-        isi = digits == 1
-        ended = (~isi) & (runlen > 0)
-        for k in np.nonzero(ended & (runlen > best))[0]:
-            rl = int(runlen[k])
-            records[k].append((pos - 1 - rl, pos - 1))
-            best[k] = rl
-        runlen = np.where(isi, runlen + 1, 0)
+        tracker.push(digits)
     for k in range(25):
-        recs = list(records[k])
-        rl = int(runlen[k])
-        if rl > best[k]:
-            recs.append((pos - rl, pos))
-        got = _record_tracker_estimates(recs, pos, 1)
+        got = tracker.estimates(k)
         bd = exponents.decompose(M[k], 1)
+        assert tracker.records(k) == bd.record_blocks
         try:
-            ref = exponents.exponent_estimates(bd, pos)
+            ref = exponents.exponent_estimates(bd, n)
         except InsufficientBlocks:
             ref = None
         if ref is None:
