@@ -434,7 +434,7 @@ def _sample_segment_free(
         for j in range(free):
             rem = free - j - 1
             y = 1.0 / (a_vec + r)
-            logw = -2.0 * s * np.log(a_vec + r) + grid.interp_matrix(y) @ st.levels[rem]
+            logw = -2.0 * s * np.log(a_vec + r) + grid.interp_matrix(y) @ st.level(rem)
             w = np.exp(logw - logw.max())
             w /= w.sum()
             a = int(rng.choice(B, p=w)) + 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class SumKernelSpec:
 # ---------------------------------------------------------------------------
 
 _state_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-_qtotal_cache: Dict[Tuple[int, int, int, int], np.ndarray] = {}
+_qtotal_cache: Dict[Tuple[int, int, int, int], List[np.ndarray]] = {}
 
 
 def _grow_level(logq: np.ndarray, r: np.ndarray, B: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -181,7 +181,7 @@ def _log_qtotal_arrays(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
     key = (B, f, i, t)
     hit = _qtotal_cache.get(key)
     if hit is not None:
-        yield hit
+        yield from hit
         return
     log_u, v_over_u = transfer.run_tail_logs(i, t)
     pieces = []
@@ -192,7 +192,7 @@ def _log_qtotal_arrays(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
             pieces.append(arr)
         yield arr
     if cacheable:
-        _qtotal_cache[key] = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        _qtotal_cache[key] = pieces
 
 
 def sum_power(
@@ -205,9 +205,8 @@ def sum_power(
 
     Each chunk of leaves is summed relative to its own maximum and the chunk
     sums are merged by a compensated (fsum) reduction in a fixed order.  A
-    tail table of at most _CACHE_LIMIT leaves is streamed in chunks on its
-    first call and then cached whole, so later calls sum it as one chunk and
-    can differ from the first in the last bits.
+    tail table of at most _CACHE_LIMIT leaves is cached as its list of
+    chunks, so a repeated call sums the same chunks as the first.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -349,7 +348,10 @@ def predim_tilde(
     Falls back to the log-space operator iteration when the free part is too
     large to enumerate (same sum, evaluated as an iterated transfer operator),
     with a near-machine bisection width so the root residual stays tiny even
-    for very long segments.
+    for very long segments.  Each evaluation iterates only to the settling
+    depth of the operator (a few dozen levels, see transfer.segment_stack)
+    and adds log lambda per remaining free digit, so its cost does not grow
+    with the segment length.
     """
     l_k, tail_len = segment
     if tail_len > l_k or tail_len < 0:

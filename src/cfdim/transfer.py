@@ -12,8 +12,13 @@ Two consumers:
   * the leading eigenvalue of L_s (log of which is the pressure), and
   * finite products L_s^f applied to a run-tail seed function, which evaluate
     constrained partition sums with forced trailing digits without
-    enumerating the free digits.  Those iterations run in log-space to
-    survive thousands of applications.
+    enumerating the free digits.  Those iterations run in log-space on an
+    iterate normalized to 0 at x = 0, so it stays O(1) for any f.  Its shape
+    converges to the leading eigenfunction at the rate |lambda_2/lambda_1|
+    (about 0.3), and once it stops changing in the last bits (the settling
+    depth K, about 20-50 levels) each further application only adds
+    log lambda_1.  A product of any length f therefore costs min(f, K)
+    applications and keeps min(f, K) + 1 levels.
 """
 
 from __future__ import annotations
@@ -137,9 +142,12 @@ def run_tail_logs(i: int, t: int) -> Tuple[float, float]:
 class SegmentStack:
     """Log-values of the constrained completion sums of one segment.
 
-    levels[j] holds log G_j at the grid nodes, where G_j(r) is the sum of
+    level(j) is log G_j at the grid nodes, where G_j(r) is the sum of
     (relative continuant)^{-2s} over all completions with j free digits left
-    followed by the forced run tail; G_0 is the tail seed.
+    followed by the forced run tail; G_0 is the tail seed.  `levels` holds
+    j = 0..K, K the settling depth of segment_stack (or `free` when the
+    iterate never settled); past K each level adds the per-level `step`,
+    log of the operator's leading eigenvalue, at every node.
     """
 
     B: int
@@ -147,17 +155,26 @@ class SegmentStack:
     tail: int
     s: float
     degree: int
+    free: int
     levels: List[np.ndarray]
+    step: float
+
+    def level(self, j: int) -> np.ndarray:
+        """log G_j at the grid nodes, for 0 <= j <= free."""
+        if not 0 <= j <= self.free:
+            raise IndexError(f"level {j} outside 0..{self.free}")
+        K = len(self.levels) - 1
+        if j <= K:
+            return self.levels[j]
+        return self.levels[K] + (j - K) * self.step
 
     def log_total(self) -> float:
         """log of the full segment sum (start state r = 0, all digits free)."""
-        return float(self.levels[-1][0])  # node 0 is r = 0
+        return float(self.level(self.free)[0])  # node 0 is r = 0
 
     def eval_log(self, free_remaining: int, r: float) -> float:
-        if free_remaining >= len(self.levels):
-            raise IndexError("stack was built without keep_levels; per-depth values unavailable")
         grid = get_grid(self.degree)
-        return float(grid.interp_matrix(np.array([r]))[0] @ self.levels[free_remaining])
+        return float(grid.interp_matrix(np.array([r]))[0] @ self.level(free_remaining))
 
 
 def _stacked_digit_matrix(B: int, degree: int) -> np.ndarray:
@@ -165,28 +182,51 @@ def _stacked_digit_matrix(B: int, degree: int) -> np.ndarray:
     return np.stack([grid.digit_matrix(a) for a in range(1, B + 1)])
 
 
+_SETTLE_TOL = 4.0 * np.finfo(np.float64).eps
+
+
 def segment_stack(
     B: int, i: int, free: int, tail: int, s: float, degree: int = DEFAULT_DEGREE, keep_levels: bool = True
 ) -> SegmentStack:
-    """Iterate the log-space operator `free` times from the run-tail seed."""
+    """Iterate the log-space operator from the run-tail seed until its shape
+    settles, for at most `free` levels.
+
+    The iterate is kept normalized: after each step its value at node 0
+    (r = 0) is moved into a running offset, summed in double-double with
+    math.fsum, so the array stays O(1) however large log G_j grows.  The
+    first level K with |h_K - h_{K-1}| <= 4 eps max(1, |h_K|) in sup norm
+    is the settling depth: every later step repeats the shape h_K and adds
+    the same offset, so levels past K follow in closed form.  A free part
+    shorter than the settling depth keeps all its levels.
+
+    `keep_levels` changes nothing: every stack keeps its levels 0..K.
+    segment_log_sum passes False, which lets a trace tell its iteration
+    from a stack build.
+    """
     grid = get_grid(degree)
     x = grid.nodes
     log_u, v_over_u = run_tail_logs(i, tail)
-    g = -2.0 * s * (log_u + np.log1p(v_over_u * x))
-    levels = [g.copy()]
+    h = -2.0 * s * np.log1p(v_over_u * x)  # the seed minus its node-0 value
+    hi, lo = -2.0 * s * log_u, 0.0
+    levels = [h + hi]
+    step = 0.0
     if free:
         C = _stacked_digit_matrix(B, degree)  # (B, n, n)
         a_col = np.arange(1, B + 1, dtype=np.float64)[:, None]
         W = -2.0 * s * np.log(a_col + x[None, :])  # (B, n)
         Cflat = C.reshape(B * x.size, x.size)
         for _ in range(free):
-            interp = (Cflat @ g).reshape(B, x.size)
-            g = _logsumexp_axis0(W + interp)
-            if keep_levels:
-                levels.append(g.copy())
-        if not keep_levels:
-            levels.append(g.copy())
-    return SegmentStack(B=B, i=i, tail=tail, s=s, degree=degree, levels=levels)
+            g = _logsumexp_axis0(W + (Cflat @ h).reshape(B, x.size))
+            step = float(g[0])
+            h_next = g - step
+            total = math.fsum((hi, lo, step))
+            hi, lo = total, math.fsum((hi, lo, step, -total))
+            levels.append(h_next + hi)
+            settled = np.abs(h_next - h).max() <= _SETTLE_TOL * max(1.0, float(np.abs(h_next).max()))
+            h = h_next
+            if settled:
+                break
+    return SegmentStack(B=B, i=i, tail=tail, s=s, degree=degree, free=free, levels=levels, step=step)
 
 
 def _logsumexp_axis0(arr: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from cfdim.cantor import (
     insert_map,
     inserted_record_blocks,
     local_dimension,
+    measure_context,
     measure_mass,
     sample_measure,
     validate_prefix,
@@ -172,6 +173,13 @@ def test_child_sum_consistency_random_nodes(spec13):
         )
         worst = max(worst, abs(ksum - 1.0))
     assert worst <= 1e-9
+
+
+def test_measure_stack_levels_stay_bounded(spec13):
+    # levels past the settling depth follow in closed form
+    st = measure_context(spec13).stack(10)
+    assert st.free == spec13.sp.n[9] - spec13.sp.m[8]
+    assert len(st.levels) <= 64
 
 
 def test_measure_mass_supplied_exponents(spec13):

@@ -95,6 +95,15 @@ def test_sum_power_chunked_matches_cached(monkeypatch):
     assert streamed == pytest.approx(math.log(float(exact)), rel=5e-13)
 
 
+def test_sum_power_repeat_is_bit_identical(monkeypatch):
+    # 3^13 leaves: more than one chunk, few enough to be cached
+    assert ds._CHUNK < 3**13 <= ds._CACHE_LIMIT
+    monkeypatch.setattr(ds, "_qtotal_cache", {})
+    spec = SumKernelSpec(free_length=13, tail_i=1, tail_digit=1)
+    first = sum_power(3, spec, 0.5)
+    assert sum_power(3, spec, 0.5) == first
+
+
 # ---------------------------------------------------------------------------
 # pre-dimensional numbers
 # ---------------------------------------------------------------------------

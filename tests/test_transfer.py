@@ -1,0 +1,73 @@
+"""Log-space segment stacks: settling, closed-form extension, anchors."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cfdim import transfer
+from cfdim.cantor import construct_sequences
+
+
+def _reference_levels(B, i, free, tail, s, degree=transfer.DEFAULT_DEGREE):
+    """Plain normalized iteration of all `free` levels: log G_j at the nodes
+    for j = 0..free, with the node-0 offsets summed by math.fsum."""
+    grid = transfer.get_grid(degree)
+    x = grid.nodes
+    log_u, v_over_u = transfer.run_tail_logs(i, tail)
+    C = np.stack([grid.digit_matrix(a) for a in range(1, B + 1)]).reshape(B * x.size, x.size)
+    W = -2.0 * s * np.log(np.arange(1, B + 1, dtype=np.float64)[:, None] + x[None, :])
+    h = -2.0 * s * np.log1p(v_over_u * x)
+    offsets = [-2.0 * s * log_u]
+    out = [h + offsets[0]]
+    for _ in range(free):
+        arr = W + (C @ h).reshape(B, x.size)
+        m = arr.max(axis=0)
+        g = m + np.log(np.exp(arr - m[None, :]).sum(axis=0))
+        offsets.append(float(g[0]))
+        h = g - offsets[-1]
+        out.append(h + math.fsum(offsets))
+    return out
+
+
+def _cantor_measure_segments(ks):
+    """(free, tail) of segments k of the nu_hat = 1/3, nu = 1 schedule."""
+    sp = construct_sequences(Fraction(1, 3), 1, k_max=max(ks))
+    return [(sp.n[k - 1] - sp.m[k - 2], sp.m[k - 1] - sp.n[k - 1]) for k in ks]
+
+
+@pytest.mark.parametrize("B", [2, 3, 5])
+@pytest.mark.parametrize("s", [0.25, 0.5, 1.0])
+def test_settled_step_is_the_pressure(B, s):
+    # past the settling depth each free digit adds log lambda; the leading
+    # eigenvalue by power iteration on the collocation matrix is independent
+    p = transfer.pressure(B, s)
+    for free in (200, 1000):
+        d = transfer.segment_log_sum(B, 1, free + 1, 7, s) - transfer.segment_log_sum(B, 1, free, 7, s)
+        assert d == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("seg", _cantor_measure_segments(range(3, 9)))
+def test_stack_matches_full_depth_reference(seg):
+    free, tail = seg
+    s = 0.25
+    ref = _reference_levels(3, 1, free, tail, s)
+    st = transfer.segment_stack(3, 1, free, tail, s)
+    K = len(st.levels) - 1
+    assert transfer.segment_log_sum(3, 1, free, tail, s) == pytest.approx(ref[free][0], abs=1e-11)
+    for j in sorted({0, K // 2, K, K + 1, (K + free) // 2, free}):
+        if j <= free:
+            np.testing.assert_allclose(st.level(j), ref[j], rtol=0, atol=1e-11)
+
+
+def test_short_stack_keeps_every_level_exactly():
+    # 15 free digits (segment 3) is shorter than the settling depth
+    free, tail = _cantor_measure_segments([3])[0]
+    st = transfer.segment_stack(3, 1, free, tail, 0.25)
+    ref = _reference_levels(3, 1, free, tail, 0.25)
+    assert len(st.levels) == free + 1
+    for j in range(free + 1):
+        assert np.array_equal(st.level(j), ref[j])
+    with pytest.raises(IndexError):
+        st.level(free + 1)
