@@ -10,7 +10,12 @@ from the measure, probes local dimensions, and applies the marker-digit
 insertion map that pins the exponents of the image points.
 
 Masses and conditional sampling run on per-segment transfer-operator stacks
-(see cfdim.transfer), so depths far beyond enumeration range stay cheap.
+(see cfdim.transfer), so depths far beyond enumeration range stay cheap.  The
+per-digit work stays in numpy and the int kernels: a sampled digit is one
+inverse-CDF draw over B weights, a prefix is checked one schedule interval at
+a time, and masses need only the denominators q_{n-1}, q_n of their digits
+(cf_core.denominators); local dimensions at all block boundaries share one
+pass over the prefix.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
 
 from . import dim_solver, transfer
-from .cf_core import DigitSeq, continuants, digit_seq
+from .cf_core import DigitSeq, denominators, digit_seq
 from .dim_solver import DimEstimate, to_fraction
 from .errors import Inadmissible, NoConvergence, OutOfRange
 
@@ -216,19 +222,34 @@ class CantorSpec:
     def marker(self) -> int:
         return self.d if self.d is not None else self.B + 1
 
+    @cached_property
+    def intervals(self) -> Tuple[Tuple[int, float, Optional[int]], ...]:
+        """The digit rule as (lo, hi, bound): positions lo < pos <= hi lie in
+        1..bound, or carry the run digit i when bound is None.
+
+        Free stretch k is (m_{k-1}, n_k] and the last one is (m_K, inf).  The
+        plain variant bounds every free stretch by B; the unbounded variant
+        forces 1..n_1 and bounds (m_k, n_{k+1}] by B_k.
+        """
+        sp = self.sp
+        out = []
+        m_prev = 0
+        for k in range(sp.k_max + 1):
+            if sp.B_k is None:
+                bound = self.B
+            else:
+                bound = sp.B_k[k - 1] if k else None
+            n_k = sp.n[k] if k < sp.k_max else math.inf
+            out.append((m_prev, n_k, bound))
+            if k < sp.k_max:
+                out.append((n_k, sp.m[k], None))
+                m_prev = sp.m[k]
+        return tuple(out)
+
 
 def _bound_at(spec: CantorSpec, pos: int) -> Optional[int]:
     """Alphabet bound at a free position, or None if the position is forced."""
-    sp = spec.sp
-    if sp.run_index_of(pos) is not None:
-        return None
-    if sp.B_k is None:
-        return spec.B
-    # unbounded variant: free only on (m_k, n_{k+1}]; everything else forced
-    j = bisect_left(sp.m, pos)
-    if j >= 1 and sp.m[j - 1] < pos and (j >= len(sp.n) or pos <= sp.n[j]):
-        return sp.B_k[j - 1]
-    return None
+    return next(bound for _, hi, bound in spec.intervals if pos <= hi)  # the last hi is inf
 
 
 def admissible_children(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[int, ...]:
@@ -242,14 +263,30 @@ def admissible_children(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[int, .
 
 
 def validate_prefix(spec: CantorSpec, prefix: Sequence[int]) -> None:
-    for idx, a in enumerate(prefix):
-        pos = idx + 1
-        bound = _bound_at(spec, pos)
+    """Raise Inadmissible naming the first position that breaks the digit rule.
+
+    Each interval of the rule is checked on its whole slice (count of the run
+    digit, or min and max against 1..bound); only a failing slice is scanned
+    digit by digit.
+    """
+    digits = tuple(prefix)
+    i = spec.i
+    for lo, hi, bound in spec.intervals:
+        if lo >= len(digits):
+            return
+        part = digits[lo : min(hi, len(digits))]
         if bound is None:
-            if a != spec.i:
-                raise Inadmissible(f"position {pos} must carry the run digit {spec.i}, got {a}")
-        elif not (1 <= a <= bound):
-            raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
+            if part.count(i) == len(part):
+                continue
+            for pos, a in enumerate(part, start=lo + 1):
+                if a != i:
+                    raise Inadmissible(f"position {pos} must carry the run digit {i}, got {a}")
+        else:
+            if not part or (1 <= min(part) and max(part) <= bound):
+                continue
+            for pos, a in enumerate(part, start=lo + 1):
+                if not (1 <= a <= bound):
+                    raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
 
 
 def designed_records(spec: CantorSpec, k_max: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
@@ -282,8 +319,9 @@ class MeasureContext:
 
     Segment k covers positions (m_{k-1}, m_k]: free part (m_{k-1}, n_k],
     forced i-run (n_k, m_k].  The segment exponent is the root of the
-    segment partition sum; the stack holds the log completion sums G_j at
-    every free depth, which yields node masses and conditional digit laws.
+    segment partition sum; the stack keeps the log completion sums G_j for
+    j = 0..K, K its settling depth, and SegmentStack.level(j) reads any free
+    depth from them, which yields node masses and conditional digit laws.
     """
 
     def __init__(self, spec: CantorSpec, degree: int = transfer.DEFAULT_DEGREE):
@@ -336,8 +374,7 @@ def measure_context(spec: CantorSpec, degree: int = transfer.DEFAULT_DEGREE) -> 
 
 def _segment_log_factor(ctx: MeasureContext, k: int, seg_digits: Sequence[int]) -> float:
     """-2 s~_k log q_{l_k}(segment digits) for a complete segment."""
-    q = continuants(seg_digits).qk(len(seg_digits))
-    return -2.0 * ctx.s_tilde(k).value * log_int(q)
+    return -2.0 * ctx.s_tilde(k).value * log_int(denominators(seg_digits)[1])
 
 
 def measure_mass(
@@ -353,7 +390,7 @@ def measure_mass(
     the operator-stack completion sum at the current continuant ratio.
     `s_tilde` may override the per-segment exponents (keyed by k).
     """
-    digits = tuple(int(a) for a in prefix)
+    digits = tuple(map(int, prefix))
     validate_prefix(spec, digits)
     if s_tilde:
         # supplied exponents get a private context so the shared cache stays
@@ -384,15 +421,10 @@ def measure_mass(
             full = seg + (spec.i,) * (m_k - L)
             lm += _segment_log_factor(ctx, k, full)
         else:
-            t = continuants(seg) if seg else None
-            if t is None:
-                q, q1 = 1, 0
-            else:
-                q, q1 = t.qk(len(seg)), t.qk(len(seg) - 1)
-            r = float(Fraction(q1, q))
+            q1, q = denominators(seg)
+            # int true division rounds correctly: the float of the fraction q1/q
             st = ctx.stack(k)
-            remaining = n_k - L
-            lm += -2.0 * ctx.s_tilde(k).value * log_int(q) + st.eval_log(remaining, r)
+            lm += -2.0 * ctx.s_tilde(k).value * log_int(q) + st.eval_log(n_k - L, q1 / q)
         break
     return MeasureNode(digits=digits, log_mass=lm, boundaries_crossed=crossed)
 
@@ -412,15 +444,20 @@ def _allowed_run(spec: CantorSpec, k: int) -> int:
 def _sample_segment_free(
     ctx: MeasureContext, k: int, rng: np.random.Generator, reject: bool
 ) -> Tuple[int, ...]:
-    """Free digits of segment k, drawn from the conditional measure law."""
+    """Free digits of segment k, drawn from the conditional measure law.
+
+    Each digit is an inverse-CDF draw with one rng.random(): the arithmetic
+    of rng.choice(B, p=w) without its argument checks, so a seed gives the
+    same digits as that call.
+    """
     spec = ctx.spec
     m_prev, n_k, _ = ctx.seg_bounds(k)
     free = n_k - m_prev
     if free == 0:
         return ()
     st = ctx.stack(k)
-    s = ctx.s_tilde(k).value
-    grid = transfer.get_grid(ctx.degree)
+    m2s = -2.0 * ctx.s_tilde(k).value
+    interp = transfer.get_grid(ctx.degree).interp_matrix
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
     cap = _allowed_run(spec, k)
@@ -432,12 +469,18 @@ def _sample_segment_free(
         run = 0
         ok = True
         for j in range(free):
-            rem = free - j - 1
-            y = 1.0 / (a_vec + r)
-            logw = -2.0 * s * np.log(a_vec + r) + grid.interp_matrix(y) @ st.level(rem)
-            w = np.exp(logw - logw.max())
+            ar = a_vec + r
+            logw = m2s * np.log(ar) + interp(1.0 / ar) @ st.level(free - j - 1)
+            top = logw.max()
+            if not math.isfinite(top):
+                # a NaN or +inf log-weight (max propagates NaN); below this
+                # every weight exp(logw - top) is finite and non-negative
+                raise ValueError(f"segment {k}: log-weights {logw.tolist()} are not finite")
+            w = np.exp(logw - top)
             w /= w.sum()
-            a = int(rng.choice(B, p=w)) + 1
+            cdf = w.cumsum()
+            cdf /= cdf[-1]
+            a = int(cdf.searchsorted(rng.random(), side="right")) + 1
             out.append(a)
             r = 1.0 / (a + r)
             if reject:
@@ -487,27 +530,45 @@ def sample_measure(
     return digit_seq(out[:depth])
 
 
+def _log_length(q_prev: int, q: int) -> float:
+    """log |I_n| = -(log q_n + log(q_n + q_{n-1}))."""
+    return -(log_int(q) + log_int(q + q_prev))
+
+
 def local_dimension(spec: CantorSpec, prefix: Sequence[int], degree: int = transfer.DEFAULT_DEGREE) -> float:
     """log mu(I_n) / log |I_n| with the exact cylinder length."""
-    digits = tuple(int(a) for a in prefix)
+    digits = tuple(map(int, prefix))
     if not digits:
         raise ValueError("need a nonempty prefix")
     node = measure_mass(spec, digits, degree=degree)
-    t = continuants(digits)
-    n = len(digits)
-    qn, qn1 = t.qk(n), t.qk(n - 1)
-    log_len = -(log_int(qn) + log_int(qn + qn1))
-    return node.log_mass / log_len
+    return node.log_mass / _log_length(*denominators(digits))
 
 
 def local_dimension_series(
     spec: CantorSpec, prefix: Sequence[int], degree: int = transfer.DEFAULT_DEGREE
 ) -> Tuple[Tuple[int, float], ...]:
-    """Local dimension at every completed block boundary m_k in the prefix."""
+    """Local dimension at every completed block boundary m_k in the prefix.
+
+    One pass: at boundary m_k the mass is the running sum of the complete
+    segment factors, and one continuant recursion over the prefix gives
+    |I_{m_k}|; each value equals local_dimension(spec, prefix[:m_k]).
+    """
+    digits = tuple(map(int, prefix))
+    ends = [m_k for m_k in spec.sp.m if m_k <= len(digits)]
+    if not ends:
+        return ()
+    validate_prefix(spec, digits[: ends[-1]])
+    ctx = measure_context(spec, degree)
     out = []
-    for m_k in spec.sp.m:
-        if m_k <= len(prefix):
-            out.append((m_k, local_dimension(spec, prefix[:m_k], degree)))
+    lm = 0.0
+    q_prev, q = 0, 1
+    m_prev = 0
+    for k, m_k in enumerate(ends, start=1):
+        seg = digits[m_prev:m_k]
+        lm += _segment_log_factor(ctx, k, seg)
+        q_prev, q = denominators(seg, q_prev, q)
+        out.append((m_k, lm / _log_length(q_prev, q)))
+        m_prev = m_k
     return tuple(out)
 
 

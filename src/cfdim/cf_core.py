@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Tuple
-
-import mpmath
 
 from .errors import Exhausted, InputOutOfRange, Overflow
 from .surd import Surd, is_square
@@ -168,14 +167,23 @@ def continuants(d: Sequence[int] | DigitSeq) -> ContinuantTable:
     return ContinuantTable(tuple(p), tuple(q))
 
 
+def denominators(digits: Iterable[int], prev: int = 0, cur: int = 1) -> Tuple[int, int]:
+    """(q_{n-1}, q_n) of the digits by q_{k+1} = a_{k+1} q_k + q_{k-1}.
+
+    The recursion starts from (q_{-1}, q_0) = (0, 1), or continues from a
+    pair (prev, cur) that an earlier call returned for the digits before.
+    No digits give the starting pair back.
+    """
+    for a in digits:
+        prev, cur = cur, a * cur + prev
+    return prev, cur
+
+
 def run_continuant(i: int, n: int) -> int:
     """q_n(i, ..., i): continuant of a constant run, by the exact recursion."""
     if i < 1 or n < 0:
         raise ValueError("need i >= 1, n >= 0")
-    prev, cur = 0, 1  # q_{-1}, q_0
-    for _ in range(n):
-        prev, cur = cur, i * cur + prev
-    return cur
+    return denominators(repeat(i, n))[1]
 
 
 def run_continuant_closed_form(i: int, n: int) -> int:
@@ -367,12 +375,10 @@ def expand(x: RealInput, n: int) -> DigitSeq:
 class QuadraticTarget:
     """The point y = (sqrt(i^2+4) - i)/2 = [i, i, ...] with its growth data:
     tau = (i + sqrt(i^2+4))/2 > 1 (the exponential growth rate of q_n(y)) and
-    zeta = (i - sqrt(i^2+4))/2."""
+    zeta = (i - sqrt(i^2+4))/2, kept exact as surds."""
 
     i: int
     y: Surd
-    tau: mpmath.mpf
-    zeta: mpmath.mpf
     precision_bits: int = DEFAULT_PRECISION_BITS
 
     @property
@@ -410,10 +416,5 @@ def _logaddexp(a: float, b: float) -> float:
 def target(i: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> QuadraticTarget:
     if i < 1:
         raise ValueError("i must be >= 1")
-    D = i * i + 4
-    with mpmath.workprec(precision_bits):
-        root = mpmath.sqrt(D)
-        tau = (i + root) / 2
-        zeta = (i - root) / 2
-    y = Surd(Fraction(-i, 2), Fraction(1, 2), D)
-    return QuadraticTarget(i=i, y=y, tau=tau, zeta=zeta, precision_bits=precision_bits)
+    y = Surd(Fraction(-i, 2), Fraction(1, 2), i * i + 4)
+    return QuadraticTarget(i=i, y=y, precision_bits=precision_bits)

@@ -54,14 +54,16 @@ class ChebyshevGrid:
     def interp_matrix(self, points: np.ndarray) -> np.ndarray:
         """Rows of barycentric interpolation weights at the given points."""
         pts = np.asarray(points, dtype=np.float64)
-        diff = pts[:, None] - self.nodes[None, :]
+        diff = pts[:, None] - self.nodes
+        if diff.all():  # no point on a node
+            terms = self.weights / diff
+            return terms / terms.sum(axis=1, keepdims=True)
         exact = diff == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self.weights[None, :] / diff
+            terms = self.weights / diff
             out = terms / terms.sum(axis=1, keepdims=True)
         hit_rows = exact.any(axis=1)
-        if hit_rows.any():
-            out[hit_rows] = exact[hit_rows].astype(np.float64)
+        out[hit_rows] = exact[hit_rows].astype(np.float64)
         return out
 
     def digit_matrix(self, a: int) -> np.ndarray:

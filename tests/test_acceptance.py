@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from cfdim.cantor import (
     measure_mass,
     sample_measure,
 )
-from cfdim.cf_core import continuants, run_continuant, run_continuant_closed_form, target
+from cfdim.cf_core import continuants, run_continuant, run_continuant_closed_form
 from cfdim.dim_solver import DimQuery, dim_full, dim_limit, spectral_dim, theorem_dims
 from cfdim.verify import McConfig, lemma_suite, mc_nu_zero, mc_runlength, solver_crosscheck
 
@@ -56,8 +57,8 @@ def test_criterion_2_closed_form_continuants():
     t0 = time.time()
     ok = True
     for i in range(1, 6):
-        t = target(i)
-        tau = float(t.tau)
+        with mpmath.workprec(256):
+            tau = float((i + mpmath.sqrt(i * i + 4)) / 2)
         for n in range(0, 41):
             q = run_continuant(i, n)
             ok &= q == run_continuant_closed_form(i, n)
@@ -242,6 +243,10 @@ def test_criterion_10_reproducibility(capsys):
         "expand_58": ["expand", "--rational", "5/8", "--n", "6"],
         "dim_Ehat_half": ["dim", "--kind", "E_hat", "--nu-hat", "1/2", "--i", "1", "--B-schedule", "8,16,32"],
         "cantor_k2": ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "2", "--sample", "1", "--seed", "0"],
+        "cantor_k7_local": [
+            "cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "7", "--sample", "2", "--seed", "5",
+            "--local-dim",
+        ],
     }
     ok = True
     for name, argv in cases.items():

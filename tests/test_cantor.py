@@ -1,14 +1,17 @@
 """Construction, measure, sampling, and insertion-map tests."""
 
 import math
+import warnings
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cfdim import dim_solver, exponents, runlength
+from cfdim import cantor, dim_solver, exponents, runlength, transfer
 from cfdim.cantor import (
     CantorSpec,
+    MeasureContext,
     SeqPair,
     admissible_children,
     construct_sequences,
@@ -19,11 +22,14 @@ from cfdim.cantor import (
     insert_map,
     inserted_record_blocks,
     local_dimension,
+    local_dimension_series,
+    log_int,
     measure_context,
     measure_mass,
     sample_measure,
     validate_prefix,
 )
+from cfdim.cf_core import continuants
 from cfdim.errors import Inadmissible, OutOfRange
 
 
@@ -258,8 +264,6 @@ def test_local_dimension_tracks_solver(spec13):
 
 
 def test_local_dimension_stabilizes(spec13):
-    from cfdim.cantor import local_dimension_series
-
     d = sample_measure(spec13, depth=spec13.sp.m[7], seed=19)
     series = local_dimension_series(spec13, d.digits)
     vals = [v for (_, v) in series]
@@ -358,3 +362,209 @@ def test_runlength_ratio_estimates_from_construction():
     est = runlength.ratio_estimates(prof, 0.5)
     assert abs(est.liminf_est - 1 / 3) <= 0.05
     assert abs(est.limsup_est - 1 / 2) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# references: the per-digit and per-position forms of the warm Cantor path
+# ---------------------------------------------------------------------------
+
+
+def _reference_sample(spec, depth, seed, reject):
+    """sample_measure written out digit by digit with Generator.choice."""
+    ctx = measure_context(spec)
+    rng = np.random.default_rng(seed)
+    grid = transfer.get_grid(ctx.degree)
+    B, i = spec.B, spec.i
+    a_vec = np.arange(1, B + 1, dtype=np.float64)
+    out = []
+    k = 1
+    while len(out) < depth:
+        m_prev, n_k, m_k = ctx.seg_bounds(k)
+        free = n_k - m_prev
+        st = ctx.stack(k)
+        s = ctx.s_tilde(k).value
+        cap = spec.sp.run_length(1) - 1 if k == 1 else spec.sp.run_length(k - 1)
+        for _ in range(200):
+            part, r, run, ok = [], 0.0, 0, True
+            for j in range(free):
+                y = 1.0 / (a_vec + r)
+                logw = -2.0 * s * np.log(a_vec + r) + grid.interp_matrix(y) @ st.level(free - j - 1)
+                w = np.exp(logw - logw.max())
+                w /= w.sum()
+                a = int(rng.choice(B, p=w)) + 1
+                part.append(a)
+                r = 1.0 / (a + r)
+                if reject:
+                    run = run + 1 if a == i else 0
+                    if a == i and ((j == 0 and k >= 2) or j == free - 1 or run > cap):
+                        ok = False
+                        break
+            if ok:
+                break
+        out += part + [i] * (m_k - n_k)
+        k += 1
+    return tuple(out[:depth])
+
+
+def _reference_validate(spec, prefix):
+    """The digit rule checked position by position; returns the message of
+    the first violation, or None."""
+    sp = spec.sp
+    for pos, a in enumerate(prefix, start=1):
+        if sp.run_index_of(pos) is not None:
+            bound = None
+        elif sp.B_k is None:
+            bound = spec.B
+        else:
+            j = bisect_left(sp.m, pos)
+            free = j >= 1 and sp.m[j - 1] < pos and (j >= len(sp.n) or pos <= sp.n[j])
+            bound = sp.B_k[j - 1] if free else None
+        if bound is None and a != spec.i:
+            return f"position {pos} must carry the run digit {spec.i}, got {a}"
+        if bound is not None and not 1 <= a <= bound:
+            return f"position {pos} must lie in 1..{bound}, got {a}"
+    return None
+
+
+def _reference_log_mass(spec, prefix, s_tilde=None):
+    """measure_mass from full continuant tables and float(Fraction(q1, q))."""
+    ctx = MeasureContext(spec) if s_tilde else measure_context(spec)
+    s_of = (lambda k: s_tilde[k]) if s_tilde else (lambda k: ctx.s_tilde(k).value)
+
+    def log_q(digits):
+        return log_int(continuants(digits).qk(len(digits)))
+
+    digits = tuple(prefix)
+    lm, L, k = 0.0, len(digits), 1
+    while True:
+        m_prev, n_k, m_k = ctx.seg_bounds(k)
+        if L >= m_k:
+            lm += -2.0 * s_of(k) * log_q(digits[m_prev:m_k])
+            if L == m_k:
+                return lm
+            k += 1
+            continue
+        if L <= m_prev:
+            return lm
+        seg = digits[m_prev:L]
+        if L > n_k:
+            return lm + -2.0 * s_of(k) * log_q(seg + (spec.i,) * (m_k - L))
+        if seg:
+            t = continuants(seg)
+            q, q1 = t.qk(len(seg)), t.qk(len(seg) - 1)
+        else:
+            q, q1 = 1, 0
+        st = ctx.stack(k) if not s_tilde else transfer.segment_stack(
+            spec.B, spec.i, n_k - m_prev, m_k - n_k, s_of(k), ctx.degree
+        )
+        return lm + (-2.0 * s_of(k) * log_int(q) + st.eval_log(n_k - L, float(Fraction(q1, q))))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("reject", [True, False])
+def test_sampler_matches_choice_reference(spec13, seed, reject):
+    depth = spec13.sp.m[7]
+    got = sample_measure(spec13, depth=depth, seed=seed, reject_accidental=reject).digits
+    assert got == _reference_sample(spec13, depth, seed, reject)
+
+
+def test_sampler_matches_choice_reference_b5():
+    spec = CantorSpec(B=5, i=2, sp=construct_sequences(Fraction(1, 4), Fraction(1, 2), k_max=8))
+    depth = spec.sp.m[5]
+    for seed in (3, 11):
+        assert sample_measure(spec, depth=depth, seed=seed).digits == _reference_sample(spec, depth, seed, True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("node", [0, 7])
+def test_sampler_raises_on_non_finite_level(spec13, monkeypatch, bad, node):
+    ctx = MeasureContext(spec13)
+    st = ctx.stack(2)
+    st.levels = [level.copy() for level in st.levels]
+    st.levels[3][node] = bad  # one node of one level read by the free part of segment 2
+    monkeypatch.setitem(cantor._context_cache, (spec13, transfer.DEFAULT_DEGREE), ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            sample_measure(spec13, depth=spec13.sp.m[1], seed=0, reject_accidental=False)
+
+
+def _corrupt(digits, pos, a):
+    out = list(digits)
+    out[pos - 1] = a
+    return tuple(out)
+
+
+def test_validate_prefix_names_first_bad_position(spec13):
+    sp = spec13.sp
+    d = sample_measure(spec13, depth=sp.m[7], seed=3).digits
+    cases = []
+    for k in (1, 7):
+        m_prev = sp.m[k - 2] if k >= 2 else 0
+        run_pos, free_pos = sp.n[k - 1] + 1, m_prev + 1
+        cases += [
+            _corrupt(d, run_pos, 2),  # wrong digit in a forced run
+            _corrupt(d, free_pos, spec13.B + 1),  # free digit above B
+            _corrupt(d, free_pos, 0),  # digit 0
+            _corrupt(_corrupt(d, sp.m[k - 1], 3), free_pos, 0),  # two faults: the first one is named
+        ]
+    for prefix in cases:
+        want = _reference_validate(spec13, prefix)
+        assert want is not None
+        with pytest.raises(Inadmissible) as exc:
+            validate_prefix(spec13, prefix)
+        assert str(exc.value) == want
+    assert _reference_validate(spec13, d) is None
+    validate_prefix(spec13, d)
+
+
+def test_validate_prefix_infinite_variant_matches_reference():
+    sp = construct_sequences_infinite(Fraction(1, 2), k_max=4)
+    spec = CantorSpec(B=2, i=1, sp=sp)
+    good = (1,) * sp.m[1] + (2,) * 5
+    validate_prefix(spec, good)
+    for pos in range(1, len(good) + 1):
+        for a in (0, 2, sp.B_k[0], sp.B_k[0] + 1):
+            prefix = _corrupt(good, pos, a)
+            want = _reference_validate(spec, prefix)
+            if want is None:
+                validate_prefix(spec, prefix)
+                continue
+            with pytest.raises(Inadmissible) as exc:
+                validate_prefix(spec, prefix)
+            assert str(exc.value) == want
+
+
+def test_local_dimension_series_matches_pointwise(spec13):
+    d = sample_measure(spec13, depth=spec13.sp.m[7], seed=21).digits
+    for prefix in (d, d[: spec13.sp.m[6] + 40]):
+        want = tuple((m, local_dimension(spec13, prefix[:m])) for m in spec13.sp.m if m <= len(prefix))
+        assert local_dimension_series(spec13, prefix) == want
+
+
+def test_measure_mass_matches_continuant_reference(spec13):
+    sp = spec13.sp
+    d = sample_measure(spec13, depth=sp.m[6], seed=8).digits
+    depths = [0, 1, sp.n[0], sp.m[0]]
+    for k in (3, 7):
+        depths += [sp.m[k - 2] + 5, sp.n[k - 1], sp.n[k - 1] + 3, sp.m[k - 1] - 1, sp.m[k - 1]]
+    supplied = {k: 0.4 + 0.03 * k for k in range(1, 8)}
+    for L in depths:
+        prefix = d[:L]
+        assert measure_mass(spec13, prefix).log_mass == _reference_log_mass(spec13, prefix)
+        got = measure_mass(spec13, prefix, s_tilde=supplied).log_mass
+        assert got == _reference_log_mass(spec13, prefix, supplied)
+
+
+def test_interp_matrix_unit_rows_at_nodes():
+    grid = transfer.get_grid(transfer.DEFAULT_DEGREE)
+    mid = grid.nodes[grid.degree // 2]  # 0.5 less one ulp
+    assert (grid.nodes[0], grid.nodes[-1]) == (0.0, 1.0) and abs(mid - 0.5) < 1e-15
+    pts = np.array([0.0, mid, 1.0, 0.5, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = grid.interp_matrix(pts)
+        assert np.isfinite(grid.interp_matrix(pts[3:])).all()
+    for row, j in zip(M[:3], (0, grid.degree // 2, grid.degree)):
+        assert row.tolist() == np.eye(grid.degree + 1)[j].tolist()
+    assert np.abs(M[3:].sum(axis=1) - 1.0).max() <= 1e-14

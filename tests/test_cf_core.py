@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,17 @@ def test_continuants_twos():
 def test_continuants_base_case():
     for a in (1, 2, 7, 100):
         assert continuants([a]).qk(1) == a
+
+
+@given(digit_lists, st.integers(min_value=0, max_value=40))
+def test_denominators_match_continuants(digits, cut):
+    t = continuants(digits)
+    n = len(digits)
+    assert cf_core.denominators(digits) == (t.qk(n - 1), t.qk(n))
+    # continuing from the pair of a head gives the pair of the whole
+    cut = min(cut, n)
+    assert cf_core.denominators(digits[cut:], *cf_core.denominators(digits[:cut])) == (t.qk(n - 1), t.qk(n))
+    assert cf_core.denominators(()) == (0, 1)
 
 
 @given(digit_lists)
@@ -217,10 +229,16 @@ def test_run_continuant_closed_form_matches_recursion():
             assert run_continuant(i, n) == run_continuant_closed_form(i, n)
 
 
+def _tau_zeta(i):
+    """tau(i), zeta(i) = (i +- sqrt(i^2+4))/2 at 256-bit working precision."""
+    with mpmath.workprec(256):
+        root = mpmath.sqrt(i * i + 4)
+        return (i + root) / 2, (i - root) / 2
+
+
 def test_run_continuant_tau_power_bounds():
     for i in range(1, 6):
-        t = target(i)
-        tau = float(t.tau)
+        tau = float(_tau_zeta(i)[0])
         for n in range(1, 41):
             q = run_continuant(i, n)
             assert tau**n / 2 <= q <= 2 * tau**n
@@ -231,14 +249,15 @@ def test_target_invariants():
         t = target(i)
         prod = t.tau_exact * t.zeta_exact
         assert prod == Fraction(-1)
-        assert float(t.tau) > 1 > abs(float(t.zeta))
+        tau, zeta = _tau_zeta(i)
+        assert float(tau) > 1 > abs(float(zeta))
         # y = [i, i, ...] lies in (0, 1)
         assert t.y.sign() > 0 and (t.y - 1).sign() < 0
 
 
 def test_target_golden_ratio_values():
     t = target(1)
-    assert abs(float(t.tau) - (1 + math.sqrt(5)) / 2) < 1e-15
+    assert abs(float(_tau_zeta(1)[0]) - (1 + math.sqrt(5)) / 2) < 1e-15
     assert abs(float(t.y) - ((1 + math.sqrt(5)) / 2 - 1)) < 1e-15
 
 
@@ -247,7 +266,7 @@ def test_log_run_continuant_matches_exact():
         for n in (0, 1, 2, 5, 40, 599, 600, 2000):
             q = run_continuant(i, n)
             assert cf_core.log_run_continuant(i, n) == pytest.approx(math.log(q), rel=1e-13, abs=1e-13)
-        assert cf_core.log_tau(i) == pytest.approx(math.log(float(target(i).tau)), rel=1e-15)
+        assert cf_core.log_tau(i) == pytest.approx(math.log(float(_tau_zeta(i)[0])), rel=1e-15)
 
 
 def test_log_cylinder_length_matches_exact():

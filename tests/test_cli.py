@@ -134,6 +134,11 @@ def test_rerun_from_echoed_argv_byte_identical(capsys):
         ("expand_58", ["expand", "--rational", "5/8", "--n", "6"]),
         ("dim_Ehat_half", ["dim", "--kind", "E_hat", "--nu-hat", "1/2", "--i", "1", "--B-schedule", "8,16,32"]),
         ("cantor_k2", ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "2", "--sample", "1", "--seed", "0"]),
+        (
+            "cantor_k7_local",
+            ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "7", "--sample", "2", "--seed", "5",
+             "--local-dim"],
+        ),
     ],
 )
 def test_golden_files(name, argv, capsys):
