@@ -16,10 +16,14 @@ inverse-CDF draw over B weights, a prefix is checked one schedule interval at
 a time, and masses need only the denominators q_{n-1}, q_n of their digits
 (cf_core.denominators); local dimensions at all block boundaries share one
 pass over the prefix.
+
+Segment roots and stacks are cached per spec in a MeasureContext, and
+measure_context keeps the contexts of the 16 most recently used specs.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from bisect import bisect_left
@@ -322,13 +326,15 @@ class MeasureContext:
     segment partition sum; the stack keeps the log completion sums G_j for
     j = 0..K, K its settling depth, and SegmentStack.level(j) reads any free
     depth from them, which yields node masses and conditional digit laws.
+    A context keeps one root and one stack per segment it was asked for, at
+    most k_max of each; a stack holds levels 0..K of degree + 1 floats each
+    (K = 21-48 over B <= 16), a few kB.
     """
 
-    def __init__(self, spec: CantorSpec, degree: int = transfer.DEFAULT_DEGREE):
+    def __init__(self, spec: CantorSpec):
         if spec.sp.B_k is not None:
             raise OutOfRange("measure machinery supports the bounded-alphabet variant only")
         self.spec = spec
-        self.degree = degree
         self._s_tilde: Dict[int, DimEstimate] = {}
         self._stacks: Dict[int, transfer.SegmentStack] = {}
 
@@ -342,9 +348,7 @@ class MeasureContext:
         est = self._s_tilde.get(k)
         if est is None:
             m_prev, n_k, m_k = self.seg_bounds(k)
-            est = dim_solver.predim_tilde(
-                self.spec.B, self.spec.i, (m_k - m_prev, m_k - n_k), degree=self.degree
-            )
+            est = dim_solver.predim_tilde(self.spec.B, self.spec.i, (m_k - m_prev, m_k - n_k))
             self._s_tilde[k] = est
         return est
 
@@ -354,22 +358,16 @@ class MeasureContext:
             m_prev, n_k, m_k = self.seg_bounds(k)
             st = transfer.segment_stack(
                 self.spec.B, self.spec.i, n_k - m_prev, m_k - n_k,
-                self.s_tilde(k).value, self.degree, keep_levels=True,
+                self.s_tilde(k).value, keep_levels=True,
             )
             self._stacks[k] = st
         return st
 
 
-_context_cache: Dict[Tuple[CantorSpec, int], MeasureContext] = {}
-
-
-def measure_context(spec: CantorSpec, degree: int = transfer.DEFAULT_DEGREE) -> MeasureContext:
-    key = (spec, degree)
-    ctx = _context_cache.get(key)
-    if ctx is None:
-        ctx = MeasureContext(spec, degree)
-        _context_cache[key] = ctx
-    return ctx
+@functools.lru_cache(maxsize=16)
+def measure_context(spec: CantorSpec) -> MeasureContext:
+    """The shared context of a spec; the 16 most recently used are kept."""
+    return MeasureContext(spec)
 
 
 def _segment_log_factor(ctx: MeasureContext, k: int, seg_digits: Sequence[int]) -> float:
@@ -381,7 +379,6 @@ def measure_mass(
     spec: CantorSpec,
     prefix: Sequence[int],
     s_tilde: Optional[Dict[int, float]] = None,
-    degree: int = transfer.DEFAULT_DEGREE,
 ) -> MeasureNode:
     """Mass of the cylinder of an admissible prefix.
 
@@ -395,11 +392,11 @@ def measure_mass(
     if s_tilde:
         # supplied exponents get a private context so the shared cache stays
         # tied to the solved segment roots
-        ctx = MeasureContext(spec, degree)
+        ctx = MeasureContext(spec)
         for k, v in s_tilde.items():
             ctx._s_tilde[k] = DimEstimate(v, (v, v), method="supplied")
     else:
-        ctx = measure_context(spec, degree)
+        ctx = measure_context(spec)
     lm = 0.0
     L = len(digits)
     k = 1
@@ -457,7 +454,7 @@ def _sample_segment_free(
         return ()
     st = ctx.stack(k)
     m2s = -2.0 * ctx.s_tilde(k).value
-    interp = transfer.get_grid(ctx.degree).interp_matrix
+    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
     cap = _allowed_run(spec, k)
@@ -504,7 +501,6 @@ def sample_measure(
     depth: int,
     seed: int,
     reject_accidental: bool = True,
-    degree: int = transfer.DEFAULT_DEGREE,
 ) -> DigitSeq:
     """Draw a depth-digit admissible prefix with the measure's conditional
     probabilities; deterministic for a fixed seed.
@@ -518,7 +514,7 @@ def sample_measure(
     sp = spec.sp
     if depth > sp.m[-1]:
         raise OutOfRange(f"depth {depth} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
-    ctx = measure_context(spec, degree)
+    ctx = measure_context(spec)
     rng = np.random.default_rng(seed)
     out: List[int] = []
     k = 1
@@ -535,18 +531,16 @@ def _log_length(q_prev: int, q: int) -> float:
     return -(log_int(q) + log_int(q + q_prev))
 
 
-def local_dimension(spec: CantorSpec, prefix: Sequence[int], degree: int = transfer.DEFAULT_DEGREE) -> float:
+def local_dimension(spec: CantorSpec, prefix: Sequence[int]) -> float:
     """log mu(I_n) / log |I_n| with the exact cylinder length."""
     digits = tuple(map(int, prefix))
     if not digits:
         raise ValueError("need a nonempty prefix")
-    node = measure_mass(spec, digits, degree=degree)
+    node = measure_mass(spec, digits)
     return node.log_mass / _log_length(*denominators(digits))
 
 
-def local_dimension_series(
-    spec: CantorSpec, prefix: Sequence[int], degree: int = transfer.DEFAULT_DEGREE
-) -> Tuple[Tuple[int, float], ...]:
+def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tuple[int, float], ...]:
     """Local dimension at every completed block boundary m_k in the prefix.
 
     One pass: at boundary m_k the mass is the running sum of the complete
@@ -558,7 +552,7 @@ def local_dimension_series(
     if not ends:
         return ()
     validate_prefix(spec, digits[: ends[-1]])
-    ctx = measure_context(spec, degree)
+    ctx = measure_context(spec)
     out = []
     lm = 0.0
     q_prev, q = 0, 1

@@ -22,8 +22,6 @@ from .surd import Surd, is_square
 
 MAX_DIGIT = 2**63 - 1  # machine-word cap on a single partial quotient
 
-DEFAULT_PRECISION_BITS = 256
-
 
 # ---------------------------------------------------------------------------
 # inputs
@@ -379,7 +377,6 @@ class QuadraticTarget:
 
     i: int
     y: Surd
-    precision_bits: int = DEFAULT_PRECISION_BITS
 
     @property
     def tau_exact(self) -> Surd:
@@ -413,8 +410,8 @@ def _logaddexp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def target(i: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> QuadraticTarget:
+def target(i: int) -> QuadraticTarget:
     if i < 1:
         raise ValueError("i must be >= 1")
     y = Surd(Fraction(-i, 2), Fraction(1, 2), i * i + 4)
-    return QuadraticTarget(i=i, y=y, precision_bits=precision_bits)
+    return QuadraticTarget(i=i, y=y)

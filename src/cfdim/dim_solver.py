@@ -27,9 +27,10 @@ conventions  s(0) = 1  and  s(1) = 1/2  applied exactly at the endpoints.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .errors import BudgetExceeded, NoConvergence, OutOfRange
 from .transfer import DEFAULT_DEGREE
 
 DEFAULT_NODE_BUDGET = 200_000_000
-_CACHE_LIMIT = 2**23  # max leaves kept as a cached table
+_CACHE_LIMIT = 2**23  # max leaves in one cached table, and in the whole table cache
 _CHUNK = 2**20
 
 Number = Union[int, float, Fraction]
@@ -112,8 +113,9 @@ class SumKernelSpec:
 # enumeration engine
 # ---------------------------------------------------------------------------
 
-_state_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-_qtotal_cache: Dict[Tuple[int, int, int, int], List[np.ndarray]] = {}
+# log q_total chunk lists keyed by (B, free length, tail digit, tail length),
+# least recently used first; see _log_qtotal_chunks for what bounds it
+_table_cache: OrderedDict[Tuple[int, int, int, int], List[np.ndarray]] = OrderedDict()
 
 
 def _grow_level(logq: np.ndarray, r: np.ndarray, B: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -127,26 +129,9 @@ def _grow_level(logq: np.ndarray, r: np.ndarray, B: int) -> Tuple[np.ndarray, np
     return new_logq, new_r
 
 
-def _free_state_tables(B: int, f: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(log q_f, q_{f-1}/q_f) over all B^f free strings, cached when small."""
-    key = (B, f)
-    hit = _state_cache.get(key)
-    if hit is not None:
-        return hit
-    logq = np.zeros(1)
-    r = np.zeros(1)
-    for _ in range(f):
-        logq, r = _grow_level(logq, r, B)
-    if B**f <= _CACHE_LIMIT:
-        _state_cache[key] = (logq, r)
-    return logq, r
-
-
-def _iter_state_chunks(B: int, f: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Stream (log q, ratio) tables in first-digit-partition chunks."""
-    if B**f <= _CHUNK or f == 0:
-        yield _free_state_tables(B, f)
-        return
+def _state_chunks(B: int, f: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(log q_f, q_{f-1}/q_f) over all B^f free strings, one chunk of at most
+    _CHUNK leaves per prefix of the first j digits (j = 0: the whole table)."""
     # prefix length j such that the remaining subtree fits in a chunk
     sub = f
     while B**sub > _CHUNK:
@@ -171,28 +156,33 @@ def _iter_state_chunks(B: int, f: int) -> Iterator[Tuple[np.ndarray, np.ndarray]
         yield logq, r
 
 
-def _log_qtotal_arrays(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
-    """log of the full continuant (free digits + forced tail), chunked."""
-    f, t, i = spec.free_length, spec.tail_i, spec.tail_digit
-    if t == 0:
-        for logq, _ in _iter_state_chunks(B, f):
-            yield logq
-        return
-    key = (B, f, i, t)
-    hit = _qtotal_cache.get(key)
+def _log_qtotal_chunks(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
+    """log of the full continuant (free digits + forced tail), chunked.
+
+    A table of at most _CACHE_LIMIT leaves is kept in _table_cache as its
+    list of chunks; the cache holds at most _CACHE_LIMIT leaves in all and
+    drops the least recently used table first.  The tail digit is no part of
+    the key of a table without a tail.
+    """
+    f, t = spec.free_length, spec.tail_i
+    key = (B, f, spec.tail_digit if t else 0, t)
+    hit = _table_cache.get(key)
     if hit is not None:
+        _table_cache.move_to_end(key)
         yield from hit
         return
-    log_u, v_over_u = transfer.run_tail_logs(i, t)
+    log_u, v_over_u = transfer.run_tail_logs(spec.tail_digit, t)
+    keep = B**f <= _CACHE_LIMIT
     pieces = []
-    cacheable = B**f <= _CACHE_LIMIT
-    for logq, r in _iter_state_chunks(B, f):
-        arr = logq + log_u + np.log1p(v_over_u * r)
-        if cacheable:
+    for logq, r in _state_chunks(B, f):
+        arr = logq + log_u + np.log1p(v_over_u * r) if t else logq
+        if keep:
             pieces.append(arr)
         yield arr
-    if cacheable:
-        _qtotal_cache[key] = pieces
+    if keep:
+        _table_cache[key] = pieces
+        while sum(b**n for b, n, _, _ in _table_cache) > _CACHE_LIMIT:
+            _table_cache.popitem(last=False)
 
 
 def sum_power(
@@ -204,9 +194,11 @@ def sum_power(
     """log of  sum over free strings of (exp(scale_log) * q_total)^(-2 rho).
 
     Each chunk of leaves is summed relative to its own maximum and the chunk
-    sums are merged by a compensated (fsum) reduction in a fixed order.  A
-    tail table of at most _CACHE_LIMIT leaves is cached as its list of
-    chunks, so a repeated call sums the same chunks as the first.
+    sums are merged by a compensated (fsum) reduction in a fixed order.  The
+    log q_total table of a spec with at most _CACHE_LIMIT (2^23) leaves is
+    cached as its list of chunks, in one least-recently-used cache of at most
+    _CACHE_LIMIT leaves (64 MB) in all, so a repeated call sums the same
+    chunks as the first; a larger table is rebuilt chunk by chunk per call.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -216,7 +208,7 @@ def sum_power(
     if leaves > node_budget:
         raise BudgetExceeded(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {node_budget}")
     stats = []
-    for arr in _log_qtotal_arrays(B, spec):
+    for arr in _log_qtotal_chunks(B, spec):
         terms = -2.0 * rho * (spec.scale_log + arr)
         m = float(terms.max())
         stats.append((m, float(np.exp(terms - m).sum())))
@@ -333,22 +325,17 @@ def predim_s(
     return DimEstimate(root, bracket, n_used=q.n, B_used=B, method="enumerate-s")
 
 
-def predim_tilde(
-    B: int,
-    i: int,
-    segment: Tuple[int, int],
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    tol: float = 1e-12,
-    degree: int = DEFAULT_DEGREE,
-    method: str = "auto",
-) -> DimEstimate:
+def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
     """Root of the one-segment sum with free digits l - tail_len and a forced
     trailing i-run.
 
-    Falls back to the log-space operator iteration when the free part is too
-    large to enumerate (same sum, evaluated as an iterated transfer operator),
-    with a near-machine bisection width so the root residual stays tiny even
-    for very long segments.  Each evaluation iterates only to the settling
+    The free digits are enumerated exactly when their table fits the table
+    cache (B^free <= _CACHE_LIMIT = 2^23 leaves), so the bisection (width
+    1e-14) builds it once and every later step sums the cached chunks.  A
+    larger free part takes the log-space operator iteration (same sum,
+    evaluated as an iterated transfer operator), with a near-machine
+    bisection width of 4e-16 so the root residual stays tiny even for very
+    long segments.  Each operator evaluation iterates only to the settling
     depth of the operator (a few dozen levels, see transfer.segment_stack)
     and adds log lambda per remaining free digit, so its cost does not grow
     with the segment length.
@@ -357,20 +344,13 @@ def predim_tilde(
     if tail_len > l_k or tail_len < 0:
         raise OutOfRange("tail length exceeds segment length")
     free = l_k - tail_len
-    use_enum = method == "enumerate" or (method == "auto" and B**free <= min(node_budget, _CACHE_LIMIT))
-    if method not in ("auto", "enumerate", "operator"):
-        raise ValueError(f"unknown method {method!r}")
-    if use_enum:
+    if B**free <= _CACHE_LIMIT:
         spec = SumKernelSpec(free_length=free, tail_i=tail_len, tail_digit=i)
-        root, bracket = solve_decreasing_root(
-            lambda rho: sum_power(B, spec, rho, node_budget), width=min(tol, 1e-14)
-        )
+        root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho), width=1e-14)
         tag = "enumerate-tilde"
     else:
-        if method == "enumerate":
-            raise BudgetExceeded(f"{B}^{free} free strings exceed the enumeration budget")
         root, bracket = solve_decreasing_root(
-            lambda s: transfer.segment_log_sum(B, i, free, tail_len, s, degree), width=4e-16
+            lambda s: transfer.segment_log_sum(B, i, free, tail_len, s), width=4e-16
         )
         tag = "operator-tilde"
     return DimEstimate(root, bracket, n_used=l_k, B_used=B, method=tag)

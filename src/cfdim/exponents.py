@@ -24,6 +24,8 @@ from .cf_core import DigitSeq, QuadraticTarget, gauss_shift
 from .errors import Exhausted, InsufficientBlocks, NoBlocks
 from .runlength import digit_array, maximal_runs
 
+_THRESHOLD_BITS = 256  # mpmath working precision of the exact-threshold enclosure
+
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -187,21 +189,21 @@ def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
     return -val if sign else val
 
 
-def _threshold_interval(t: QuadraticTarget, N: int, nu_hat: float, precision_bits: int = 256):
+def _threshold_interval(t: QuadraticTarget, N: int, nu_hat: float):
     """Enclosure of |I_N(y)|^{nu_hat} as (lo, hi) Fractions.
 
-    Computed at `precision_bits` working precision and widened by a relative
-    guard of 2^{-precision_bits//2}, which dominates the few-ulp error of the
-    exp/log chain by hundreds of bits.
+    Computed at _THRESHOLD_BITS working precision and widened by a relative
+    guard of 2^{-_THRESHOLD_BITS//2}, which dominates the few-ulp error of
+    the exp/log chain by hundreds of bits.
     """
     length = t.cylinder_length(N)
-    with mpmath.workprec(precision_bits):
+    with mpmath.workprec(_THRESHOLD_BITS):
         val = mpmath.exp(
             mpmath.mpf(nu_hat)
             * (mpmath.log(mpmath.mpf(length.numerator)) - mpmath.log(mpmath.mpf(length.denominator)))
         )
         center = _mpf_to_fraction(val)
-    guard = Fraction(1, 2 ** (precision_bits // 2))
+    guard = Fraction(1, 2 ** (_THRESHOLD_BITS // 2))
     return center * (1 - guard), center * (1 + guard)
 
 
@@ -210,7 +212,6 @@ def uniform_hit_check(
     t: QuadraticTarget,
     N: int,
     nu_hat: float,
-    precision_bits: int = 256,
 ) -> HitCheck:
     """Does some n in [1, N] bring the orbit within |I_N(y)|^{nu_hat} of y?
 
@@ -253,7 +254,7 @@ def uniform_hit_check(
         lo_no = ll > log_thr + margin
         if not (up_hit or up_no) or not (lo_hit or lo_no):
             if thr_cache is None:
-                thr_cache = _threshold_interval(t, N, nu_hat, precision_bits)
+                thr_cache = _threshold_interval(t, N, nu_hat)
             thr_lo, thr_hi = thr_cache
             lower, upper = t.cylinder_length(m) / (2 * (t.i + 2) ** 2), t.cylinder_length(m)
             if upper < thr_lo:

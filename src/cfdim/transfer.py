@@ -23,6 +23,7 @@ Two consumers:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -75,15 +76,10 @@ class ChebyshevGrid:
         return m
 
 
-_GRIDS: Dict[int, ChebyshevGrid] = {}
-
-
-def get_grid(degree: int = DEFAULT_DEGREE) -> ChebyshevGrid:
-    g = _GRIDS.get(degree)
-    if g is None:
-        g = ChebyshevGrid(degree)
-        _GRIDS[degree] = g
-    return g
+@functools.cache
+def get_grid(degree: int) -> ChebyshevGrid:
+    """The shared grid of a degree (one per degree ever asked for)."""
+    return ChebyshevGrid(degree)
 
 
 def transfer_matrix(B: int, s: float, degree: int = DEFAULT_DEGREE) -> np.ndarray:

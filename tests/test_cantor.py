@@ -188,6 +188,20 @@ def test_measure_stack_levels_stay_bounded(spec13):
     assert len(st.levels) <= 64
 
 
+def test_measure_context_shared_per_spec_and_bounded(spec13):
+    ctx = measure_context(spec13)
+    assert measure_context(CantorSpec(B=3, i=1, sp=construct_sequences(Fraction(1, 3), 1, k_max=10), d=4)) is ctx
+    maxsize = measure_context.cache_info().maxsize
+    first = CantorSpec(B=3, i=1, sp=spec13.sp, d=5)
+    first_ctx = measure_context(first)
+    for d in range(6, 6 + maxsize):
+        measure_context(CantorSpec(B=3, i=1, sp=spec13.sp, d=d))
+        measure_context(spec13)  # kept most recent, so never evicted
+        assert measure_context.cache_info().currsize <= maxsize
+    assert measure_context(spec13) is ctx
+    assert measure_context(first) is not first_ctx
+
+
 def test_measure_mass_supplied_exponents(spec13):
     # supplying the solved exponents reproduces the cached masses
     ctx_vals = {k: dim_solver.predim_tilde(3, 1, (spec13.sp.m[k - 1] - (spec13.sp.m[k - 2] if k >= 2 else 0), spec13.sp.m[k - 1] - spec13.sp.n[k - 1])).value for k in (1, 2)}
@@ -373,7 +387,7 @@ def _reference_sample(spec, depth, seed, reject):
     """sample_measure written out digit by digit with Generator.choice."""
     ctx = measure_context(spec)
     rng = np.random.default_rng(seed)
-    grid = transfer.get_grid(ctx.degree)
+    grid = transfer.get_grid(transfer.DEFAULT_DEGREE)
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
     out = []
@@ -455,7 +469,7 @@ def _reference_log_mass(spec, prefix, s_tilde=None):
         else:
             q, q1 = 1, 0
         st = ctx.stack(k) if not s_tilde else transfer.segment_stack(
-            spec.B, spec.i, n_k - m_prev, m_k - n_k, s_of(k), ctx.degree
+            spec.B, spec.i, n_k - m_prev, m_k - n_k, s_of(k), transfer.DEFAULT_DEGREE
         )
         return lm + (-2.0 * s_of(k) * log_int(q) + st.eval_log(n_k - L, float(Fraction(q1, q))))
 
@@ -482,7 +496,7 @@ def test_sampler_raises_on_non_finite_level(spec13, monkeypatch, bad, node):
     st = ctx.stack(2)
     st.levels = [level.copy() for level in st.levels]
     st.levels[3][node] = bad  # one node of one level read by the free part of segment 2
-    monkeypatch.setitem(cantor._context_cache, (spec13, transfer.DEFAULT_DEGREE), ctx)
+    monkeypatch.setattr(cantor, "measure_context", lambda spec: ctx)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import mpmath
@@ -89,8 +89,7 @@ def test_sum_power_chunked_matches_cached(monkeypatch):
     # force the streaming path and compare
     monkeypatch.setattr(ds, "_CACHE_LIMIT", 64)
     monkeypatch.setattr(ds, "_CHUNK", 256)
-    monkeypatch.setattr(ds, "_state_cache", {})
-    monkeypatch.setattr(ds, "_qtotal_cache", {})
+    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
     streamed = sum_power(4, spec, 1.0)
     assert streamed == pytest.approx(math.log(float(exact)), rel=5e-13)
 
@@ -98,10 +97,60 @@ def test_sum_power_chunked_matches_cached(monkeypatch):
 def test_sum_power_repeat_is_bit_identical(monkeypatch):
     # 3^13 leaves: more than one chunk, few enough to be cached
     assert ds._CHUNK < 3**13 <= ds._CACHE_LIMIT
-    monkeypatch.setattr(ds, "_qtotal_cache", {})
+    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
     spec = SumKernelSpec(free_length=13, tail_i=1, tail_digit=1)
     first = sum_power(3, spec, 0.5)
     assert sum_power(3, spec, 0.5) == first
+
+
+def _count_table_builds(monkeypatch):
+    """Fresh table cache; returns a list that grows by one per table build."""
+    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
+    builds = []
+    build = ds._state_chunks
+
+    def counting(B, f):
+        builds.append((B, f))
+        return build(B, f)
+
+    monkeypatch.setattr(ds, "_state_chunks", counting)
+    return builds
+
+
+def test_sum_power_untailed_multichunk_table_built_once(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    monkeypatch.setattr(ds, "_CHUNK", 3**4)
+    spec = SumKernelSpec(free_length=7, scale_log=0.3)  # 3^7 leaves in 27 chunks
+    first = sum_power(3, spec, 0.5)
+    assert sum_power(3, spec, 0.5) == first
+    assert builds == [(3, 7)]
+
+
+def test_table_cache_is_bounded_and_evicts_least_recent(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    monkeypatch.setattr(ds, "_CACHE_LIMIT", 100)
+    monkeypatch.setattr(ds, "_CHUNK", 16)
+
+    def leaves():
+        return sum(B**f for B, f, _, _ in ds._table_cache)
+
+    k1 = SumKernelSpec(free_length=6, tail_i=1, tail_digit=1)  # 64 leaves
+    k2 = SumKernelSpec(free_length=5)  # 32 leaves
+    k3 = SumKernelSpec(free_length=3, tail_i=2, tail_digit=2)  # 27 leaves, at B = 3
+    big = SumKernelSpec(free_length=5, tail_i=1, tail_digit=2)  # 243 leaves, at B = 3
+    first = {}
+    for B, spec in ((2, k1), (2, k2), (2, k1), (3, k3), (3, big)):
+        value = sum_power(B, spec, 0.7)
+        assert first.setdefault(spec, value) == value
+        assert leaves() <= ds._CACHE_LIMIT
+    # k1 was used after k2, so k3 pushed out k2; the big table is never kept
+    assert list(ds._table_cache) == [(2, 6, 1, 1), (3, 3, 2, 2)]
+    assert builds == [(2, 6), (2, 5), (3, 3), (3, 5)]
+    assert sum_power(2, k2, 0.7) == first[k2]  # evicted: rebuilt
+    assert sum_power(3, k3, 0.7) == first[k3]  # kept
+    assert sum_power(3, big, 0.7) == first[big]  # never cached: rebuilt
+    assert builds == [(2, 6), (2, 5), (3, 3), (3, 5), (2, 5), (3, 5)]
+    assert leaves() <= ds._CACHE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +203,14 @@ def test_predim_alpha_one_degenerate():
     assert est.value == 0.0 and est.degenerate
 
 
+def test_predim_hat_shares_one_table_across_run_digits(monkeypatch):
+    # without a tail the run digit only moves the scale, not the table
+    builds = _count_table_builds(monkeypatch)
+    for i in (1, 2):
+        predim_hat(DimQuery(B=3, alpha=Fraction(1, 2), i=i, n=8))
+    assert builds == [(3, 8)]
+
+
 def test_predim_s_close_to_hat():
     a = predim_s(DimQuery(B=3, alpha=Fraction(1, 2), i=1, n=12)).value
     b = predim_hat(DimQuery(B=3, alpha=Fraction(1, 2), i=1, n=12)).value
@@ -177,16 +234,21 @@ def test_predim_tilde_identities():
     assert t == pytest.approx(s, abs=1e-9)
 
 
-def test_predim_tilde_operator_backend_agrees():
-    for seg in ((20, 12), (30, 20)):
-        e = predim_tilde(3, 1, seg, method="enumerate").value
-        o = predim_tilde(3, 1, seg, method="operator").value
+def test_predim_tilde_operator_backend_agrees(monkeypatch):
+    # free = 8 fits a table of 3^9 leaves, free = 10 does not
+    monkeypatch.setattr(ds, "_CACHE_LIMIT", 3**9)
+    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
+    for seg, tag in (((20, 12), "enumerate-tilde"), ((30, 20), "operator-tilde")):
+        free, tail = seg[0] - seg[1], seg[1]
+        spec = SumKernelSpec(free_length=free, tail_i=tail, tail_digit=1)
+        e, _ = ds.solve_decreasing_root(lambda rho: sum_power(3, spec, rho), width=1e-14)
+        o, _ = ds.solve_decreasing_root(
+            lambda s: ds.transfer.segment_log_sum(3, 1, free, tail, s), width=4e-16
+        )
         assert o == pytest.approx(e, abs=1e-10)
-
-
-def test_predim_tilde_budget_error():
-    with pytest.raises(BudgetExceeded):
-        predim_tilde(3, 1, (60, 10), method="enumerate", node_budget=10**6)
+        got = predim_tilde(3, 1, seg)
+        assert got.method == tag
+        assert got.value == (e if tag == "enumerate-tilde" else o)
 
 
 # ---------------------------------------------------------------------------

@@ -15,3 +15,39 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/cfdim: {found}"
+
+
+# the one module-level mutable cache, bounded by dim_solver._CACHE_LIMIT leaves
+ALLOWED_MODULE_DICTS = {("dim_solver.py", "_table_cache")}
+DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict"}
+
+
+def _is_dict(value) -> bool:
+    if isinstance(value, (ast.Dict, ast.DictComp)):
+        return True
+    if isinstance(value, ast.Call):
+        f = value.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        return name in DICT_FACTORIES
+    return False
+
+
+def test_no_module_level_dicts_but_the_table_cache():
+    # a module-level dict is a cache that nothing evicts; other caches go
+    # through functools (lru_cache, cache)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if _is_dict(value):
+                found += [
+                    f"{path.name}:{node.lineno} {t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and (path.name, t.id) not in ALLOWED_MODULE_DICTS
+                ]
+    assert not found, f"module-level dicts in src/cfdim: {found}"
