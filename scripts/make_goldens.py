@@ -27,7 +27,8 @@ def run() -> int:
         buf = io.StringIO()
         with redirect_stdout(buf):
             rc = main(argv)
-        assert rc == 0, (name, rc)
+        if rc != 0:
+            raise RuntimeError(f"{name}: cli exited with {rc}; no golden written")
         (out_dir / f"{name}.json").write_text(buf.getvalue())
         print("wrote", out_dir / f"{name}.json")
     return 0

@@ -306,12 +306,10 @@ def designed_records(spec: CantorSpec, k_max: Optional[int] = None) -> Tuple[Tup
 
 @dataclass(frozen=True)
 class MeasureNode:
-    """A digit prefix with its measure mass (kept in log scale) and the number
-    of completed run-block boundaries m_k it crosses."""
+    """A digit prefix with its measure mass (kept in log scale)."""
 
     digits: Tuple[int, ...]
     log_mass: float
-    boundaries_crossed: int
 
     @property
     def mass(self) -> float:
@@ -400,12 +398,10 @@ def measure_mass(
     lm = 0.0
     L = len(digits)
     k = 1
-    crossed = 0
     while True:
         m_prev, n_k, m_k = ctx.seg_bounds(k)
         if L >= m_k:
             lm += _segment_log_factor(ctx, k, digits[m_prev:m_k])
-            crossed += 1
             if L == m_k:
                 break
             k += 1
@@ -423,7 +419,7 @@ def measure_mass(
             st = ctx.stack(k)
             lm += -2.0 * ctx.s_tilde(k).value * log_int(q) + st.eval_log(n_k - L, q1 / q)
         break
-    return MeasureNode(digits=digits, log_mass=lm, boundaries_crossed=crossed)
+    return MeasureNode(digits=digits, log_mass=lm)
 
 
 # ---------------------------------------------------------------------------

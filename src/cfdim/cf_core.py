@@ -390,10 +390,9 @@ class QuadraticTarget:
 
     def cylinder_length(self, m: int) -> Fraction:
         """|I_m(y)| = 1/(q_m (q_m + q_{m-1})) with constant-run continuants."""
-        if m == 0:
-            return Fraction(1)
-        qm = run_continuant(self.i, m)
-        qm1 = run_continuant(self.i, m - 1)
+        if self.i < 1 or m < 0:
+            raise ValueError("need i >= 1, m >= 0")
+        qm1, qm = denominators(repeat(self.i, m))
         return Fraction(1, qm * (qm + qm1))
 
     def log_cylinder_length(self, m: int) -> float:

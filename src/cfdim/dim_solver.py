@@ -40,6 +40,8 @@ from .errors import BudgetExceeded, NoConvergence, OutOfRange
 from .transfer import DEFAULT_DEGREE
 
 DEFAULT_NODE_BUDGET = 200_000_000
+_ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
+_SPECTRAL_WIDTH = 1e-8  # bisection width of the spectral roots; dim_full widens its bracket by it
 _CACHE_LIMIT = 2**23  # max leaves in one cached table, and in the whole table cache
 _CHUNK = 2**20
 
@@ -288,11 +290,7 @@ def _finite_bound(B) -> int:
     return int(B)
 
 
-def predim_hat(
-    q: DimQuery,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    tol: float = 1e-12,
-) -> DimEstimate:
+def predim_hat(q: DimQuery, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
     """Root of  sum (tau^{n alpha/(1-alpha)} q_n)^{-2 rho} = 1  over {1..B}^n."""
     B = _finite_bound(q.B)
     af = _alpha_fraction(q.alpha)
@@ -300,17 +298,11 @@ def predim_hat(
         return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate", degenerate=True)
     scale = float(af / (1 - af)) * q.n * log_tau(q.i)
     spec = SumKernelSpec(free_length=q.n, tail_i=0, tail_digit=q.i, scale_log=scale)
-    root, bracket = solve_decreasing_root(
-        lambda rho: sum_power(B, spec, rho, node_budget), width=tol
-    )
+    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=_ROOT_WIDTH)
     return DimEstimate(root, bracket, n_used=q.n, B_used=B, method="enumerate-hat")
 
 
-def predim_s(
-    q: DimQuery,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    tol: float = 1e-12,
-) -> DimEstimate:
+def predim_s(q: DimQuery, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
     """Root of  sum q_n(free digits, i, ..., i)^{-2 rho} = 1  with floor(n alpha)
     forced trailing digits."""
     B = _finite_bound(q.B)
@@ -319,9 +311,7 @@ def predim_s(
         return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate", degenerate=True)
     tail = int(q.n * af)  # exact floor: Fraction arithmetic
     spec = SumKernelSpec(free_length=q.n - tail, tail_i=tail, tail_digit=q.i)
-    root, bracket = solve_decreasing_root(
-        lambda rho: sum_power(B, spec, rho, node_budget), width=tol
-    )
+    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=_ROOT_WIDTH)
     return DimEstimate(root, bracket, n_used=q.n, B_used=B, method="enumerate-s")
 
 
@@ -362,17 +352,13 @@ def dim_limit(
     i: int,
     n_schedule: Sequence[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
-    tol: float = 1e-12,
 ) -> DimEstimate:
     """Pre-dimensional numbers along an increasing n-schedule plus Aitken
     extrapolation; the bracket is the last raw value +- its distance to the
     extrapolated one."""
     if list(n_schedule) != sorted(set(n_schedule)):
         raise ValueError("n_schedule must be strictly increasing")
-    raw = [
-        predim_hat(DimQuery(B=B, alpha=alpha, i=i, n=n), node_budget, tol).value
-        for n in n_schedule
-    ]
+    raw = [predim_hat(DimQuery(B=B, alpha=alpha, i=i, n=n), node_budget).value for n in n_schedule]
     extrap = aitken(raw)
     last = raw[-1]
     r = abs(last - extrap)
@@ -389,7 +375,7 @@ def dim_limit(
 # ---------------------------------------------------------------------------
 
 
-def spectral_pressure(B: int, s: float, degree: int = DEFAULT_DEGREE, tol: float = 1e-12) -> float:
+def spectral_pressure(B: int, s: float, degree: int = DEFAULT_DEGREE) -> float:
     """P_B(s): log leading eigenvalue of the weighted transfer operator.
 
     Defined for any s >= 0 on a finite alphabet (the branch sums are finite);
@@ -398,23 +384,17 @@ def spectral_pressure(B: int, s: float, degree: int = DEFAULT_DEGREE, tol: float
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    return transfer.pressure(B, s, degree=degree, tol=tol)
+    return transfer.pressure(B, s, degree=degree)
 
 
-def spectral_dim(
-    B: int,
-    alpha: Number,
-    i: int,
-    bracket_tol: float = 1e-8,
-    degree: int = DEFAULT_DEGREE,
-) -> DimEstimate:
+def spectral_dim(B: int, alpha: Number, i: int, degree: int = DEFAULT_DEGREE) -> DimEstimate:
     """Root of  P_B(s) = 2 s (alpha/(1-alpha)) log tau(i)  by bisection."""
     af = _alpha_fraction(alpha)
     if af == 1:
         raise OutOfRange("alpha = 1 is handled by the closure convention, not the solver")
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
     F = lambda s: spectral_pressure(B, s, degree) - coeff * s
-    root, bracket = solve_decreasing_root(F, width=bracket_tol, hi=1.0, hi_cap=8.0)
+    root, bracket = solve_decreasing_root(F, width=_SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
     return DimEstimate(root, bracket, B_used=B, method="spectral")
 
 
@@ -425,7 +405,6 @@ def dim_full(
     alpha: Number,
     i: int,
     B_schedule: Sequence[int] = DEFAULT_B_SCHEDULE,
-    bracket_tol: float = 1e-8,
     degree: int = DEFAULT_DEGREE,
 ) -> DimEstimate:
     """Full-alphabet dimension value s(alpha, tau(i)) by B -> infinity
@@ -442,16 +421,14 @@ def dim_full(
     af = _alpha_fraction(alpha)
     if af == 0 or af == 1:
         value = 1.0 if af == 0 else 0.5
-        trace = tuple(
-            spectral_dim(B, af, i, bracket_tol, degree).value for B in B_schedule
-        ) if af == 0 else ()
+        trace = tuple(spectral_dim(B, af, i, degree).value for B in B_schedule) if af == 0 else ()
         return DimEstimate(value, (value, value), B_used=list(B_schedule)[-1], method="convention", trace=trace)
     if list(B_schedule) != sorted(set(B_schedule)):
         raise ValueError("B_schedule must be strictly increasing")
-    raw = [spectral_dim(B, af, i, bracket_tol, degree).value for B in B_schedule]
+    raw = [spectral_dim(B, af, i, degree).value for B in B_schedule]
     extrap = aitken(raw)
     last = raw[-1]
-    r = abs(last - extrap) + bracket_tol
+    r = abs(last - extrap) + _SPECTRAL_WIDTH
     value = min(max(extrap, 0.0), 1.0)
     lo = max(min(last - r, value), 0.0)
     hi = min(max(last + r, value), 1.0)

@@ -6,7 +6,8 @@ The weighted operator on the alphabet {1..B} with exponent s acts as
 
 Functions are represented by their values on Chebyshev-Lobatto nodes and
 evaluated elsewhere by barycentric interpolation; the inverse branches map
-[0,1] into itself, so one application of L_s is a dense matrix product.
+[0,1] into itself, so one application of L_s weights and sums the blocks
+of one cached (B, n, n) array, ChebyshevGrid.branch_rows(B).
 
 Two consumers:
   * the leading eigenvalue of L_s (log of which is the pressure), and
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,7 +38,9 @@ DEFAULT_DEGREE = 32
 
 
 class ChebyshevGrid:
-    """Chebyshev-Lobatto nodes on [0,1] with barycentric interpolation."""
+    """Chebyshev-Lobatto nodes on [0,1] with barycentric interpolation, and
+    the read-only branch rows up to the largest B asked for: B (degree + 1)^2
+    float64s, 1.1 MB at B = 128 and the default degree."""
 
     def __init__(self, degree: int = DEFAULT_DEGREE):
         if degree < 2:
@@ -50,7 +53,7 @@ class ChebyshevGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         self.weights = w
-        self._digit_rows: Dict[int, np.ndarray] = {}
+        self._branch_rows = np.empty((0, degree + 1, degree + 1))
 
     def interp_matrix(self, points: np.ndarray) -> np.ndarray:
         """Rows of barycentric interpolation weights at the given points."""
@@ -67,13 +70,15 @@ class ChebyshevGrid:
         out[hit_rows] = exact[hit_rows].astype(np.float64)
         return out
 
-    def digit_matrix(self, a: int) -> np.ndarray:
-        """Interpolation rows at the branch images 1/(a + nodes)."""
-        m = self._digit_rows.get(a)
-        if m is None:
-            m = self.interp_matrix(1.0 / (a + self.nodes))
-            self._digit_rows[a] = m
-        return m
+    def branch_rows(self, B: int) -> np.ndarray:
+        """(B, n, n) array whose block a - 1 is the interpolation rows at the
+        branch images 1/(a + nodes), a = 1..B; a view of the cached array."""
+        have = self._branch_rows.shape[0]
+        if B > have:
+            new = [self.interp_matrix(1.0 / (a + self.nodes)) for a in range(have + 1, B + 1)]
+            self._branch_rows = np.concatenate([self._branch_rows, new])
+            self._branch_rows.flags.writeable = False
+        return self._branch_rows[:B]
 
 
 @functools.cache
@@ -83,41 +88,43 @@ def get_grid(degree: int) -> ChebyshevGrid:
 
 
 def transfer_matrix(B: int, s: float, degree: int = DEFAULT_DEGREE) -> np.ndarray:
+    """Collocation matrix of L_s: branch rows weighted by (a + x)^{-2s}, summed over a = 1..B in order."""
     if B < 1:
         raise ValueError("alphabet bound must be >= 1")
     grid = get_grid(degree)
-    x = grid.nodes
-    M = np.zeros((x.size, x.size))
-    for a in range(1, B + 1):
-        M += (a + x)[:, None] ** (-2.0 * s) * grid.digit_matrix(a)
-    return M
+    w = (np.arange(1, B + 1)[:, None] + grid.nodes) ** (-2.0 * s)
+    return (w[:, :, None] * grid.branch_rows(B)).sum(axis=0)
 
 
-def leading_eigenvalue(M: np.ndarray, tol: float = 1e-12, maxiter: int = 100_000) -> float:
+_EIG_TOL = 1e-12  # relative change of the Rayleigh quotient, three steps running
+_EIG_MAXITER = 100_000
+
+
+def leading_eigenvalue(M: np.ndarray) -> float:
     """Dominant eigenvalue by power iteration with Rayleigh quotients."""
     v = np.ones(M.shape[0])
     lam_prev = np.inf
     stable = 0
-    for _ in range(maxiter):
+    for _ in range(_EIG_MAXITER):
         w = M @ v
         lam = float(v @ w) / float(v @ v)
         nw = np.linalg.norm(w)
         if nw == 0:
             raise NoConvergence("operator annihilated the iterate")
         v = w / nw
-        if lam != 0 and abs(lam - lam_prev) <= tol * abs(lam):
+        if lam != 0 and abs(lam - lam_prev) <= _EIG_TOL * abs(lam):
             stable += 1
             if stable >= 3:
                 return lam
         else:
             stable = 0
         lam_prev = lam
-    raise NoConvergence(f"power iteration did not reach rel tol {tol}")
+    raise NoConvergence(f"power iteration did not reach rel tol {_EIG_TOL}")
 
 
-def pressure(B: int, s: float, degree: int = DEFAULT_DEGREE, tol: float = 1e-12) -> float:
+def pressure(B: int, s: float, degree: int = DEFAULT_DEGREE) -> float:
     """log of the leading eigenvalue of L_s on {1..B}."""
-    lam = leading_eigenvalue(transfer_matrix(B, s, degree), tol=tol)
+    lam = leading_eigenvalue(transfer_matrix(B, s, degree))
     if lam <= 0:
         raise NoConvergence(f"non-positive leading eigenvalue {lam}")
     return math.log(lam)
@@ -175,11 +182,6 @@ class SegmentStack:
         return float(grid.interp_matrix(np.array([r]))[0] @ self.level(free_remaining))
 
 
-def _stacked_digit_matrix(B: int, degree: int) -> np.ndarray:
-    grid = get_grid(degree)
-    return np.stack([grid.digit_matrix(a) for a in range(1, B + 1)])
-
-
 _SETTLE_TOL = 4.0 * np.finfo(np.float64).eps
 
 
@@ -209,10 +211,8 @@ def segment_stack(
     levels = [h + hi]
     step = 0.0
     if free:
-        C = _stacked_digit_matrix(B, degree)  # (B, n, n)
-        a_col = np.arange(1, B + 1, dtype=np.float64)[:, None]
-        W = -2.0 * s * np.log(a_col + x[None, :])  # (B, n)
-        Cflat = C.reshape(B * x.size, x.size)
+        W = -2.0 * s * np.log(np.arange(1, B + 1)[:, None] + x)  # (B, n)
+        Cflat = grid.branch_rows(B).reshape(B * x.size, x.size)
         for _ in range(free):
             g = _logsumexp_axis0(W + (Cflat @ h).reshape(B, x.size))
             step = float(g[0])

@@ -3,18 +3,19 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cfdim"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cfdim"
 
 
 def test_no_assert_statements_in_package():
     # `python -O` strips asserts, so invariants must raise real errors
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted([*SRC.rglob("*.py"), *(ROOT / "scripts").rglob("*.py")])
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
-    assert not found, f"assert statements in src/cfdim: {found}"
+    assert not found, f"assert statements in src/cfdim or scripts: {found}"
 
 
 # the one module-level mutable cache, bounded by dim_solver._CACHE_LIMIT leaves

@@ -16,7 +16,7 @@ def _reference_levels(B, i, free, tail, s, degree=transfer.DEFAULT_DEGREE):
     grid = transfer.get_grid(degree)
     x = grid.nodes
     log_u, v_over_u = transfer.run_tail_logs(i, tail)
-    C = np.stack([grid.digit_matrix(a) for a in range(1, B + 1)]).reshape(B * x.size, x.size)
+    C = np.stack([grid.interp_matrix(1.0 / (a + x)) for a in range(1, B + 1)]).reshape(B * x.size, x.size)
     W = -2.0 * s * np.log(np.arange(1, B + 1, dtype=np.float64)[:, None] + x[None, :])
     h = -2.0 * s * np.log1p(v_over_u * x)
     offsets = [-2.0 * s * log_u]
@@ -71,3 +71,26 @@ def test_short_stack_keeps_every_level_exactly():
         assert np.array_equal(st.level(j), ref[j])
     with pytest.raises(IndexError):
         st.level(free + 1)
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 40, 128])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.3])
+def test_transfer_matrix_matches_branch_loop(B, s):
+    # the vectorized sum over the branch-row array adds the branches in the
+    # same order as this loop, so the bits agree
+    grid = transfer.get_grid(transfer.DEFAULT_DEGREE)
+    x = grid.nodes
+    ref = np.zeros((x.size, x.size))
+    for a in range(1, B + 1):
+        ref += (a + x)[:, None] ** (-2.0 * s) * grid.interp_matrix(1.0 / (a + x))
+    assert np.array_equal(transfer.transfer_matrix(B, s), ref)
+
+
+def test_branch_rows_do_not_depend_on_growth_order():
+    small_first = transfer.ChebyshevGrid(transfer.DEFAULT_DEGREE)
+    first = small_first.branch_rows(3).copy()
+    assert small_first.branch_rows(128).shape == (128, *first.shape[1:])
+    large_first = transfer.ChebyshevGrid(transfer.DEFAULT_DEGREE)
+    large_first.branch_rows(128)
+    for rows in (small_first.branch_rows(3), large_first.branch_rows(3)):
+        assert np.array_equal(rows, first)
