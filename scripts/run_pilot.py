@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Calibration pilot for the Monte Carlo verify suites.
 
-Runs mc_runlength and mc_nu_zero across a fixed seed panel at the acceptance
-scale and writes the fixture JSON consumed by cfdim.verify.  Derived bounds:
+Runs mc_laws (the mc_runlength and mc_nu_zero reports of one chain walk per
+seed) across a fixed seed panel at the acceptance scale and writes the
+fixture JSON consumed by cfdim.verify.  Derived bounds:
 
   * run-length mean ratio: the a.e. limit is 1/2; the acceptance window
     [0.40, 0.60] is kept and cross-checked against the panel spread.
@@ -21,7 +22,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from cfdim.verify import McConfig, mc_nu_zero, mc_runlength  # noqa: E402
+from cfdim.verify import McConfig, mc_laws  # noqa: E402
 
 SEEDS = [11, 20260809, 42, 7, 123]
 
@@ -45,8 +46,7 @@ def main() -> int:
     nu_fracs = {}
     for seed in SEEDS:
         cfg = McConfig(seed=seed, samples=samples, n_digits=n_digits)
-        r1 = mc_runlength(cfg, fixtures=placeholder)
-        r2 = mc_nu_zero(cfg, fixtures=placeholder)
+        r1, r2 = mc_laws(cfg, fixtures=placeholder)
         run_means[str(seed)] = {str(row["horizon"]): row["mean"] for row in r1.series}
         nu_fracs[str(seed)] = {str(row["horizon"]): row["exceed_fraction"] for row in r2.series}
         print(f"seed {seed}: runlength means {run_means[str(seed)]}")

@@ -373,28 +373,16 @@ def _segment_log_factor(ctx: MeasureContext, k: int, seg_digits: Sequence[int]) 
     return -2.0 * ctx.s_tilde(k).value * log_int(denominators(seg_digits)[1])
 
 
-def measure_mass(
-    spec: CantorSpec,
-    prefix: Sequence[int],
-    s_tilde: Optional[Dict[int, float]] = None,
-) -> MeasureNode:
+def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     """Mass of the cylinder of an admissible prefix.
 
     Complete segments contribute q_{l_k}^{-2 s~_k} of their own continuants;
     a partially seen segment contributes its partial continuant power times
     the operator-stack completion sum at the current continuant ratio.
-    `s_tilde` may override the per-segment exponents (keyed by k).
     """
     digits = tuple(map(int, prefix))
     validate_prefix(spec, digits)
-    if s_tilde:
-        # supplied exponents get a private context so the shared cache stays
-        # tied to the solved segment roots
-        ctx = MeasureContext(spec)
-        for k, v in s_tilde.items():
-            ctx._s_tilde[k] = DimEstimate(v, (v, v), method="supplied")
-    else:
-        ctx = measure_context(spec)
+    ctx = measure_context(spec)
     lm = 0.0
     L = len(digits)
     k = 1

@@ -87,7 +87,6 @@ class DimEstimate:
     B_used: Optional[int] = None
     method: str = ""
     trace: Tuple[float, ...] = ()
-    degenerate: bool = False
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -295,7 +294,7 @@ def predim_hat(q: DimQuery, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstima
     B = _finite_bound(q.B)
     af = _alpha_fraction(q.alpha)
     if af == 1:
-        return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate", degenerate=True)
+        return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate")
     scale = float(af / (1 - af)) * q.n * log_tau(q.i)
     spec = SumKernelSpec(free_length=q.n, tail_i=0, tail_digit=q.i, scale_log=scale)
     root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=_ROOT_WIDTH)
@@ -308,7 +307,7 @@ def predim_s(q: DimQuery, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate
     B = _finite_bound(q.B)
     af = _alpha_fraction(q.alpha)
     if af == 1:
-        return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate", degenerate=True)
+        return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate")
     tail = int(q.n * af)  # exact floor: Fraction arithmetic
     spec = SumKernelSpec(free_length=q.n - tail, tail_i=tail, tail_digit=q.i)
     root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=_ROOT_WIDTH)

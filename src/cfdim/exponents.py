@@ -234,38 +234,18 @@ def uniform_hit_check(
     boundary = ms + np.arange(1, N + 1) >= a.size
     if not d.complete and boundary.any():
         raise Exhausted("a common prefix inside the window runs past certified digits")
+    if ms.size == 0:  # empty window: no shift to hit with
+        return HitCheck(certain=False, possible=False)
 
+    # |I_m(y)| strictly decreases in m, so both distance bounds are smallest
+    # at the longest run in the window: that run alone decides the check
+    m = int(ms.max())
+    log_upper = t.log_cylinder_length(m)
+    log_lower = log_upper - math.log(2 * (t.i + 2) ** 2)
     log_thr = nu_hat * t.log_cylinder_length(N)
-    uniq = np.unique(ms)
-    log_im = {int(m): t.log_cylinder_length(int(m)) for m in uniq}
-    log_lower_off = -math.log(2 * (t.i + 2) ** 2)
     margin = 1e-6
-
-    certain = False
-    possible = False
-    thr_cache = None
-    for m in uniq:
-        m = int(m)
-        lu = log_im[m]
-        ll = lu + log_lower_off
-        up_hit = lu < log_thr - margin
-        up_no = lu > log_thr + margin
-        lo_hit = ll < log_thr - margin
-        lo_no = ll > log_thr + margin
-        if not (up_hit or up_no) or not (lo_hit or lo_no):
-            if thr_cache is None:
-                thr_cache = _threshold_interval(t, N, nu_hat)
-            thr_lo, thr_hi = thr_cache
-            lower, upper = t.cylinder_length(m) / (2 * (t.i + 2) ** 2), t.cylinder_length(m)
-            if upper < thr_lo:
-                certain = True
-            if lower < thr_hi:
-                possible = True
-        else:
-            if up_hit:
-                certain = True
-            if lo_hit:
-                possible = True
-        if certain:
-            return HitCheck(certain=True, possible=True)
-    return HitCheck(certain=certain, possible=possible)
+    if abs(log_upper - log_thr) > margin and abs(log_lower - log_thr) > margin:
+        return HitCheck(certain=log_upper < log_thr, possible=log_lower < log_thr)
+    thr_lo, thr_hi = _threshold_interval(t, N, nu_hat)
+    upper = t.cylinder_length(m)
+    return HitCheck(certain=upper < thr_lo, possible=upper / (2 * (t.i + 2) ** 2) < thr_hi)

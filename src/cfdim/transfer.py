@@ -155,10 +155,6 @@ class SegmentStack:
     log of the operator's leading eigenvalue, at every node.
     """
 
-    B: int
-    i: int
-    tail: int
-    s: float
     degree: int
     free: int
     levels: List[np.ndarray]
@@ -224,7 +220,7 @@ def segment_stack(
             h = h_next
             if settled:
                 break
-    return SegmentStack(B=B, i=i, tail=tail, s=s, degree=degree, free=free, levels=levels, step=step)
+    return SegmentStack(degree=degree, free=free, levels=levels, step=step)
 
 
 def _logsumexp_axis0(arr: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -108,16 +108,18 @@ def load_fixtures() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
+_CHAIN_CHUNK = 8192  # uniforms drawn per sample at a time
+
+
 class LebesgueDigitChain:
     """Vectorized digit-by-digit sampler of the uniform-x digit process.
 
     Per-sample RNG streams are derived from (seed, sample index), so results
-    do not depend on batching or thread count.
+    do not depend on batching.
     """
 
-    def __init__(self, seed: int, samples: int, chunk: int = 8192):
+    def __init__(self, seed: int, samples: int):
         self.samples = samples
-        self.chunk = chunk
         self._gens = [
             np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
             for k in range(samples)
@@ -129,7 +131,7 @@ class LebesgueDigitChain:
         done = 0
         tiny = np.float64(1e-300)
         while done < steps:
-            take = min(self.chunk, steps - done)
+            take = min(_CHAIN_CHUNK, steps - done)
             U = np.empty((self.samples, take))
             for k, g in enumerate(self._gens):
                 U[k] = g.random(take)
@@ -184,45 +186,41 @@ def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] 
 # ---------------------------------------------------------------------------
 
 
-def _horizon_schedule(n: int) -> List[int]:
-    hs = [h for h in (10_000, 100_000, 1_000_000) if h < n]
-    hs.append(n)
-    return hs
+class RunMaxTracker:
+    """Longest run of equal digits R_n of every sample, tracked as `push`
+    feeds the next digit; it equals `runlength.run_profile(row).R[n - 1]`."""
 
+    suite = "mc_runlength"
 
-def mc_runlength(cfg: McConfig, fixtures: Optional[Dict] = None) -> Report:
-    """Sample mean of R_n / log_phi(n) across uniform points at a horizon
-    schedule; the a.e. limit of the ratio is 1/2."""
-    fx = (fixtures or load_fixtures())["mc_runlength"]
-    horizons = _horizon_schedule(cfg.n_digits)
-    chain = LebesgueDigitChain(cfg.seed, cfg.samples)
-    last = np.zeros(cfg.samples, dtype=np.int64)
-    cur = np.zeros(cfg.samples, dtype=np.int64)
-    rmax = np.zeros(cfg.samples, dtype=np.int64)
-    stats: List[Tuple[int, float, float]] = []
-    hs = iter(horizons)
-    next_h = next(hs)
-    pos = 0
-    for digits in chain.next_digits(cfg.n_digits):
-        pos += 1
-        same = digits == last
-        cur = np.where(same, cur + 1, 1)
-        np.maximum(rmax, cur, out=rmax)
-        last = digits
-        if pos == next_h:
-            ratio = rmax / math.log(pos, PHI)
-            stats.append((pos, float(ratio.mean()), float(ratio.std())))
-            next_h = next(hs, -1)
-    rep = Report(suite="mc_runlength", config={"seed": cfg.seed, "samples": cfg.samples, "n_digits": cfg.n_digits})
-    for h, mean, std in stats:
-        rep.series.append({"horizon": h, "mean": mean, "std": std})
-    lo, hi = fx["mean_bounds"]
-    rep.add("mean_ratio_at_top_horizon", stats[-1][1], lo, hi)
-    slack = fx["trend_slack"]
-    for (h0, m0, _), (h1, m1, _) in zip(stats, stats[1:]):
-        rep.add(f"approaches_half_{h0}_to_{h1}", abs(m1 - 0.5) - abs(m0 - 0.5), -math.inf, slack)
-    rep.add("redraw_count", 0.0, 0.0, 0.0)
-    return rep
+    def __init__(self, samples: int):
+        self.pos = 0
+        self.last = np.zeros(samples, dtype=np.int64)
+        self.cur = np.zeros(samples, dtype=np.int64)
+        self.rmax = np.zeros(samples, dtype=np.int64)
+        self.series: List[Dict[str, float]] = []
+
+    def push(self, digits: np.ndarray) -> None:
+        self.pos += 1
+        self.cur = np.where(digits == self.last, self.cur + 1, 1)
+        np.maximum(self.rmax, self.cur, out=self.rmax)
+        self.last = digits
+
+    def snapshot(self) -> None:
+        ratio = self.rmax / math.log(self.pos, PHI)
+        self.series.append({"horizon": self.pos, "mean": float(ratio.mean()), "std": float(ratio.std())})
+
+    def report(self, cfg: McConfig, fixtures: Dict) -> Report:
+        """Sample mean of R_n / log_phi(n) per snapshot; its a.e. limit is 1/2."""
+        fx = fixtures[self.suite]
+        rep = Report(self.suite, series=list(self.series), config=asdict(cfg))
+        lo, hi = fx["mean_bounds"]
+        rep.add("mean_ratio_at_top_horizon", self.series[-1]["mean"], lo, hi)
+        for r0, r1 in zip(self.series, self.series[1:]):
+            trend = abs(r1["mean"] - 0.5) - abs(r0["mean"] - 0.5)
+            name = f"approaches_half_{r0['horizon']}_to_{r1['horizon']}"
+            rep.add(name, trend, -math.inf, fx["trend_slack"])
+        rep.add("redraw_count", 0.0, 0.0, 0.0)
+        return rep
 
 
 class RecordTracker:
@@ -230,12 +228,16 @@ class RecordTracker:
     every sample; they equal `exponents.decompose(...).record_blocks` of the
     digits pushed so far."""
 
+    suite = "mc_nu_zero"
+
     def __init__(self, samples: int, i: int):
         self.i = i
         self.pos = 0
         self.runlen = np.zeros(samples, dtype=np.int64)
         self.best = np.zeros(samples, dtype=np.int64)
         self._closed: List[List[Tuple[int, int]]] = [[] for _ in range(samples)]
+        self.series: List[Dict[str, float]] = []
+        self.hat_le_nu_violations = 0
 
     def push(self, digits: np.ndarray) -> None:
         self.pos += 1
@@ -263,42 +265,62 @@ class RecordTracker:
         except InsufficientBlocks:
             return None
 
+    def snapshot(self) -> None:
+        ests = [e for e in map(self.estimates, range(len(self._closed))) if e is not None]
+        exceed = sum(e.nu_est > 0.05 for e in ests)
+        self.hat_le_nu_violations += sum(e.nu_hat_est > e.nu_est + 1e-15 for e in ests)
+        frac = exceed / max(len(ests), 1)
+        self.series.append({"horizon": self.pos, "exceed_fraction": frac, "samples_used": len(ests)})
+
+    def report(self, cfg: McConfig, fixtures: Dict) -> Report:
+        """Fraction of samples with nu estimate > 0.05 per snapshot; the a.e.
+        value of nu is 0, so the fraction must shrink along horizons."""
+        fx = fixtures[self.suite]
+        rep = Report(self.suite, series=list(self.series), config={**asdict(cfg), "i": self.i})
+        rep.add("exceed_fraction_at_top_horizon", self.series[-1]["exceed_fraction"], 0.0, fx["exceed_bound"])
+        for r0, r1 in zip(self.series, self.series[1:]):
+            step = r1["exceed_fraction"] - r0["exceed_fraction"]
+            name = f"fraction_non_increasing_{r0['horizon']}_to_{r1['horizon']}"
+            rep.add(name, step, -math.inf, fx["monotone_slack"])
+        rep.add("nu_hat_le_nu_violations", float(self.hat_le_nu_violations), 0.0, 0.0)
+        return rep
+
+
+def _walk(cfg: McConfig, trackers: Sequence) -> None:
+    """Push every digit row of one seeded chain to each tracker, and take a
+    snapshot of each at the horizons 10^4, 10^5, 10^6 below n_digits and at
+    n_digits."""
+    horizons = {h for h in (10_000, 100_000, 1_000_000) if h < cfg.n_digits} | {cfg.n_digits}
+    chain = LebesgueDigitChain(cfg.seed, cfg.samples)
+    for pos, digits in enumerate(chain.next_digits(cfg.n_digits), 1):
+        for t in trackers:
+            t.push(digits)
+        if pos in horizons:
+            for t in trackers:
+                t.snapshot()
+
+
+def mc_runlength(cfg: McConfig, fixtures: Optional[Dict] = None) -> Report:
+    """Run-length law R_n / log_phi(n) -> 1/2 across uniform samples."""
+    tracker = RunMaxTracker(cfg.samples)
+    _walk(cfg, [tracker])
+    return tracker.report(cfg, fixtures or load_fixtures())
+
 
 def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Report:
-    """Finite-scale asymptotic-exponent estimates across uniform samples; the
-    a.e. value is 0, so the exceedance fraction must shrink along horizons."""
-    fx = (fixtures or load_fixtures())["mc_nu_zero"]
-    horizons = _horizon_schedule(cfg.n_digits)
-    chain = LebesgueDigitChain(cfg.seed, cfg.samples)
+    """Asymptotic-exponent law nu = 0 against y = [i, i, ...] across uniform samples."""
     tracker = RecordTracker(cfg.samples, i)
-    fracs: List[Tuple[int, float, float]] = []
-    hs = iter(horizons)
-    next_h = next(hs)
-    hat_le_nu_violations = 0
-    for digits in chain.next_digits(cfg.n_digits):
-        tracker.push(digits)
-        if tracker.pos == next_h:
-            exceed = 0
-            used = 0
-            for k in range(cfg.samples):
-                est = tracker.estimates(k)
-                if est is None:
-                    continue
-                used += 1
-                if est.nu_est > 0.05:
-                    exceed += 1
-                if est.nu_hat_est > est.nu_est + 1e-15:
-                    hat_le_nu_violations += 1
-            fracs.append((tracker.pos, exceed / max(used, 1), used))
-            next_h = next(hs, -1)
-    rep = Report(suite="mc_nu_zero", config={"seed": cfg.seed, "samples": cfg.samples, "n_digits": cfg.n_digits, "i": i})
-    for h, frac, used in fracs:
-        rep.series.append({"horizon": h, "exceed_fraction": frac, "samples_used": used})
-    rep.add("exceed_fraction_at_top_horizon", fracs[-1][1], 0.0, fx["exceed_bound"])
-    for (h0, f0, _), (h1, f1, _) in zip(fracs, fracs[1:]):
-        rep.add(f"fraction_non_increasing_{h0}_to_{h1}", f1 - f0, -math.inf, fx["monotone_slack"])
-    rep.add("nu_hat_le_nu_violations", float(hat_le_nu_violations), 0.0, 0.0)
-    return rep
+    _walk(cfg, [tracker])
+    return tracker.report(cfg, fixtures or load_fixtures())
+
+
+def mc_laws(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Tuple[Report, Report]:
+    """The mc_runlength and mc_nu_zero reports from one chain walk, each
+    equal to its standalone suite's."""
+    fixtures = fixtures or load_fixtures()
+    runs, records = RunMaxTracker(cfg.samples), RecordTracker(cfg.samples, i)
+    _walk(cfg, [runs, records])
+    return runs.report(cfg, fixtures), records.report(cfg, fixtures)
 
 
 # ---------------------------------------------------------------------------

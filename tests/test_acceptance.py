@@ -28,7 +28,7 @@ from cfdim.cantor import (
 )
 from cfdim.cf_core import continuants, run_continuant, run_continuant_closed_form
 from cfdim.dim_solver import DimQuery, dim_full, dim_limit, spectral_dim, theorem_dims
-from cfdim.verify import McConfig, lemma_suite, mc_nu_zero, mc_runlength, solver_crosscheck
+from cfdim.verify import McConfig, lemma_suite, mc_laws, mc_nu_zero, mc_runlength, solver_crosscheck
 
 
 def _report(k: int, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -188,10 +188,9 @@ def test_criterion_8_monte_carlo_laws():
     t0 = time.time()
     fx = verify.load_fixtures()
     cfg = McConfig(seed=20260809, samples=200, n_digits=1_000_000)
-    r1 = mc_runlength(cfg)
+    r1, r2 = mc_laws(cfg, i=1)
     mean = r1.series[-1]["mean"]
     mean_ok = 0.40 <= mean <= 0.60 and r1.passed
-    r2 = mc_nu_zero(cfg, i=1)
     frac = r2.series[-1]["exceed_fraction"]
     bound = fx["mc_nu_zero"]["exceed_bound"]
     frac_ok = frac <= bound and r2.passed

@@ -202,14 +202,6 @@ def test_measure_context_shared_per_spec_and_bounded(spec13):
     assert measure_context(first) is not first_ctx
 
 
-def test_measure_mass_supplied_exponents(spec13):
-    # supplying the solved exponents reproduces the cached masses
-    ctx_vals = {k: dim_solver.predim_tilde(3, 1, (spec13.sp.m[k - 1] - (spec13.sp.m[k - 2] if k >= 2 else 0), spec13.sp.m[k - 1] - spec13.sp.n[k - 1])).value for k in (1, 2)}
-    a = measure_mass(spec13, (2, 3, 1, 1, 1), s_tilde=ctx_vals)
-    b = measure_mass(spec13, (2, 3, 1, 1, 1))
-    assert a.log_mass == pytest.approx(b.log_mass, abs=1e-12)
-
-
 def test_measure_mass_inadmissible(spec13):
     with pytest.raises(Inadmissible):
         measure_mass(spec13, (2, 3, 2))
@@ -440,10 +432,12 @@ def _reference_validate(spec, prefix):
     return None
 
 
-def _reference_log_mass(spec, prefix, s_tilde=None):
+def _reference_log_mass(spec, prefix):
     """measure_mass from full continuant tables and float(Fraction(q1, q))."""
-    ctx = MeasureContext(spec) if s_tilde else measure_context(spec)
-    s_of = (lambda k: s_tilde[k]) if s_tilde else (lambda k: ctx.s_tilde(k).value)
+    ctx = measure_context(spec)
+
+    def s_of(k):
+        return ctx.s_tilde(k).value
 
     def log_q(digits):
         return log_int(continuants(digits).qk(len(digits)))
@@ -468,10 +462,7 @@ def _reference_log_mass(spec, prefix, s_tilde=None):
             q, q1 = t.qk(len(seg)), t.qk(len(seg) - 1)
         else:
             q, q1 = 1, 0
-        st = ctx.stack(k) if not s_tilde else transfer.segment_stack(
-            spec.B, spec.i, n_k - m_prev, m_k - n_k, s_of(k), transfer.DEFAULT_DEGREE
-        )
-        return lm + (-2.0 * s_of(k) * log_int(q) + st.eval_log(n_k - L, float(Fraction(q1, q))))
+        return lm + (-2.0 * s_of(k) * log_int(q) + ctx.stack(k).eval_log(n_k - L, float(Fraction(q1, q))))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
@@ -562,12 +553,9 @@ def test_measure_mass_matches_continuant_reference(spec13):
     depths = [0, 1, sp.n[0], sp.m[0]]
     for k in (3, 7):
         depths += [sp.m[k - 2] + 5, sp.n[k - 1], sp.n[k - 1] + 3, sp.m[k - 1] - 1, sp.m[k - 1]]
-    supplied = {k: 0.4 + 0.03 * k for k in range(1, 8)}
     for L in depths:
         prefix = d[:L]
         assert measure_mass(spec13, prefix).log_mass == _reference_log_mass(spec13, prefix)
-        got = measure_mass(spec13, prefix, s_tilde=supplied).log_mass
-        assert got == _reference_log_mass(spec13, prefix, supplied)
 
 
 def test_interp_matrix_unit_rows_at_nodes():

@@ -200,7 +200,7 @@ def test_predim_alpha_zero_coincide():
 
 def test_predim_alpha_one_degenerate():
     est = predim_s(DimQuery(B=3, alpha=1, i=1, n=8))
-    assert est.value == 0.0 and est.degenerate
+    assert est.value == 0.0 and est.method == "degenerate"
 
 
 def test_predim_hat_shares_one_table_across_run_digits(monkeypatch):

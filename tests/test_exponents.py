@@ -1,5 +1,6 @@
 """Block decomposition, exponent estimates, exact distance brackets."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from cfdim.cf_core import RealInput, continuants, digit_seq, expand, target
 from cfdim.errors import Exhausted, InsufficientBlocks, NoBlocks
 from cfdim.exponents import (
     HitCheck,
+    _threshold_interval,
     common_prefix_with_target,
     decompose,
     decompose_oracle,
@@ -244,6 +246,43 @@ def test_hit_check_no_close_approach_fails():
     digits = [2, 3] * 100
     d = digit_seq(digits, complete=True)
     assert uniform_hit_check(d, t, N=50, nu_hat=1.5).verdict is False
+
+
+def _hit_reference(d, t, N, nu_hat):
+    """Per-n exact decision: any upper bound below the threshold enclosure
+    proves a hit, any lower bound below it leaves one possible."""
+    thr_lo, thr_hi = _threshold_interval(t, N, nu_hat)
+    brackets = [distance_bracket(d, n, t) for n in range(1, N + 1)]
+    certain = any(up < thr_lo for _, up in brackets)
+    return HitCheck(certain=certain, possible=any(lo < thr_hi for lo, _ in brackets))
+
+
+def test_hit_check_matches_per_n_exact_reference():
+    # exponents placed just above and below the float screen's decision
+    # points, the upper and lower distance bounds of the longest run
+    rng = np.random.default_rng(21)
+    verdicts = set()
+    for trial in range(40):
+        i = 1 + trial % 2
+        t = target(i)
+        digits = [int(a) for a in rng.integers(1, 5, size=int(rng.integers(20, 80)))]
+        for _ in range(3):
+            at = int(rng.integers(0, len(digits)))
+            digits[at:at] = [i] * int(rng.integers(1, 12))
+        d = digit_seq(digits, complete=True)
+        N = int(rng.integers(1, len(digits)))
+        m_star = int(forward_run_lengths(np.array(digits), i)[1 : N + 1].max())
+        if m_star == 0:
+            continue
+        log_upper = t.log_cylinder_length(m_star)
+        log_n = t.log_cylinder_length(N)
+        for anchor in (log_upper, log_upper - math.log(2 * (i + 2) ** 2)):
+            for rel in (1e-12, -1e-12, 1e-8, -1e-8):
+                nu_hat = anchor / log_n * (1 + rel)
+                got = uniform_hit_check(d, t, N, nu_hat)
+                assert got == _hit_reference(d, t, N, nu_hat), (digits, N, nu_hat)
+                verdicts.add(got.verdict)
+    assert verdicts == {True, False, None}
 
 
 def test_designed_point_hit_examples():

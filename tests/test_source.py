@@ -1,7 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import pathlib
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cfdim"
@@ -52,3 +56,16 @@ def test_no_module_level_dicts_but_the_table_cache():
                     if isinstance(t, ast.Name) and (path.name, t.id) not in ALLOWED_MODULE_DICTS
                 ]
     assert not found, f"module-level dicts in src/cfdim: {found}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_imports(path):
+    # a script that imports a removed or renamed cfdim name fails here; its
+    # __main__ guard keeps it from running
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved

@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from cfdim import exponents
+from cfdim import exponents, runlength
 from cfdim.errors import InsufficientBlocks
 from cfdim.verify import (
     LebesgueDigitChain,
     McConfig,
     RecordTracker,
     Report,
+    RunMaxTracker,
     lemma_suite,
     load_fixtures,
+    mc_laws,
     mc_nu_zero,
     mc_runlength,
     sample_digit_matrix,
@@ -121,6 +123,35 @@ def test_record_tracker_matches_decompose_reference():
             assert got is None
         else:
             assert got.nu_hat_est == ref.nu_hat_est and got.nu_est == ref.nu_est
+
+
+# the run_pilot.py placeholder: bounds that no pilot calibrated
+LOOSE_FIXTURES = {
+    "mc_runlength": {"mean_bounds": [0.40, 0.60], "trend_slack": 0.05},
+    "mc_nu_zero": {"exceed_bound": 1.0, "monotone_slack": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "seed, samples, n, i, fixtures",
+    [(5, 20, 10_000, 1, None), (2, 40, 20_000, 1, None), (2, 40, 20_000, 2, LOOSE_FIXTURES)],
+)
+def test_mc_laws_equal_standalone_suites(seed, samples, n, i, fixtures):
+    cfg = McConfig(seed=seed, samples=samples, n_digits=n)
+    runs, records = mc_laws(cfg, i=i, fixtures=fixtures)
+    assert runs.to_json_dict() == mc_runlength(cfg, fixtures=fixtures).to_json_dict()
+    assert records.to_json_dict() == mc_nu_zero(cfg, i=i, fixtures=fixtures).to_json_dict()
+
+
+def test_run_max_tracker_matches_run_profile():
+    n = 3_000
+    M = sample_digit_matrix(31, 12, n)
+    R = np.array([runlength.run_profile(row).R for row in M])
+    tracker = RunMaxTracker(12)
+    for h in range(1, n + 1):
+        tracker.push(M[:, h - 1])
+        assert np.array_equal(tracker.rmax, R[:, h - 1]), h
+    assert R[:, -1].max() >= 3  # runs longer than one digit were tracked
 
 
 # ---------------------------------------------------------------------------
