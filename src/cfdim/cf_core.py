@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import Exhausted, InputOutOfRange, Overflow
 from .surd import Surd, is_square
@@ -42,7 +42,6 @@ class RealInput:
     surd_v: int = 0
     surd_w: int = 1
     surd_d: int = 0
-    decimal: str = ""
     precision_bits: Optional[int] = None
 
     @staticmethod
@@ -73,7 +72,7 @@ class RealInput:
             raise InputOutOfRange(f"cannot parse decimal {s!r}") from exc
         if not (0 < v < 1):
             raise InputOutOfRange(f"decimal {s} not in (0,1)")
-        return RealInput(kind="decimal", frac=v, decimal=s, precision_bits=precision_bits)
+        return RealInput(kind="decimal", frac=v, precision_bits=precision_bits)
 
     def as_surd(self) -> Surd:
         if self.kind != "surd":
@@ -94,7 +93,6 @@ class DigitSeq:
 
     digits: Tuple[int, ...]
     exhausted: bool = False
-    source: Optional[RealInput] = None
     complete: bool = False
 
     def __post_init__(self):
@@ -114,13 +112,8 @@ class DigitSeq:
         return self.digits[k]
 
 
-def digit_seq(
-    digits: Iterable[int],
-    exhausted: bool = False,
-    source: Optional[RealInput] = None,
-    complete: bool = False,
-) -> DigitSeq:
-    return DigitSeq(tuple(int(a) for a in digits), exhausted=exhausted, source=source, complete=complete)
+def digit_seq(digits: Iterable[int], exhausted: bool = False, complete: bool = False) -> DigitSeq:
+    return DigitSeq(tuple(int(a) for a in digits), exhausted=exhausted, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +250,7 @@ def gauss_shift(d: DigitSeq, n: int) -> DigitSeq:
         raise ValueError("shift must be >= 0")
     if len(d.digits) < n + 1:
         raise Exhausted(f"need at least {n + 1} certified digits, have {len(d.digits)}")
-    return DigitSeq(d.digits[n:], exhausted=d.exhausted, source=d.source, complete=d.complete)
+    return DigitSeq(d.digits[n:], exhausted=d.exhausted, complete=d.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +258,21 @@ def gauss_shift(d: DigitSeq, n: int) -> DigitSeq:
 # ---------------------------------------------------------------------------
 
 
-def _check_digit(a: int) -> int:
-    if a > MAX_DIGIT:
-        raise Overflow(f"partial quotient {a} exceeds machine word")
-    return a
+def _euclid(p: int, q: int) -> Iterator[Tuple[int, int]]:
+    """Partial quotients of p/q in [0,1) by Euclid on (p, q): a = q // p, then
+    (p, q) <- (q mod p, p).  Yields each digit with the numerator left after
+    it, which is 0 once the expansion has terminated."""
+    while p:
+        a, r = divmod(q, p)
+        p, q = r, p
+        yield a, r
 
 
 def _expand_rational(x: Fraction, n: int) -> Tuple[Tuple[int, ...], bool]:
-    # Euclid on (p, q): a = q // p, then (p, q) <- (q mod p, p)
-    p, q = x.numerator, x.denominator
-    digits = []
-    while p != 0 and len(digits) < n:
-        a, r = divmod(q, p)
-        digits.append(_check_digit(a))
-        p, q = r, p
-    return tuple(digits), p == 0
+    digits, r = [], x.numerator
+    for a, r in islice(_euclid(x.numerator, x.denominator), n):
+        digits.append(a)
+    return tuple(digits), r == 0
 
 
 def _expand_surd_digits(x: RealInput, n: int) -> Tuple[int, ...]:
@@ -305,42 +298,35 @@ def _expand_surd_digits(x: RealInput, n: int) -> Tuple[int, ...]:
         P = a * Q - P
         Q = (D - P * P) // Q
         a = fl(P, Q)
-        digits.append(_check_digit(a))
+        digits.append(a)
     return tuple(digits)
 
 
 def _expand_decimal(x: RealInput, n: int) -> Tuple[Tuple[int, ...], bool]:
     """Certify digits while [v - eps, v + eps] sits strictly inside one cylinder.
 
+    A point lies strictly inside the cylinder of a_1..a_k exactly when its
+    expansion starts with a_1..a_k and continues past a_k.  So the certified
+    digits are the common prefix of the Euclid expansions of both ends,
+    counted while both continue past it; the ends share the denominator
+    v.denominator * 2^bits.
+
     Default budget 4n + 64 bits: an expected ~3.5 bits of information per
     digit plus guard, so uniform samples certify n digits with overwhelming
     probability.
     """
     bits = x.precision_bits if x.precision_bits is not None else 4 * n + 64
-    eps = Fraction(1, 2**bits)
     v = x.frac
-    lo, hi = v - eps, v + eps
-    if not (0 < lo and hi < 1):
+    den = v.denominator << bits
+    lo = (v.numerator << bits) - v.denominator
+    hi = (v.numerator << bits) + v.denominator
+    if not (0 < lo and hi < den):
         return (), True
-    digits: list[int] = []
-    p = [1, 0]
-    q = [0, 1]
-    rem = v
-    for _ in range(n):
-        if rem == 0:
+    digits = []
+    for (a, r), (b, s) in zip(islice(_euclid(lo, den), n), _euclid(hi, den)):
+        if a != b or r == 0 or s == 0:
             return tuple(digits), True
-        a = rem.denominator // rem.numerator
-        pn = a * p[-1] + p[-2]
-        qn = a * q[-1] + q[-2]
-        e1 = Fraction(pn, qn)
-        e2 = Fraction(pn + p[-1], qn + q[-1])
-        left, right = (e1, e2) if e1 < e2 else (e2, e1)
-        if not (left < lo and hi < right):
-            return tuple(digits), True
-        digits.append(_check_digit(a))
-        p.append(pn)
-        q.append(qn)
-        rem = Fraction(rem.denominator, rem.numerator) - a
+        digits.append(a)
     return tuple(digits), False
 
 
@@ -349,18 +335,19 @@ def expand(x: RealInput, n: int) -> DigitSeq:
 
     Rational inputs give the exact finite expansion (exhausted once it
     terminates); surd inputs always yield n digits; decimal inputs yield the
-    certified prefix and exhausted=True if certification stops early.
+    certified prefix and exhausted=True if certification stops early.  A
+    digit above MAX_DIGIT raises `Overflow` only once it is certified.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if x.kind == "rational":
         digits, done = _expand_rational(x.frac, n)
-        return DigitSeq(digits, exhausted=done, source=x, complete=done)
+        return DigitSeq(digits, exhausted=done, complete=done)
     if x.kind == "surd":
-        return DigitSeq(_expand_surd_digits(x, n), exhausted=False, source=x)
+        return DigitSeq(_expand_surd_digits(x, n))
     if x.kind == "decimal":
         digits, ex = _expand_decimal(x, n)
-        return DigitSeq(digits, exhausted=ex, source=x)
+        return DigitSeq(digits, exhausted=ex)
     raise ValueError(f"unknown input kind {x.kind!r}")
 
 

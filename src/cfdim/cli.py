@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__, cantor, dim_solver, exponents, runlength, verify
-from .cf_core import RealInput, basic_interval, continuants, expand
+from .cf_core import RealInput, continuants, expand
 from .errors import BudgetExceeded, Exhausted, Inadmissible, InputOutOfRange, NoConvergence, Overflow, OutOfRange
 
 SCHEMA_VERSION = 1
@@ -96,13 +96,13 @@ def _config_echo(command: str, args, fields: Sequence[str]) -> dict:
 
 
 def _parse_real_input(args) -> RealInput:
-    given = [x is not None for x in (args.rational, args.surd, args.decimal)]
-    if sum(given) != 1:
-        raise InputOutOfRange("give exactly one of --rational, --surd, --decimal")
-    if args.rational:
+    given = [x for x in (args.rational, args.surd, args.decimal) if x is not None]
+    if len(given) != 1 or not given[0]:
+        raise InputOutOfRange("give exactly one non-empty value of --rational, --surd, --decimal")
+    if args.rational is not None:
         p, q = args.rational.split("/")
         return RealInput.rational(int(p), int(q))
-    if args.surd:
+    if args.surd is not None:
         # "sqrt:d,u,v,w" encodes (u + v*sqrt(d))/w; "sqrt:d" means sqrt(d)-floor
         body = args.surd
         if body.startswith("sqrt:"):
@@ -113,7 +113,7 @@ def _parse_real_input(args) -> RealInput:
             return RealInput.surd(-math.isqrt(d), 1, 1, d)
         d, u, v, w = parts[0], parts[1], parts[2], parts[3]
         return RealInput.surd(u, v, w, d)
-    return RealInput.decimal_input(args.decimal, args.precision if args.precision else None)
+    return RealInput.decimal_input(args.decimal, args.precision)
 
 
 def cmd_expand(args) -> int:
@@ -126,16 +126,13 @@ def cmd_expand(args) -> int:
     }
     if d.digits:
         t = continuants(d)
-        payload["convergents"] = [
-            {"k": k, "p": str(t.pk(k)), "q": str(t.qk(k))} for k in range(1, len(d.digits) + 1)
+        ks = range(1, len(d.digits) + 1)
+        payload["convergents"] = [{"k": k, "p": str(t.pk(k)), "q": str(t.qk(k))} for k in ks]
+        # |I_k| = 1/(q_k (q_k + q_{k-1})), as basic_interval gives it
+        denoms = [t.qk(k) * (t.qk(k) + t.qk(k - 1)) for k in ks]
+        payload["intervals"] = [
+            {"k": k, "length": f"1/{m}", "length_float": 1 / m} for k, m in zip(ks, denoms)
         ]
-        intervals = []
-        for k in range(1, len(d.digits) + 1):
-            b = basic_interval(d.digits[:k])
-            intervals.append(
-                {"k": k, "length": _frac_str(b.length), "length_float": float(b.length)}
-            )
-        payload["intervals"] = intervals
     _emit(payload, args)
     return EXIT_OK
 

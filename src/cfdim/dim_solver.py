@@ -37,7 +37,6 @@ import numpy as np
 from . import transfer
 from .cf_core import log_tau
 from .errors import BudgetExceeded, NoConvergence, OutOfRange
-from .transfer import DEFAULT_DEGREE
 
 DEFAULT_NODE_BUDGET = 200_000_000
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
@@ -374,7 +373,7 @@ def dim_limit(
 # ---------------------------------------------------------------------------
 
 
-def spectral_pressure(B: int, s: float, degree: int = DEFAULT_DEGREE) -> float:
+def spectral_pressure(B: int, s: float) -> float:
     """P_B(s): log leading eigenvalue of the weighted transfer operator.
 
     Defined for any s >= 0 on a finite alphabet (the branch sums are finite);
@@ -383,16 +382,16 @@ def spectral_pressure(B: int, s: float, degree: int = DEFAULT_DEGREE) -> float:
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    return transfer.pressure(B, s, degree=degree)
+    return transfer.pressure(B, s)
 
 
-def spectral_dim(B: int, alpha: Number, i: int, degree: int = DEFAULT_DEGREE) -> DimEstimate:
+def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
     """Root of  P_B(s) = 2 s (alpha/(1-alpha)) log tau(i)  by bisection."""
     af = _alpha_fraction(alpha)
     if af == 1:
         raise OutOfRange("alpha = 1 is handled by the closure convention, not the solver")
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
-    F = lambda s: spectral_pressure(B, s, degree) - coeff * s
+    F = lambda s: spectral_pressure(B, s) - coeff * s
     root, bracket = solve_decreasing_root(F, width=_SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
     return DimEstimate(root, bracket, B_used=B, method="spectral")
 
@@ -400,12 +399,7 @@ def spectral_dim(B: int, alpha: Number, i: int, degree: int = DEFAULT_DEGREE) ->
 DEFAULT_B_SCHEDULE = (16, 32, 64, 128)
 
 
-def dim_full(
-    alpha: Number,
-    i: int,
-    B_schedule: Sequence[int] = DEFAULT_B_SCHEDULE,
-    degree: int = DEFAULT_DEGREE,
-) -> DimEstimate:
+def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDULE) -> DimEstimate:
     """Full-alphabet dimension value s(alpha, tau(i)) by B -> infinity
     extrapolation of spectral roots, with the exact closure conventions
     s(0) = 1 and s(1) = 1/2.
@@ -420,11 +414,11 @@ def dim_full(
     af = _alpha_fraction(alpha)
     if af == 0 or af == 1:
         value = 1.0 if af == 0 else 0.5
-        trace = tuple(spectral_dim(B, af, i, degree).value for B in B_schedule) if af == 0 else ()
+        trace = tuple(spectral_dim(B, af, i).value for B in B_schedule) if af == 0 else ()
         return DimEstimate(value, (value, value), B_used=list(B_schedule)[-1], method="convention", trace=trace)
     if list(B_schedule) != sorted(set(B_schedule)):
         raise ValueError("B_schedule must be strictly increasing")
-    raw = [spectral_dim(B, af, i, degree).value for B in B_schedule]
+    raw = [spectral_dim(B, af, i).value for B in B_schedule]
     extrap = aitken(raw)
     last = raw[-1]
     r = abs(last - extrap) + _SPECTRAL_WIDTH

@@ -6,8 +6,9 @@ orbit: given the first n digits, T^n(x) of a uniform x has CDF
 t -> (1+r) t / (1 + r t) on (0,1) with r = q_{n-1}/q_n, so digits are drawn
 by inverting that CDF and updating r -> 1/(a + r).  This reproduces the
 digit law of uniform sampling exactly while staying vectorizable to millions
-of digits; the certified decimal-budget pipeline (quadratic bit cost) remains
-available for short horizons and is tested to agree in distribution.
+of digits.  The certified decimal-budget pipeline remains available for short
+horizons and is tested to agree in distribution: one sample of n digits runs
+Euclid on two (4n + 64)-bit numerators, so its cost grows like n^2.
 
 Derived thresholds are pinned by pilot-run fixtures committed to the package
 data; checks compare statistics against the fixture bounds.
@@ -159,9 +160,10 @@ def sample_digit_matrix(seed: int, samples: int, n: int) -> np.ndarray:
 def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] = None) -> Tuple[Tuple[int, ...], int]:
     """Certified digits of one uniform sample via the decimal-budget pipeline.
 
-    Draws a uniform dyadic rational at the full budget resolution (its exact
-    decimal string has `bits` fractional digits), then expands with the same
-    budget; redraws until n digits certify.  Returns (digits, redraws).
+    Draws a uniform dyadic rational k / 2^bits at the full budget resolution
+    and expands it as a decimal input with the same budget, so a digit counts
+    only once the whole interval k / 2^bits +- 2^-bits lies inside its
+    cylinder; redraws until n digits certify.  Returns (digits, redraws).
     """
     bits = max(64, bits if bits is not None else 4 * n + 64)
     redraws = 0
@@ -172,9 +174,7 @@ def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] 
         k &= (1 << bits) - 1
         if k == 0:
             continue
-        # k / 2^bits written exactly in decimal: k 5^bits / 10^bits
-        s = "0." + str(k * 5**bits).zfill(bits)
-        x = RealInput.decimal_input(s, precision_bits=bits)
+        x = RealInput(kind="decimal", frac=Fraction(k, 1 << bits), precision_bits=bits)
         d = expand(x, n)
         if len(d.digits) >= n:
             return d.digits[:n], redraws

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfdim import cf_core
@@ -87,6 +87,55 @@ def test_expand_overflow():
     big = 2**64
     with pytest.raises(Overflow):
         expand(RealInput.rational(1, big), 1)
+
+
+def _certified_prefix(s, bits, n):
+    """Longest prefix k <= n of v's digits whose cylinder strictly contains
+    [v - 2^-bits, v + 2^-bits]; exhausted when it is shorter than n."""
+    v = Fraction(s)
+    eps = Fraction(1, 2**bits)
+    digits, x = [], v
+    while x and len(digits) < n:
+        a = math.floor(1 / x)
+        digits.append(a)
+        x = 1 / x - a
+    k = 0
+    while k < len(digits):
+        b = basic_interval(digits[: k + 1])
+        if not (b.left < v - eps and v + eps < b.right):
+            break
+        k += 1
+    return tuple(digits[:k]), k < n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="0123456789", min_size=1, max_size=60),
+    st.sampled_from([None, 64, 80, 200]),
+    st.integers(min_value=1, max_value=40),
+)
+@example("5", 64, 4)
+@example("25", 64, 4)
+@example("125", 64, 4)
+# 2/5 + 2^-64, 1/2 - 2^-64 and 2^-64: an end of the interval is the cylinder's
+# end 2/5, the cylinder's end 1/2, or 0
+@example("4000000000000000000542101086242752217003726400434970855712890625", 64, 4)
+@example("4999999999999999999457898913757247782996273599565029144287109375", 64, 4)
+@example("0000000000000000000542101086242752217003726400434970855712890625", 64, 4)
+def test_expand_decimal_matches_cylinder_containment(frac_digits, bits, n):
+    s = "0." + frac_digits
+    assume(Fraction(s) != 0)
+    d = expand(RealInput.decimal_input(s, bits), n)
+    assert (d.digits, d.exhausted) == _certified_prefix(s, 4 * n + 64 if bits is None else bits, n)
+
+
+def test_expand_decimal_overflow_only_on_certified_digits():
+    # the second digit, 2^65 - 1, is past the machine word but not certified
+    d = expand(RealInput.decimal_input("0.4999999999999999999932237364219655972875", precision_bits=100), 3)
+    assert d.digits == (2,) and d.exhausted
+    # a certified first digit of about 8.1e25 still overflows
+    with pytest.raises(Overflow):
+        expand(RealInput.decimal_input("0." + "0" * 25 + "12345", precision_bits=200), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -40,6 +41,37 @@ def test_expand_parse_error(capsys):
 def test_expand_range_error(capsys):
     assert main(["expand", "--rational", "3/2", "--n", "3"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--decimal", "0.414213562373", "--n", "3", "--precision", "0"],
+        ["--decimal", "0.414213562373", "--n", "3", "--precision", "10"],
+        ["--rational", ""],
+    ],
+)
+def test_expand_rejects_budget_below_64_bits_and_empty_input(argv, capsys):
+    assert main(["expand", *argv]) == 3
+    capsys.readouterr()
+
+
+def test_expand_interval_lengths_match_basic_interval(capsys):
+    from cfdim.cf_core import basic_interval
+
+    rng = random.Random(11)
+    for _ in range(20):
+        q = rng.randint(2, 10 ** rng.randint(1, 80))
+        p = rng.randint(1, q - 1)
+        rc, out = run_cli(["expand", "--rational", f"{p}/{q}", "--n", "200"], capsys)
+        assert rc == 0
+        payload = json.loads(out)
+        digits = payload["digits"]
+        assert [row["k"] for row in payload["intervals"]] == list(range(1, len(digits) + 1))
+        for row in payload["intervals"]:
+            length = basic_interval(digits[: row["k"]]).length
+            assert row["length"] == f"{length.numerator}/{length.denominator}"
+            assert row["length_float"] == float(length)
 
 
 def test_dim_conventions(capsys):

@@ -1,7 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -69,3 +71,29 @@ def test_script_imports(path):
         spec.loader.exec_module(module)
     finally:
         sys.path[:] = saved
+
+
+def _tracing_targets():
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("bench/tracing.py defines no TARGETS")
+
+
+def test_bench_tracing_targets_resolve():
+    # the traced benchmark wraps these names; one that no longer resolves
+    # breaks `bench/run.py --trace 1` and `--self-check`
+    missing = []
+    for layer, attrs in _tracing_targets().items():
+        mod = importlib.import_module(f"cfdim.{layer}")
+        for attr in attrs:
+            owner, _, name = attr.rpartition(".")
+            scope = vars(getattr(mod, owner)) if owner else vars(mod)
+            if not callable(scope.get(name)):
+                missing.append(f"{layer}.{attr}")
+    assert not missing, f"bench/tracing.py TARGETS that cfdim no longer defines: {missing}"
+    # the tracer reads this argument to tell stack builds from segment_log_sum's own iteration
+    from cfdim import transfer
+
+    assert "keep_levels" in inspect.signature(transfer.segment_stack).parameters

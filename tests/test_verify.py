@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfdim import exponents, runlength
+from cfdim.cf_core import RealInput, expand
 from cfdim.errors import InsufficientBlocks
 from cfdim.verify import (
     LebesgueDigitChain,
@@ -72,6 +73,38 @@ def test_decimal_redraw_rate_small():
     rng = np.random.default_rng(10)
     redraws = sum(sample_digits_decimal(rng, 50)[1] for _ in range(300))
     assert redraws / 300 < 0.01
+
+
+def _sample_digits_via_string(rng, n, bits=None):
+    # the sampler drawn through the exact decimal string of k / 2^bits
+    bits = max(64, bits if bits is not None else 4 * n + 64)
+    redraws = 0
+    while True:
+        k = 0
+        for _ in range(-(-bits // 53)):
+            k = (k << 53) | int(rng.integers(0, 2**53))
+        k &= (1 << bits) - 1
+        if k == 0:
+            continue
+        s = "0." + str(k * 5**bits).zfill(bits)
+        d = expand(RealInput.decimal_input(s, precision_bits=bits), n)
+        if len(d.digits) >= n:
+            return d.digits[:n], redraws
+        redraws += 1
+
+
+@pytest.mark.parametrize("n,bits", [(1, None), (3, None), (40, None), (200, None), (12, 64), (20, 100)])
+def test_sample_digits_decimal_matches_string_reference(n, bits):
+    fast, ref = np.random.default_rng([n, 7]), np.random.default_rng([n, 7])
+    for _ in range(20):
+        assert sample_digits_decimal(fast, n, bits) == _sample_digits_via_string(ref, n, bits)
+
+
+def test_sample_digits_decimal_past_str_digit_limit():
+    # 4 * 1100 + 64 bits: the decimal string of k / 2^bits would exceed
+    # Python's 4 300-digit int/str conversion limit
+    digits, redraws = sample_digits_decimal(np.random.default_rng(3), 1100)
+    assert len(digits) == 1100 and min(digits) >= 1 and redraws >= 0
 
 
 # ---------------------------------------------------------------------------
