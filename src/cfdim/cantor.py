@@ -15,10 +15,18 @@ per-digit work stays in numpy and the int kernels: a sampled digit is one
 inverse-CDF draw over B weights, a prefix is checked one schedule interval at
 a time, and masses need only the denominators q_{n-1}, q_n of their digits
 (cf_core.denominators); local dimensions at all block boundaries share one
-pass over the prefix.
+pass over the prefix.  The recursion runs over free digits only: each
+segment's forced run i^t is appended in closed form,
 
-Segment roots and stacks are cached per spec in a MeasureContext, and
-measure_context keeps the contexts of the 16 most recently used specs.
+    q(w i^t) = q(w) q_t(i) + q(w-) q_{t-1}(i),
+
+from the run continuants q_{t-2}, q_{t-1}, q_t(i) that the context computes
+once per segment.  The integers are the ones the recursion through the run
+gives.
+
+Segment roots, stacks and run continuants are cached per spec in a
+MeasureContext, and measure_context keeps the contexts of the 16 most
+recently used specs.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -324,9 +333,13 @@ class MeasureContext:
     segment partition sum; the stack keeps the log completion sums G_j for
     j = 0..K, K its settling depth, and SegmentStack.level(j) reads any free
     depth from them, which yields node masses and conditional digit laws.
-    A context keeps one root and one stack per segment it was asked for, at
-    most k_max of each; a stack holds levels 0..K of degree + 1 floats each
-    (K = 21-48 over B <= 16), a few kB.
+    The forced run's continuants (q_{t-2}, q_{t-1}, q_t)(i), t = m_k - n_k,
+    append the run to any free digits in closed form (`through_run`).
+    A context keeps one root, one stack and one run triple per segment it
+    was asked for, at most k_max of each; a stack holds levels 0..K of
+    degree + 1 floats each (K = 21-48 over B <= 16), a few kB, and a run
+    triple three ints of about t log2 tau(i) bits each, about 23 kB at
+    segment 10 of the nu_hat = 1/3, nu = 1, i = 1 schedule (t = 88 572).
     """
 
     def __init__(self, spec: CantorSpec):
@@ -335,6 +348,7 @@ class MeasureContext:
         self.spec = spec
         self._s_tilde: Dict[int, DimEstimate] = {}
         self._stacks: Dict[int, transfer.SegmentStack] = {}
+        self._runs: Dict[int, Tuple[int, int, int]] = {}
 
     def seg_bounds(self, k: int) -> Tuple[int, int, int]:
         """(m_{k-1}, n_k, m_k) for 1-based segment k."""
@@ -361,6 +375,22 @@ class MeasureContext:
             self._stacks[k] = st
         return st
 
+    def run_continuants(self, k: int) -> Tuple[int, int, int]:
+        """(q_{t-2}, q_{t-1}, q_t) of segment k's forced run i^t, t = m_k - n_k."""
+        run = self._runs.get(k)
+        if run is None:
+            _, n_k, m_k = self.seg_bounds(k)
+            q1, q = denominators(repeat(self.spec.i, m_k - n_k))
+            run = (q - self.spec.i * q1, q1, q)
+            self._runs[k] = run
+        return run
+
+    def through_run(self, k: int, prev: int, cur: int) -> Tuple[int, int]:
+        """(q_{l-1}, q_l) of w i^t from (q(w-), q(w)) = (prev, cur), where
+        i^t is segment k's forced run: q(w i^t) = q(w) q_t + q(w-) q_{t-1}."""
+        r2, r1, r = self.run_continuants(k)
+        return cur * r1 + prev * r2, cur * r + prev * r1
+
 
 @functools.lru_cache(maxsize=16)
 def measure_context(spec: CantorSpec) -> MeasureContext:
@@ -368,17 +398,19 @@ def measure_context(spec: CantorSpec) -> MeasureContext:
     return MeasureContext(spec)
 
 
-def _segment_log_factor(ctx: MeasureContext, k: int, seg_digits: Sequence[int]) -> float:
-    """-2 s~_k log q_{l_k}(segment digits) for a complete segment."""
-    return -2.0 * ctx.s_tilde(k).value * log_int(denominators(seg_digits)[1])
+def _segment_log_factor(ctx: MeasureContext, k: int, free: Sequence[int]) -> float:
+    """-2 s~_k log q_{l_k} of complete segment k: its free digits, then its run."""
+    return -2.0 * ctx.s_tilde(k).value * log_int(ctx.through_run(k, *denominators(free))[1])
 
 
 def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     """Mass of the cylinder of an admissible prefix.
 
-    Complete segments contribute q_{l_k}^{-2 s~_k} of their own continuants;
-    a partially seen segment contributes its partial continuant power times
-    the operator-stack completion sum at the current continuant ratio.
+    Complete segments contribute q_{l_k}^{-2 s~_k} of their own continuants,
+    and so does a segment seen into its forced run, whose completion is
+    forced; a segment seen into its free part contributes its partial
+    continuant power times the operator-stack completion sum at the current
+    continuant ratio.
     """
     digits = tuple(map(int, prefix))
     validate_prefix(spec, digits)
@@ -388,21 +420,15 @@ def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     k = 1
     while True:
         m_prev, n_k, m_k = ctx.seg_bounds(k)
-        if L >= m_k:
-            lm += _segment_log_factor(ctx, k, digits[m_prev:m_k])
-            if L == m_k:
-                break
-            k += 1
-            continue
         if L <= m_prev:
             break
-        seg = digits[m_prev:L]
         if L > n_k:
-            # inside the forced run: single admissible completion
-            full = seg + (spec.i,) * (m_k - L)
-            lm += _segment_log_factor(ctx, k, full)
+            lm += _segment_log_factor(ctx, k, digits[m_prev:n_k])
+            if L > m_k:
+                k += 1
+                continue
         else:
-            q1, q = denominators(seg)
+            q1, q = denominators(digits[m_prev:L])
             # int true division rounds correctly: the float of the fraction q1/q
             st = ctx.stack(k)
             lm += -2.0 * ctx.s_tilde(k).value * log_int(q) + st.eval_log(n_k - L, q1 / q)
@@ -528,8 +554,9 @@ def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tup
     """Local dimension at every completed block boundary m_k in the prefix.
 
     One pass: at boundary m_k the mass is the running sum of the complete
-    segment factors, and one continuant recursion over the prefix gives
-    |I_{m_k}|; each value equals local_dimension(spec, prefix[:m_k]).
+    segment factors, and one continuant recursion over the prefix's free
+    digits, with each forced run appended in closed form, gives |I_{m_k}|;
+    each value equals local_dimension(spec, prefix[:m_k]).
     """
     digits = tuple(map(int, prefix))
     ends = [m_k for m_k in spec.sp.m if m_k <= len(digits)]
@@ -540,13 +567,12 @@ def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tup
     out = []
     lm = 0.0
     q_prev, q = 0, 1
-    m_prev = 0
     for k, m_k in enumerate(ends, start=1):
-        seg = digits[m_prev:m_k]
-        lm += _segment_log_factor(ctx, k, seg)
-        q_prev, q = denominators(seg, q_prev, q)
+        m_prev, n_k, _ = ctx.seg_bounds(k)
+        free = digits[m_prev:n_k]
+        lm += _segment_log_factor(ctx, k, free)
+        q_prev, q = ctx.through_run(k, *denominators(free, q_prev, q))
         out.append((m_k, lm / _log_length(q_prev, q)))
-        m_prev = m_k
     return tuple(out)
 
 
@@ -570,10 +596,10 @@ def insert_map(spec: CantorSpec, x_digits: Sequence[int]) -> InsertResult:
 
     Deleting the marked positions recovers the input exactly.
     """
-    digits = [int(a) for a in x_digits]
+    digits = list(map(int, x_digits))
     validate_prefix(spec, digits)
     sp = spec.sp
-    d = spec.marker
+    d = int(spec.marker)
     out: List[int] = []
     marked: List[int] = []
     n1 = sp.n[0]
@@ -593,12 +619,16 @@ def insert_map(spec: CantorSpec, x_digits: Sequence[int]) -> InsertResult:
             out.extend(digits[pos : pos + take])
             pos += take
         k += 1
-    return InsertResult(digits=digit_seq(out), marked=tuple(marked))
+    return InsertResult(digits=DigitSeq(tuple(out)), marked=tuple(marked))
 
 
 def delete_marked(res: InsertResult) -> Tuple[int, ...]:
-    marked = set(res.marked)
-    return tuple(a for j, a in enumerate(res.digits.digits, start=1) if j not in marked)
+    """The digits with the marked positions (increasing, as insert_map
+    returns them) removed: the slices between consecutive markers, joined."""
+    d = res.digits.digits
+    starts = (0,) + res.marked
+    ends = res.marked + (len(d) + 1,)
+    return tuple(chain.from_iterable(d[a : b - 1] for a, b in zip(starts, ends)))
 
 
 def inserted_record_blocks(spec: CantorSpec, k_max: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:

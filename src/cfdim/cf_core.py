@@ -96,7 +96,11 @@ class DigitSeq:
     complete: bool = False
 
     def __post_init__(self):
-        for a in self.digits:
+        d = self.digits
+        if not d or (min(d) >= 1 and max(d) <= MAX_DIGIT):
+            return
+        # some digit is out of range: name the first one
+        for a in d:
             if a < 1:
                 raise ValueError("partial quotients must be >= 1")
             if a > MAX_DIGIT:
@@ -113,7 +117,7 @@ class DigitSeq:
 
 
 def digit_seq(digits: Iterable[int], exhausted: bool = False, complete: bool = False) -> DigitSeq:
-    return DigitSeq(tuple(int(a) for a in digits), exhausted=exhausted, complete=complete)
+    return DigitSeq(tuple(map(int, digits)), exhausted=exhausted, complete=complete)
 
 
 # ---------------------------------------------------------------------------

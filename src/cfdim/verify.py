@@ -21,13 +21,22 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import dim_solver, exponents
-from .cf_core import RealInput, basic_interval, continuants, expand, run_continuant, run_continuant_closed_form
-from .errors import InsufficientBlocks
+from .cf_core import (
+    RealInput,
+    basic_interval,
+    continuants,
+    denominators,
+    expand,
+    run_continuant,
+    run_continuant_closed_form,
+)
+from .errors import InsufficientBlocks, NoConvergence, OutOfRange
 
 PHI = (1 + math.sqrt(5)) / 2
 DIGIT_CAP = 2**31 - 1
@@ -157,6 +166,9 @@ def sample_digit_matrix(seed: int, samples: int, n: int) -> np.ndarray:
     return out
 
 
+_DECIMAL_REDRAW_CAP = 200  # redraws before sample_digits_decimal gives up
+
+
 def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] = None) -> Tuple[Tuple[int, ...], int]:
     """Certified digits of one uniform sample via the decimal-budget pipeline.
 
@@ -164,10 +176,18 @@ def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] 
     and expands it as a decimal input with the same budget, so a digit counts
     only once the whole interval k / 2^bits +- 2^-bits lies inside its
     cylinder; redraws until n digits certify.  Returns (digits, redraws).
+
+    Raises OutOfRange, before any draw, when F_{n+1} F_{n+2} >= 2^(bits-1):
+    no cylinder of depth n is then wider than the interval, 2^(1-bits).
+    Raises NoConvergence after _DECIMAL_REDRAW_CAP redraws.
     """
     bits = max(64, bits if bits is not None else 4 * n + 64)
+    # the widest depth-n cylinder is that of 1^n: 1 / (F_{n+1} F_{n+2})
+    f1, f2 = denominators(repeat(1, n + 1))
+    if f1 * f2 >= 1 << (bits - 1):
+        raise OutOfRange(f"{bits} bits cannot certify {n} digits: no depth-{n} cylinder is wider than 2^{1 - bits}")
     redraws = 0
-    while True:
+    while redraws <= _DECIMAL_REDRAW_CAP:
         k = 0
         for _ in range(-(-bits // 53)):
             k = (k << 53) | int(rng.integers(0, 2**53))
@@ -179,6 +199,7 @@ def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] 
         if len(d.digits) >= n:
             return d.digits[:n], redraws
         redraws += 1
+    raise NoConvergence(f"{n} digits did not certify at {bits} bits in {_DECIMAL_REDRAW_CAP} redraws")
 
 
 # ---------------------------------------------------------------------------

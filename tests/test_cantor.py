@@ -29,7 +29,7 @@ from cfdim.cantor import (
     sample_measure,
     validate_prefix,
 )
-from cfdim.cf_core import continuants
+from cfdim.cf_core import continuants, denominators
 from cfdim.errors import Inadmissible, OutOfRange
 
 
@@ -305,6 +305,29 @@ def test_insert_map_roundtrip_and_density(spec13):
     assert all(a >= b for a, b in zip(dens[1:], dens[2:]))
 
 
+def _random_admissible(spec, L, rng):
+    return tuple(
+        spec.i if bound is None else int(rng.integers(1, bound + 1))
+        for pos in range(1, L + 1)
+        for bound in [cantor._bound_at(spec, pos)]
+    )
+
+
+def test_delete_marked_matches_set_reference(spec13):
+    def reference(res):
+        marked = set(res.marked)
+        return tuple(a for j, a in enumerate(res.digits.digits, start=1) if j not in marked)
+
+    rng = np.random.default_rng(17)
+    sp = spec13.sp
+    for L in [0, 1, sp.n[0], sp.n[0] + 1, sp.n[1], sp.n[1] + 1] + [int(L) for L in rng.integers(1, sp.m[4], 40)]:
+        res = insert_map(spec13, _random_admissible(spec13, L, rng))
+        assert delete_marked(res) == reference(res)
+    # adjacent and trailing markers
+    res = cantor.InsertResult(digits=cantor.digit_seq((4, 4, 1, 2, 4, 3, 4)), marked=(1, 2, 5, 7))
+    assert delete_marked(res) == reference(res) == (1, 2, 3)
+
+
 def test_insert_map_rejects_inadmissible(spec13):
     with pytest.raises(Inadmissible):
         insert_map(spec13, (2, 3, 2, 2, 2))
@@ -549,13 +572,40 @@ def test_local_dimension_series_matches_pointwise(spec13):
 
 def test_measure_mass_matches_continuant_reference(spec13):
     sp = spec13.sp
-    d = sample_measure(spec13, depth=sp.m[6], seed=8).digits
+    d = sample_measure(spec13, depth=sp.m[7], seed=8).digits
     depths = [0, 1, sp.n[0], sp.m[0]]
     for k in (3, 7):
         depths += [sp.m[k - 2] + 5, sp.n[k - 1], sp.n[k - 1] + 3, sp.m[k - 1] - 1, sp.m[k - 1]]
+    depths += [sp.n[7], sp.n[7] + 1, sp.m[7] - 1, sp.m[7]]
     for L in depths:
         prefix = d[:L]
         assert measure_mass(spec13, prefix).log_mass == _reference_log_mass(spec13, prefix)
+
+
+def test_local_dimension_series_matches_continuant_reference(spec13):
+    # masses and |I_{m_k}| from full continuant tables through every forced run, to m_8
+    d = sample_measure(spec13, depth=spec13.sp.m[7], seed=8).digits
+    want = []
+    for m in spec13.sp.m[:8]:
+        q = continuants(d[:m]).q
+        want.append((m, _reference_log_mass(spec13, d[:m]) / -(log_int(q[-1]) + log_int(q[-1] + q[-2]))))
+    assert local_dimension_series(spec13, d) == tuple(want)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_run_continuants_compose_onto_any_prefix(i):
+    rng = np.random.default_rng(i)
+    for t in range(1, 61):
+        ctx = MeasureContext(CantorSpec(B=i + 1, i=i, sp=SeqPair((2,), (2 + t,))))
+        run = (i,) * t
+        q2 = denominators((i,) * (t - 2))[1] if t >= 2 else 0
+        assert ctx.run_continuants(1) == (q2, *denominators(run))
+        for size in (0, 1, int(rng.integers(2, 40))):
+            w = tuple(int(a) for a in rng.integers(1, 12, size))
+            assert ctx.through_run(1, *denominators(w)) == denominators(w + run)
+            # continued from the pair of earlier digits
+            start = denominators(tuple(int(a) for a in rng.integers(1, 12, int(rng.integers(1, 30)))))
+            assert ctx.through_run(1, *denominators(w, *start)) == denominators(w + run, *start)
 
 
 def test_interp_matrix_unit_rows_at_nodes():

@@ -89,6 +89,26 @@ def test_expand_overflow():
         expand(RealInput.rational(1, big), 1)
 
 
+@pytest.mark.parametrize(
+    "digits,error",
+    [
+        ((3, 0, 2, 2**63), ValueError),
+        ((3, 2**63, 2, 0), Overflow),
+        ((0,), ValueError),
+        ((2**63,), Overflow),
+        ((1, 5, -4, 2**70), ValueError),
+        ((1, cf_core.MAX_DIGIT, 7), None),
+    ],
+)
+def test_digit_seq_names_first_bad_digit(digits, error):
+    # the range screen falls back to the digit loop, so the first bad digit decides
+    if error is None:
+        assert digit_seq(digits).digits == digits
+        return
+    with pytest.raises(error):
+        digit_seq(digits)
+
+
 def _certified_prefix(s, bits, n):
     """Longest prefix k <= n of v's digits whose cylinder strictly contains
     [v - 2^-bits, v + 2^-bits]; exhausted when it is shorter than n."""

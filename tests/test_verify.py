@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from cfdim import exponents, runlength
+from cfdim import exponents, runlength, verify
 from cfdim.cf_core import RealInput, expand
-from cfdim.errors import InsufficientBlocks
+from cfdim.errors import InsufficientBlocks, NoConvergence, OutOfRange
 from cfdim.verify import (
     LebesgueDigitChain,
     McConfig,
@@ -98,6 +98,43 @@ def test_sample_digits_decimal_matches_string_reference(n, bits):
     fast, ref = np.random.default_rng([n, 7]), np.random.default_rng([n, 7])
     for _ in range(20):
         assert sample_digits_decimal(fast, n, bits) == _sample_digits_via_string(ref, n, bits)
+
+
+def test_sample_digits_decimal_unchanged_at_seed_3():
+    # the range screen draws nothing, so the stream and the redraw counts stay
+    for n in (100, 400, 700, 1050):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        assert sample_digits_decimal(rng, n) == _sample_digits_via_string(ref, n)
+
+
+def _first_uncertifiable(bits):
+    # smallest n with F_{n+1} F_{n+2} >= 2^(bits-1)
+    n, f1, f2 = 0, 1, 1
+    while f1 * f2 < 1 << (bits - 1):
+        n, f1, f2 = n + 1, f2, f1 + f2
+    return n
+
+
+@pytest.mark.parametrize("bits", [64, 100])
+def test_sample_digits_decimal_rejects_budget_before_drawing(bits):
+    n = _first_uncertifiable(bits)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(OutOfRange):
+        sample_digits_decimal(rng, n, bits)
+    assert rng.bit_generator.state == state
+
+
+def test_sample_digits_decimal_redraw_cap(monkeypatch):
+    # one digit short of the screen, 64 bits almost never certify; it used to redraw forever
+    monkeypatch.setattr(verify, "_DECIMAL_REDRAW_CAP", 5)
+    with pytest.raises(NoConvergence):
+        sample_digits_decimal(np.random.default_rng(0), _first_uncertifiable(64) - 1, 64)
+    with pytest.raises(NoConvergence):
+        sample_digits_decimal(np.random.default_rng(0), 40, 64)
+    # a budget that certifies at once is untouched by the cap
+    digits, redraws = sample_digits_decimal(np.random.default_rng(0), 12, 64)
+    assert len(digits) == 12 and redraws <= 5
 
 
 def test_sample_digits_decimal_past_str_digit_limit():
