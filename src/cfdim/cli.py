@@ -241,7 +241,7 @@ def cmd_cantor(args) -> int:
 def _read_digit_file(path: str) -> List[int]:
     with open(path) as fh:
         toks = fh.read().replace(",", " ").split()
-    return [int(t) for t in toks]
+    return list(map(int, toks))
 
 
 def cmd_exponents(args) -> int:

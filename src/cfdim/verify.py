@@ -36,7 +36,7 @@ from .cf_core import (
     run_continuant,
     run_continuant_closed_form,
 )
-from .errors import InsufficientBlocks, NoConvergence, OutOfRange
+from .errors import InputOutOfRange, InsufficientBlocks, NoConvergence, OutOfRange
 
 PHI = (1 + math.sqrt(5)) / 2
 DIGIT_CAP = 2**31 - 1
@@ -118,14 +118,17 @@ def load_fixtures() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-_CHAIN_CHUNK = 8192  # uniforms drawn per sample at a time
+_CHAIN_CHUNK = 1024  # uniforms drawn per sample at a time
+_CLAMP_U = 2.0 / DIGIT_CAP  # a digit reaches DIGIT_CAP only from a uniform u <= this
+_CLAMP_FRACTION_BOUND = 1e-6  # clamped digits over samples x n_digits
 
 
 class LebesgueDigitChain:
     """Vectorized digit-by-digit sampler of the uniform-x digit process.
 
     Per-sample RNG streams are derived from (seed, sample index), so results
-    do not depend on batching.
+    do not depend on batching.  `clamps` counts the digits set to DIGIT_CAP,
+    the 1e-300 floor on t included.
     """
 
     def __init__(self, seed: int, samples: int):
@@ -135,24 +138,48 @@ class LebesgueDigitChain:
             for k in range(samples)
         ]
         self.r = np.zeros(samples)
+        self.clamps = 0
 
     def next_digits(self, steps: int) -> Iterable[np.ndarray]:
-        """Yield arrays of shape (samples,) of successive digits."""
+        """Yield fresh arrays of shape (samples,) of successive digits.
+
+        Each step is u / ((1 + r) - u r) floored at 1e-300, inverted, capped
+        at DIGIT_CAP, truncated and floored at 1, then r -> 1 / (digit + r).
+        The digit stays a float until it is yielded: every digit is an
+        integer below 2^53, so the float and the int64 digit are equal.
+        """
+        n, r = self.samples, self.r
+        den, t = np.empty(n), np.empty(n)
+        one, tiny, cap = np.ones(n), np.full(n, 1e-300), np.full(n, float(DIGIT_CAP))
+        width = min(_CHAIN_CHUNK, steps)
+        drawn = np.empty((n, width))  # one stream per row
+        by_step = np.empty((width, n))  # one step per row
+        add, sub, mul, div, recip = np.add, np.subtract, np.multiply, np.divide, np.reciprocal
+        maximum, minimum, trunc = np.maximum, np.minimum, np.trunc
         done = 0
-        tiny = np.float64(1e-300)
         while done < steps:
-            take = min(_CHAIN_CHUNK, steps - done)
-            U = np.empty((self.samples, take))
-            for k, g in enumerate(self._gens):
-                U[k] = g.random(take)
-            for j in range(take):
-                u = U[:, j]
-                t = u / ((1.0 + self.r) - u * self.r)
-                np.maximum(t, tiny, out=t)
-                a = np.minimum(1.0 / t, float(DIGIT_CAP))
-                digits = a.astype(np.int64)
-                np.maximum(digits, 1, out=digits)
-                self.r = 1.0 / (digits + self.r)
+            take = min(width, steps - done)
+            block = drawn[:, :take]
+            for row, g in zip(block, self._gens):
+                g.random(out=row)
+            U = by_step[:take]
+            U[...] = block.T
+            screened = U.min() <= _CLAMP_U
+            for u in U:
+                add(one, r, out=den)
+                mul(u, r, out=t)
+                sub(den, t, out=den)
+                div(u, den, out=t)
+                maximum(t, tiny, out=t)
+                recip(t, out=t)
+                minimum(t, cap, out=t)
+                trunc(t, out=t)
+                maximum(t, one, out=t)
+                digits = t.astype(np.int64)
+                add(t, r, out=den)
+                recip(den, out=r)
+                if screened:
+                    self.clamps += int(np.count_nonzero(digits == DIGIT_CAP))
                 yield digits
             done += take
 
@@ -219,10 +246,15 @@ class RunMaxTracker:
         self.cur = np.zeros(samples, dtype=np.int64)
         self.rmax = np.zeros(samples, dtype=np.int64)
         self.series: List[Dict[str, float]] = []
+        self._one = np.ones(samples, dtype=np.int64)
+        self._same = np.empty(samples, dtype=bool)
 
     def push(self, digits: np.ndarray) -> None:
+        """Feed the next digit row; it is kept, not copied, until the next push."""
         self.pos += 1
-        self.cur = np.where(digits == self.last, self.cur + 1, 1)
+        np.equal(digits, self.last, out=self._same)
+        np.multiply(self.cur, self._same, out=self.cur)
+        np.add(self.cur, self._one, out=self.cur)
         np.maximum(self.rmax, self.cur, out=self.rmax)
         self.last = digits
 
@@ -230,8 +262,9 @@ class RunMaxTracker:
         ratio = self.rmax / math.log(self.pos, PHI)
         self.series.append({"horizon": self.pos, "mean": float(ratio.mean()), "std": float(ratio.std())})
 
-    def report(self, cfg: McConfig, fixtures: Dict) -> Report:
-        """Sample mean of R_n / log_phi(n) per snapshot; its a.e. limit is 1/2."""
+    def report(self, cfg: McConfig, fixtures: Dict, clamps: int) -> Report:
+        """Sample mean of R_n / log_phi(n) per snapshot; its a.e. limit is 1/2.
+        `clamps` is the chain's count of digits set to DIGIT_CAP."""
         fx = fixtures[self.suite]
         rep = Report(self.suite, series=list(self.series), config=asdict(cfg))
         lo, hi = fx["mean_bounds"]
@@ -240,7 +273,8 @@ class RunMaxTracker:
             trend = abs(r1["mean"] - 0.5) - abs(r0["mean"] - 0.5)
             name = f"approaches_half_{r0['horizon']}_to_{r1['horizon']}"
             rep.add(name, trend, -math.inf, fx["trend_slack"])
-        rep.add("redraw_count", 0.0, 0.0, 0.0)
+        # under the exact law a digit is >= DIGIT_CAP at rate log2(1 + 1/DIGIT_CAP) ~ 6.7e-10
+        rep.add("clamp_fraction", clamps / (cfg.samples * cfg.n_digits), 0.0, _CLAMP_FRACTION_BOUND)
         return rep
 
 
@@ -259,16 +293,25 @@ class RecordTracker:
         self._closed: List[List[Tuple[int, int]]] = [[] for _ in range(samples)]
         self.series: List[Dict[str, float]] = []
         self.hat_le_nu_violations = 0
+        self._i = np.full(samples, i, dtype=np.int64)
+        self._one = np.ones(samples, dtype=np.int64)
+        self._isi = np.empty(samples, dtype=bool)
+        self._ended = np.empty(samples, dtype=bool)
 
     def push(self, digits: np.ndarray) -> None:
         self.pos += 1
-        isi = digits == self.i
-        ended = (~isi) & (self.runlen > 0)
-        for k in np.nonzero(ended & (self.runlen > self.best))[0]:
-            rl = int(self.runlen[k])
-            self._closed[k].append((self.pos - 1 - rl, self.pos - 1))
-            self.best[k] = rl
-        self.runlen = np.where(isi, self.runlen + 1, 0)
+        isi, ended = self._isi, self._ended
+        np.equal(digits, self._i, out=isi)
+        # a run longer than the best record ends here: runlen > best >= 0 and digit != i
+        np.greater(self.runlen, self.best, out=ended)
+        np.greater(ended, isi, out=ended)
+        if np.count_nonzero(ended):
+            for k in np.flatnonzero(ended):
+                rl = int(self.runlen[k])
+                self._closed[k].append((self.pos - 1 - rl, self.pos - 1))
+                self.best[k] = rl
+        np.add(self.runlen, self._one, out=self.runlen)
+        np.multiply(self.runlen, isi, out=self.runlen)
 
     def records(self, k: int) -> Tuple[Tuple[int, int], ...]:
         """Record blocks of sample k, the still-open run included when it is one."""
@@ -307,10 +350,10 @@ class RecordTracker:
         return rep
 
 
-def _walk(cfg: McConfig, trackers: Sequence) -> None:
+def _walk(cfg: McConfig, trackers: Sequence) -> int:
     """Push every digit row of one seeded chain to each tracker, and take a
     snapshot of each at the horizons 10^4, 10^5, 10^6 below n_digits and at
-    n_digits."""
+    n_digits.  Returns the chain's clamp count."""
     horizons = {h for h in (10_000, 100_000, 1_000_000) if h < cfg.n_digits} | {cfg.n_digits}
     chain = LebesgueDigitChain(cfg.seed, cfg.samples)
     for pos, digits in enumerate(chain.next_digits(cfg.n_digits), 1):
@@ -319,13 +362,21 @@ def _walk(cfg: McConfig, trackers: Sequence) -> None:
         if pos in horizons:
             for t in trackers:
                 t.snapshot()
+    return chain.clamps
+
+
+def _check_runlength_horizon(cfg: McConfig) -> None:
+    if cfg.n_digits < 2:
+        raise InputOutOfRange("the run-length law needs n_digits >= 2: log_phi(n) is 0 at n = 1")
 
 
 def mc_runlength(cfg: McConfig, fixtures: Optional[Dict] = None) -> Report:
-    """Run-length law R_n / log_phi(n) -> 1/2 across uniform samples."""
+    """Run-length law R_n / log_phi(n) -> 1/2 across uniform samples.
+    Raises InputOutOfRange when n_digits < 2."""
+    _check_runlength_horizon(cfg)
     tracker = RunMaxTracker(cfg.samples)
-    _walk(cfg, [tracker])
-    return tracker.report(cfg, fixtures or load_fixtures())
+    clamps = _walk(cfg, [tracker])
+    return tracker.report(cfg, fixtures or load_fixtures(), clamps)
 
 
 def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Report:
@@ -337,11 +388,12 @@ def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Re
 
 def mc_laws(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Tuple[Report, Report]:
     """The mc_runlength and mc_nu_zero reports from one chain walk, each
-    equal to its standalone suite's."""
+    equal to its standalone suite's.  Raises InputOutOfRange when n_digits < 2."""
+    _check_runlength_horizon(cfg)
     fixtures = fixtures or load_fixtures()
     runs, records = RunMaxTracker(cfg.samples), RecordTracker(cfg.samples, i)
-    _walk(cfg, [runs, records])
-    return runs.report(cfg, fixtures), records.report(cfg, fixtures)
+    clamps = _walk(cfg, [runs, records])
+    return runs.report(cfg, fixtures, clamps), records.report(cfg, fixtures)
 
 
 # ---------------------------------------------------------------------------

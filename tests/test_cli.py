@@ -138,6 +138,23 @@ def test_runlength_command(tmp_path, capsys):
     assert payload["R"] == [1, 1, 2, 2, 2, 2, 3, 3]
 
 
+def test_digit_file_bad_token_exit2(tmp_path, capsys):
+    path = tmp_path / "d.digits"
+    path.write_text("1, 2 x3 2")
+    assert main(["runlength", "--input", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_runlength_single_digit_exit3(capsys):
+    # R_n / log_phi(n) has no value at n = 1
+    assert main(["verify", "--suite", "runlength", "--samples", "3", "--n", "1"]) == 3
+    assert capsys.readouterr().out == ""
+    rc, out = run_cli(["verify", "--suite", "runlength", "--samples", "3", "--n", "2"], capsys)
+    assert rc in (0, 1)
+    assert "Infinity" not in out and "NaN" not in out
+    assert json.loads(out)["report"]["series"][0]["horizon"] == 2
+
+
 def test_verify_lemmas_exit_zero(capsys):
     rc, out = run_cli(["verify", "--suite", "lemmas", "--seed", "1"], capsys)
     assert rc == 0

@@ -8,8 +8,9 @@ import pytest
 
 from cfdim import exponents, runlength, verify
 from cfdim.cf_core import RealInput, expand
-from cfdim.errors import InsufficientBlocks, NoConvergence, OutOfRange
+from cfdim.errors import InputOutOfRange, InsufficientBlocks, NoConvergence, OutOfRange
 from cfdim.verify import (
+    DIGIT_CAP,
     LebesgueDigitChain,
     McConfig,
     RecordTracker,
@@ -54,6 +55,79 @@ def test_chain_deterministic_and_stream_independent():
     # per-sample streams: the first rows of a 3-sample and an 8-sample batch agree
     c = sample_digit_matrix(77, 3, 500)
     assert (a[:3] == c).all()
+
+
+def _chain_oracle(seed, samples, n):
+    # the chain's law step by step: invert u -> (1+r) u / (1 + r u), cap, truncate, r -> 1/(digit + r)
+    gens = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))) for k in range(samples)]
+    U = np.array([g.random(n) for g in gens])
+    r = np.zeros(samples)
+    out = np.empty((samples, n), dtype=np.int64)
+    for j in range(n):
+        u = U[:, j]
+        t = np.maximum(u / ((1.0 + r) - u * r), 1e-300)
+        d = np.maximum(np.minimum(1.0 / t, float(DIGIT_CAP)).astype(np.int64), 1)
+        r = 1.0 / (d + r)
+        out[:, j] = d
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 20260809])
+def test_chain_digits_equal_step_oracle(seed):
+    n = 2 * verify._CHAIN_CHUNK + 37  # crosses two chunk edges
+    assert np.array_equal(sample_digit_matrix(seed, 7, n), _chain_oracle(seed, 7, n))
+
+
+def test_chain_digits_independent_of_chunk_width(monkeypatch):
+    ref = sample_digit_matrix(12, 5, 300)
+    monkeypatch.setattr(verify, "_CHAIN_CHUNK", 7)
+    assert np.array_equal(sample_digit_matrix(12, 5, 300), ref)
+
+
+def test_chain_rows_stay_put():
+    # trackers keep the previous row, so a later step must not write into it
+    chain = LebesgueDigitChain(4, 6)
+    rows, copies = [], []
+    for digits in chain.next_digits(2 * verify._CHAIN_CHUNK + 5):
+        assert digits.shape == (6,) and digits.dtype == np.int64
+        rows.append(digits)
+        copies.append(digits.copy())
+    assert all(np.array_equal(a, b) for a, b in zip(rows, copies))
+
+
+class _FixedStream:
+    """Stands in for a sample's Generator: hands out preset uniforms."""
+
+    def __init__(self, u):
+        self.u, self.pos = np.asarray(u, dtype=float), 0
+
+    def random(self, out):
+        out[...] = self.u[self.pos:self.pos + out.size]
+        self.pos += out.size
+
+
+def test_chain_counts_clamped_digits(monkeypatch):
+    monkeypatch.setattr(verify, "_CHAIN_CHUNK", 4)
+    # u = 0 hits the 1e-300 floor; u = 2^-40 gives a digit above DIGIT_CAP; 2 / DIGIT_CAP sits on the screen
+    streams = [[0.5, 0.0, 0.3, 0.7, 0.2, 0.9, 2.0**-40, 0.1, 0.4], [0.1] * 9, [2 / DIGIT_CAP, 0.0] + [0.6] * 7]
+    chain = LebesgueDigitChain(0, 3)
+    chain._gens = [_FixedStream(u) for u in streams]
+    M = np.array(list(chain.next_digits(9))).T
+    assert chain.clamps == np.count_nonzero(M == DIGIT_CAP) == 3
+    assert M[0, 1] == M[0, 6] == M[2, 1] == DIGIT_CAP and M[2, 0] < DIGIT_CAP
+
+
+def test_clamp_fraction_check():
+    cfg = McConfig(seed=1, samples=4, n_digits=50)
+    tracker = RunMaxTracker(4)
+    for digits in sample_digit_matrix(1, 4, 50).T:
+        tracker.push(digits)
+    tracker.snapshot()
+    fx = load_fixtures()
+    ok = [c for c in tracker.report(cfg, fx, 0).checks if c.name == "clamp_fraction"]
+    bad = [c for c in tracker.report(cfg, fx, 1).checks if c.name == "clamp_fraction"]
+    assert ok[0].passed and ok[0].statistic == 0.0 and ok[0].bound == (0.0, 1e-6)
+    assert not bad[0].passed and bad[0].statistic == 1 / 200
 
 
 def test_chain_agrees_with_decimal_pipeline_in_distribution():
@@ -154,6 +228,12 @@ def test_mc_runlength_small_scale():
     assert rep.passed
     assert rep.series[-1]["horizon"] == 20_000
     assert 0.3 <= rep.series[-1]["mean"] <= 0.7
+
+
+@pytest.mark.parametrize("suite", [mc_runlength, mc_laws])
+def test_runlength_law_needs_two_digits(suite):
+    with pytest.raises(InputOutOfRange):
+        suite(McConfig(seed=1, samples=3, n_digits=1))
 
 
 def test_mc_runlength_deterministic():
