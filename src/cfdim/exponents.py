@@ -71,24 +71,6 @@ def decompose(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
     return BlockDecomposition(i=i, raw_blocks=tuple(raw), record_blocks=tuple(select_records(raw)))
 
 
-def decompose_oracle(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
-    """Brute-force reference: scan positions one by one."""
-    a = digit_array(d).tolist()
-    raw = []
-    pos = 0
-    while pos < len(a):
-        if a[pos] == i:
-            start = pos
-            while pos < len(a) and a[pos] == i:
-                pos += 1
-            raw.append((start, pos))
-        else:
-            pos += 1
-    if not raw:
-        raise NoBlocks(f"digit {i} never occurs")
-    return BlockDecomposition(i=i, raw_blocks=tuple(raw), record_blocks=tuple(select_records(raw)))
-
-
 def exponent_estimates(bd: BlockDecomposition, horizon: int) -> ExponentEstimate:
     """Finite-scale exponents from record blocks within the horizon.
 

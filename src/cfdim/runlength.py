@@ -86,18 +86,3 @@ def ratio_estimates(rp: RunProfile, tail_fraction: float = 0.5) -> RatioEstimate
         window=(k_min, n),
     )
 
-
-def run_profile_oracle(d: Sequence[int] | DigitSeq) -> np.ndarray:
-    """Quadratic brute force: R_n by checking every (start, length) pair."""
-    a = digit_array(d).tolist()
-    n = len(a)
-    R = np.zeros(n, dtype=np.int64)
-    for m in range(1, n + 1):
-        best = 1
-        for i in range(m):
-            l = 1
-            while i + l < m and a[i + l] == a[i]:
-                l += 1
-            best = max(best, l)
-        R[m - 1] = best
-    return R

@@ -338,7 +338,10 @@ class RecordTracker:
 
     def report(self, cfg: McConfig, fixtures: Dict) -> Report:
         """Fraction of samples with nu estimate > 0.05 per snapshot; the a.e.
-        value of nu is 0, so the fraction must shrink along horizons."""
+        value of nu is 0, so the fraction must shrink along horizons.  Raises
+        InputOutOfRange when no sample has an estimate at the top horizon."""
+        if not self.series[-1]["samples_used"]:
+            raise InputOutOfRange(f"no sample has enough records of {self.i} for a nu estimate by n = {self.pos}")
         fx = fixtures[self.suite]
         rep = Report(self.suite, series=list(self.series), config={**asdict(cfg), "i": self.i})
         rep.add("exceed_fraction_at_top_horizon", self.series[-1]["exceed_fraction"], 0.0, fx["exceed_bound"])
@@ -380,7 +383,8 @@ def mc_runlength(cfg: McConfig, fixtures: Optional[Dict] = None) -> Report:
 
 
 def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Report:
-    """Asymptotic-exponent law nu = 0 against y = [i, i, ...] across uniform samples."""
+    """Asymptotic-exponent law nu = 0 against y = [i, i, ...] across uniform
+    samples.  Raises InputOutOfRange when no sample has an estimate at n_digits."""
     tracker = RecordTracker(cfg.samples, i)
     _walk(cfg, [tracker])
     return tracker.report(cfg, fixtures or load_fixtures())
@@ -388,7 +392,8 @@ def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Re
 
 def mc_laws(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Tuple[Report, Report]:
     """The mc_runlength and mc_nu_zero reports from one chain walk, each
-    equal to its standalone suite's.  Raises InputOutOfRange when n_digits < 2."""
+    equal to its standalone suite's.  Raises InputOutOfRange when n_digits < 2
+    or when no sample has a nu estimate at n_digits."""
     _check_runlength_horizon(cfg)
     fixtures = fixtures or load_fixtures()
     runs, records = RunMaxTracker(cfg.samples), RecordTracker(cfg.samples, i)

@@ -155,6 +155,12 @@ def test_verify_runlength_single_digit_exit3(capsys):
     assert json.loads(out)["report"]["series"][0]["horizon"] == 2
 
 
+def test_verify_nu_zero_without_estimates_exit3(capsys):
+    # no sample has a nu estimate at n = 1: a fraction over no samples would pass vacuously
+    assert main(["verify", "--suite", "nu_zero", "--samples", "3", "--n", "1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_lemmas_exit_zero(capsys):
     rc, out = run_cli(["verify", "--suite", "lemmas", "--seed", "1"], capsys)
     assert rc == 0

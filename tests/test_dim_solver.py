@@ -252,6 +252,83 @@ def test_predim_tilde_operator_backend_agrees(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# root solving
+# ---------------------------------------------------------------------------
+
+
+def _bisect_oracle(F, width, lo=0.0, hi=2.0, hi_cap=64.0):
+    """Oracle: plain bisection, one F call per midpoint."""
+    if F(lo) <= 0:
+        return 0.0, (0.0, 0.0)
+    f_hi = F(hi)
+    while f_hi > 0:
+        lo, hi = hi, 2 * hi
+        if hi > hi_cap:
+            raise NoConvergence("no sign change")
+        f_hi = F(hi)
+    if not f_hi < 0:
+        raise NoConvergence("no finite root")
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if F(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), (lo, hi)
+
+
+def _counted(F):
+    calls = []
+
+    def G(x):
+        calls.append(x)
+        return F(x)
+
+    return G, calls
+
+
+def _random_roots(rng):
+    """(kind, F, width, solver keywords) of seeded random roots of every F kind."""
+    for _ in range(10):
+        B, i = int(rng.integers(1, 129)), int(rng.integers(1, 4))
+        af = Fraction(int(rng.integers(0, 89)), 89)
+        coeff = 2.0 * float(af / (1 - af)) * ds.log_tau(i)
+        F = lambda s, B=B, coeff=coeff: spectral_pressure(B, s) - coeff * s
+        yield "spectral", F, ds._SPECTRAL_WIDTH, {"hi": 1.0, "hi_cap": 8.0}
+    for width in (1e-12, 1e-14):
+        for _ in range(8):
+            B, n = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+            tail = int(rng.integers(0, 30))
+            spec = SumKernelSpec(n, tail_i=tail, tail_digit=int(rng.integers(1, 4)), scale_log=float(rng.random()) * n)
+            yield "sum_power", lambda rho, B=B, spec=spec: sum_power(B, spec, rho), width, {}
+    for _ in range(4):
+        B, i = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        free, tail = int(rng.integers(15, 3000)), int(rng.integers(1, 9000))
+        F = lambda s, B=B, i=i, free=free, tail=tail: ds.transfer.segment_log_sum(B, i, free, tail, s)
+        yield "segment", F, 4e-16, {}
+    for _ in range(4):
+        # a line plus deterministic noise of 2e-9, a fifth of the floor: near the root its signs are noise
+        r = float(rng.random())
+        yield "noisy", lambda x, r=r: r - x + 2e-9 * math.sin(1e12 * x), 1e-14, {}
+
+
+def test_solver_returns_plain_bisection_bits_from_fewer_evaluations():
+    calls = {"spectral": [], "sum_power": [], "segment": [], "noisy": []}
+    for kind, F, width, kw in _random_roots(np.random.default_rng(20261018)):
+        G, new_calls = _counted(F)
+        H, old_calls = _counted(F)
+        assert ds.solve_decreasing_root(G, width, **kw) == _bisect_oracle(H, width, **kw)
+        assert len(new_calls) <= len(old_calls) + ds._FALSI_STEPS + 2
+        calls[kind].append((len(new_calls), len(old_calls)))
+    spectral = calls["spectral"]
+    assert sum(n for n, _ in spectral) / len(spectral) <= 12
+    for kind in ("spectral", "sum_power", "segment"):
+        assert sum(n for n, _ in calls[kind]) < 0.6 * sum(o for _, o in calls[kind]), kind
+
+
+# ---------------------------------------------------------------------------
 # spectral route
 # ---------------------------------------------------------------------------
 

@@ -6,9 +6,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cfdim.errors import EmptyWindow
-from cfdim.runlength import RunProfile, maximal_runs, ratio_estimates, run_profile, run_profile_oracle
+from cfdim.runlength import RunProfile, maximal_runs, ratio_estimates, run_profile
 
 digit_lists = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=200)
+
+
+def _run_profile_oracle(digits):
+    """Oracle: R_n by checking every (start, length) pair, quadratic."""
+    a = [int(x) for x in digits]
+    R = np.zeros(len(a), dtype=np.int64)
+    for m in range(1, len(a) + 1):
+        best = 1
+        for i in range(m):
+            l = 1
+            while i + l < m and a[i + l] == a[i]:
+                l += 1
+            best = max(best, l)
+        R[m - 1] = best
+    return R
 
 
 def test_profile_examples():
@@ -43,7 +58,7 @@ def test_maximal_runs_tile_the_digits(digits):
 
 @given(digit_lists)
 def test_profile_matches_quadratic_oracle(digits):
-    assert (run_profile(digits).R == run_profile_oracle(digits)).all()
+    assert (run_profile(digits).R == _run_profile_oracle(digits)).all()
 
 
 def test_profile_matches_oracle_randomized():
@@ -51,7 +66,7 @@ def test_profile_matches_oracle_randomized():
     for _ in range(1000):
         n = int(rng.integers(1, 201))
         digits = rng.integers(1, 4, size=n)
-        assert (run_profile(digits).R == run_profile_oracle(digits)).all()
+        assert (run_profile(digits).R == _run_profile_oracle(digits)).all()
 
 
 def test_ratio_estimates_all_ones():

@@ -236,6 +236,13 @@ def test_runlength_law_needs_two_digits(suite):
         suite(McConfig(seed=1, samples=3, n_digits=1))
 
 
+@pytest.mark.parametrize("suite", [mc_nu_zero, mc_laws])
+def test_nu_law_needs_a_sample_with_an_estimate(suite):
+    # five digits of three samples hold too few records for any nu estimate
+    with pytest.raises(InputOutOfRange, match="no sample"):
+        suite(McConfig(seed=1, samples=3, n_digits=5))
+
+
 def test_mc_runlength_deterministic():
     a = mc_runlength(McConfig(seed=9, samples=10, n_digits=5_000))
     b = mc_runlength(McConfig(seed=9, samples=10, n_digits=5_000))
