@@ -10,23 +10,21 @@ from the measure, probes local dimensions, and applies the marker-digit
 insertion map that pins the exponents of the image points.
 
 Masses and conditional sampling run on per-segment transfer-operator stacks
-(see cfdim.transfer), so depths far beyond enumeration range stay cheap.  The
-per-digit work stays in numpy and the int kernels: a sampled digit is one
-inverse-CDF draw over B weights, a prefix is checked one schedule interval at
-a time, and masses need only the denominators q_{n-1}, q_n of their digits
+(see cfdim.transfer), so depths far beyond enumeration range stay cheap.  A
+sampled digit is one uniform compared with a per-segment bracket table of
+the digit law, and an inverse-CDF draw over B weights in numpy only where
+the table cannot decide; a prefix is checked one schedule interval at a
+time, and masses need only the denominators q_{n-1}, q_n of their digits
 (cf_core.denominators); local dimensions at all block boundaries share one
 pass over the prefix.  The recursion runs over free digits only: each
 segment's forced run i^t is appended in closed form,
 
     q(w i^t) = q(w) q_t(i) + q(w-) q_{t-1}(i),
 
-from the run continuants q_{t-2}, q_{t-1}, q_t(i) that the context computes
-once per segment.  The integers are the ones the recursion through the run
-gives.
-
-Segment roots, stacks and run continuants are cached per spec in a
-MeasureContext, and measure_context keeps the contexts of the 16 most
-recently used specs.
+from the run continuants q_{t-2}, q_{t-1}, q_t(i) (cf_core.run_continuants).
+Segment roots, stacks, run continuants and bracket tables are cached per
+spec in a MeasureContext, and measure_context keeps the contexts of the 16
+most recently used specs.
 """
 
 from __future__ import annotations
@@ -34,18 +32,19 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from bisect import bisect_left
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
 
 from . import dim_solver, transfer
-from .cf_core import DigitSeq, denominators, digit_seq
+from .cf_core import DigitSeq, denominators, digit_seq, run_continuants
 from .dim_solver import DimEstimate, to_fraction
 from .errors import Inadmissible, NoConvergence, OutOfRange
 
@@ -104,13 +103,6 @@ class SeqPair:
     def run_length(self, k: int) -> int:
         """Length of the k-th run (1-based k)."""
         return self.m[k - 1] - self.n[k - 1]
-
-    def run_index_of(self, pos: int) -> Optional[int]:
-        """1-based k with n_k < pos <= m_k, or None for a free position."""
-        j = bisect_left(self.m, pos)
-        if j < len(self.m) and self.n[j] < pos <= self.m[j]:
-            return j + 1
-        return None
 
 
 def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
@@ -302,12 +294,6 @@ def validate_prefix(spec: CantorSpec, prefix: Sequence[int]) -> None:
                     raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
 
 
-def designed_records(spec: CantorSpec, k_max: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
-    sp = spec.sp
-    k = sp.k_max if k_max is None else min(k_max, sp.k_max)
-    return tuple((sp.n[j], sp.m[j]) for j in range(k))
-
-
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -320,10 +306,6 @@ class MeasureNode:
     digits: Tuple[int, ...]
     log_mass: float
 
-    @property
-    def mass(self) -> float:
-        return math.exp(self.log_mass)
-
 
 class MeasureContext:
     """Per-spec cache: segment exponents s~_{l_k} and operator stacks.
@@ -335,11 +317,12 @@ class MeasureContext:
     depth from them, which yields node masses and conditional digit laws.
     The forced run's continuants (q_{t-2}, q_{t-1}, q_t)(i), t = m_k - n_k,
     append the run to any free digits in closed form (`through_run`).
-    A context keeps one root, one stack and one run triple per segment it
-    was asked for, at most k_max of each; a stack holds levels 0..K of
-    degree + 1 floats each (K = 21-48 over B <= 16), a few kB, and a run
-    triple three ints of about t log2 tau(i) bits each, about 23 kB at
-    segment 10 of the nu_hat = 1/3, nu = 1, i = 1 schedule (t = 88 572).
+    Per segment asked for (at most k_max) a context keeps one root; one
+    stack, levels 0..K of degree + 1 floats (K = 21-48 over B <= 16), a few
+    kB; one run triple, three ints of about t log2 tau(i) bits, 23 kB at
+    segment 10 of the nu_hat = 1/3, nu = 1, i = 1 schedule (t = 88 572); and
+    one sampler table (`cdf_table`), 2 (_CDF_CELLS + 1)(B - 1) doubles, 8 kB
+    at B = 3 and 62 kB at B = 16.
     """
 
     def __init__(self, spec: CantorSpec):
@@ -349,6 +332,7 @@ class MeasureContext:
         self._s_tilde: Dict[int, DimEstimate] = {}
         self._stacks: Dict[int, transfer.SegmentStack] = {}
         self._runs: Dict[int, Tuple[int, int, int]] = {}
+        self._tables: Dict[int, Optional[Tuple[array, array]]] = {}
 
     def seg_bounds(self, k: int) -> Tuple[int, int, int]:
         """(m_{k-1}, n_k, m_k) for 1-based segment k."""
@@ -357,39 +341,38 @@ class MeasureContext:
         return m_prev, sp.n[k - 1], sp.m[k - 1]
 
     def s_tilde(self, k: int) -> DimEstimate:
-        est = self._s_tilde.get(k)
-        if est is None:
+        if k not in self._s_tilde:
             m_prev, n_k, m_k = self.seg_bounds(k)
-            est = dim_solver.predim_tilde(self.spec.B, self.spec.i, (m_k - m_prev, m_k - n_k))
-            self._s_tilde[k] = est
-        return est
+            self._s_tilde[k] = dim_solver.predim_tilde(self.spec.B, self.spec.i, (m_k - m_prev, m_k - n_k))
+        return self._s_tilde[k]
 
     def stack(self, k: int) -> transfer.SegmentStack:
-        st = self._stacks.get(k)
-        if st is None:
+        if k not in self._stacks:
             m_prev, n_k, m_k = self.seg_bounds(k)
-            st = transfer.segment_stack(
-                self.spec.B, self.spec.i, n_k - m_prev, m_k - n_k,
-                self.s_tilde(k).value, keep_levels=True,
+            self._stacks[k] = transfer.segment_stack(
+                self.spec.B, self.spec.i, n_k - m_prev, m_k - n_k, self.s_tilde(k).value, keep_levels=True
             )
-            self._stacks[k] = st
-        return st
+        return self._stacks[k]
 
     def run_continuants(self, k: int) -> Tuple[int, int, int]:
         """(q_{t-2}, q_{t-1}, q_t) of segment k's forced run i^t, t = m_k - n_k."""
-        run = self._runs.get(k)
-        if run is None:
+        if k not in self._runs:
             _, n_k, m_k = self.seg_bounds(k)
-            q1, q = denominators(repeat(self.spec.i, m_k - n_k))
-            run = (q - self.spec.i * q1, q1, q)
-            self._runs[k] = run
-        return run
+            self._runs[k] = run_continuants(self.spec.i, m_k - n_k)
+        return self._runs[k]
 
     def through_run(self, k: int, prev: int, cur: int) -> Tuple[int, int]:
         """(q_{l-1}, q_l) of w i^t from (q(w-), q(w)) = (prev, cur), where
         i^t is segment k's forced run: q(w i^t) = q(w) q_t + q(w-) q_{t-1}."""
         r2, r1, r = self.run_continuants(k)
         return cur * r1 + prev * r2, cur * r + prev * r1
+
+    def cdf_table(self, k: int) -> Optional[Tuple[array, array]]:
+        """Segment k's sampler table (lo, hi) (see _sample_segment_free), or None when
+        no free digit has more than K left (free - 1 <= K) or that law is not finite."""
+        if k not in self._tables:
+            self._tables[k] = _cdf_brackets(self, k)
+        return self._tables[k]
 
 
 @functools.lru_cache(maxsize=16)
@@ -448,14 +431,69 @@ def _allowed_run(spec: CantorSpec, k: int) -> int:
     return spec.sp.run_length(k - 1)
 
 
+def _digit_cdf(k: int, m2s: float, interp, level: np.ndarray, ar: np.ndarray) -> np.ndarray:
+    """CDF of segment k's digit law over a = 1..B along the last axis of
+    ar = a + r (a row per state r), log completion sums `level` at the nodes."""
+    logw = m2s * np.log(ar) + (interp((1.0 / ar).ravel()) @ level).reshape(ar.shape)
+    top = logw.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        # NaN or +inf (max propagates NaN); below, every exp(logw - top) is in [0, 1]
+        raise ValueError(f"segment {k}: log-weights {logw.tolist()} are not finite")
+    w = np.exp(logw - top)
+    w /= w.sum(axis=-1, keepdims=True)
+    cdf = w.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+_CDF_CELLS = 256  # cells of the sampler bracket table over r in [0, 1]
+_CDF_CHUNK = 64  # cell ends per vectorized block of a table build
+
+
+def _cdf_brackets(ctx: MeasureContext, k: int) -> Optional[Tuple[array, array]]:
+    """(lo, hi) in array('d'), row-major over (cell, boundary b < B - 1): row c <
+    _CDF_CELLS covers r in [c, c + 1] / _CDF_CELLS, row _CDF_CELLS r = 1; one margin
+    for all b keeps rows nondecreasing, as bisect needs."""
+    st = ctx.stack(k)
+    level = st.levels[-1]
+    if st.free <= len(st.levels) or not (np.isfinite(level).all() and math.isfinite(st.step)):
+        return None
+    B, m2s = ctx.spec.B, -2.0 * ctx.s_tilde(k).value
+    interp = transfer.get_grid(st.degree).interp_matrix
+    ends = np.empty((_CDF_CELLS + 1, B - 1))  # the law at the cell ends, in blocks of rows
+    for c0 in range(0, _CDF_CELLS + 1, _CDF_CHUNK):
+        ar = np.arange(1, B + 1) + np.arange(c0, min(c0 + _CDF_CHUNK, _CDF_CELLS + 1))[:, None] / _CDF_CELLS
+        ends[c0 : c0 + len(ar)] = _digit_cdf(k, m2s, interp, level, ar)[:, :-1]
+    size = max(1.0, float(np.abs(level).max()) + st.free * abs(st.step))  # M, the largest level magnitude
+    rounding = np.finfo(np.float64).eps * (16.0 * (st.degree + 1) * size + B + 3)
+    margin = 2.0 * np.abs(np.diff(ends, 2, axis=0)).max() + rounding
+    lo = np.vstack([np.minimum(ends[:-1], ends[1:]), ends[-1:]]) - margin
+    hi = np.vstack([np.maximum(ends[:-1], ends[1:]), ends[-1:]]) + margin
+    return array("d", lo.tobytes()), array("d", hi.tobytes())
+
+
 def _sample_segment_free(
     ctx: MeasureContext, k: int, rng: np.random.Generator, reject: bool
 ) -> Tuple[int, ...]:
     """Free digits of segment k, drawn from the conditional measure law.
 
-    Each digit is an inverse-CDF draw with one rng.random(): the arithmetic
-    of rng.choice(B, p=w) without its argument checks, so a seed gives the
-    same digits as that call.
+    Each digit is an inverse-CDF draw with one u = rng.random(): the
+    arithmetic of rng.choice(B, p=w) without its argument checks (the exact
+    path), so a seed gives the same digits as that call.  With j > K free
+    digits left (K the settling depth), level(j) = levels[K] + (j - K) step
+    and the shift cancels, so the law depends on r = q_{n-1}/q_n alone, up
+    to rounding.  Such a draw reads cell floor(r _CDF_CELLS) of the bracket
+    table (MeasureContext.cdf_table): if lo_b <= CDF_b(r) <= hi_b and the
+    boundaries with hi_b <= u are those with lo_b <= u, the exact path
+    counts the same boundaries below u; otherwise it runs on the same u.
+    The margin around the cell-end values sums three terms.  Curvature,
+    measured: 2 max|second difference|, 16 times the chord error
+    max|c''| h^2 / 8 that it estimates (a 16 times finer grid found no value
+    outside its cell ends).  Log-weight rounding, proved to first order:
+    16 (degree + 1) eps M, M = max|levels[K]| + free |step|; each
+    log-weight of either computation errs by at most 6.6 (degree + 1) eps M
+    (interpolation rows' absolute sums stay below 3.3) and a CDF value by
+    half that.  Normalization and cumulative sums: (B + 3) eps.
     """
     spec = ctx.spec
     m_prev, n_k, _ = ctx.seg_bounds(k)
@@ -468,38 +506,32 @@ def _sample_segment_free(
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
     cap = _allowed_run(spec, k)
-    guard_last = True  # no digit i adjacent to the run start
-    guard_first = k >= 2  # no digit i adjacent to the previous run end
+    guard_first = k >= 2  # no digit i next to the previous run end (the last free digit is never i)
+    table = ctx.cdf_table(k)
+    lo, hi = table or ((), ())
+    fast = free - len(st.levels) if table else 0  # draw j has free - j - 1 > K digits left iff j < fast
+    nb = B - 1
     for attempt in range(200):
         out: List[int] = []
-        r = 0.0
-        run = 0
-        ok = True
+        r, run = 0.0, 0
         for j in range(free):
-            ar = a_vec + r
-            logw = m2s * np.log(ar) + interp(1.0 / ar) @ st.level(free - j - 1)
-            top = logw.max()
-            if not math.isfinite(top):
-                # a NaN or +inf log-weight (max propagates NaN); below this
-                # every weight exp(logw - top) is finite and non-negative
-                raise ValueError(f"segment {k}: log-weights {logw.tolist()} are not finite")
-            w = np.exp(logw - top)
-            w /= w.sum()
-            cdf = w.cumsum()
-            cdf /= cdf[-1]
-            a = int(cdf.searchsorted(rng.random(), side="right")) + 1
+            u = rng.random()
+            a = 0
+            if j < fast:
+                row = int(r * _CDF_CELLS) * nb
+                below = bisect_right(hi, u, row, row + nb)
+                if below == bisect_right(lo, u, row, row + nb):
+                    a = below - row + 1
+            if not a:
+                cdf = _digit_cdf(k, m2s, interp, st.level(free - j - 1), a_vec + r)
+                a = int(cdf.searchsorted(u, side="right")) + 1
             out.append(a)
             r = 1.0 / (a + r)
             if reject:
                 run = run + 1 if a == i else 0
-                if a == i and (
-                    (j == 0 and guard_first)
-                    or (j == free - 1 and guard_last)
-                    or run > cap
-                ):
-                    ok = False
+                if a == i and ((j == 0 and guard_first) or j == free - 1 or run > cap):
                     break
-        if ok:
+        else:
             if attempt:
                 log.debug("segment %d free part redrawn %d times", k, attempt)
             return tuple(out)
@@ -585,9 +617,6 @@ def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tup
 class InsertResult:
     digits: DigitSeq
     marked: Tuple[int, ...]  # 1-based positions of the inserted marker digit
-
-    def marked_density(self, N: int) -> float:
-        return sum(1 for p in self.marked if p <= N) / N
 
 
 def insert_map(spec: CantorSpec, x_digits: Sequence[int]) -> InsertResult:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import Exhausted, InputOutOfRange, Overflow
@@ -74,11 +74,6 @@ class RealInput:
             raise InputOutOfRange(f"decimal {s} not in (0,1)")
         return RealInput(kind="decimal", frac=v, precision_bits=precision_bits)
 
-    def as_surd(self) -> Surd:
-        if self.kind != "surd":
-            raise ValueError("not a surd input")
-        return Surd(Fraction(self.surd_u, self.surd_w), Fraction(self.surd_v, self.surd_w), self.surd_d)
-
 
 @dataclass(frozen=True)
 class DigitSeq:
@@ -133,18 +128,11 @@ class ContinuantTable:
     p: Tuple[int, ...]
     q: Tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.q) - 2
-
     def pk(self, k: int) -> int:
         return self.p[k + 1]
 
     def qk(self, k: int) -> int:
         return self.q[k + 1]
-
-    def convergent(self, k: int) -> Fraction:
-        return Fraction(self.pk(k), self.qk(k))
 
 
 def continuants(d: Sequence[int] | DigitSeq) -> ContinuantTable:
@@ -174,16 +162,30 @@ def denominators(digits: Iterable[int], prev: int = 0, cur: int = 1) -> Tuple[in
     return prev, cur
 
 
+def run_continuants(i: int, t: int) -> Tuple[int, int, int]:
+    """(q_{t-2}, q_{t-1}, q_t) of the constant run i^t, from q_{-1} = 0, q_0 = 1:
+    [[i, 1], [1, 0]]^t = [[q_t, q_{t-1}], [q_{t-1}, q_{t-2}]] by fast doubling
+    over the bits of t, (a, b) = (q_n, q_{n-1}) -> (a^2 + b^2, b (2a - i b))
+    and a step (i a + b, a).  O(M(q_t) log t) instead of t big-int steps,
+    with the integers of the recursion."""
+    if i < 1 or t < 0:
+        raise ValueError("need i >= 1, t >= 0")
+    a, b = 1, 0
+    for bit in bin(t)[2:] if t else "":
+        a, b = a * a + b * b, b * (2 * a - i * b)
+        if bit == "1":
+            a, b = i * a + b, a
+    return a - i * b, b, a
+
+
 def run_continuant(i: int, n: int) -> int:
-    """q_n(i, ..., i): continuant of a constant run, by the exact recursion."""
-    if i < 1 or n < 0:
-        raise ValueError("need i >= 1, n >= 0")
-    return denominators(repeat(i, n))[1]
+    """q_n(i, ..., i): continuant of a constant run (fast doubling)."""
+    return run_continuants(i, n)[2]
 
 
 def run_continuant_closed_form(i: int, n: int) -> int:
     """Same value via (tau^{n+1} - zeta^{n+1}) / (tau - zeta) in exact surd
-    arithmetic; used as an independent cross-check of the recursion."""
+    arithmetic; used as an independent cross-check of run_continuants."""
     D = i * i + 4
     tau = Surd(Fraction(i, 2), Fraction(1, 2), D)
     zeta = Surd(Fraction(i, 2), Fraction(-1, 2), D)
@@ -362,28 +364,15 @@ def expand(x: RealInput, n: int) -> DigitSeq:
 
 @dataclass(frozen=True)
 class QuadraticTarget:
-    """The point y = (sqrt(i^2+4) - i)/2 = [i, i, ...] with its growth data:
-    tau = (i + sqrt(i^2+4))/2 > 1 (the exponential growth rate of q_n(y)) and
-    zeta = (i - sqrt(i^2+4))/2, kept exact as surds."""
+    """The point y = (sqrt(i^2+4) - i)/2 = [i, i, ...], kept exact as a surd;
+    q_n(y) grows like tau^n, tau = (i + sqrt(i^2+4))/2 > 1."""
 
     i: int
     y: Surd
 
-    @property
-    def tau_exact(self) -> Surd:
-        D = self.i * self.i + 4
-        return Surd(Fraction(self.i, 2), Fraction(1, 2), D)
-
-    @property
-    def zeta_exact(self) -> Surd:
-        D = self.i * self.i + 4
-        return Surd(Fraction(self.i, 2), Fraction(-1, 2), D)
-
     def cylinder_length(self, m: int) -> Fraction:
         """|I_m(y)| = 1/(q_m (q_m + q_{m-1})) with constant-run continuants."""
-        if self.i < 1 or m < 0:
-            raise ValueError("need i >= 1, m >= 0")
-        qm1, qm = denominators(repeat(self.i, m))
+        _, qm1, qm = run_continuants(self.i, m)  # ValueError unless i >= 1, m >= 0
         return Fraction(1, qm * (qm + qm1))
 
     def log_cylinder_length(self, m: int) -> float:

@@ -34,21 +34,16 @@ def _stable_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def _emit(payload: dict, args) -> None:
-    text = _stable_json(payload)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
 def _emit_text(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    _emit_text(_stable_json(payload) + "\n", args)
 
 
 def _frac_str(fr: Fraction) -> str:

@@ -107,9 +107,6 @@ class Surd:
             n >>= 1
         return result
 
-    def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.D)
-
     def sign(self) -> int:
         return _sign_a_plus_b_sqrtD(self.a, self.b, self.D)
 
@@ -137,9 +134,6 @@ class Surd:
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def as_fraction(self) -> Fraction:
         if self.b != 0:

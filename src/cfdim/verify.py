@@ -184,15 +184,6 @@ class LebesgueDigitChain:
             done += take
 
 
-def sample_digit_matrix(seed: int, samples: int, n: int) -> np.ndarray:
-    """(samples, n) digit matrix from the exact-law chain."""
-    chain = LebesgueDigitChain(seed, samples)
-    out = np.empty((samples, n), dtype=np.int64)
-    for j, d in enumerate(chain.next_digits(n)):
-        out[:, j] = d
-    return out
-
-
 _DECIMAL_REDRAW_CAP = 200  # redraws before sample_digits_decimal gives up
 
 

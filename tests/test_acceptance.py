@@ -19,7 +19,6 @@ from cfdim.cantor import (
     CantorSpec,
     admissible_children,
     construct_sequences,
-    designed_records,
     insert_map,
     inserted_record_blocks,
     local_dimension,
@@ -138,7 +137,7 @@ def test_criterion_6_measure_consistency(spec13):
             for a in admissible_children(spec13, prefix)
         )
         worst = max(worst, abs(ksum - 1.0))
-    root = math.fsum(measure_mass(spec13, (a,)).mass for a in admissible_children(spec13, ()))
+    root = math.fsum(math.exp(measure_mass(spec13, (a,)).log_mass) for a in admissible_children(spec13, ()))
     root_err = abs(root - 1.0)
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and root_err <= 1e-9 and elapsed < 60

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from cfdim.cantor import (
     construct_sequences_infinite,
     construct_sequences_runlength,
     delete_marked,
-    designed_records,
     insert_map,
     inserted_record_blocks,
     local_dimension,
@@ -160,7 +160,7 @@ def test_b1_like_single_path_mass():
 
 
 def test_root_children_sum_to_one(spec13):
-    total = math.fsum(measure_mass(spec13, (a,)).mass for a in admissible_children(spec13, ()))
+    total = math.fsum(math.exp(measure_mass(spec13, (a,)).log_mass) for a in admissible_children(spec13, ()))
     assert abs(total - 1.0) <= 1e-9
 
 
@@ -227,7 +227,7 @@ def test_sample_depth_guard(spec13):
 
 
 def test_root_frequencies_match_masses(spec13):
-    probs = np.array([measure_mass(spec13, (a,)).mass for a in (1, 2, 3)])
+    probs = np.array([math.exp(measure_mass(spec13, (a,)).log_mass) for a in (1, 2, 3)])
     N = 10_000
     counts = np.zeros(3)
     for s in range(N):
@@ -246,7 +246,7 @@ def test_sampled_records_reproduce_design(spec13):
         d = sample_measure(spec13, depth=spec13.sp.m[5], seed=seed)
         bd = exponents.decompose(d, 1)
         recs = tuple(b for b in bd.record_blocks if b[1] - b[0] >= c1)
-        assert recs == designed_records(spec13, 6)
+        assert recs == tuple(zip(spec13.sp.n[:6], spec13.sp.m[:6]))  # the designed runs
 
 
 def test_designed_roundtrip_exponent_estimates(spec13):
@@ -293,15 +293,18 @@ def test_insert_map_small_example():
 
 
 def test_insert_map_roundtrip_and_density(spec13):
+    def marked_density(res, N):
+        return sum(1 for p in res.marked if p <= N) / N
+
     d = sample_measure(spec13, depth=spec13.sp.m[6], seed=5)
     res = insert_map(spec13, d.digits)
     assert delete_marked(res) == d.digits
     c1 = spec13.sp.run_length(1)
     n_total = len(res.digits)
-    assert res.marked_density(n_total) <= 2 / c1
+    assert marked_density(res, n_total) <= 2 / c1
     # density decreases along the block-end schedule
     ends = [m + 1 for m in spec13.sp.m[:7]]
-    dens = [res.marked_density(min(e, n_total)) for e in ends]
+    dens = [marked_density(res, min(e, n_total)) for e in ends]
     assert all(a >= b for a, b in zip(dens[1:], dens[2:]))
 
 
@@ -440,7 +443,8 @@ def _reference_validate(spec, prefix):
     the first violation, or None."""
     sp = spec.sp
     for pos, a in enumerate(prefix, start=1):
-        if sp.run_index_of(pos) is not None:
+        j = bisect_left(sp.m, pos)
+        if j < len(sp.m) and sp.n[j] < pos <= sp.m[j]:  # inside run j + 1
             bound = None
         elif sp.B_k is None:
             bound = spec.B
@@ -515,6 +519,102 @@ def test_sampler_raises_on_non_finite_level(spec13, monkeypatch, bad, node):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
             sample_measure(spec13, depth=spec13.sp.m[1], seed=0, reject_accidental=False)
+
+
+# ---------------------------------------------------------------------------
+# the sampler's bracket table
+# ---------------------------------------------------------------------------
+
+
+def _table_spec(B, i):
+    return CantorSpec(B=B, i=i, sp=construct_sequences(Fraction(1, 3), 1, k_max=8))
+
+
+@pytest.mark.parametrize("reject", [True, False])
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("B", [3, 5, 16])
+def test_sampler_table_matches_forced_exact(monkeypatch, B, i, reject):
+    # segments 1-3 have free parts no longer than their settling depth (no
+    # table), segments 4-7 longer ones; the forced run leaves every cell
+    # undecided, so every draw runs the exact path on the same u
+    spec = _table_spec(B, i)
+    ctx = measure_context(spec)
+    depth = spec.sp.m[6]
+    kept = [sample_measure(spec, depth=depth, seed=seed, reject_accidental=reject).digits for seed in (0, 1, 2)]
+    assert [ctx.cdf_table(k) is None for k in range(1, 8)] == [True] * 3 + [False] * 4
+    table = MeasureContext.cdf_table
+
+    def undecided(self, k):
+        lo, hi = table(self, k) or (None, None)
+        return None if lo is None else (array("d", [0.0]) * len(lo), array("d", [2.0]) * len(hi))
+
+    monkeypatch.setattr(MeasureContext, "cdf_table", undecided)
+    for seed, digits in zip((0, 1, 2), kept):
+        assert sample_measure(spec, depth=depth, seed=seed, reject_accidental=reject).digits == digits
+
+
+@pytest.mark.parametrize("B, i", [(3, 1), (5, 2), (16, 1)])
+def test_cdf_table_encloses_exact_law(B, i):
+    spec = _table_spec(B, i)
+    ctx = measure_context(spec)
+    rng = np.random.default_rng(B + 10 * i)
+    cells = cantor._CDF_CELLS
+    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
+    for k in range(4, 9):
+        st = ctx.stack(k)
+        m2s = -2.0 * ctx.s_tilde(k).value
+        K = len(st.levels) - 1
+        lo, hi = (np.array(t).reshape(cells + 1, B - 1) for t in ctx.cdf_table(k))
+        assert (lo < hi).all() and (np.diff(lo, axis=1) >= 0).all() and (np.diff(hi, axis=1) >= 0).all()
+        # random states, every cell end, and the states r = 0, 1/(B + 1), 1
+        rs = list(rng.random(300)) + [c / cells for c in range(cells + 1)] + [0.0, 1.0 / (B + 1), 1.0]
+        for r in rs:
+            j = int(rng.integers(K + 1, st.free))
+            ar = np.arange(1, B + 1, dtype=np.float64) + float(r)
+            cdf = cantor._digit_cdf(k, m2s, interp, st.level(j), ar)[:-1]  # the exact path's CDF
+            row = int(r * cells)
+            assert (lo[row] <= cdf).all() and (cdf <= hi[row]).all(), (k, r, j)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampler_raises_on_non_finite_settled_level(spec13, monkeypatch, bad):
+    ctx = MeasureContext(spec13)
+    st = ctx.stack(5)
+    assert st.free > len(st.levels)  # segment 5 has draws past its settling depth
+    st.levels = [level.copy() for level in st.levels]
+    # levels[K], which the table and every draw past K read; the last node
+    # (x = 1), so the unit interpolation row at r = 0 multiplies no inf by 0
+    st.levels[-1][-1] = bad
+    monkeypatch.setattr(cantor, "measure_context", lambda spec: ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            sample_measure(spec13, depth=spec13.sp.m[4], seed=0, reject_accidental=False)
+    assert ctx.cdf_table(5) is None
+
+
+@pytest.mark.parametrize("B, i", [(3, 1), (5, 2), (16, 1), (16, 2)])
+def test_sampler_table_decides_almost_every_draw(monkeypatch, B, i):
+    spec = _table_spec(B, i)
+    ctx = measure_context(spec)
+    depth = spec.sp.m[6]
+    sample_measure(spec, depth=depth, seed=99, reject_accidental=False)  # roots, stacks and tables
+    stacks = {id(ctx.stack(k)) for k in range(1, 8)}
+    exact = []
+    level = transfer.SegmentStack.level
+
+    def counted(self, j):
+        if id(self) in stacks:  # the exact path reads one level per draw
+            exact.append(j > len(self.levels) - 1)
+        return level(self, j)
+
+    monkeypatch.setattr(transfer.SegmentStack, "level", counted)
+    seeds = range(6)
+    for seed in seeds:
+        sample_measure(spec, depth=depth, seed=seed, reject_accidental=False)
+    fast = len(seeds) * sum(max(0, ctx.stack(k).free - len(ctx.stack(k).levels)) for k in range(1, 8))
+    assert fast > 5000
+    assert sum(exact) < 0.01 * fast  # undecided draws past the settling depth
 
 
 def _corrupt(digits, pos, a):

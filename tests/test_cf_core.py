@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import mpmath
 import numpy as np
@@ -17,8 +18,10 @@ from cfdim.cf_core import (
     digit_seq,
     expand,
     gauss_shift,
+    denominators,
     run_continuant,
     run_continuant_closed_form,
+    run_continuants,
     target,
 )
 from cfdim.errors import Exhausted, InputOutOfRange, Overflow
@@ -298,6 +301,22 @@ def test_run_continuant_closed_form_matches_recursion():
             assert run_continuant(i, n) == run_continuant_closed_form(i, n)
 
 
+@pytest.mark.parametrize("i", [1, 2, 3, 7])
+def test_run_continuants_fast_doubling_matches_recursion(i):
+    # the plain recursion q_{k+1} = i q_k + q_{k-1} is the oracle
+    def oracle(t):
+        q1, q = denominators(repeat(i, t))
+        return q - i * q1, q1, q  # q_{t-2} from q_t = i q_{t-1} + q_{t-2}
+
+    for t in list(range(201)) + [9840]:
+        assert run_continuants(i, t) == oracle(t)
+    assert run_continuants(i, 0) == (1, 0, 1)
+    with pytest.raises(ValueError):
+        run_continuants(i, -1)
+    with pytest.raises(ValueError):
+        run_continuants(0, 3)
+
+
 def _tau_zeta(i):
     """tau(i), zeta(i) = (i +- sqrt(i^2+4))/2 at 256-bit working precision."""
     with mpmath.workprec(256):
@@ -316,7 +335,8 @@ def test_run_continuant_tau_power_bounds():
 def test_target_invariants():
     for i in (1, 2, 3, 7):
         t = target(i)
-        prod = t.tau_exact * t.zeta_exact
+        D = i * i + 4
+        prod = Surd(Fraction(i, 2), Fraction(1, 2), D) * Surd(Fraction(i, 2), Fraction(-1, 2), D)  # tau zeta
         assert prod == Fraction(-1)
         tau, zeta = _tau_zeta(i)
         assert float(tau) > 1 > abs(float(zeta))
@@ -397,7 +417,7 @@ def test_surd_expansion_cylinder_membership():
             continue
         digits = expand(x, 9)
         b = basic_interval(digits.digits)
-        s = x.as_surd()
+        s = Surd(Fraction(u, w), Fraction(v, w), d_rad)
         assert (s - Fraction(b.left)).sign() >= 0
         assert (s - Fraction(b.right)).sign() < 0
         checked += 1

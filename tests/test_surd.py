@@ -45,8 +45,8 @@ def test_inverse_and_conjugate(a, b, d):
     if a == 0 and b == 0:
         return
     assert x * x.inverse() == 1
-    norm = x * x.conjugate()
-    assert norm.is_rational()
+    norm = x * Surd(x.a, -x.b, x.D)  # times its conjugate
+    assert norm.b == 0  # rational
 
 
 @given(rats, rats, radicands, st.integers(min_value=0, max_value=8))

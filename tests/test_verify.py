@@ -21,7 +21,6 @@ from cfdim.verify import (
     mc_laws,
     mc_nu_zero,
     mc_runlength,
-    sample_digit_matrix,
     sample_digits_decimal,
     solver_crosscheck,
 )
@@ -37,6 +36,15 @@ def test_fixtures_present():
 # ---------------------------------------------------------------------------
 # the exact-law sampler
 # ---------------------------------------------------------------------------
+
+
+def sample_digit_matrix(seed: int, samples: int, n: int) -> np.ndarray:
+    """(samples, n) digit matrix from the exact-law chain."""
+    chain = LebesgueDigitChain(seed, samples)
+    out = np.empty((samples, n), dtype=np.int64)
+    for j, d in enumerate(chain.next_digits(n)):
+        out[:, j] = d
+    return out
 
 
 def test_first_digit_law():
