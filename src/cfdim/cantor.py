@@ -434,7 +434,8 @@ def _allowed_run(spec: CantorSpec, k: int) -> int:
 def _digit_cdf(k: int, m2s: float, interp, level: np.ndarray, ar: np.ndarray) -> np.ndarray:
     """CDF of segment k's digit law over a = 1..B along the last axis of
     ar = a + r (a row per state r), log completion sums `level` at the nodes."""
-    logw = m2s * np.log(ar) + (interp((1.0 / ar).ravel()) @ level).reshape(ar.shape)
+    with np.errstate(invalid="ignore"):  # a non-finite level gives 0 inf = NaN: raised on below
+        logw = m2s * np.log(ar) + (interp((1.0 / ar).ravel()) @ level).reshape(ar.shape)
     top = logw.max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
         # NaN or +inf (max propagates NaN); below, every exp(logw - top) is in [0, 1]

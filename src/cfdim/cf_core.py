@@ -137,16 +137,18 @@ class ContinuantTable:
 
 def continuants(d: Sequence[int] | DigitSeq) -> ContinuantTable:
     """Run the two-term recursion p_{n+1} = a_{n+1} p_n + p_{n-1} (same for q)
-    from p_{-1}=1, q_{-1}=0, p_0=0, q_0=1."""
-    digits = d.digits if isinstance(d, DigitSeq) else tuple(d)
-    if not digits:
+    from p_{-1}=1, q_{-1}=0, p_0=0, q_0=1.  Each digit is converted to int
+    first, so numpy integer digits run the big-int recursion instead of
+    overflowing a machine word."""
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    p, q = [p0, p1], [q0, q1]
+    for a in map(int, d.digits if isinstance(d, DigitSeq) else d):
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        p.append(p1)
+        q.append(q1)
+    if len(p) == 2:
         raise ValueError("empty digit sequence")
-    p = [1, 0]
-    q = [0, 1]
-    for a in digits:
-        a = int(a)
-        p.append(a * p[-1] + p[-2])
-        q.append(a * q[-1] + q[-2])
     return ContinuantTable(tuple(p), tuple(q))
 
 
@@ -155,6 +157,7 @@ def denominators(digits: Iterable[int], prev: int = 0, cur: int = 1) -> Tuple[in
 
     The recursion starts from (q_{-1}, q_0) = (0, 1), or continues from a
     pair (prev, cur) that an earlier call returned for the digits before.
+    From (1, 0) = (p_{-1}, p_0) it gives the numerators (p_{n-1}, p_n).
     No digits give the starting pair back.
     """
     for a in digits:
@@ -236,18 +239,30 @@ class BasicInterval:
 
 
 def basic_interval(d: Sequence[int] | DigitSeq) -> BasicInterval:
-    digits = d.digits if isinstance(d, DigitSeq) else tuple(int(a) for a in d)
-    t = continuants(digits)
-    n = len(digits)
-    qn, qn1 = t.qk(n), t.qk(n - 1)
-    pn, pn1 = t.pk(n), t.pk(n - 1)
+    """The cylinder I_n of the digits, from (p_{n-1}, p_n) and (q_{n-1}, q_n).
+
+    Its ends are p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}), and the second
+    minus the first is det / D with det = p_{n-1} q_n - p_n q_{n-1} and
+    D = q_n (q_n + q_{n-1}).  So right - left = |det| / |D|, and it equals
+    length = 1/D exactly when |det| == 1 and D > 0, the integer test made
+    here; the sign of det then says which end is the left.  For digits >= 1
+    the recursion gives det = (-1)^n and D > 0, so only other digits can fail
+    it (ZeroDivisionError, an ArithmeticError, when D == 0).
+    """
+    digits = tuple(map(int, d.digits if isinstance(d, DigitSeq) else d))
+    if not digits:
+        raise ValueError("empty digit sequence")
+    pn1, pn = denominators(digits, 1, 0)
+    qn1, qn = denominators(digits)
     e1 = Fraction(pn, qn)
     e2 = Fraction(pn + pn1, qn + qn1)
-    left, right = (e1, e2) if e1 < e2 else (e2, e1)
-    length = Fraction(1, qn * (qn + qn1))
-    if right - left != length:
+    D = qn * (qn + qn1)
+    length = Fraction(1, D)
+    det = pn1 * qn - pn * qn1
+    if (det != 1 and det != -1) or D < 0:
         raise ArithmeticError("cylinder endpoints disagree with 1/(q_n (q_n + q_{n-1}))")
-    return BasicInterval(order=n, digits=digits, left=left, right=right, length=length)
+    left, right = (e1, e2) if det > 0 else (e2, e1)
+    return BasicInterval(order=len(digits), digits=digits, left=left, right=right, length=length)
 
 
 def gauss_shift(d: DigitSeq, n: int) -> DigitSeq:

@@ -407,7 +407,7 @@ def lemma_suite(seed: int = 20260809, n_strings: int = 10_000) -> Report:
     fails_growth = fails_split = fails_interval = 0
     for _ in range(n_strings):
         n = int(rng.integers(1, 31))
-        digits = [int(a) for a in rng.integers(1, 11, size=n)]
+        digits = rng.integers(1, 11, size=n).tolist()
         t = continuants(digits)
         qn = t.qk(n)
         lo = math.prod(digits)
@@ -438,7 +438,7 @@ def lemma_suite(seed: int = 20260809, n_strings: int = 10_000) -> Report:
     fails_order = 0
     for n in range(0, 6):
         for digits in product(range(1, 5), repeat=n):
-            kids = [basic_interval(list(digits) + [a]) for a in range(1, 5)]
+            kids = [basic_interval(digits + (a,)) for a in range(1, 5)]
             parent = basic_interval(digits) if digits else None
             lefts = [c.left for c in kids]
             ordered = sorted(kids, key=lambda c: c.left)

@@ -578,19 +578,22 @@ def test_cdf_table_encloses_exact_law(B, i):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sampler_raises_on_non_finite_settled_level(spec13, monkeypatch, bad):
-    ctx = MeasureContext(spec13)
-    st = ctx.stack(5)
-    assert st.free > len(st.levels)  # segment 5 has draws past its settling depth
-    st.levels = [level.copy() for level in st.levels]
-    # levels[K], which the table and every draw past K read; the last node
-    # (x = 1), so the unit interpolation row at r = 0 multiplies no inf by 0
-    st.levels[-1][-1] = bad
-    monkeypatch.setattr(cantor, "measure_context", lambda spec: ctx)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
-            sample_measure(spec13, depth=spec13.sp.m[4], seed=0, reject_accidental=False)
-    assert ctx.cdf_table(5) is None
+    # levels[K], which the table and every draw past K read.  At an interior
+    # node the unit interpolation row of x = 1 (r = 0) multiplies inf by 0,
+    # and that NaN must raise the ValueError with no RuntimeWarning first;
+    # the last node (x = 1) is read through the unit row itself
+    for node in (3, -1):
+        ctx = MeasureContext(spec13)
+        st = ctx.stack(5)
+        assert st.free > len(st.levels)  # segment 5 has draws past its settling depth
+        st.levels = [level.copy() for level in st.levels]
+        st.levels[-1][node] = bad
+        monkeypatch.setattr(cantor, "measure_context", lambda spec: ctx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                sample_measure(spec13, depth=spec13.sp.m[4], seed=0, reject_accidental=False)
+        assert ctx.cdf_table(5) is None
 
 
 @pytest.mark.parametrize("B, i", [(3, 1), (5, 2), (16, 1), (16, 2)])

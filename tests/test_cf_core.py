@@ -1,6 +1,7 @@
 """Exact continued-fraction kernel tests."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import repeat
 
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 
 from cfdim import cf_core
 from cfdim.cf_core import (
+    BasicInterval,
+    ContinuantTable,
+    DigitSeq,
     RealInput,
     basic_interval,
     continuants,
@@ -281,6 +285,113 @@ def test_reexpansion_identity(digits):
     mid = (b.left + b.right) / 2
     d = expand(RealInput.rational(mid.numerator, mid.denominator), len(digits))
     assert d.digits[: len(digits)] == tuple(digits)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the two kernels: the list-append table, and Fraction ends
+# ordered by comparison and checked by right - left == length
+# ---------------------------------------------------------------------------
+
+
+def _continuants_oracle(d):
+    digits = d.digits if isinstance(d, DigitSeq) else tuple(d)
+    if not digits:
+        raise ValueError("empty digit sequence")
+    p = [1, 0]
+    q = [0, 1]
+    for a in digits:
+        a = int(a)
+        p.append(a * p[-1] + p[-2])
+        q.append(a * q[-1] + q[-2])
+    return ContinuantTable(tuple(p), tuple(q))
+
+
+def _basic_interval_oracle(d):
+    digits = d.digits if isinstance(d, DigitSeq) else tuple(int(a) for a in d)
+    t = _continuants_oracle(digits)
+    n = len(digits)
+    qn, qn1 = t.qk(n), t.qk(n - 1)
+    pn, pn1 = t.pk(n), t.pk(n - 1)
+    e1 = Fraction(pn, qn)
+    e2 = Fraction(pn + pn1, qn + qn1)
+    left, right = (e1, e2) if e1 < e2 else (e2, e1)
+    length = Fraction(1, qn * (qn + qn1))
+    if right - left != length:
+        raise ArithmeticError("cylinder endpoints disagree with 1/(q_n (q_n + q_{n-1}))")
+    return BasicInterval(order=n, digits=digits, left=left, right=right, length=length)
+
+
+wide_digit_lists = st.lists(
+    st.one_of(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=cf_core.MAX_DIGIT)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_digit_lists)
+def test_kernels_match_oracles(digits):
+    for d in (digits, tuple(digits), digit_seq(digits)):
+        assert continuants(d) == _continuants_oracle(d)
+        assert basic_interval(d) == _basic_interval_oracle(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=cf_core.MAX_DIGIT), min_size=1, max_size=12))
+@example([cf_core.MAX_DIGIT] * 3)
+@example([1, cf_core.MAX_DIGIT, 2])
+def test_kernels_match_oracles_on_numpy_digits(digits):
+    # int64 digits must run the big-int recursion: a product of two of them
+    # overflows a machine word
+    arr = np.array(digits, dtype=np.int64)
+    expected_t, expected_b = _continuants_oracle(digits), _basic_interval_oracle(digits)
+    for d in (tuple(arr), arr, DigitSeq(tuple(arr))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert continuants(d) == expected_t
+            assert basic_interval(d) == expected_b
+
+
+def test_kernels_match_oracles_at_order_one():
+    for a in (1, 2, 7, 100, cf_core.MAX_DIGIT):
+        for d in ([a], (np.int64(a),), digit_seq([a])):
+            assert continuants(d) == _continuants_oracle(d)
+            assert basic_interval(d) == _basic_interval_oracle(d)
+            assert basic_interval(d).order == 1
+
+
+def _outcome(f, d):
+    try:
+        return f(d)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=8))
+@example([0])
+@example([1, 0, 1])
+def test_basic_interval_matches_oracle_on_any_int_digits(digits):
+    # lists and tuples are not range-checked: digits < 1 must give the
+    # oracle's interval or its error, never an interval with right < left
+    got = _outcome(basic_interval, digits)
+    assert got == _outcome(_basic_interval_oracle, digits)
+    if isinstance(got, BasicInterval):
+        assert got.right - got.left == got.length > 0
+
+
+def test_basic_interval_rejects_negative_length():
+    # det = 1 here, but q_n (q_n + q_{n-1}) = -2: ends 0 and -1/2
+    with pytest.raises(ArithmeticError):
+        basic_interval([-3, 0])
+
+
+@pytest.mark.parametrize("d", [[], (), np.array([], dtype=np.int64), DigitSeq(())], ids=["list", "tuple", "array", "DigitSeq"])
+def test_kernels_reject_empty_digits(d):
+    with pytest.raises(ValueError, match="empty"):
+        continuants(d)
+    with pytest.raises(ValueError, match="empty"):
+        basic_interval(d)
 
 
 # ---------------------------------------------------------------------------

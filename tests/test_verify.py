@@ -1,5 +1,7 @@
 """Monte Carlo suites, exact lemma suite, solver cross-check, reports."""
 
+import dataclasses
+import itertools
 import json
 import math
 
@@ -327,6 +329,78 @@ def test_run_max_tracker_matches_run_profile():
 def test_lemma_suite_passes():
     rep = lemma_suite(n_strings=2_000)
     assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+_LEMMA_REPORT = (
+    '{"checks":[{"bound":[0.0,0.0],"name":"growth_bound_failures","pass":true,"statistic":0.0},'
+    '{"bound":[0.0,0.0],"name":"splitting_bound_failures","pass":true,"statistic":0.0},'
+    '{"bound":[0.0,0.0],"name":"interval_identity_failures","pass":true,"statistic":0.0},'
+    '{"bound":[0.0,0.0],"name":"parity_ordering_failures","pass":true,"statistic":0.0},'
+    '{"bound":[0.0,0.0],"name":"run_continuant_closed_form_failures","pass":true,"statistic":0.0}],'
+    '"config":{"n_strings":10000,"seed":%d},"series":[],"suite":"lemmas",'
+    '"summary":{"failed":0,"passed":5,"total":5}}'
+)
+
+
+@pytest.mark.parametrize("seed", [20260809, 1])
+def test_lemma_report_pinned(seed):
+    rep = lemma_suite(seed=seed, n_strings=10_000)
+    assert json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":")) == _LEMMA_REPORT % seed
+
+
+def test_lemma_suite_draws_and_kernel_calls(monkeypatch):
+    # the strings come from the same rng calls in the same order, and each
+    # runs the same kernel calls: the split bound takes q from the two
+    # sub-strings' own tables, never from the whole string's
+    calls = []
+    for name in ("continuants", "basic_interval"):
+        kernel = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda d, kernel=kernel, name=name: calls.append((name, tuple(d))) or kernel(d))
+    seed, n_strings = 11, 300
+    lemma_suite(seed=seed, n_strings=n_strings)
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(n_strings):
+        n = int(rng.integers(1, 31))
+        digits = tuple(int(a) for a in rng.integers(1, 11, size=n))
+        expected.append(("continuants", digits))
+        if n >= 2:
+            cut = int(rng.integers(1, n))
+            expected += [("continuants", digits[:cut]), ("continuants", digits[cut:])]
+        expected.append(("basic_interval", digits))
+    for n in range(6):  # the parity part: the four children, then the parent
+        for digits in itertools.product(range(1, 5), repeat=n):
+            expected += [("basic_interval", digits + (a,)) for a in range(1, 5)]
+            expected += [("basic_interval", digits)] if digits else []
+    assert calls == expected
+
+
+def _lemma_failures(n_strings=300):
+    return {c.name: c.statistic for c in lemma_suite(seed=3, n_strings=n_strings).checks}
+
+
+def test_lemma_suite_catches_swapped_ends(monkeypatch):
+    kernel = verify.basic_interval
+    monkeypatch.setattr(verify, "basic_interval", lambda d: dataclasses.replace(b := kernel(d), left=b.right, right=b.left))
+    fails = _lemma_failures()
+    assert fails["interval_identity_failures"] > 0 and fails["parity_ordering_failures"] > 0
+
+
+def test_lemma_suite_catches_wrong_length(monkeypatch):
+    kernel = verify.basic_interval
+    monkeypatch.setattr(verify, "basic_interval", lambda d: dataclasses.replace(b := kernel(d), length=b.length * 2))
+    assert _lemma_failures()["interval_identity_failures"] > 0
+
+
+def test_lemma_suite_catches_wrong_last_denominator(monkeypatch):
+    kernel = verify.continuants
+
+    def off_by_one(d):
+        t = kernel(d)
+        return dataclasses.replace(t, q=t.q[:-1] + (t.q[-1] + 1,))
+
+    monkeypatch.setattr(verify, "continuants", off_by_one)
+    assert _lemma_failures()["growth_bound_failures"] > 0
 
 
 def test_solver_crosscheck_passes():
