@@ -82,7 +82,6 @@ class SeqPair:
 
     n: Tuple[int, ...]
     m: Tuple[int, ...]
-    params: Tuple[Tuple[str, str], ...] = ()
     B_k: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
@@ -131,7 +130,7 @@ def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
             nk = int((1 + nv) * 2 ** (2 ** (2 * k))) + 2
             ns.append(nk)
             ms.append(int((1 + nv) * nk) + 1)
-    return SeqPair(tuple(ns), tuple(ms), params=(("nu_hat", str(nh)), ("nu", str(nv))))
+    return SeqPair(tuple(ns), tuple(ms))
 
 
 def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
@@ -171,7 +170,7 @@ def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
             ms.append(mk)
             bs.append(int(Fraction(mk) * Fraction(log_int(mk))))
             nk = nk**k + 2 * nk
-    return SeqPair(tuple(ns), tuple(ms), params=(("nu_hat", str(nh)), ("nu", "inf")), B_k=tuple(bs))
+    return SeqPair(tuple(ns), tuple(ms), B_k=tuple(bs))
 
 
 def _floor_pow2_sqrt(m: int) -> int:
@@ -199,7 +198,7 @@ def construct_sequences_runlength(alpha, beta, k_max: int = 12) -> SeqPair:
         mk = int(nk / (1 - b)) + 1
         ms.append(mk)
         nk = int(((1 - a) / a) * (mk - nk)) + 2
-    return SeqPair(tuple(ns), tuple(ms), params=(("alpha", str(a)), ("beta", str(b))))
+    return SeqPair(tuple(ns), tuple(ms))
 
 
 # ---------------------------------------------------------------------------

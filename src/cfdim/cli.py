@@ -19,7 +19,9 @@ import numpy as np
 
 from . import __version__, cantor, dim_solver, exponents, runlength, verify
 from .cf_core import RealInput, continuants, expand
-from .errors import BudgetExceeded, Exhausted, Inadmissible, InputOutOfRange, NoConvergence, Overflow, OutOfRange
+from .errors import (
+    BudgetExceeded, EmptyWindow, Exhausted, Inadmissible, InputOutOfRange, NoBlocks, NoConvergence, Overflow, OutOfRange,
+)
 
 SCHEMA_VERSION = 1
 
@@ -241,8 +243,10 @@ def _read_digit_file(path: str) -> List[int]:
 
 def cmd_exponents(args) -> int:
     digits = _read_digit_file(args.input)
+    horizon = len(digits) if args.N is None else args.N
+    if horizon < 1:
+        raise InputOutOfRange(f"--N must be >= 1, got {horizon}")
     bd = exponents.decompose(digits, args.target_i)
-    horizon = args.N if args.N else len(digits)
     est = exponents.exponent_estimates(bd, horizon=horizon)
     payload = {
         "config": _config_echo("exponents", args, ("input", "target_i", "N")),
@@ -389,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except (InputOutOfRange, OutOfRange, Overflow, Exhausted, Inadmissible) as exc:
+    except (InputOutOfRange, OutOfRange, Overflow, Exhausted, Inadmissible, NoBlocks, EmptyWindow) as exc:
         sys.stderr.write(f"range error: {exc}\n")
         return EXIT_RANGE
     except (ValueError, OSError) as exc:

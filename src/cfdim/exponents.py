@@ -5,9 +5,10 @@ the common digit prefix of T^n(x) with the constant sequence (i, i, ...):
 
     |I_m(y)| / (2 (i+2)^2)  <=  |T^n(x) - y|  <  |I_m(y)|.
 
-Block decomposition extracts the maximal i-runs of x and the subsequence of
-"record" runs of strictly increasing length; the exponents are finite-scale
-liminf/limsup of the record ratios (m_k - n_k)/n_{k+1} and (m_k - n_k)/n_k.
+Block decomposition keeps the "record" i-runs of x: the maximal runs of the
+digit i that are strictly longer than every earlier one.  The exponents are
+finite-scale liminf/limsup of the record ratios (m_k - n_k)/n_{k+1} and
+(m_k - n_k)/n_k.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -29,15 +30,13 @@ _THRESHOLD_BITS = 256  # mpmath working precision of the exact-threshold enclosu
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Maximal i-runs of a digit string.
+    """Record i-runs of a digit string.
 
-    A raw block (n, m) means a_{n+1} = ... = a_m = i, maximal.  Record blocks
-    are selected greedily: the first raw block, then each next raw block
-    strictly longer than the last selected one.
+    A record block (n, m) means a_{n+1} = ... = a_m = i, maximal, and strictly
+    longer than every earlier maximal i-run; the first i-run is always a record.
     """
 
     i: int
-    raw_blocks: Tuple[Tuple[int, int], ...]
     record_blocks: Tuple[Tuple[int, int], ...]
 
 
@@ -48,17 +47,6 @@ class ExponentEstimate:
     k_used: int
 
 
-def select_records(raw: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """First block, then each next block strictly longer than the last pick."""
-    records: List[Tuple[int, int]] = []
-    best = 0
-    for n, m in raw:
-        if not records or m - n > best:
-            records.append((n, m))
-            best = m - n
-    return records
-
-
 def decompose(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
     a = digit_array(d)
     if a.size == 0:
@@ -67,8 +55,11 @@ def decompose(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
     hit = a[starts] == i
     if not hit.any():
         raise NoBlocks(f"digit {i} never occurs")
-    raw = list(zip(starts[hit].tolist(), (starts + lengths)[hit].tolist()))
-    return BlockDecomposition(i=i, raw_blocks=tuple(raw), record_blocks=tuple(select_records(raw)))
+    starts, lengths = starts[hit], lengths[hit]
+    # strictly longer than every earlier i-run, with 0 before the first
+    rec = lengths > np.maximum.accumulate(np.concatenate(([0], lengths[:-1])))
+    ends = starts[rec] + lengths[rec]
+    return BlockDecomposition(i=i, record_blocks=tuple(zip(starts[rec].tolist(), ends.tolist())))
 
 
 def exponent_estimates(bd: BlockDecomposition, horizon: int) -> ExponentEstimate:

@@ -4,6 +4,8 @@ R_n(x) is the length of the longest block of equal consecutive partial
 quotients among the first n digits.  The level sets of liminf R_n/n and
 limsup R_n/n are the run-length fractals this package targets; at finite
 scale both limits are estimated by the min/max of R_n/n over a tail window.
+`maximal_runs` is the batch scan for runs of equal digits that
+`run_profile` and `exponents` share.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from .errors import EmptyWindow
 
 @dataclass(frozen=True)
 class RunProfile:
-    """R_1..R_{n_max} plus the maximal constant blocks (start, length, digit).
-
-    `start` is the number of digits preceding the block, so the block covers
-    positions start+1 .. start+length (1-based).
-    """
+    """R_1..R_{n_max}: R[n-1] is the length of the longest run of equal
+    consecutive digits among the first n."""
 
     n_max: int
     R: np.ndarray
-    blocks: Tuple[Tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,7 @@ def run_profile(d: Sequence[int] | DigitSeq) -> RunProfile:
     starts, lengths = maximal_runs(a)
     # run length ending at each position: position index minus its run start
     ending = np.arange(1, n + 1, dtype=np.int64) - np.repeat(starts, lengths)
-    R = np.maximum.accumulate(ending)
-    blocks = tuple(zip(starts.tolist(), lengths.tolist(), a[starts].tolist()))
-    return RunProfile(n_max=n, R=R, blocks=blocks)
+    return RunProfile(n_max=n, R=np.maximum.accumulate(ending))
 
 
 def ratio_estimates(rp: RunProfile, tail_fraction: float = 0.5) -> RatioEstimate:

@@ -314,7 +314,7 @@ class RecordTracker:
         """Exponent estimates of sample k at the current position, or None
         when there are too few records."""
         recs = self.records(k)
-        bd = exponents.BlockDecomposition(i=self.i, raw_blocks=recs, record_blocks=recs)
+        bd = exponents.BlockDecomposition(i=self.i, record_blocks=recs)
         try:
             return exponents.exponent_estimates(bd, self.pos)
         except InsufficientBlocks:

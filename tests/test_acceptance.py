@@ -163,7 +163,7 @@ def test_criterion_7_construction_roundtrip(spec13):
     sp24 = construct_sequences(Fraction(1, 3), 1, k_max=24)
     spec24 = CantorSpec(B=3, i=1, sp=sp24, d=4)
     recs24 = inserted_record_blocks(spec24, 24)
-    bd24 = exponents.BlockDecomposition(i=1, raw_blocks=recs24, record_blocks=recs24)
+    bd24 = exponents.BlockDecomposition(i=1, record_blocks=recs24)
     est = exponents.exponent_estimates(bd24, horizon=recs24[-1][1] + 1)
     est_ok = abs(est.nu_hat_est - 1 / 3) <= 0.1 and abs(est.nu_est - 1.0) <= 0.1 and est.k_used >= 20
 

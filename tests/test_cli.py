@@ -145,6 +145,24 @@ def test_digit_file_bad_token_exit2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponents", "--target-i", "9"],  # the digit 9 never occurs
+        ["runlength", "--tail-fraction", "0.01"],  # the tail window of 9 digits is empty
+        ["exponents", "--N", "0"],
+        ["exponents", "--N", "-5"],
+    ],
+)
+def test_digit_file_range_errors_exit3(argv, tmp_path, capsys):
+    path = tmp_path / "d.digits"
+    path.write_text("1 2 1 1 2 1 1 1 2")  # three record 1-runs: estimates exist over the whole file
+    assert main([*argv, "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("range error: ")
+
+
 def test_verify_runlength_single_digit_exit3(capsys):
     # R_n / log_phi(n) has no value at n = 1
     assert main(["verify", "--suite", "runlength", "--samples", "3", "--n", "1"]) == 3

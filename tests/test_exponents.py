@@ -18,7 +18,6 @@ from cfdim.exponents import (
     distance_bracket,
     exponent_estimates,
     forward_run_lengths,
-    select_records,
     uniform_hit_check,
 )
 from cfdim.surd import Surd
@@ -33,13 +32,11 @@ digit_lists = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_si
 
 def test_decompose_example():
     bd = decompose([3, 1, 1, 3, 1, 1, 1, 3], i=1)
-    assert bd.raw_blocks == ((1, 3), (4, 7))
     assert bd.record_blocks == ((1, 3), (4, 7))
 
 
 def test_decompose_all_i_single_block():
     bd = decompose([2] * 9, i=2)
-    assert bd.raw_blocks == ((0, 9),)
     assert bd.record_blocks == ((0, 9),)
 
 
@@ -70,14 +67,35 @@ def _raw_blocks_oracle(digits, i):
     return raw
 
 
-@given(digit_lists)
-def test_decompose_matches_oracle(digits):
+def _select_records_oracle(raw):
+    """Oracle: the first block, then each next block strictly longer than the last pick."""
+    records = []
+    best = 0
+    for n, m in raw:
+        if not records or m - n > best:
+            records.append((n, m))
+            best = m - n
+    return records
+
+
+def _digits_from_runs(runs):
+    """Digits made of runs (digit, length); equal neighbours merge into one run."""
+    return [a for a, length in runs for _ in range(length)]
+
+
+# run lengths from a small range, so many i-runs tie with the current record
+tied_runs = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4)), min_size=1, max_size=60
+).map(_digits_from_runs)
+
+
+@given(st.one_of(digit_lists, tied_runs), st.sampled_from(["list", "int64", "DigitSeq"]))
+def test_decompose_matches_oracle(digits, kind):
     if 1 not in digits:
         return
-    a = decompose(digits, 1)
-    raw = _raw_blocks_oracle(digits, 1)
-    assert a.raw_blocks == tuple(raw)
-    assert a.record_blocks == tuple(select_records(raw))
+    d = {"list": digits, "int64": np.asarray(digits, dtype=np.int64), "DigitSeq": digit_seq(digits)}[kind]
+    a = decompose(d, 1)
+    assert a.record_blocks == tuple(_select_records_oracle(_raw_blocks_oracle(digits, 1)))
 
 
 def test_exponent_estimates_order():

@@ -43,11 +43,6 @@ def test_profile_invariants_small():
     assert (np.diff(R) >= 0).all()
 
 
-def test_blocks_are_maximal_runs():
-    rp = run_profile([7, 7, 1, 1, 1, 2, 7])
-    assert rp.blocks == ((0, 2, 7), (2, 3, 1), (5, 1, 2), (6, 1, 7))
-
-
 @given(digit_lists)
 def test_maximal_runs_tile_the_digits(digits):
     a = np.asarray(digits)

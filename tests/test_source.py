@@ -93,7 +93,30 @@ def test_bench_tracing_targets_resolve():
             if not callable(scope.get(name)):
                 missing.append(f"{layer}.{attr}")
     assert not missing, f"bench/tracing.py TARGETS that cfdim no longer defines: {missing}"
-    # the tracer reads this argument to tell stack builds from segment_log_sum's own iteration
-    from cfdim import transfer
 
-    assert "keep_levels" in inspect.signature(transfer.segment_stack).parameters
+
+# arguments that bench/tracing.py's hooks read by name from the bound call;
+# keep_levels tells segment_stack's own builds from segment_log_sum's iteration
+TRACED_ARGUMENTS = {
+    ("cf_core", "continuants"): ("d",),
+    ("exponents", "decompose"): ("d",),
+    ("dim_solver", "sum_power"): ("B", "spec"),
+    ("transfer", "segment_stack"): ("free", "keep_levels"),
+    ("transfer", "segment_log_sum"): ("free",),
+    ("cantor", "sample_measure"): ("spec", "depth"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(TRACED_ARGUMENTS), ids=".".join)
+def test_bench_tracing_hook_arguments_exist(target):
+    layer, name = target
+    params = inspect.signature(getattr(importlib.import_module(f"cfdim.{layer}"), name)).parameters
+    missing = [a for a in TRACED_ARGUMENTS[target] if a not in params]
+    assert not missing, f"bench/tracing.py reads {missing} of cfdim.{layer}.{name}"
+
+
+def test_bench_tracing_run_profile_result_has_n_max():
+    # the tracer counts run_profile's digits from the result's n_max
+    from cfdim.runlength import run_profile
+
+    assert run_profile([1, 2, 2]).n_max == 3
