@@ -360,7 +360,7 @@ def expand(x: RealInput, n: int) -> DigitSeq:
     digit above MAX_DIGIT raises `Overflow` only once it is certified.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputOutOfRange(f"n must be >= 1, got {n}")
     if x.kind == "rational":
         digits, done = _expand_rational(x.frac, n)
         return DigitSeq(digits, exhausted=done, complete=done)

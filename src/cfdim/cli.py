@@ -181,7 +181,7 @@ def cmd_dim(args) -> int:
                 if xi is None:
                     e = dim_solver.DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
                 else:
-                    e = dim_solver.spectral_dim(int(v), xi, args.i)
+                    e = dim_solver.spectral_dim(int(v), xi, dim_solver.theorem_run_digit(args.kind, args.i))
             else:
                 kw2 = dict(kw)
                 kw2[name] = v
@@ -213,6 +213,8 @@ def _build_spec(args) -> cantor.CantorSpec:
 
 def cmd_cantor(args) -> int:
     spec = _build_spec(args)
+    if not 1 <= args.depth_k <= spec.sp.k_max:
+        raise InputOutOfRange(f"--depth-k must lie in 1..{spec.sp.k_max} (--k-max), got {args.depth_k}")
     depth = spec.sp.m[args.depth_k - 1]
     samples = []
     for s in range(args.sample):

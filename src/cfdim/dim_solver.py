@@ -72,17 +72,6 @@ def to_fraction(x: Number) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DimQuery:
-    """Inputs of a per-n dimension number: alphabet bound B (None marks the
-    full alphabet), ratio parameter alpha in [0,1], run digit i, order n."""
-
-    B: Optional[int]
-    alpha: Number
-    i: int
-    n: int = 0
-
-
-@dataclass(frozen=True)
 class DimEstimate:
     value: float
     bracket: Tuple[float, float]
@@ -309,6 +298,22 @@ def aitken(values: Sequence[float]) -> float:
     return x2 - (x2 - x1) ** 2 / denom
 
 
+def _aitken_limit(
+    schedule: Sequence[int], name: str, raw_at: Callable[[int], float], pad: float, **fields
+) -> DimEstimate:
+    """Aitken limit of raw_at(x) along a strictly increasing schedule, clamped
+    to [0, 1]; the bracket is the last raw value +- (its distance to the
+    extrapolated one + pad), clamped to [0, 1] and widened to hold the value."""
+    if list(schedule) != sorted(set(schedule)):
+        raise ValueError(f"{name} must be strictly increasing")
+    raw = [raw_at(x) for x in schedule]
+    extrap, last = aitken(raw), raw[-1]
+    r = abs(last - extrap) + pad
+    value = min(max(extrap, 0.0), 1.0)
+    bracket = (max(min(last - r, value), 0.0), min(max(last + r, value), 1.0))
+    return DimEstimate(value, bracket, trace=tuple(raw), **fields)
+
+
 # ---------------------------------------------------------------------------
 # pre-dimensional numbers
 # ---------------------------------------------------------------------------
@@ -321,36 +326,30 @@ def _alpha_fraction(alpha: Number) -> Fraction:
     return af
 
 
-def _finite_bound(B) -> int:
-    # None marks the full alphabet, which only the B -> infinity limit handles
-    if B is None:
-        raise OutOfRange("per-n numbers need a finite alphabet bound; use dim_full for the limit")
-    return int(B)
+def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: str, node_budget: int) -> DimEstimate:
+    """Root rho of sum_power(B, spec, rho) = 0, bisected to `width`."""
+    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=width)
+    return DimEstimate(root, bracket, n_used=n, B_used=B, method=method)
 
 
-def predim_hat(q: DimQuery, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
+def predim_hat(B: int, alpha: Number, i: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
     """Root of  sum (tau^{n alpha/(1-alpha)} q_n)^{-2 rho} = 1  over {1..B}^n."""
-    B = _finite_bound(q.B)
-    af = _alpha_fraction(q.alpha)
+    af = _alpha_fraction(alpha)
     if af == 1:
-        return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate")
-    scale = float(af / (1 - af)) * q.n * log_tau(q.i)
-    spec = SumKernelSpec(free_length=q.n, tail_i=0, tail_digit=q.i, scale_log=scale)
-    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=_ROOT_WIDTH)
-    return DimEstimate(root, bracket, n_used=q.n, B_used=B, method="enumerate-hat")
+        return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
+    spec = SumKernelSpec(free_length=n, tail_digit=i, scale_log=float(af / (1 - af)) * n * log_tau(i))
+    return _enumerated_root(B, spec, _ROOT_WIDTH, n, "enumerate-hat", node_budget)
 
 
-def predim_s(q: DimQuery, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
+def predim_s(B: int, alpha: Number, i: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
     """Root of  sum q_n(free digits, i, ..., i)^{-2 rho} = 1  with floor(n alpha)
     forced trailing digits."""
-    B = _finite_bound(q.B)
-    af = _alpha_fraction(q.alpha)
+    af = _alpha_fraction(alpha)
     if af == 1:
-        return DimEstimate(0.0, (0.0, 0.0), n_used=q.n, B_used=B, method="degenerate")
-    tail = int(q.n * af)  # exact floor: Fraction arithmetic
-    spec = SumKernelSpec(free_length=q.n - tail, tail_i=tail, tail_digit=q.i)
-    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=_ROOT_WIDTH)
-    return DimEstimate(root, bracket, n_used=q.n, B_used=B, method="enumerate-s")
+        return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
+    tail = int(n * af)  # exact floor: Fraction arithmetic
+    spec = SumKernelSpec(free_length=n - tail, tail_i=tail, tail_digit=i)
+    return _enumerated_root(B, spec, _ROOT_WIDTH, n, "enumerate-s", node_budget)
 
 
 def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
@@ -373,15 +372,9 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
         raise OutOfRange("tail length exceeds segment length")
     free = l_k - tail_len
     if B**free <= _CACHE_LIMIT:
-        spec = SumKernelSpec(free_length=free, tail_i=tail_len, tail_digit=i)
-        root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho), width=1e-14)
-        tag = "enumerate-tilde"
-    else:
-        root, bracket = solve_decreasing_root(
-            lambda s: transfer.segment_log_sum(B, i, free, tail_len, s), width=4e-16
-        )
-        tag = "operator-tilde"
-    return DimEstimate(root, bracket, n_used=l_k, B_used=B, method=tag)
+        return _enumerated_root(B, SumKernelSpec(free, tail_len, i), 1e-14, l_k, "enumerate-tilde", DEFAULT_NODE_BUDGET)
+    root, bracket = solve_decreasing_root(lambda s: transfer.segment_log_sum(B, i, free, tail_len, s), width=4e-16)
+    return DimEstimate(root, bracket, n_used=l_k, B_used=B, method="operator-tilde")
 
 
 def dim_limit(
@@ -394,17 +387,9 @@ def dim_limit(
     """Pre-dimensional numbers along an increasing n-schedule plus Aitken
     extrapolation; the bracket is the last raw value +- its distance to the
     extrapolated one."""
-    if list(n_schedule) != sorted(set(n_schedule)):
-        raise ValueError("n_schedule must be strictly increasing")
-    raw = [predim_hat(DimQuery(B=B, alpha=alpha, i=i, n=n), node_budget).value for n in n_schedule]
-    extrap = aitken(raw)
-    last = raw[-1]
-    r = abs(last - extrap)
-    value = min(max(extrap, 0.0), 1.0)
-    lo = max(min(last - r, value), 0.0)
-    hi = min(max(last + r, value), 1.0)
-    return DimEstimate(
-        value, (lo, hi), n_used=list(n_schedule)[-1], B_used=B, method="enumerate-limit", trace=tuple(raw)
+    return _aitken_limit(
+        n_schedule, "n_schedule", lambda n: predim_hat(B, alpha, i, n, node_budget).value, 0.0,
+        n_used=list(n_schedule)[-1], B_used=B, method="enumerate-limit",
     )
 
 
@@ -457,29 +442,19 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
         value = 1.0 if af == 0 else 0.5
         trace = tuple(spectral_dim(B, af, i).value for B in B_schedule) if af == 0 else ()
         return DimEstimate(value, (value, value), B_used=list(B_schedule)[-1], method="convention", trace=trace)
-    if list(B_schedule) != sorted(set(B_schedule)):
-        raise ValueError("B_schedule must be strictly increasing")
-    raw = [spectral_dim(B, af, i).value for B in B_schedule]
-    extrap = aitken(raw)
-    last = raw[-1]
-    r = abs(last - extrap) + _SPECTRAL_WIDTH
-    value = min(max(extrap, 0.0), 1.0)
-    lo = max(min(last - r, value), 0.0)
-    hi = min(max(last + r, value), 1.0)
-    return DimEstimate(value, (lo, hi), B_used=list(B_schedule)[-1], method="spectral-extrapolated", trace=tuple(raw))
+    return _aitken_limit(
+        B_schedule, "B_schedule", lambda B: spectral_dim(B, af, i).value, _SPECTRAL_WIDTH,
+        B_used=list(B_schedule)[-1], method="spectral-extrapolated",
+    )
 
 
 # ---------------------------------------------------------------------------
 # theorem formulas
 # ---------------------------------------------------------------------------
 
-_INF = float("inf")
-
 
 def _exact_or_none(v) -> Optional[Fraction]:
-    if v is None:
-        return None
-    if isinstance(v, float) and math.isinf(v):
+    if v is None or (isinstance(v, float) and math.isinf(v)):
         return None
     return to_fraction(v)
 
@@ -562,6 +537,11 @@ def theorem_argument(
     raise OutOfRange(f"unknown kind {kind!r}")
 
 
+def theorem_run_digit(kind: str, i: int) -> int:
+    """Run digit of a theorem's formula: 1 for the run-length kinds FG and F (runs of the digit 1), else i."""
+    return 1 if kind in ("FG", "F") else i
+
+
 def theorem_dims(
     kind: str,
     nu_hat: Optional[Number] = None,
@@ -582,12 +562,9 @@ def theorem_dims(
       FG       - intersection of liminf/limsup run-length level sets (i = 1)
       F        - liminf run-length level set (i = 1)
 
-    The run-length kinds are golden-ratio scaled (runs of the digit 1), so i
-    is forced to 1 there.  Degenerate branches return exactly 1, 1/2, or 0;
-    interior arguments are passed to the full-alphabet solver.
+    Degenerate branches return exactly 1, 1/2, or 0; interior arguments are
+    passed to the full-alphabet solver.
     """
-    if kind in ("FG", "F"):
-        i = 1
     xi = theorem_argument(kind, nu_hat=nu_hat, nu=nu, alpha=alpha, beta=beta)
     if xi is None:
         return DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
@@ -595,4 +572,4 @@ def theorem_dims(
         return DimEstimate(1.0, (1.0, 1.0), method="convention")
     if xi == 1:
         return DimEstimate(0.5, (0.5, 0.5), method="convention")
-    return dim_full(xi, i, B_schedule or DEFAULT_B_SCHEDULE)
+    return dim_full(xi, theorem_run_digit(kind, i), B_schedule or DEFAULT_B_SCHEDULE)

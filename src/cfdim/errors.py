@@ -6,7 +6,7 @@ class CfdimError(Exception):
 
 
 class InputOutOfRange(CfdimError):
-    """Input value does not represent a number in (0, 1)."""
+    """Input value or parameter outside its documented range."""
 
 
 class Overflow(CfdimError):

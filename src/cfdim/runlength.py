@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cf_core import DigitSeq
-from .errors import EmptyWindow
+from .errors import EmptyWindow, InputOutOfRange
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def ratio_estimates(rp: RunProfile, tail_fraction: float = 0.5) -> RatioEstimate
     meaningful.
     """
     if not (0 < tail_fraction <= 1):
-        raise ValueError("tail_fraction must lie in (0, 1]")
+        raise InputOutOfRange(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     n = rp.n_max
     k_min = n - int(tail_fraction * n) + 1
     if k_min > n:

@@ -105,7 +105,7 @@ class McConfig:
 
     def __post_init__(self):
         if self.samples < 1 or self.n_digits < 1:
-            raise ValueError("samples and n_digits must be >= 1")
+            raise InputOutOfRange(f"samples and n_digits must be >= 1, got {self.samples} and {self.n_digits}")
 
 
 def load_fixtures() -> Dict[str, object]:

@@ -26,7 +26,7 @@ from cfdim.cantor import (
     sample_measure,
 )
 from cfdim.cf_core import continuants, run_continuant, run_continuant_closed_form
-from cfdim.dim_solver import DimQuery, dim_full, dim_limit, spectral_dim, theorem_dims
+from cfdim.dim_solver import dim_full, dim_limit, spectral_dim, theorem_dims
 from cfdim.verify import McConfig, lemma_suite, mc_laws, mc_nu_zero, mc_runlength, solver_crosscheck
 
 

@@ -93,6 +93,16 @@ def test_dim_curve_b_sweep_nondecreasing(capsys):
     assert vals == sorted(vals)
 
 
+def test_dim_curve_b_sweep_forces_run_digit_one_for_run_length_kinds(capsys):
+    # F counts runs of the digit 1, as its non-curve value does, so --i is ignored
+    curve = ["dim", "--kind", "F", "--alpha", "1/4", "--curve", "B=2..3"]
+    rc1, out1 = run_cli([*curve, "--i", "1"], capsys)
+    rc2, out2 = run_cli([*curve, "--i", "2"], capsys)
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    assert len(out1.strip().split("\n")) == 3
+
+
 def test_cantor_samples_admissible(capsys):
     rc, out = run_cli(
         ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "3",
@@ -152,12 +162,35 @@ def test_digit_file_bad_token_exit2(tmp_path, capsys):
         ["runlength", "--tail-fraction", "0.01"],  # the tail window of 9 digits is empty
         ["exponents", "--N", "0"],
         ["exponents", "--N", "-5"],
+        ["runlength", "--tail-fraction", "0"],
+        ["runlength", "--tail-fraction", "1.5"],
+        ["runlength", "--tail-fraction", "nan"],
     ],
 )
 def test_digit_file_range_errors_exit3(argv, tmp_path, capsys):
     path = tmp_path / "d.digits"
     path.write_text("1 2 1 1 2 1 1 1 2")  # three record 1-runs: estimates exist over the whole file
     assert main([*argv, "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("range error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "runlength", "--samples", "0", "--n", "10"],
+        ["verify", "--suite", "nu_zero", "--samples", "0", "--n", "10"],
+        ["expand", "--rational", "5/8", "--n", "0"],
+        ["expand", "--surd", "sqrt:2", "--n", "-1"],
+        *(
+            ["cantor", "--nu-hat", "1/3", "--nu", "1", "--k-max", "4", "--depth-k", k]
+            for k in ("0", "-1", "5")  # 1..k_max is the range
+        ),
+    ],
+)
+def test_parameter_range_errors_exit3(argv, capsys):
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("range error: ")

@@ -13,7 +13,6 @@ from cfdim import dim_solver as ds
 from cfdim.cf_core import continuants
 from cfdim.dim_solver import (
     DimEstimate,
-    DimQuery,
     SumKernelSpec,
     aitken,
     dim_full,
@@ -169,8 +168,8 @@ def test_dim_estimate_rejects_value_outside_bracket():
 def test_predim_b1_is_zero():
     for n in (2, 5, 9):
         for alpha in (0, Fraction(1, 3), 0.7):
-            assert predim_hat(DimQuery(B=1, alpha=alpha, i=1, n=n)).value == 0.0
-            assert predim_s(DimQuery(B=1, alpha=alpha, i=1, n=n)).value == 0.0
+            assert predim_hat(1, alpha, 1, n).value == 0.0
+            assert predim_s(1, alpha, 1, n).value == 0.0
 
 
 def test_predim_hat_matches_brute_force_root():
@@ -178,28 +177,27 @@ def test_predim_hat_matches_brute_force_root():
     qs = [continuants(list(d)).qk(10) for d in itertools.product((1, 2), repeat=10)]
     f = lambda rho: mpmath.fsum(mpmath.mpf(q) ** (-2 * rho) for q in qs) - 1
     ref = float(mpmath.findroot(f, 0.55))
-    est = predim_hat(DimQuery(B=2, alpha=0, i=1, n=10))
+    est = predim_hat(2, 0, 1, 10)
     assert est.value == pytest.approx(ref, abs=1e-10)
 
 
 def test_predim_hat_root_residual():
     # the returned rho satisfies |log-sum| <= 1e-9 (finite-alphabet equality)
-    q = DimQuery(B=3, alpha=Fraction(1, 2), i=1, n=10)
-    est = predim_hat(q)
-    scale = float(Fraction(1, 2) / Fraction(1, 2)) * q.n * ds.log_tau(1)
+    est = predim_hat(3, Fraction(1, 2), 1, 10)
+    scale = float(Fraction(1, 2) / Fraction(1, 2)) * 10 * ds.log_tau(1)
     res = sum_power(3, SumKernelSpec(free_length=10, scale_log=scale), est.value)
     assert abs(res) <= 1e-9
 
 
 def test_predim_alpha_zero_coincide():
     for B in (2, 3):
-        h = predim_hat(DimQuery(B=B, alpha=0, i=1, n=9)).value
-        s = predim_s(DimQuery(B=B, alpha=0, i=1, n=9)).value
+        h = predim_hat(B, 0, 1, 9).value
+        s = predim_s(B, 0, 1, 9).value
         assert h == s
 
 
 def test_predim_alpha_one_degenerate():
-    est = predim_s(DimQuery(B=3, alpha=1, i=1, n=8))
+    est = predim_s(3, 1, 1, 8)
     assert est.value == 0.0 and est.method == "degenerate"
 
 
@@ -207,30 +205,30 @@ def test_predim_hat_shares_one_table_across_run_digits(monkeypatch):
     # without a tail the run digit only moves the scale, not the table
     builds = _count_table_builds(monkeypatch)
     for i in (1, 2):
-        predim_hat(DimQuery(B=3, alpha=Fraction(1, 2), i=i, n=8))
+        predim_hat(3, Fraction(1, 2), i, 8)
     assert builds == [(3, 8)]
 
 
 def test_predim_s_close_to_hat():
-    a = predim_s(DimQuery(B=3, alpha=Fraction(1, 2), i=1, n=12)).value
-    b = predim_hat(DimQuery(B=3, alpha=Fraction(1, 2), i=1, n=12)).value
+    a = predim_s(3, Fraction(1, 2), 1, 12).value
+    b = predim_hat(3, Fraction(1, 2), 1, 12).value
     assert abs(a - b) <= 0.05
 
 
 def test_predim_order_one_has_no_root():
     with pytest.raises(NoConvergence):
-        predim_hat(DimQuery(B=2, alpha=0, i=1, n=1))
+        predim_hat(2, 0, 1, 1)
 
 
 def test_predim_tilde_identities():
     # tail_len = 0 coincides with the hat number at alpha = 0
     t0 = predim_tilde(3, 1, (8, 0)).value
-    h0 = predim_hat(DimQuery(B=3, alpha=0, i=1, n=8)).value
+    h0 = predim_hat(3, 0, 1, 8).value
     assert t0 == pytest.approx(h0, abs=1e-11)
     assert predim_tilde(1, 1, (9, 4)).value == 0.0
     # same sum as predim_s(alpha=1/2, n=12)
     t = predim_tilde(3, 1, (12, 6)).value
-    s = predim_s(DimQuery(B=3, alpha=Fraction(1, 2), i=1, n=12)).value
+    s = predim_s(3, Fraction(1, 2), 1, 12).value
     assert t == pytest.approx(s, abs=1e-9)
 
 
@@ -423,6 +421,29 @@ def test_dim_full_interior_range_and_monotone():
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize(
+    "make, pad, clamped",
+    [
+        (lambda: dim_full(Fraction(1, 2), 1), ds._SPECTRAL_WIDTH, None),
+        (lambda: dim_full(Fraction(19, 20), 2), ds._SPECTRAL_WIDTH, 0),  # last - r < 0
+        (lambda: dim_limit(3, Fraction(1, 3), 1, (3, 6, 9)), 0.0, None),
+        (lambda: dim_limit(5, 0, 1, (2, 3, 4)), 0.0, 1),  # last + r > 1
+    ],
+    ids=["full", "full-clamped-lo", "limit", "limit-clamped-hi"],
+)
+def test_limit_bracket_half_width_pads_only_the_spectral_limit(make, pad, clamped):
+    # the bracket is trace[-1] +- (|trace[-1] - aitken(trace)| + pad), clamped
+    # to [0, 1] and widened to hold the value; only dim_full's finite-B roots
+    # carry a bisection width (_SPECTRAL_WIDTH) into the half-width
+    e = make()
+    last = e.trace[-1]
+    r = abs(last - aitken(e.trace)) + pad
+    assert e.bracket == (max(min(last - r, e.value), 0.0), min(max(last + r, e.value), 1.0))
+    if clamped is not None:
+        assert not 0.0 <= last + (2 * clamped - 1) * r <= 1.0
+        assert e.bracket[clamped] == float(clamped)
+
+
 # ---------------------------------------------------------------------------
 # theorem formulas
 # ---------------------------------------------------------------------------
@@ -501,13 +522,6 @@ def test_to_fraction():
     assert abs(float(to_fraction(0.333)) - 0.333) < 1e-15
     with pytest.raises(ValueError):
         to_fraction(float("inf"))
-
-
-def test_predim_rejects_infinite_alphabet_marker():
-    with pytest.raises(OutOfRange):
-        predim_hat(DimQuery(B=None, alpha=0, i=1, n=6))
-    with pytest.raises(OutOfRange):
-        predim_s(DimQuery(B=None, alpha=0.5, i=1, n=6))
 
 
 def test_pressure_matches_partition_sum_growth():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cfdim.errors import EmptyWindow
+from cfdim.errors import EmptyWindow, InputOutOfRange
 from cfdim.runlength import RunProfile, maximal_runs, ratio_estimates, run_profile
 
 digit_lists = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=200)
@@ -76,8 +76,9 @@ def test_ratio_estimates_window():
     rp = run_profile([1, 2] * 50)
     est = ratio_estimates(rp, 0.25)
     assert est.window == (76, 100)
-    with pytest.raises(ValueError):
-        ratio_estimates(rp, 0.0)
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(InputOutOfRange):
+            ratio_estimates(rp, bad)
 
 
 def test_random_digits_have_vanishing_ratio():
