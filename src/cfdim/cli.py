@@ -9,11 +9,12 @@ byte-identical output.  Exit codes: 0 ok, 1 check failed, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -165,6 +166,7 @@ def _estimate_payload(e: dim_solver.DimEstimate) -> dict:
 
 
 def cmd_dim(args) -> int:
+    args.i = dim_solver.theorem_run_digit(args.kind, args.i)  # echo the run digit the formulas use
     kw = dict(nu_hat=args.nu_hat, nu=args.nu, alpha=args.alpha, beta=args.beta, i=args.i)
     if args.B_schedule:
         kw["B_schedule"] = tuple(int(b) for b in args.B_schedule.split(","))
@@ -181,7 +183,7 @@ def cmd_dim(args) -> int:
                 if xi is None:
                     e = dim_solver.DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
                 else:
-                    e = dim_solver.spectral_dim(int(v), xi, dim_solver.theorem_run_digit(args.kind, args.i))
+                    e = dim_solver.spectral_dim(int(v), xi, args.i)
             else:
                 kw2 = dict(kw)
                 kw2[name] = v
@@ -237,10 +239,46 @@ def cmd_cantor(args) -> int:
     return EXIT_OK
 
 
-def _read_digit_file(path: str) -> List[int]:
-    with open(path) as fh:
-        toks = fh.read().replace(",", " ").split()
-    return list(map(int, toks))
+_DIGIT_FILE_BYTES = b"0123456789 \t\n\v\f\r,"
+_INT64_MAX = 2**63 - 1
+
+
+def _read_digit_file(path: str) -> np.ndarray:
+    """The partial quotients of a digit file as an int64 array.
+
+    The grammar and the exit code of each error are in docs/formats.md.  A
+    token's value is summed over its place values in numpy, one place at a
+    time over the tokens that reach it, up to 10^17; a token longer than 18
+    characters may exceed 2^63 - 1 and is read exactly by `int` instead.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bad = data.translate(None, _DIGIT_FILE_BYTES)
+    if bad:
+        raise ValueError(
+            f"{path}: byte {bad[:1]!r} at offset {data.index(bad[:1])} is not an ASCII digit, whitespace or ','"
+        )
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # first and one-past-last offsets of each token, alternating; every separator sorts below b"0"
+    bounds = np.flatnonzero(np.diff(raw >= ord("0"), prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size == 0:
+        raise InputOutOfRange(f"{path}: the digit file holds no digits")
+    lengths = ends - starts
+    a = np.subtract(raw[ends - 1], ord("0"), dtype=np.int64)
+    reach, place = np.flatnonzero(lengths > 1), 1
+    while reach.size and place < 18:
+        a[reach] += np.subtract(raw[ends[reach] - 1 - place], ord("0"), dtype=np.int64) * 10**place
+        place += 1
+        reach = reach[lengths[reach] > place]
+    for k in np.flatnonzero(lengths > 18).tolist():
+        token = data[starts[k] : ends[k]].lstrip(b"0") or b"0"
+        if len(token) > 19 or int(token) > _INT64_MAX:
+            raise Overflow(f"{path}: digit {k + 1} exceeds 2^63 - 1")
+        a[k] = int(token)
+    if not a.all():
+        raise InputOutOfRange(f"{path}: digit {int(a.argmin()) + 1} is 0, but partial quotients are positive")
+    return a
 
 
 def cmd_exponents(args) -> int:
@@ -313,7 +351,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parse_args leaves it unchanged."""
     p = _Parser(prog="cfdim", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -1,11 +1,17 @@
 """CLI behavior: schemas, reproducibility, exit codes, golden files."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
+import warnings
 
+import numpy as np
 import pytest
 
+import cfdim
 from cfdim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -174,6 +180,116 @@ def test_digit_file_range_errors_exit3(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("range error: ")
+
+
+@pytest.mark.parametrize("command", ["runlength", "exponents"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # no digits
+        " \t\r\n, ,\n",  # separators only
+        "1 2 3 99999999999999999999999 1 1",  # above 2^63 - 1
+        "1 2 9223372036854775808 1",  # 2^63, one past the largest int64
+        "0 3 2 1 1",  # partial quotients are positive
+        "1 2 000 1 1",
+    ],
+)
+def test_digit_file_content_range_errors_exit3(command, text, tmp_path, capsys):
+    path = tmp_path / "d.digits"
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("range error: ")
+
+
+@pytest.mark.parametrize("command", ["runlength", "exponents"])
+@pytest.mark.parametrize(
+    "text",
+    ["1 +5 1", "1 -3 2 1", "0 -3 2 1", "1 2.5 1", "1 1_000 1", "1 1e3 1", "1 x 1", "1 ٣ 1", "1 ３ 1",
+     "1\x002 1", "1\xa02 1", "1;2 1"],
+    ids=["plus", "minus", "zero-and-minus", "point", "underscore", "exponent", "letter", "arabic-indic-digit",
+         "fullwidth-digit", "nul", "no-break-space", "semicolon"],
+)
+def test_digit_file_bytes_outside_the_grammar_exit2(command, text, tmp_path, capsys):
+    path = tmp_path / "d.digits"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+
+
+def _oracle(text):
+    return list(map(int, text.replace(",", " ").split()))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_digit_file_reader_matches_int_split_oracle(seed, tmp_path):
+    from cfdim.cli import _read_digit_file
+
+    rng = random.Random(seed)
+    top = 2**63 - 1
+    values = [
+        rng.choice([rng.randint(1, 9), rng.randint(1, 10**6), rng.randint(10**17, 10**18 - 1),
+                    rng.randint(10**18, top), top - rng.randint(0, 5)])
+        for _ in range(rng.randint(1, 300))
+    ]
+    seps = [" ", "\t", "\r\n", ",", " , ", "\n\n", "\t,\r\n"]
+    toks = ["0" * rng.choice([0, 0, 1, 3, 20]) + str(v) for v in values]
+    body = "".join(t + rng.choice(seps) for t in toks)
+    text = rng.choice(["", " ", "\r\n", ",", "\t"]) + (body if seed % 2 else body.rstrip(" \t\r\n,"))
+    path = tmp_path / "d.digits"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = _read_digit_file(str(path))
+    assert a.dtype == np.int64
+    assert a.tolist() == _oracle(text) == values
+
+
+@pytest.mark.parametrize("tok", ["9223372036854775808", "18446744073709551617", "99999999999999999999",
+                                 "0009223372036854775808", "1" * 5000])
+def test_digit_file_reader_overflow_is_never_clamped(tok, tmp_path):
+    from cfdim.cli import _read_digit_file
+    from cfdim.errors import Overflow
+
+    path = tmp_path / "d.digits"
+    path.write_text(f"1 {tok} 2")
+    with pytest.raises(Overflow):
+        _read_digit_file(str(path))
+    path.write_text(f"1 {'0' * 30}9223372036854775807 2")
+    assert _read_digit_file(str(path)).tolist() == [1, 2**63 - 1, 2]
+
+
+def test_parser_reuse_prints_the_bytes_of_a_fresh_process(tmp_path, capsys):
+    # one argparse tree serves every call in a process: no flag or default may leak between calls
+    from cfdim.cli import build_parser
+
+    assert build_parser() is build_parser()
+    path = tmp_path / "d.digits"
+    path.write_text("1 2 1 1 2 1 1 1 2 2 1 1 1 1")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cfdim.__file__).parents[1])}
+    for argv in (["runlength", "--emit-profile"], ["runlength"], ["exponents", "--N", "5"], ["exponents"]):
+        argv = [*argv, "--input", str(path)]
+        rc, out = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "cfdim.cli", *argv], env=env, capture_output=True, text=True)
+        assert (rc, out) == (fresh.returncode, fresh.stdout)
+        assert rc == 0
+
+
+@pytest.mark.parametrize("kind,params", [("F", ["--alpha", "1/4"]), ("FG", ["--alpha", "1/4", "--beta", "1/2"])])
+def test_dim_run_length_kinds_echo_the_run_digit_they_use(kind, params, capsys):
+    argv = ["dim", "--kind", kind, *params]
+    rc1, out1 = run_cli([*argv, "--i", "2"], capsys)
+    rc2, out2 = run_cli([*argv, "--i", "1"], capsys)
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    config = json.loads(out1)["config"]
+    assert config["i"] == 1
+    rc3, out3 = run_cli(config["argv"], capsys)
+    assert rc3 == 0
+    assert out3 == out1
 
 
 @pytest.mark.parametrize(
