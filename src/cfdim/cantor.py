@@ -46,7 +46,7 @@ import numpy as np
 from . import dim_solver, transfer
 from .cf_core import DigitSeq, denominators, digit_seq, run_continuants
 from .dim_solver import DimEstimate, to_fraction
-from .errors import Inadmissible, NoConvergence, OutOfRange
+from .errors import Inadmissible, InputOutOfRange, NoConvergence
 
 log = logging.getLogger(__name__)
 
@@ -114,9 +114,9 @@ def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
     nv = to_fraction(nu)
     nh = to_fraction(nu_hat)
     if not (nv > 0):
-        raise OutOfRange("need 0 < nu < infinity")
+        raise InputOutOfRange("need 0 < nu < infinity")
     if not (0 <= nh <= nv / (1 + nv)):
-        raise OutOfRange(f"need 0 <= nu_hat <= nu/(1+nu) = {nv/(1+nv)}")
+        raise InputOutOfRange(f"need 0 <= nu_hat <= nu/(1+nu) = {nv/(1+nv)}")
     ns: List[int] = []
     ms: List[int] = []
     if nh > 0:
@@ -144,7 +144,7 @@ def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
     """
     nh = to_fraction(nu_hat)
     if not (0 <= nh <= 1):
-        raise OutOfRange("need 0 <= nu_hat <= 1")
+        raise InputOutOfRange("need 0 <= nu_hat <= 1")
     ns: List[int] = []
     ms: List[int] = []
     bs: List[int] = []
@@ -189,7 +189,7 @@ def construct_sequences_runlength(alpha, beta, k_max: int = 12) -> SeqPair:
     a = to_fraction(alpha)
     b = to_fraction(beta)
     if not (0 < a <= b / (1 + b) < b < 1):
-        raise OutOfRange(f"need 0 < alpha <= beta/(1+beta) < beta < 1, got alpha={a}, beta={b}")
+        raise InputOutOfRange(f"need 0 < alpha <= beta/(1+beta) < beta < 1, got alpha={a}, beta={b}")
     ns: List[int] = []
     ms: List[int] = []
     nk = 2
@@ -217,10 +217,10 @@ class CantorSpec:
     d: Optional[int] = None
 
     def __post_init__(self):
-        if self.B < self.i + 1:
-            raise OutOfRange(f"need B >= i+1, got B={self.B}, i={self.i}")
+        if not 1 <= self.i < self.B:
+            raise InputOutOfRange(f"need 1 <= i and B >= i+1, got B={self.B}, i={self.i}")
         if self.d is not None and self.d <= self.B:
-            raise OutOfRange(f"insertion digit must exceed B, got d={self.d}")
+            raise InputOutOfRange(f"insertion digit must exceed B, got d={self.d}")
 
     @property
     def marker(self) -> int:
@@ -326,7 +326,7 @@ class MeasureContext:
 
     def __init__(self, spec: CantorSpec):
         if spec.sp.B_k is not None:
-            raise OutOfRange("measure machinery supports the bounded-alphabet variant only")
+            raise InputOutOfRange("measure machinery supports the bounded-alphabet variant only")
         self.spec = spec
         self._s_tilde: Dict[int, DimEstimate] = {}
         self._stacks: Dict[int, transfer.SegmentStack] = {}
@@ -555,7 +555,7 @@ def sample_measure(
     """
     sp = spec.sp
     if depth > sp.m[-1]:
-        raise OutOfRange(f"depth {depth} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
+        raise InputOutOfRange(f"depth {depth} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
     ctx = measure_context(spec)
     rng = np.random.default_rng(seed)
     out: List[int] = []
@@ -637,7 +637,7 @@ def insert_map(spec: CantorSpec, x_digits: Sequence[int]) -> InsertResult:
     k = 1
     while pos < len(digits):
         if k > sp.k_max:
-            raise OutOfRange(f"input longer than the materialized schedule (n_{sp.k_max+1})")
+            raise InputOutOfRange(f"input longer than the materialized schedule (n_{sp.k_max+1})")
         chunk = sp.run_length(k)
         block_end = sp.n[k] if k < sp.k_max else len(digits)
         stop = min(block_end, len(digits))

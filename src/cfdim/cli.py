@@ -19,10 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, cantor, dim_solver, exponents, runlength, verify
-from .cf_core import RealInput, continuants, expand
-from .errors import (
-    BudgetExceeded, EmptyWindow, Exhausted, Inadmissible, InputOutOfRange, NoBlocks, NoConvergence, Overflow, OutOfRange,
-)
+from .cf_core import MAX_DIGIT, RealInput, continuants, expand
+from .errors import BudgetExceeded, Exhausted, Inadmissible, InputOutOfRange, NoConvergence, Overflow
 
 SCHEMA_VERSION = 1
 
@@ -57,8 +55,10 @@ def _parse_param(s: str):
     if s in ("inf", "infinity"):
         return float("inf")
     if "/" in s:
-        p, q = s.split("/")
-        return Fraction(int(p), int(q))
+        p, q = map(int, s.split("/"))
+        if not q:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(p, q)
     if "." in s or "e" in s or "E" in s:
         return float(s)
     return int(s)
@@ -148,6 +148,8 @@ def _parse_curve(spec: str):
     if not lo or not hi:
         raise InputOutOfRange(f"cannot parse curve {spec!r}")
     if count:
+        if int(count) < 0:
+            raise InputOutOfRange(f"curve point count must be >= 0, got {count}")
         vals = list(np.linspace(float(lo), float(hi), int(count)))
     else:
         vals = list(range(int(lo), int(hi) + 1))
@@ -214,6 +216,9 @@ def _build_spec(args) -> cantor.CantorSpec:
 
 
 def cmd_cantor(args) -> int:
+    for flag in ("sample", "seed", "emit_digits"):
+        if getattr(args, flag) < 0:
+            raise InputOutOfRange(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
     spec = _build_spec(args)
     if not 1 <= args.depth_k <= spec.sp.k_max:
         raise InputOutOfRange(f"--depth-k must lie in 1..{spec.sp.k_max} (--k-max), got {args.depth_k}")
@@ -240,7 +245,6 @@ def cmd_cantor(args) -> int:
 
 
 _DIGIT_FILE_BYTES = b"0123456789 \t\n\v\f\r,"
-_INT64_MAX = 2**63 - 1
 
 
 def _read_digit_file(path: str) -> np.ndarray:
@@ -273,7 +277,7 @@ def _read_digit_file(path: str) -> np.ndarray:
         reach = reach[lengths[reach] > place]
     for k in np.flatnonzero(lengths > 18).tolist():
         token = data[starts[k] : ends[k]].lstrip(b"0") or b"0"
-        if len(token) > 19 or int(token) > _INT64_MAX:
+        if len(token) > 19 or int(token) > MAX_DIGIT:
             raise Overflow(f"{path}: digit {k + 1} exceeds 2^63 - 1")
         a[k] = int(token)
     if not a.all():
@@ -318,6 +322,8 @@ def cmd_runlength(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise InputOutOfRange(f"--seed must be >= 0, got {args.seed}")
     if args.suite == "lemmas":
         rep = verify.lemma_suite(seed=args.seed)
     elif args.suite == "solver":
@@ -435,7 +441,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except (InputOutOfRange, OutOfRange, Overflow, Exhausted, Inadmissible, NoBlocks, EmptyWindow) as exc:
+    except (InputOutOfRange, Overflow, Exhausted, Inadmissible) as exc:
         sys.stderr.write(f"range error: {exc}\n")
         return EXIT_RANGE
     except (ValueError, OSError) as exc:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import transfer
 from .cf_core import log_tau
-from .errors import BudgetExceeded, NoConvergence, OutOfRange
+from .errors import BudgetExceeded, InputOutOfRange, NoConvergence
 
 DEFAULT_NODE_BUDGET = 200_000_000
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
@@ -58,10 +58,8 @@ def to_fraction(x: Number) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        if x == float("inf"):
-            raise ValueError("cannot rationalize infinity")
-        if x != x:
-            raise ValueError("nan")
+        if not math.isfinite(x):
+            raise InputOutOfRange(f"cannot rationalize {x}")
         return Fraction(x).limit_denominator(10**15)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
@@ -305,7 +303,7 @@ def _aitken_limit(
     to [0, 1]; the bracket is the last raw value +- (its distance to the
     extrapolated one + pad), clamped to [0, 1] and widened to hold the value."""
     if list(schedule) != sorted(set(schedule)):
-        raise ValueError(f"{name} must be strictly increasing")
+        raise InputOutOfRange(f"{name} must be strictly increasing, got {list(schedule)}")
     raw = [raw_at(x) for x in schedule]
     extrap, last = aitken(raw), raw[-1]
     r = abs(last - extrap) + pad
@@ -322,7 +320,7 @@ def _aitken_limit(
 def _alpha_fraction(alpha: Number) -> Fraction:
     af = to_fraction(alpha)
     if not (0 <= af <= 1):
-        raise OutOfRange(f"alpha = {af} outside [0,1]")
+        raise InputOutOfRange(f"alpha = {af} outside [0,1]")
     return af
 
 
@@ -369,7 +367,7 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
     """
     l_k, tail_len = segment
     if tail_len > l_k or tail_len < 0:
-        raise OutOfRange("tail length exceeds segment length")
+        raise InputOutOfRange("tail length exceeds segment length")
     free = l_k - tail_len
     if B**free <= _CACHE_LIMIT:
         return _enumerated_root(B, SumKernelSpec(free, tail_len, i), 1e-14, l_k, "enumerate-tilde", DEFAULT_NODE_BUDGET)
@@ -414,7 +412,7 @@ def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
     """Root of  P_B(s) = 2 s (alpha/(1-alpha)) log tau(i)  by bisection."""
     af = _alpha_fraction(alpha)
     if af == 1:
-        raise OutOfRange("alpha = 1 is handled by the closure convention, not the solver")
+        raise InputOutOfRange("alpha = 1 is handled by the closure convention, not the solver")
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
     F = lambda s: spectral_pressure(B, s) - coeff * s
     root, bracket = solve_decreasing_root(F, width=_SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
@@ -453,10 +451,17 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
 # ---------------------------------------------------------------------------
 
 
-def _exact_or_none(v) -> Optional[Fraction]:
-    if v is None or (isinstance(v, float) and math.isinf(v)):
+def _theorem_param(name: str, v: Optional[Number]) -> Optional[Fraction]:
+    """A theorem parameter as an exact rational, or None for +infinity.
+    Raises InputOutOfRange when it is missing, negative, -infinity or nan."""
+    if v is None:
+        raise InputOutOfRange(f"{name} required")
+    if v == math.inf:
         return None
-    return to_fraction(v)
+    x = to_fraction(v)
+    if x < 0:
+        raise InputOutOfRange(f"{name} must be >= 0")
+    return x
 
 
 def theorem_argument(
@@ -467,34 +472,23 @@ def theorem_argument(
     beta: Optional[Number] = None,
 ) -> Optional[Fraction]:
     """The alpha-argument of a theorem's dimension formula, or None on the
-    zero branches ("otherwise" cases).  Raises OutOfRange outside every
+    zero branches ("otherwise" cases).  Raises InputOutOfRange outside every
     branch.  The endpoint arguments 0 and 1 stand for the exact values 1 and
     1/2 under the closure convention."""
     if kind in ("U_set", "E_hat"):
-        if nu_hat is None:
-            raise OutOfRange("nu_hat required")
-        if isinstance(nu_hat, float) and math.isinf(nu_hat):
-            return None
-        nh = to_fraction(nu_hat)
-        if nh < 0:
-            raise OutOfRange("nu_hat must be >= 0")
-        if nh > 1:
+        nh = _theorem_param("nu_hat", nu_hat)
+        if nh is None or nh > 1:
             return None
         return 4 * nh / (1 + nh) ** 2
 
     if kind == "E_joint":
-        if nu_hat is None or nu is None:
-            raise OutOfRange("nu_hat and nu required")
-        nh = _exact_or_none(nu_hat)
-        nv = _exact_or_none(nu)
+        nh, nv = _theorem_param("nu_hat", nu_hat), _theorem_param("nu", nu)
         if nh is None:
-            raise OutOfRange("nu_hat must be finite")
-        if nh < 0:
-            raise OutOfRange("nu_hat must be >= 0")
+            raise InputOutOfRange("nu_hat must be finite")
         if nv is None:  # nu = infinity; the argument is 1 by convention
             return Fraction(1) if nh <= 1 else None
-        if nv < 0 or nh > nv:
-            raise OutOfRange("need 0 <= nu_hat <= nu")
+        if nh > nv:
+            raise InputOutOfRange("need 0 <= nu_hat <= nu")
         if nv == 0:
             return Fraction(0)
         if nh > nv / (1 + nv):
@@ -502,22 +496,13 @@ def theorem_argument(
         return nv**2 / ((1 + nv) * (nv - nh))
 
     if kind == "nu_level":
-        if nu is None:
-            raise OutOfRange("nu required")
-        nv = _exact_or_none(nu)
-        if nv is None:
-            return Fraction(1)
-        if nv < 0:
-            raise OutOfRange("nu must be >= 0")
-        return nv / (1 + nv)
+        nv = _theorem_param("nu", nu)
+        return Fraction(1) if nv is None else nv / (1 + nv)
 
     if kind == "FG":
-        if alpha is None or beta is None:
-            raise OutOfRange("alpha and beta required")
-        a = to_fraction(alpha)
-        b = to_fraction(beta)
-        if not (0 <= a <= b <= 1):
-            raise OutOfRange("need 0 <= alpha <= beta <= 1")
+        a, b = _theorem_param("alpha", alpha), _theorem_param("beta", beta)
+        if a is None or b is None or not a <= b <= 1:
+            raise InputOutOfRange("need 0 <= alpha <= beta <= 1")
         if b == 0:
             return Fraction(0)
         if a > b / (1 + b):
@@ -525,20 +510,21 @@ def theorem_argument(
         return b**2 * (1 - a) / (b - a)
 
     if kind == "F":
-        if alpha is None:
-            raise OutOfRange("alpha required")
-        a = to_fraction(alpha)
-        if not (0 <= a <= 1):
-            raise OutOfRange("alpha must lie in [0,1]")
+        a = _theorem_param("alpha", alpha)
+        if a is None or a > 1:
+            raise InputOutOfRange("alpha must lie in [0,1]")
         if a > Fraction(1, 2):
             return None
         return 4 * a * (1 - a)
 
-    raise OutOfRange(f"unknown kind {kind!r}")
+    raise InputOutOfRange(f"unknown kind {kind!r}")
 
 
 def theorem_run_digit(kind: str, i: int) -> int:
-    """Run digit of a theorem's formula: 1 for the run-length kinds FG and F (runs of the digit 1), else i."""
+    """Run digit of a theorem's formula: 1 for the run-length kinds FG and F
+    (runs of the digit 1), else i.  Raises InputOutOfRange for i < 1."""
+    if i < 1:
+        raise InputOutOfRange(f"need i >= 1, got {i}")
     return 1 if kind in ("FG", "F") else i
 
 

@@ -6,7 +6,9 @@ class CfdimError(Exception):
 
 
 class InputOutOfRange(CfdimError):
-    """Input value or parameter outside its documented range."""
+    """A value outside its documented range: an input or parameter outside
+    every branch of a piecewise formula, a target digit that never occurs in
+    the sequence, or a tail window that holds no index."""
 
 
 class Overflow(CfdimError):
@@ -17,16 +19,8 @@ class Exhausted(CfdimError):
     """Requested digits beyond the certified prefix of a sequence."""
 
 
-class NoBlocks(CfdimError):
-    """The target digit never occurs in the sequence."""
-
-
 class InsufficientBlocks(CfdimError):
     """Fewer record blocks than required for an estimate."""
-
-
-class EmptyWindow(CfdimError):
-    """Tail window contains no index."""
 
 
 class BudgetExceeded(CfdimError):
@@ -35,10 +29,6 @@ class BudgetExceeded(CfdimError):
 
 class NoConvergence(CfdimError):
     """Iterative solver failed to converge within its cap."""
-
-
-class OutOfRange(CfdimError):
-    """Parameter outside every branch of a piecewise formula."""
 
 
 class Inadmissible(CfdimError):

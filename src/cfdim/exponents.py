@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .cf_core import DigitSeq, QuadraticTarget, gauss_shift
-from .errors import Exhausted, InsufficientBlocks, NoBlocks
+from .errors import Exhausted, InputOutOfRange, InsufficientBlocks
 from .runlength import digit_array, maximal_runs
 
 _THRESHOLD_BITS = 256  # mpmath working precision of the exact-threshold enclosure
@@ -54,7 +54,7 @@ def decompose(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
     starts, lengths = maximal_runs(a)
     hit = a[starts] == i
     if not hit.any():
-        raise NoBlocks(f"digit {i} never occurs")
+        raise InputOutOfRange(f"digit {i} never occurs")
     starts, lengths = starts[hit], lengths[hit]
     # strictly longer than every earlier i-run, with 0 before the first
     rec = lengths > np.maximum.accumulate(np.concatenate(([0], lengths[:-1])))

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cf_core import DigitSeq
-from .errors import EmptyWindow, InputOutOfRange
+from .errors import InputOutOfRange
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def ratio_estimates(rp: RunProfile, tail_fraction: float = 0.5) -> RatioEstimate
     n = rp.n_max
     k_min = n - int(tail_fraction * n) + 1
     if k_min > n:
-        raise EmptyWindow(f"window ({k_min}, {n}) is empty")
+        raise InputOutOfRange(f"window ({k_min}, {n}) is empty")
     ns = np.arange(k_min, n + 1, dtype=np.float64)
     ratios = rp.R[k_min - 1 :] / ns
     return RatioEstimate(

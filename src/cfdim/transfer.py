@@ -32,7 +32,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .cf_core import log_run_continuant
-from .errors import NoConvergence
+from .errors import InputOutOfRange, NoConvergence
 
 DEFAULT_DEGREE = 32
 
@@ -90,7 +90,7 @@ def get_grid(degree: int) -> ChebyshevGrid:
 def transfer_matrix(B: int, s: float, degree: int = DEFAULT_DEGREE) -> np.ndarray:
     """Collocation matrix of L_s: branch rows weighted by (a + x)^{-2s}, summed over a = 1..B in order."""
     if B < 1:
-        raise ValueError("alphabet bound must be >= 1")
+        raise InputOutOfRange(f"alphabet bound must be >= 1, got {B}")
     grid = get_grid(degree)
     w = (np.arange(1, B + 1)[:, None] + grid.nodes) ** (-2.0 * s)
     return (w[:, :, None] * grid.branch_rows(B)).sum(axis=0)

@@ -36,7 +36,7 @@ from .cf_core import (
     run_continuant,
     run_continuant_closed_form,
 )
-from .errors import InputOutOfRange, InsufficientBlocks, NoConvergence, OutOfRange
+from .errors import InputOutOfRange, InsufficientBlocks, NoConvergence
 
 PHI = (1 + math.sqrt(5)) / 2
 DIGIT_CAP = 2**31 - 1
@@ -195,7 +195,7 @@ def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] 
     only once the whole interval k / 2^bits +- 2^-bits lies inside its
     cylinder; redraws until n digits certify.  Returns (digits, redraws).
 
-    Raises OutOfRange, before any draw, when F_{n+1} F_{n+2} >= 2^(bits-1):
+    Raises InputOutOfRange, before any draw, when F_{n+1} F_{n+2} >= 2^(bits-1):
     no cylinder of depth n is then wider than the interval, 2^(1-bits).
     Raises NoConvergence after _DECIMAL_REDRAW_CAP redraws.
     """
@@ -203,7 +203,7 @@ def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] 
     # the widest depth-n cylinder is that of 1^n: 1 / (F_{n+1} F_{n+2})
     f1, f2 = denominators(repeat(1, n + 1))
     if f1 * f2 >= 1 << (bits - 1):
-        raise OutOfRange(f"{bits} bits cannot certify {n} digits: no depth-{n} cylinder is wider than 2^{1 - bits}")
+        raise InputOutOfRange(f"{bits} bits cannot certify {n} digits: no depth-{n} cylinder is wider than 2^{1 - bits}")
     redraws = 0
     while redraws <= _DECIMAL_REDRAW_CAP:
         k = 0

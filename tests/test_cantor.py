@@ -30,7 +30,7 @@ from cfdim.cantor import (
     validate_prefix,
 )
 from cfdim.cf_core import continuants, denominators
-from cfdim.errors import Inadmissible, OutOfRange
+from cfdim.errors import Inadmissible, InputOutOfRange
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +65,9 @@ def test_construct_sequences_ratio_targets():
 
 
 def test_construct_sequences_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         construct_sequences(Fraction(2, 3), 1)  # nu_hat > nu/(1+nu)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         construct_sequences(0, 0)
 
 
@@ -96,7 +96,7 @@ def test_construct_sequences_runlength_targets():
     for k in range(18, 21):
         assert abs((sp.m[k] - sp.n[k]) / sp.n[k + 1] - 0.5) <= 0.05  # alpha/(1-alpha)
         assert abs((sp.m[k] - sp.n[k]) / sp.m[k] - 0.5) <= 0.05  # beta
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         construct_sequences_runlength(Fraction(1, 2), Fraction(3, 5))  # alpha > beta/(1+beta)
 
 
@@ -139,9 +139,9 @@ def test_admissible_children_infinite_variant():
 
 
 def test_cantor_spec_validation(spec13):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         CantorSpec(B=1, i=1, sp=spec13.sp)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         CantorSpec(B=3, i=1, sp=spec13.sp, d=3)
 
 
@@ -222,7 +222,7 @@ def test_samples_admissible_and_deterministic(spec13):
 
 
 def test_sample_depth_guard(spec13):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         sample_measure(spec13, depth=spec13.sp.m[-1] + 1, seed=0)
 
 

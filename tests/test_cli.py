@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cfdim
+from cfdim import cli, errors
 from cfdim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -292,6 +293,18 @@ def test_dim_run_length_kinds_echo_the_run_digit_they_use(kind, params, capsys):
     assert out3 == out1
 
 
+DIM_PARAMS = {
+    "U_set": ["--nu-hat", "1/2"],
+    "E_hat": ["--nu-hat", "1/2"],
+    "E_joint": ["--nu-hat", "1/3", "--nu", "1"],
+    "nu_level": ["--nu", "1"],
+    "FG": ["--alpha", "1/4", "--beta", "1/2"],
+    "F": ["--alpha", "1/4"],
+}
+CANTOR = ["cantor", "--nu-hat", "1/3", "--nu", "1", "--depth-k", "2"]
+E_HAT = ["dim", "--kind", "E_hat", "--nu-hat", "1/2"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -303,6 +316,26 @@ def test_dim_run_length_kinds_echo_the_run_digit_they_use(kind, params, capsys):
             ["cantor", "--nu-hat", "1/3", "--nu", "1", "--k-max", "4", "--depth-k", k]
             for k in ("0", "-1", "5")  # 1..k_max is the range
         ),
+        *(
+            pytest.param(["dim", "--kind", kind, *params, "--i", i, "--B-schedule", "8,16,32"], id=f"dim-{kind}-i{i}")
+            for kind, params in DIM_PARAMS.items()
+            for i in ("0", "-1")
+        ),
+        pytest.param(["dim", "--kind", "nu_level", "--nu", "1", "--i", "0", "--curve", "B=2..3"], id="dim-curve-B-i0"),
+        pytest.param(["dim", "--kind", "F", "--alpha", "1/4", "--i", "0", "--curve", "alpha=0.1..0.2:2"],
+                     id="dim-curve-alpha-i0"),
+        pytest.param([*CANTOR, "--i", "0"], id="cantor-i0"),
+        pytest.param(["dim", "--kind", "nu_level", "--nu", "1", "--curve", "B=0..2"], id="curve-B-below-1"),
+        pytest.param(["dim", "--kind", "nu_level", "--nu", "1", "--curve", "nu=0.1..2:-3"], id="curve-count-below-0"),
+        pytest.param([*CANTOR, "--sample", "-1"], id="cantor-sample-below-0"),
+        pytest.param([*CANTOR, "--emit-digits", "-5"], id="cantor-emit-digits-below-0"),
+        pytest.param([*CANTOR, "--seed", "-1"], id="cantor-seed-below-0"),
+        pytest.param(["verify", "--suite", "lemmas", "--seed", "-1"], id="verify-seed-below-0"),
+        pytest.param(["dim", "--kind", "F", "--alpha", "inf"], id="F-alpha-inf"),
+        pytest.param(["dim", "--kind", "FG", "--alpha", "1/4", "--beta", "inf"], id="FG-beta-inf"),
+        pytest.param(["dim", "--kind", "U_set", "--nu-hat=-1e999"], id="U_set-nu-hat-minus-inf"),
+        pytest.param(["dim", "--kind", "nu_level", "--nu=-1e999"], id="nu_level-nu-minus-inf"),
+        pytest.param(["cantor", "--nu-hat", "1/3", "--nu", "inf"], id="cantor-nu-inf"),
     ],
 )
 def test_parameter_range_errors_exit3(argv, capsys):
@@ -310,6 +343,52 @@ def test_parameter_range_errors_exit3(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("range error: ")
+
+
+def test_b_schedule_out_of_range_exits3_and_malformed_exits2(capsys):
+    for schedule, code in (("8,8,16", 3), ("0,1,2", 3), ("8,x", 2)):  # not increasing, a bound below 1, not an int
+        assert main([*E_HAT, "--B-schedule", schedule]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("range error: " if code == 3 else "parse error: ")
+
+
+def test_parameter_with_zero_denominator_exits2(capsys):
+    # argparse rejects the text before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--kind", "F", "--alpha", "1/0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# the exit code of each package error; None: it propagates out of main (an
+# uncaught InsufficientBlocks is the known exit-1 traceback of docs/formats.md)
+EXIT_BY_ERROR = {
+    errors.InputOutOfRange: 3,
+    errors.Overflow: 3,
+    errors.Exhausted: 3,
+    errors.Inadmissible: 3,
+    errors.NoConvergence: 3,
+    errors.BudgetExceeded: 4,
+    errors.InsufficientBlocks: None,
+}
+
+
+def test_every_package_error_has_its_exit_code(monkeypatch, capsys):
+    # a new error class must be added here, with its exit code, rather than
+    # fall through main to a traceback
+    assert set(errors.CfdimError.__subclasses__()) == set(EXIT_BY_ERROR)
+    for cls, code in EXIT_BY_ERROR.items():
+        def fail(*args, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli, "expand", fail)
+        if code is None:
+            with pytest.raises(cls):
+                main(["expand", "--rational", "5/8"])
+        else:
+            assert main(["expand", "--rational", "5/8"]) == code
+        assert capsys.readouterr().out == ""
 
 
 def test_verify_runlength_single_digit_exit3(capsys):

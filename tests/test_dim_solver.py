@@ -23,10 +23,11 @@ from cfdim.dim_solver import (
     spectral_dim,
     spectral_pressure,
     sum_power,
+    theorem_argument,
     theorem_dims,
     to_fraction,
 )
-from cfdim.errors import BudgetExceeded, NoConvergence, OutOfRange
+from cfdim.errors import BudgetExceeded, InputOutOfRange, NoConvergence
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -473,16 +474,80 @@ def test_theorem_zero_branches():
 
 
 def test_theorem_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         theorem_dims("U_set", nu_hat=-0.1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         theorem_dims("E_joint", nu_hat=2, nu=1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         theorem_dims("FG", alpha=0.8, beta=0.5)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         theorem_dims("F", alpha=1.2)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         theorem_dims("banana", nu=1)
+
+
+RAISE = "raise"
+Q = Fraction
+# every grid float is exact in binary, so its rationalization is the number itself
+ARGUMENT_GRID = [None, -1, 0, Q(1, 4), Q(1, 3), Q(1, 2), Q(9, 10), 1, Q(3, 2), 2, 0.25, 1.5, math.inf, -math.inf]
+
+# the one-parameter kinds, one outcome per ARGUMENT_GRID entry, in order
+ONE_PARAMETER_ARGUMENTS = {
+    # nu_hat in [0, inf]: 4 nu_hat/(1+nu_hat)^2 up to nu_hat = 1, zero branch above
+    "U_set": [RAISE, RAISE, 0, Q(16, 25), Q(3, 4), Q(8, 9), Q(360, 361), 1, None, None, Q(16, 25), None, None, RAISE],
+    # nu in [0, inf]: nu/(1+nu), and 1 at nu = inf
+    "nu_level": [RAISE, RAISE, 0, Q(1, 5), Q(1, 4), Q(1, 3), Q(9, 19), Q(1, 2), Q(3, 5), Q(2, 3), Q(1, 5), Q(3, 5), 1,
+                 RAISE],
+    # alpha in [0, 1]: 4 alpha (1-alpha) up to alpha = 1/2, zero branch above
+    "F": [RAISE, RAISE, 0, Q(3, 4), Q(8, 9), 1, None, None, RAISE, RAISE, Q(3, 4), RAISE, RAISE, RAISE],
+}
+ONE_PARAMETER_ARGUMENTS["E_hat"] = ONE_PARAMETER_ARGUMENTS["U_set"]
+
+
+def _joint_argument(nh, nv):
+    """E(nu_hat, nu) on 0 <= nu_hat <= nu <= inf, nu_hat finite."""
+    if nh is None or nv is None or not 0 <= nh <= nv or nh == math.inf:
+        return RAISE
+    if nv == math.inf:
+        return 1 if nh <= 1 else None
+    nh, nv = Q(nh), Q(nv)
+    if nv == 0:
+        return 0
+    return None if nh > nv / (1 + nv) else nv**2 / ((1 + nv) * (nv - nh))
+
+
+def _fg_argument(a, b):
+    """F(alpha) intersected with G(beta) on 0 <= alpha <= beta <= 1."""
+    if a is None or b is None or not 0 <= a <= b <= 1:
+        return RAISE
+    a, b = Q(a), Q(b)
+    if b == 0:
+        return 0
+    return None if a > b / (1 + b) else b**2 * (1 - a) / (b - a)
+
+
+@pytest.mark.parametrize("kind", ["U_set", "E_hat", "nu_level", "F", "E_joint", "FG"])
+def test_theorem_argument_grid(kind):
+    # every pair of grid values in the kind's two parameter slots: a value
+    # outside the stated range (missing, negative, -inf, nan, or inf where the
+    # range is bounded) raises InputOutOfRange, and +inf reads as infinity
+    first, second = ("alpha", "beta") if kind in ("F", "FG") else ("nu_hat", "nu")
+    for (j, x), y in itertools.product(enumerate(ARGUMENT_GRID), ARGUMENT_GRID):
+        if kind in ONE_PARAMETER_ARGUMENTS:
+            if kind == "nu_level":  # the one parameter is nu, in the second slot
+                x, y = y, x
+            expected = ONE_PARAMETER_ARGUMENTS[kind][j]
+        else:
+            expected = (_joint_argument if kind == "E_joint" else _fg_argument)(x, y)
+        params = {first: x, second: y}
+        if expected == RAISE:
+            with pytest.raises(InputOutOfRange):
+                theorem_argument(kind, **params)
+        else:
+            got = theorem_argument(kind, **params)
+            assert got == expected and (got is None or isinstance(got, Fraction)), (params, got)
+    with pytest.raises(InputOutOfRange):
+        theorem_argument(kind, **{first: math.nan, second: math.nan})
 
 
 def test_theorem_interior_calls_solver():
@@ -520,7 +585,7 @@ def test_to_fraction():
     assert to_fraction(2) == 2
     assert to_fraction(0.5) == Fraction(1, 2)
     assert abs(float(to_fraction(0.333)) - 0.333) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange):
         to_fraction(float("inf"))
 
 

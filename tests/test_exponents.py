@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cfdim.cf_core import RealInput, continuants, digit_seq, expand, target
-from cfdim.errors import Exhausted, InsufficientBlocks, NoBlocks
+from cfdim.errors import Exhausted, InputOutOfRange, InsufficientBlocks
 from cfdim.exponents import (
     HitCheck,
     _threshold_interval,
@@ -41,7 +41,7 @@ def test_decompose_all_i_single_block():
 
 
 def test_decompose_no_blocks():
-    with pytest.raises(NoBlocks):
+    with pytest.raises(InputOutOfRange):
         decompose([2, 3, 4], i=1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cfdim.errors import EmptyWindow, InputOutOfRange
+from cfdim.errors import InputOutOfRange
 from cfdim.runlength import RunProfile, maximal_runs, ratio_estimates, run_profile
 
 digit_lists = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=200)
@@ -91,5 +91,5 @@ def test_random_digits_have_vanishing_ratio():
 
 def test_ratio_estimates_empty_window():
     rp = run_profile([1, 2] * 5)
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(InputOutOfRange):
         ratio_estimates(rp, 0.05)

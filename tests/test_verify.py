@@ -10,7 +10,7 @@ import pytest
 
 from cfdim import exponents, runlength, verify
 from cfdim.cf_core import RealInput, expand
-from cfdim.errors import InputOutOfRange, InsufficientBlocks, NoConvergence, OutOfRange
+from cfdim.errors import InputOutOfRange, InsufficientBlocks, NoConvergence
 from cfdim.verify import (
     DIGIT_CAP,
     LebesgueDigitChain,
@@ -204,7 +204,7 @@ def test_sample_digits_decimal_rejects_budget_before_drawing(bits):
     n = _first_uncertifiable(bits)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputOutOfRange):
         sample_digits_decimal(rng, n, bits)
     assert rng.bit_generator.state == state
 
