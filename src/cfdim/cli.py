@@ -140,9 +140,13 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_curve(spec: str):
-    """name=lo..hi[:count] -> (name, values); integer step for int endpoints."""
+def _parse_curve(spec: str, kind: str):
+    """name=lo..hi[:count] -> (name, values); integer step for int endpoints.
+    The name is B or a parameter of the kind's formula."""
     name, _, rng = spec.partition("=")
+    names = ("B",) + dim_solver.theorem_params(kind)
+    if name not in names:
+        raise ValueError(f"--curve parameter {name!r} is not one of {', '.join(names)} for --kind {kind}")
     lo, _, rest = rng.partition("..")
     hi, _, count = rest.partition(":")
     if not lo or not hi:
@@ -171,10 +175,10 @@ def cmd_dim(args) -> int:
     args.i = dim_solver.theorem_run_digit(args.kind, args.i)  # echo the run digit the formulas use
     kw = dict(nu_hat=args.nu_hat, nu=args.nu, alpha=args.alpha, beta=args.beta, i=args.i)
     if args.B_schedule:
-        kw["B_schedule"] = tuple(int(b) for b in args.B_schedule.split(","))
+        kw["B_schedule"] = dim_solver.check_schedule([int(b) for b in args.B_schedule.split(",")], "--B-schedule")
     fields = ("kind", "nu_hat", "nu", "alpha", "beta", "i", "B_schedule", "curve")
     if args.curve:
-        name, vals = _parse_curve(args.curve)
+        name, vals = _parse_curve(args.curve, args.kind)
         rows = []
         for v in vals:
             if name == "B":

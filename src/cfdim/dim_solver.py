@@ -296,15 +296,22 @@ def aitken(values: Sequence[float]) -> float:
     return x2 - (x2 - x1) ** 2 / denom
 
 
+def check_schedule(schedule: Sequence[int], name: str) -> Tuple[int, ...]:
+    """The schedule as a tuple.  Raises InputOutOfRange unless it is
+    strictly increasing from at least 1."""
+    values = tuple(schedule)
+    if not values or values[0] < 1 or list(values) != sorted(set(values)):
+        raise InputOutOfRange(f"{name} must be strictly increasing from at least 1, got {list(values)}")
+    return values
+
+
 def _aitken_limit(
     schedule: Sequence[int], name: str, raw_at: Callable[[int], float], pad: float, **fields
 ) -> DimEstimate:
     """Aitken limit of raw_at(x) along a strictly increasing schedule, clamped
     to [0, 1]; the bracket is the last raw value +- (its distance to the
     extrapolated one + pad), clamped to [0, 1] and widened to hold the value."""
-    if list(schedule) != sorted(set(schedule)):
-        raise InputOutOfRange(f"{name} must be strictly increasing, got {list(schedule)}")
-    raw = [raw_at(x) for x in schedule]
+    raw = [raw_at(x) for x in check_schedule(schedule, name)]
     extrap, last = aitken(raw), raw[-1]
     r = abs(last - extrap) + pad
     value = min(max(extrap, 0.0), 1.0)
@@ -462,6 +469,19 @@ def _theorem_param(name: str, v: Optional[Number]) -> Optional[Fraction]:
     if x < 0:
         raise InputOutOfRange(f"{name} must be >= 0")
     return x
+
+
+def theorem_params(kind: str) -> Tuple[str, ...]:
+    """The parameters that a kind's formula reads (FG and F fix the run
+    digit i at 1)."""
+    return {
+        "U_set": ("nu_hat", "i"),
+        "E_hat": ("nu_hat", "i"),
+        "E_joint": ("nu_hat", "nu", "i"),
+        "nu_level": ("nu", "i"),
+        "FG": ("alpha", "beta"),
+        "F": ("alpha",),
+    }[kind]
 
 
 def theorem_argument(

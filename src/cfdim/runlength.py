@@ -42,11 +42,17 @@ def digit_array(d: Sequence[int] | DigitSeq) -> np.ndarray:
 
 def maximal_runs(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """0-based starts and lengths of the maximal blocks of equal consecutive
-    entries of `a`, left to right."""
-    new_run = np.ones(a.size, dtype=bool)
-    new_run[1:] = a[1:] != a[:-1]
+    entries of `a`, left to right.  A 2-D `a` is scanned row by row, as the
+    Monte Carlo trackers scan a chain block: no run spans two rows, and the
+    starts are row-major flat indices."""
+    new_run = np.empty(a.shape, dtype=bool)
+    new_run[..., :1] = True
+    np.not_equal(a[..., 1:], a[..., :-1], out=new_run[..., 1:])
     starts = np.flatnonzero(new_run)
-    return starts, np.diff(np.append(starts, a.size))
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = a.size - starts[-1:]
+    return starts, lengths
 
 
 def run_profile(d: Sequence[int] | DigitSeq) -> RunProfile:

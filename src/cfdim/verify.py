@@ -10,6 +10,14 @@ of digits.  The certified decimal-budget pipeline remains available for short
 horizons and is tested to agree in distribution: one sample of n digits runs
 Euclid on two (4n + 64)-bit numerators, so its cost grows like n^2.
 
+The chain runs in chunks of at most _CHAIN_CHUNK steps and yields one int64
+block of shape (samples, width) per chunk, row k holding sample k's digits;
+the run trackers scan whole blocks and carry their state across chunk edges.
+A chunk whose uniforms all lie above _CLAMP_U = 2 / DIGIT_CAP drops the floor
+at 1e-300 and the cap at DIGIT_CAP from its steps, because neither can change
+a digit there (`LebesgueDigitChain.next_digits` gives the bound); the other,
+screened, chunks keep every guard and count the digits set to DIGIT_CAP.
+
 Derived thresholds are pinned by pilot-run fixtures committed to the package
 data; checks compare statistics against the fixture bounds.
 """
@@ -37,6 +45,7 @@ from .cf_core import (
     run_continuant_closed_form,
 )
 from .errors import InputOutOfRange, InsufficientBlocks, NoConvergence
+from .runlength import maximal_runs
 
 PHI = (1 + math.sqrt(5)) / 2
 DIGIT_CAP = 2**31 - 1
@@ -118,7 +127,7 @@ def load_fixtures() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-_CHAIN_CHUNK = 1024  # uniforms drawn per sample at a time
+_CHAIN_CHUNK = 512  # uniforms drawn per sample at a time
 _CLAMP_U = 2.0 / DIGIT_CAP  # a digit reaches DIGIT_CAP only from a uniform u <= this
 _CLAMP_FRACTION_BOUND = 1e-6  # clamped digits over samples x n_digits
 
@@ -141,19 +150,34 @@ class LebesgueDigitChain:
         self.clamps = 0
 
     def next_digits(self, steps: int) -> Iterable[np.ndarray]:
-        """Yield fresh arrays of shape (samples,) of successive digits.
+        """Yield the next `steps` digits of every sample as int64 blocks of
+        shape (samples, width), one block per chunk of at most _CHAIN_CHUNK
+        steps; row k holds sample k's digits in order.  A block is a view of
+        a buffer that the next chunk overwrites, so it is valid until the
+        next `next()`; a caller that keeps digits must copy them.
 
         Each step is u / ((1 + r) - u r) floored at 1e-300, inverted, capped
         at DIGIT_CAP, truncated and floored at 1, then r -> 1 / (digit + r).
-        The digit stays a float until it is yielded: every digit is an
-        integer below 2^53, so the float and the int64 digit are equal.
+        The digit overwrites its uniform's slot of the step-major buffer and
+        stays a float until the chunk ends: every digit is an integer below
+        2^53, so the float and the int64 digit are equal.  The chunk's
+        digits are then cast into the sample-major buffer its uniforms were
+        drawn into, which the transpose has freed.
+
+        A chunk whose smallest uniform is above _CLAMP_U skips the floor
+        at 1e-300 and the cap, which change no value there, with no rounding
+        margin needed: r <= 1, so the computed denominator (1 + r) - u r is
+        at most 2 and t >= u / 2 > 1 / DIGIT_CAP (u / 2 is exact, and
+        rounding is monotone), hence 1 / t rounds to at most DIGIT_CAP.
+        Only the other, screened, chunks count clamps.
         """
         n, r = self.samples, self.r
         den, t = np.empty(n), np.empty(n)
         one, tiny, cap = np.ones(n), np.full(n, 1e-300), np.full(n, float(DIGIT_CAP))
         width = min(_CHAIN_CHUNK, steps)
-        drawn = np.empty((n, width))  # one stream per row
-        by_step = np.empty((width, n))  # one step per row
+        drawn = np.empty((n, width))  # sample-major: one stream per row
+        by_step = np.empty((width, n))  # step-major: one step per row
+        digits = drawn.view(np.int64)
         add, sub, mul, div, recip = np.add, np.subtract, np.multiply, np.divide, np.reciprocal
         maximum, minimum, trunc = np.maximum, np.minimum, np.trunc
         done = 0
@@ -170,17 +194,20 @@ class LebesgueDigitChain:
                 mul(u, r, out=t)
                 sub(den, t, out=den)
                 div(u, den, out=t)
-                maximum(t, tiny, out=t)
-                recip(t, out=t)
-                minimum(t, cap, out=t)
-                trunc(t, out=t)
-                maximum(t, one, out=t)
-                digits = t.astype(np.int64)
-                add(t, r, out=den)
-                recip(den, out=r)
                 if screened:
-                    self.clamps += int(np.count_nonzero(digits == DIGIT_CAP))
-                yield digits
+                    maximum(t, tiny, out=t)
+                recip(t, out=t)
+                if screened:
+                    minimum(t, cap, out=t)
+                trunc(t, out=u)
+                maximum(u, one, out=u)
+                add(u, r, out=den)
+                recip(den, out=r)
+            if screened:
+                self.clamps += int(np.count_nonzero(U == DIGIT_CAP))
+            out = digits[:, :take]
+            out[...] = U.T
+            yield out
             done += take
 
 
@@ -227,27 +254,29 @@ def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] 
 
 class RunMaxTracker:
     """Longest run of equal digits R_n of every sample, tracked as `push`
-    feeds the next digit; it equals `runlength.run_profile(row).R[n - 1]`."""
+    feeds the next block of digits; it equals
+    `runlength.run_profile(row).R[n - 1]`."""
 
     suite = "mc_runlength"
 
     def __init__(self, samples: int):
         self.pos = 0
-        self.last = np.zeros(samples, dtype=np.int64)
-        self.cur = np.zeros(samples, dtype=np.int64)
+        self.last = np.zeros(samples, dtype=np.int64)  # each sample's last digit
+        self.cur = np.zeros(samples, dtype=np.int64)  # the length of the run it ends
         self.rmax = np.zeros(samples, dtype=np.int64)
         self.series: List[Dict[str, float]] = []
-        self._one = np.ones(samples, dtype=np.int64)
-        self._same = np.empty(samples, dtype=bool)
 
-    def push(self, digits: np.ndarray) -> None:
-        """Feed the next digit row; it is kept, not copied, until the next push."""
-        self.pos += 1
-        np.equal(digits, self.last, out=self._same)
-        np.multiply(self.cur, self._same, out=self.cur)
-        np.add(self.cur, self._one, out=self.cur)
-        np.maximum(self.rmax, self.cur, out=self.rmax)
-        self.last = digits
+    def push(self, block: np.ndarray) -> None:
+        """Feed the next digits of every sample, a (samples, width) block;
+        it is read, not kept."""
+        samples, width = block.shape
+        starts, lengths = maximal_runs(block)
+        first = starts.searchsorted(np.arange(samples) * width)  # each row's first run
+        lengths[first] += self.cur * (block[:, 0] == self.last)  # the run carried over the edge
+        np.maximum(self.rmax, np.maximum.reduceat(lengths, first), out=self.rmax)
+        self.cur = lengths[np.append(first[1:], lengths.size) - 1]
+        self.last = block[:, -1].copy()
+        self.pos += width
 
     def snapshot(self) -> None:
         ratio = self.rmax / math.log(self.pos, PHI)
@@ -270,39 +299,58 @@ class RunMaxTracker:
 
 
 class RecordTracker:
-    """Record blocks of the digit i, tracked as `push` feeds the next digit of
-    every sample; they equal `exponents.decompose(...).record_blocks` of the
-    digits pushed so far."""
+    """Record blocks of the digit i, tracked as `push` feeds the next block of
+    digits of every sample; they equal `exponents.decompose(...).record_blocks`
+    of the digits pushed so far."""
 
     suite = "mc_nu_zero"
 
     def __init__(self, samples: int, i: int):
         self.i = i
         self.pos = 0
-        self.runlen = np.zeros(samples, dtype=np.int64)
-        self.best = np.zeros(samples, dtype=np.int64)
+        self.runlen = np.zeros(samples, dtype=np.int64)  # the open run of i at each sample's end
+        self.best = np.zeros(samples, dtype=np.int64)  # the last closed record's length
         self._closed: List[List[Tuple[int, int]]] = [[] for _ in range(samples)]
         self.series: List[Dict[str, float]] = []
         self.hat_le_nu_violations = 0
-        self._i = np.full(samples, i, dtype=np.int64)
-        self._one = np.ones(samples, dtype=np.int64)
-        self._isi = np.empty(samples, dtype=bool)
-        self._ended = np.empty(samples, dtype=bool)
 
-    def push(self, digits: np.ndarray) -> None:
-        self.pos += 1
-        isi, ended = self._isi, self._ended
-        np.equal(digits, self._i, out=isi)
-        # a run longer than the best record ends here: runlen > best >= 0 and digit != i
-        np.greater(self.runlen, self.best, out=ended)
-        np.greater(ended, isi, out=ended)
-        if np.count_nonzero(ended):
-            for k in np.flatnonzero(ended):
-                rl = int(self.runlen[k])
-                self._closed[k].append((self.pos - 1 - rl, self.pos - 1))
-                self.best[k] = rl
-        np.add(self.runlen, self._one, out=self.runlen)
-        np.multiply(self.runlen, isi, out=self.runlen)
+    def _close(self, k: int, end: int, length: int) -> None:
+        self._closed[k].append((end - length, end))
+        self.best[k] = length
+
+    def push(self, block: np.ndarray) -> None:
+        """Feed the next digits of every sample, a (samples, width) block;
+        it is read, not kept.  Only record runs reach Python code."""
+        samples, width = block.shape
+        pos, runlen, best = self.pos, self.runlen, self.best
+        isi = block == self.i
+        head, tail = isi[:, 0], isi[:, -1]
+        # a carried run that ends at the block's first digit
+        for k in np.flatnonzero((runlen > best) & ~head).tolist():
+            self._close(k, pos, int(runlen[k]))
+        starts, lengths = maximal_runs(isi)  # runs of i and of other digits, alternating
+        first = starts.searchsorted(np.arange(samples) * width)
+        last = np.append(first[1:], starts.size) - 1
+        lengths[first] += runlen * head  # the carried run goes on
+        self.runlen = np.where(tail, lengths[last], 0)
+        lengths[last[tail]] = 0  # runs still open at the block's end close later
+        self.pos += width
+        # a closed run of i is a record when it is longer than its sample's
+        # best and than every earlier run of the sample in this block: screen
+        # by the smallest best, then compare keys that sort by sample, then
+        # by length, with their running maximum
+        cand = np.flatnonzero(isi.ravel()[starts] & (lengths > best.min()))
+        rows = first.searchsorted(cand, side="right")
+        rows -= 1
+        L = lengths[cand]
+        key = rows * (pos + width + 1)
+        key += L
+        rec = L > best[rows]
+        rec[1:] &= key[1:] > np.maximum.accumulate(key[:-1])
+        cand, rows, L = cand[rec], rows[rec], L[rec]
+        ends = pos + starts[cand + 1] - rows * width  # where the next run of the row starts
+        for k, end, length in zip(rows.tolist(), ends.tolist(), L.tolist()):
+            self._close(k, end, length)
 
     def records(self, k: int) -> Tuple[Tuple[int, int], ...]:
         """Record blocks of sample k, the still-open run included when it is one."""
@@ -345,17 +393,20 @@ class RecordTracker:
 
 
 def _walk(cfg: McConfig, trackers: Sequence) -> int:
-    """Push every digit row of one seeded chain to each tracker, and take a
+    """Push every digit block of one seeded chain to each tracker, and take a
     snapshot of each at the horizons 10^4, 10^5, 10^6 below n_digits and at
-    n_digits.  Returns the chain's clamp count."""
-    horizons = {h for h in (10_000, 100_000, 1_000_000) if h < cfg.n_digits} | {cfg.n_digits}
+    n_digits; the chain's chunks are cut at the horizons.  Returns the
+    chain's clamp count."""
+    horizons = sorted({h for h in (10_000, 100_000, 1_000_000) if h < cfg.n_digits} | {cfg.n_digits})
     chain = LebesgueDigitChain(cfg.seed, cfg.samples)
-    for pos, digits in enumerate(chain.next_digits(cfg.n_digits), 1):
-        for t in trackers:
-            t.push(digits)
-        if pos in horizons:
+    pos = 0
+    for h in horizons:
+        for block in chain.next_digits(h - pos):
             for t in trackers:
-                t.snapshot()
+                t.push(block)
+        for t in trackers:
+            t.snapshot()
+        pos = h
     return chain.clamps
 
 

@@ -353,6 +353,33 @@ def test_b_schedule_out_of_range_exits3_and_malformed_exits2(capsys):
         assert captured.err.startswith("range error: " if code == 3 else "parse error: ")
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    # the last two never reach the solver: the convention and zero branches
+    [*DIM_PARAMS.items(), ("E_hat", ["--nu-hat", "0"]), ("E_hat", ["--nu-hat", "inf"])],
+    ids=[*DIM_PARAMS, "E_hat-convention", "E_hat-zero-branch"],
+)
+def test_b_schedule_checked_for_every_kind(kind, params, capsys):
+    assert main(["dim", "--kind", kind, *params, "--B-schedule", "8,8,16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("range error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, params, curve",
+    [
+        ("nu_level", ["--nu", "1"], "nu-hat=1..2"),
+        ("E_hat", ["--nu-hat", "1/2"], "nu=0.1..0.2:2"),
+        ("F", ["--alpha", "1/4"], "i=1..2"),  # F fixes the run digit at 1
+        ("FG", ["--alpha", "1/4", "--beta", "1/2"], "x=1..2"),
+    ],
+)
+def test_dim_curve_name_outside_the_kind_exits2(kind, params, curve, capsys):
+    assert main(["dim", "--kind", kind, *params, "--curve", curve]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: ")
+
+
 def test_parameter_with_zero_denominator_exits2(capsys):
     # argparse rejects the text before any command runs
     with pytest.raises(SystemExit) as exc:

@@ -51,6 +51,12 @@ def test_maximal_runs_tile_the_digits(digits):
     assert (lengths >= 1).all() and (a[starts[1:]] != a[starts[:-1]]).all()
 
 
+def test_maximal_runs_scan_a_block_row_by_row():
+    # the second row continues the first row's last digit but starts its own run
+    starts, lengths = maximal_runs(np.array([[1, 1, 2], [2, 2, 2], [2, 3, 3]]))
+    assert starts.tolist() == [0, 2, 3, 6, 7] and lengths.tolist() == [2, 1, 3, 1, 2]
+
+
 @given(digit_lists)
 def test_profile_matches_quadratic_oracle(digits):
     assert (run_profile(digits).R == _run_profile_oracle(digits)).all()

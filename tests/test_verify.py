@@ -40,13 +40,19 @@ def test_fixtures_present():
 # ---------------------------------------------------------------------------
 
 
+def chain_digit_matrix(chain: LebesgueDigitChain, n: int) -> np.ndarray:
+    """(samples, n) digit matrix of the chain's next n steps, copied block by block."""
+    out = np.empty((chain.samples, n), dtype=np.int64)
+    j = 0
+    for block in chain.next_digits(n):
+        out[:, j:j + block.shape[1]] = block
+        j += block.shape[1]
+    return out
+
+
 def sample_digit_matrix(seed: int, samples: int, n: int) -> np.ndarray:
     """(samples, n) digit matrix from the exact-law chain."""
-    chain = LebesgueDigitChain(seed, samples)
-    out = np.empty((samples, n), dtype=np.int64)
-    for j, d in enumerate(chain.next_digits(n)):
-        out[:, j] = d
-    return out
+    return chain_digit_matrix(LebesgueDigitChain(seed, samples), n)
 
 
 def test_first_digit_law():
@@ -94,15 +100,19 @@ def test_chain_digits_independent_of_chunk_width(monkeypatch):
     assert np.array_equal(sample_digit_matrix(12, 5, 300), ref)
 
 
-def test_chain_rows_stay_put():
-    # trackers keep the previous row, so a later step must not write into it
-    chain = LebesgueDigitChain(4, 6)
-    rows, copies = [], []
-    for digits in chain.next_digits(2 * verify._CHAIN_CHUNK + 5):
-        assert digits.shape == (6,) and digits.dtype == np.int64
-        rows.append(digits)
-        copies.append(digits.copy())
-    assert all(np.array_equal(a, b) for a, b in zip(rows, copies))
+def test_chain_block_valid_until_next_step():
+    # a block holds its chunk's digits when it is yielded, and the next chunk
+    # reuses its buffer, so a caller reads it before the next next()
+    n = 2 * verify._CHAIN_CHUNK + 5
+    ref = _chain_oracle(4, 6, n)
+    blocks, j = [], 0
+    for block in LebesgueDigitChain(4, 6).next_digits(n):
+        assert block.dtype == np.int64 and block.shape == (6, min(verify._CHAIN_CHUNK, n - j))
+        assert np.array_equal(block, ref[:, j:j + block.shape[1]])
+        blocks.append(block)
+        j += block.shape[1]
+    assert j == n and len(blocks) == 3
+    assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
 
 
 class _FixedStream:
@@ -111,9 +121,11 @@ class _FixedStream:
     def __init__(self, u):
         self.u, self.pos = np.asarray(u, dtype=float), 0
 
-    def random(self, out):
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
         out[...] = self.u[self.pos:self.pos + out.size]
         self.pos += out.size
+        return out
 
 
 def test_chain_counts_clamped_digits(monkeypatch):
@@ -122,16 +134,33 @@ def test_chain_counts_clamped_digits(monkeypatch):
     streams = [[0.5, 0.0, 0.3, 0.7, 0.2, 0.9, 2.0**-40, 0.1, 0.4], [0.1] * 9, [2 / DIGIT_CAP, 0.0] + [0.6] * 7]
     chain = LebesgueDigitChain(0, 3)
     chain._gens = [_FixedStream(u) for u in streams]
-    M = np.array(list(chain.next_digits(9))).T
+    M = chain_digit_matrix(chain, 9)
     assert chain.clamps == np.count_nonzero(M == DIGIT_CAP) == 3
     assert M[0, 1] == M[0, 6] == M[2, 1] == DIGIT_CAP and M[2, 0] < DIGIT_CAP
+
+
+def test_chain_screen_switches_per_chunk(monkeypatch):
+    # chunks of 4: the screen fires in the second chunk only (u = 0, 2^-40 and
+    # u = _CLAMP_U itself); the others take the unguarded steps at u just
+    # above _CLAMP_U and at the largest uniform 1 - 2^-53
+    above, top = np.nextafter(verify._CLAMP_U, 1.0), 1.0 - 2.0**-53
+    streams = [
+        [0.5, above, 0.3, top, 0.2, 0.0, 0.9, 0.4, above, top, 0.6, 0.1],
+        [top, 0.2, above, 0.7, 0.1, 0.3, 2.0**-40, 0.8, 0.5, above, top, 0.25],
+        [0.9, 0.6, top, above, verify._CLAMP_U, 0.4, 0.3, 0.2, top, 0.5, above, 0.7],
+    ]
+    monkeypatch.setattr(verify, "_CHAIN_CHUNK", 4)
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedStream(streams[seq.spawn_key[0]]))
+    chain = LebesgueDigitChain(0, 3)
+    M = chain_digit_matrix(chain, 12)
+    assert np.array_equal(M, _chain_oracle(0, 3, 12))
+    assert chain.clamps == np.count_nonzero(M[:, 4:8] == DIGIT_CAP) == np.count_nonzero(M == DIGIT_CAP) == 2
 
 
 def test_clamp_fraction_check():
     cfg = McConfig(seed=1, samples=4, n_digits=50)
     tracker = RunMaxTracker(4)
-    for digits in sample_digit_matrix(1, 4, 50).T:
-        tracker.push(digits)
+    tracker.push(sample_digit_matrix(1, 4, 50))
     tracker.snapshot()
     fx = load_fixtures()
     ok = [c for c in tracker.report(cfg, fx, 0).checks if c.name == "clamp_fraction"]
@@ -310,13 +339,79 @@ def test_mc_laws_equal_standalone_suites(seed, samples, n, i, fixtures):
     assert records.to_json_dict() == mc_nu_zero(cfg, i=i, fixtures=fixtures).to_json_dict()
 
 
+def test_block_trackers_equal_row_scans_at_every_chunk_edge(monkeypatch):
+    monkeypatch.setattr(verify, "_CHAIN_CHUNK", 7)
+    n = 300
+    made = np.tile([3, 4], (3, n // 2))
+    made[0, 4:7] = 1  # a carried run of 1 that ends at the next chunk's first digit, a record
+    made[0, 10:21] = 1  # a record that spans the edge at 14
+    made[1, :14] = 1  # two whole chunks of 1, carried into a third that starts with a 3
+    made[1, 16:18] = 1
+    made[1, 20:35] = 1
+    made[2, 3:26] = 7  # a run of equal digits over three edges, and no 1 until position 40
+    made[2, 40:43] = 1
+    M = np.vstack([made, sample_digit_matrix(8, 10, n)])
+    runs, records = RunMaxTracker(len(M)), RecordTracker(len(M), 1)
+    R = np.array([runlength.run_profile(row).R for row in M])
+    for j in range(0, n, verify._CHAIN_CHUNK):
+        block = M[:, j:j + verify._CHAIN_CHUNK]
+        runs.push(block)
+        records.push(block)
+        h = j + block.shape[1]
+        assert np.array_equal(runs.rmax, R[:, h - 1]), h
+        for k, row in enumerate(M[:, :h]):
+            ref = exponents.decompose(row, 1).record_blocks if (row == 1).any() else ()
+            assert records.records(k) == ref, (h, k)
+    assert records.records(0)[:2] == ((4, 7), (10, 21)) and runs.rmax[2] == 23
+
+
+class _RowRuns(RunMaxTracker):
+    """The run-max tracker fed one digit of every sample at a time."""
+
+    def push(self, digits):
+        self.pos += 1
+        self.cur = np.where(digits == self.last, self.cur + 1, 1)
+        np.maximum(self.rmax, self.cur, out=self.rmax)
+        self.last = digits
+
+
+class _RowRecords(RecordTracker):
+    """The record tracker fed one digit of every sample at a time."""
+
+    def push(self, digits):
+        isi = digits == self.i
+        for k in np.flatnonzero((self.runlen > self.best) & ~isi):
+            self._close(k, self.pos, int(self.runlen[k]))
+        self.pos += 1
+        self.runlen = np.where(isi, self.runlen + 1, 0)
+
+
+def test_mc_laws_snapshot_mid_chunk_equals_row_reference():
+    n = 10_037
+    assert 10_000 % verify._CHAIN_CHUNK  # the 10^4 snapshot falls inside a chunk
+    cfg = McConfig(seed=21, samples=12, n_digits=n)
+    M = sample_digit_matrix(21, 12, n)
+    runs, records = _RowRuns(12), _RowRecords(12, 1)
+    for h in range(1, n + 1):
+        runs.push(M[:, h - 1])
+        records.push(M[:, h - 1])
+        if h in (10_000, n):
+            runs.snapshot()
+            records.snapshot()
+    fx = load_fixtures()
+    got_runs, got_records = mc_laws(cfg)
+    assert [row["horizon"] for row in got_runs.series] == [10_000, n]
+    assert got_runs.to_json_dict() == runs.report(cfg, fx, int(np.count_nonzero(M == DIGIT_CAP))).to_json_dict()
+    assert got_records.to_json_dict() == records.report(cfg, fx).to_json_dict()
+
+
 def test_run_max_tracker_matches_run_profile():
     n = 3_000
     M = sample_digit_matrix(31, 12, n)
     R = np.array([runlength.run_profile(row).R for row in M])
     tracker = RunMaxTracker(12)
     for h in range(1, n + 1):
-        tracker.push(M[:, h - 1])
+        tracker.push(M[:, h - 1:h])
         assert np.array_equal(tracker.rmax, R[:, h - 1]), h
     assert R[:, -1].max() >= 3  # runs longer than one digit were tracked
 
