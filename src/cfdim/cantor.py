@@ -24,7 +24,10 @@ segment's forced run i^t is appended in closed form,
 from the run continuants q_{t-2}, q_{t-1}, q_t(i) (cf_core.run_continuants).
 Segment roots, stacks, run continuants and bracket tables are cached per
 spec in a MeasureContext, and measure_context keeps the contexts of the 16
-most recently used specs.
+most recently used specs.  A context also keeps the last prefix whose mass
+was computed in full, with its segment state, so the mass of each child of
+that prefix is one digit step past it.  That is one digits tuple per
+context: 16 contexts at most, 160 kB at 20 000 digits.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import mpmath
 import numpy as np
 
 from . import dim_solver, transfer
-from .cf_core import DigitSeq, denominators, digit_seq, run_continuants
+from .cf_core import DigitSeq, denominators, run_continuants
 from .dim_solver import DimEstimate, to_fraction
 from .errors import Inadmissible, InputOutOfRange, NoConvergence
 
@@ -257,8 +260,12 @@ def _bound_at(spec: CantorSpec, pos: int) -> Optional[int]:
 
 
 def admissible_children(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[int, ...]:
-    """Digits allowed at the next position given an admissible prefix."""
-    validate_prefix(spec, prefix)
+    """Digits allowed at the next position given an admissible prefix.
+
+    The prefix that measure_mass last computed in full is known to be
+    admissible (MeasureContext.holds), so it is not validated again."""
+    if spec.sp.B_k is not None or not measure_context(spec).holds(tuple(prefix)):
+        validate_prefix(spec, prefix)
     pos = len(prefix) + 1
     bound = _bound_at(spec, pos)
     if bound is None:
@@ -280,17 +287,23 @@ def validate_prefix(spec: CantorSpec, prefix: Sequence[int]) -> None:
             return
         part = digits[lo : min(hi, len(digits))]
         if bound is None:
-            if part.count(i) == len(part):
-                continue
-            for pos, a in enumerate(part, start=lo + 1):
-                if a != i:
-                    raise Inadmissible(f"position {pos} must carry the run digit {i}, got {a}")
+            ok = part.count(i) == len(part)
         else:
-            if not part or (1 <= min(part) and max(part) <= bound):
-                continue
-            for pos, a in enumerate(part, start=lo + 1):
-                if not (1 <= a <= bound):
-                    raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
+            ok = not part or (1 <= min(part) and max(part) <= bound)
+        if ok:
+            continue
+        for pos, a in enumerate(part, start=lo + 1):
+            _check_digit(i, bound, pos, a)
+
+
+def _check_digit(i: int, bound: Optional[int], pos: int, a: int) -> None:
+    """Raise Inadmissible unless digit a may stand at position pos: the run
+    digit i where bound is None, else a digit in 1..bound."""
+    if bound is None:
+        if a != i:
+            raise Inadmissible(f"position {pos} must carry the run digit {i}, got {a}")
+    elif not 1 <= a <= bound:
+        raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +334,10 @@ class MeasureContext:
     kB; one run triple, three ints of about t log2 tau(i) bits, 23 kB at
     segment 10 of the nu_hat = 1/3, nu = 1, i = 1 schedule (t = 88 572); and
     one sampler table (`cdf_table`), 2 (_CDF_CELLS + 1)(B - 1) doubles, 8 kB
-    at B = 3 and 62 kB at B = 16.
+    at B = 3 and 62 kB at B = 16.  It also keeps measure_mass's prefix
+    state: the digits of the last prefix computed in full, one tuple of
+    8-byte references to shared small ints (160 kB at 20 000 digits), and
+    that prefix's (segment, log mass, pair), whose ints are at most q_n.
     """
 
     def __init__(self, spec: CantorSpec):
@@ -332,6 +348,8 @@ class MeasureContext:
         self._stacks: Dict[int, transfer.SegmentStack] = {}
         self._runs: Dict[int, Tuple[int, int, int]] = {}
         self._tables: Dict[int, Optional[Tuple[array, array]]] = {}
+        # the kept prefix and its state, one attribute so that they change together (see measure_mass)
+        self._kept: Optional[Tuple[Tuple[int, ...], Tuple[int, float, Tuple[int, int]]]] = None
 
     def seg_bounds(self, k: int) -> Tuple[int, int, int]:
         """(m_{k-1}, n_k, m_k) for 1-based segment k."""
@@ -373,16 +391,52 @@ class MeasureContext:
             self._tables[k] = _cdf_brackets(self, k)
         return self._tables[k]
 
+    def segment_factor(self, k: int, q1: int, q: int) -> float:
+        """-2 s~_k log q_{l_k} of complete segment k (its free digits, then
+        its run), from the pair (q1, q) = (q_{n-1}, q_n) of its free digits."""
+        return -2.0 * self.s_tilde(k).value * log_int(self.through_run(k, q1, q)[1])
+
+    def open_factor(self, k: int, left: int, q1: int, q: int) -> float:
+        """Log mass of segment k seen into its free part, `left` free digits to
+        go, from the pair (q1, q) of its free digits so far: the partial
+        continuant power, times the stack's completion sum at q1/q."""
+        # int true division rounds correctly: the float of the fraction q1/q
+        return -2.0 * self.s_tilde(k).value * log_int(q) + self.stack(k).eval_log(left, q1 / q)
+
+    def holds(self, digits: Tuple[int, ...]) -> bool:
+        """Whether `digits` is the kept prefix.  Equal values match, so numpy
+        ints and integral floats do, as int() would convert them."""
+        kept = self._kept
+        return kept is not None and len(digits) == len(kept[0]) and digits == kept[0]
+
+    def child(self, digits: Tuple[int, ...]) -> Optional[MeasureNode]:
+        """The node of `digits` if they are the kept prefix plus one digit,
+        else None: one validated position and one step from the kept state
+        (see measure_mass)."""
+        kept = self._kept
+        if kept is None or len(digits) != len(kept[0]) + 1 or digits[:-1] != kept[0]:
+            return None
+        prefix, (k, lm, (q1, q)) = kept
+        L, a = len(prefix), int(digits[-1])
+        pos = L + 1
+        _, n_k, m_k = self.seg_bounds(k)
+        if L < n_k:  # one q step in the free part
+            _check_digit(self.spec.i, self.spec.B, pos, a)
+            lm += self.open_factor(k, n_k - pos, q, a * q + q1)
+        elif L < m_k:  # into the forced run: its factor once the free part has closed
+            _check_digit(self.spec.i, None, pos, a)
+            if L == n_k:
+                lm += self.segment_factor(k, q1, q)
+        else:  # the first free digit of the next segment
+            _check_digit(self.spec.i, self.spec.B, pos, a)
+            lm += self.open_factor(k + 1, self.seg_bounds(k + 1)[1] - pos, 1, a)
+        return MeasureNode(digits=prefix + (a,), log_mass=lm)
+
 
 @functools.lru_cache(maxsize=16)
 def measure_context(spec: CantorSpec) -> MeasureContext:
     """The shared context of a spec; the 16 most recently used are kept."""
     return MeasureContext(spec)
-
-
-def _segment_log_factor(ctx: MeasureContext, k: int, free: Sequence[int]) -> float:
-    """-2 s~_k log q_{l_k} of complete segment k: its free digits, then its run."""
-    return -2.0 * ctx.s_tilde(k).value * log_int(ctx.through_run(k, *denominators(free))[1])
 
 
 def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
@@ -393,28 +447,41 @@ def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     forced; a segment seen into its free part contributes its partial
     continuant power times the operator-stack completion sum at the current
     continuant ratio.
+
+    A prefix computed in full is kept in its context with its state (k, lm,
+    (q1, q)): k is the segment holding its last position (1 for the empty
+    prefix), lm the log mass of the segments whose free part has closed,
+    and (q1, q) the pair of segment k's free digits.  A prefix that is the
+    kept one plus one digit (a child in a child sum) is then one step from
+    that state (MeasureContext.child), on the same integers and with the
+    same float operations in the same order, so its mass has the same bits.
+    A child leaves the state as it is, so each of its siblings steps from
+    it too; a call that raises leaves it as it is as well.
     """
-    digits = tuple(map(int, prefix))
+    digits = tuple(prefix)
+    ctx = measure_context(spec) if spec.sp.B_k is None else None  # a B_k prefix is validated first
+    if ctx is not None and (node := ctx.child(digits)) is not None:
+        return node
+    digits = tuple(map(int, digits))
     validate_prefix(spec, digits)
-    ctx = measure_context(spec)
-    lm = 0.0
+    ctx = ctx or measure_context(spec)
     L = len(digits)
-    k = 1
+    lm, k = 0.0, 1
     while True:
         m_prev, n_k, m_k = ctx.seg_bounds(k)
-        if L <= m_prev:
-            break
-        if L > n_k:
-            lm += _segment_log_factor(ctx, k, digits[m_prev:n_k])
-            if L > m_k:
-                k += 1
-                continue
-        else:
+        if L <= n_k:
             q1, q = denominators(digits[m_prev:L])
-            # int true division rounds correctly: the float of the fraction q1/q
-            st = ctx.stack(k)
-            lm += -2.0 * ctx.s_tilde(k).value * log_int(q) + st.eval_log(n_k - L, q1 / q)
-        break
+            state = (k, lm, (q1, q))
+            if L > m_prev:
+                lm += ctx.open_factor(k, n_k - L, q1, q)
+            break
+        q1, q = denominators(digits[m_prev:n_k])
+        lm += ctx.segment_factor(k, q1, q)
+        if L <= m_k:
+            state = (k, lm, (q1, q))
+            break
+        k += 1
+    ctx._kept = (digits, state)
     return MeasureNode(digits=digits, log_mass=lm)
 
 
@@ -558,14 +625,15 @@ def sample_measure(
         raise InputOutOfRange(f"depth {depth} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
     ctx = measure_context(spec)
     rng = np.random.default_rng(seed)
+    i = int(spec.i)
     out: List[int] = []
     k = 1
     while len(out) < depth:
         m_prev, n_k, m_k = ctx.seg_bounds(k)
         out.extend(_sample_segment_free(ctx, k, rng, reject_accidental))
-        out.extend([spec.i] * (m_k - n_k))
+        out.extend([i] * (m_k - n_k))
         k += 1
-    return digit_seq(out[:depth])
+    return DigitSeq(tuple(out[:depth]))  # every digit is already an int
 
 
 def _log_length(q_prev: int, q: int) -> float:
@@ -586,9 +654,12 @@ def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tup
     """Local dimension at every completed block boundary m_k in the prefix.
 
     One pass: at boundary m_k the mass is the running sum of the complete
-    segment factors, and one continuant recursion over the prefix's free
-    digits, with each forced run appended in closed form, gives |I_{m_k}|;
-    each value equals local_dimension(spec, prefix[:m_k]).
+    segment factors, and the running pair (q_{l-1}, q_l) gives |I_{m_k}|.
+    Each segment's free block acts on that pair as one continuant matrix:
+    from its pairs (Q1, Q) and (P1, P) started at (0, 1) and (1, 0), which
+    its factor needs too and which stay small, the pair becomes
+    (q_{l-1} P1 + q_l Q1, q_{l-1} P + q_l Q); its forced run is then appended
+    in closed form.  Each value equals local_dimension(spec, prefix[:m_k]).
     """
     digits = tuple(map(int, prefix))
     ends = [m_k for m_k in spec.sp.m if m_k <= len(digits)]
@@ -602,8 +673,10 @@ def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tup
     for k, m_k in enumerate(ends, start=1):
         m_prev, n_k, _ = ctx.seg_bounds(k)
         free = digits[m_prev:n_k]
-        lm += _segment_log_factor(ctx, k, free)
-        q_prev, q = ctx.through_run(k, *denominators(free, q_prev, q))
+        Q1, Q = denominators(free)
+        P1, P = denominators(free, 1, 0)
+        lm += ctx.segment_factor(k, Q1, Q)
+        q_prev, q = ctx.through_run(k, q_prev * P1 + q * Q1, q_prev * P + q * Q)
         out.append((m_k, lm / _log_length(q_prev, q)))
     return tuple(out)
 

@@ -150,7 +150,7 @@ def _parse_curve(spec: str, kind: str):
     lo, _, rest = rng.partition("..")
     hi, _, count = rest.partition(":")
     if not lo or not hi:
-        raise InputOutOfRange(f"cannot parse curve {spec!r}")
+        raise ValueError(f"cannot parse curve {spec!r}: need both endpoints, name=lo..hi[:count]")
     if count:
         if int(count) < 0:
             raise InputOutOfRange(f"curve point count must be >= 0, got {count}")

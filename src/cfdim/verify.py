@@ -157,7 +157,12 @@ class LebesgueDigitChain:
         next `next()`; a caller that keeps digits must copy them.
 
         Each step is u / ((1 + r) - u r) floored at 1e-300, inverted, capped
-        at DIGIT_CAP, truncated and floored at 1, then r -> 1 / (digit + r).
+        at DIGIT_CAP and truncated, then r -> 1 / (digit + r).  The digit is
+        at least 1 with no floor: u <= 1 - 2^-53 and 0 <= r <= 1, so fl(1 + r)
+        >= 1 + r - 2^-53 and fl(u r) <= r, the computed denominator is at
+        least 1 - 2^-53 >= u (rounding is monotone and u is a double), and
+        t <= 1; 1 / t, its cap (DIGIT_CAP >= 1) and the truncation are then
+        all >= 1, and r stays in [0, 1].
         The digit overwrites its uniform's slot of the step-major buffer and
         stays a float until the chunk ends: every digit is an integer below
         2^53, so the float and the int64 digit are equal.  The chunk's
@@ -200,7 +205,6 @@ class LebesgueDigitChain:
                 if screened:
                     minimum(t, cap, out=t)
                 trunc(t, out=u)
-                maximum(u, one, out=u)
                 add(u, r, out=den)
                 recip(den, out=r)
             if screened:

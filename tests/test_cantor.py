@@ -208,6 +208,144 @@ def test_measure_mass_inadmissible(spec13):
 
 
 # ---------------------------------------------------------------------------
+# the kept prefix state
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts the calls of validate_prefix made through the cantor module."""
+    seen = []
+    real = cantor.validate_prefix
+
+    def counted(spec, prefix):
+        seen.append(len(prefix))
+        return real(spec, prefix)
+
+    monkeypatch.setattr(cantor, "validate_prefix", counted)
+    return seen
+
+
+def _cold_mass(spec, prefix):
+    """measure_mass of prefix by the full recursion, which keeps it: first
+    keep a prefix that it does not extend by one digit."""
+    measure_mass(spec, (1, 1) if len(prefix) == 1 else ())
+    assert not (len(prefix) and measure_context(spec).holds(tuple(prefix[:-1])))
+    return measure_mass(spec, prefix)
+
+
+def _parent_depths(sp, k):
+    """Depths around segment k: its start, the end of its free part, inside
+    its run and its end."""
+    m_prev = sp.m[k - 2] if k >= 2 else 0
+    n_k, m_k = sp.n[k - 1], sp.m[k - 1]
+    return [m_prev, n_k - 1, n_k, n_k + 1, (n_k + m_k) // 2, m_k - 1, m_k]
+
+
+@pytest.mark.parametrize("B", [3, 4, 5])
+def test_child_masses_from_kept_state_equal_cold_masses(spec13, validations, B):
+    spec = CantorSpec(B=B, i=1, sp=spec13.sp, d=B + 1)
+    sp = spec.sp
+    d = sample_measure(spec, depth=sp.m[5], seed=17 + B, reject_accidental=False).digits
+    for k in (1, 2, 6):
+        for L in _parent_depths(sp, k):
+            parent = d[:L]
+            node = _cold_mass(spec, parent)
+            del validations[:]
+            kids = admissible_children(spec, parent)
+            hits = [measure_mass(spec, parent + (a,)) for a in kids]
+            assert validations == []  # one step each from the parent's state
+            assert measure_context(spec).holds(parent)  # no sibling replaced it
+            assert node == _cold_mass(spec, parent)
+            for a, hit in zip(kids, hits):
+                assert hit == _cold_mass(spec, parent + (a,))
+                assert hit.log_mass == _reference_log_mass(spec, parent + (a,))
+
+
+def test_kept_state_at_the_end_of_the_schedule():
+    sp = construct_sequences(Fraction(1, 3), 1, k_max=2)
+    spec = CantorSpec(B=3, i=1, sp=sp)
+    d = sample_measure(spec, depth=sp.m[-1], seed=4).digits
+    for L in (sp.n[-1], sp.m[-1] - 1, sp.m[-1]):
+        assert _cold_mass(spec, d[:L]).log_mass == _reference_log_mass(spec, d[:L])
+        assert measure_context(spec).holds(d[:L])
+
+
+def test_inadmissible_child_raises_the_cold_message(spec13, validations):
+    sp = spec13.sp
+    d = sample_measure(spec13, depth=sp.m[3], seed=5).digits
+    for L in (0, sp.n[0] - 1, sp.n[0], sp.n[0] + 1, sp.m[0], sp.n[2] - 1, sp.n[2], sp.m[2] - 1, sp.m[2]):
+        parent = d[:L]
+        for a in (0, 2, spec13.B + 1):
+            child = parent + (a,)
+            want = _reference_validate(spec13, child)
+            if want is None:
+                continue
+            with pytest.raises(Inadmissible) as cold:
+                _cold_mass(spec13, child)
+            _cold_mass(spec13, parent)
+            with pytest.raises(Inadmissible) as hit:
+                measure_mass(spec13, child)
+            assert str(hit.value) == str(cold.value) == want
+            # the raising call left the state: a sibling still steps from it
+            assert measure_context(spec13).holds(parent)
+            del validations[:]
+            sibling = measure_mass(spec13, parent + (admissible_children(spec13, parent)[0],))
+            assert validations == []
+            assert sibling == _cold_mass(spec13, sibling.digits)
+
+
+def test_raising_cold_call_keeps_the_state(spec13, validations):
+    sp = spec13.sp
+    d = sample_measure(spec13, depth=sp.m[2], seed=6).digits
+    parent = d[: sp.n[1]]
+    _cold_mass(spec13, parent)
+    with pytest.raises(Inadmissible):
+        measure_mass(spec13, _corrupt(d, sp.n[1] + 1, 3))  # a longer prefix, validated in full
+    with pytest.raises(ValueError):
+        measure_mass(spec13, parent + ("x",))  # int() fails on the new digit
+    assert measure_context(spec13).holds(parent)
+    del validations[:]
+    child = measure_mass(spec13, parent + (1,))
+    assert validations == []
+    assert child == _cold_mass(spec13, parent + (1,))
+
+
+def test_numpy_and_float_children_step_from_kept_state(spec13, validations):
+    sp = spec13.sp
+    d = sample_measure(spec13, depth=sp.m[2], seed=9).digits
+    for L in (0, sp.n[1] - 1, sp.n[1], sp.m[1] - 1, sp.m[1]):
+        parent = d[:L]
+        want = [_cold_mass(spec13, parent + (a,)) for a in admissible_children(spec13, parent)]
+        arr = np.asarray(parent, dtype=np.int64)
+        _cold_mass(spec13, arr)
+        del validations[:]
+        assert admissible_children(spec13, arr) == tuple(w.digits[-1] for w in want)
+        for w in want:
+            a = w.digits[-1]
+            for child in (np.append(arr, a), [float(x) for x in parent] + [float(a)], [*parent, np.int64(a)]):
+                got = measure_mass(spec13, child)
+                assert got == w and all(type(x) is int for x in got.digits)
+        assert validations == []
+
+
+def test_infinite_variant_validates_without_a_context(monkeypatch):
+    sp = construct_sequences_infinite(Fraction(1, 2), k_max=4)
+    spec = CantorSpec(B=2, i=1, sp=sp)
+
+    def no_context(spec):
+        raise AssertionError("a context was built")
+
+    monkeypatch.setattr(cantor, "measure_context", no_context)
+    assert admissible_children(spec, [1] * sp.n[0]) == (1,)
+    with pytest.raises(Inadmissible):
+        measure_mass(spec, (2,))  # before the context's range error
+    monkeypatch.undo()
+    with pytest.raises(InputOutOfRange):
+        measure_mass(spec, (1,))
+
+
+# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -327,7 +465,7 @@ def test_delete_marked_matches_set_reference(spec13):
         res = insert_map(spec13, _random_admissible(spec13, L, rng))
         assert delete_marked(res) == reference(res)
     # adjacent and trailing markers
-    res = cantor.InsertResult(digits=cantor.digit_seq((4, 4, 1, 2, 4, 3, 4)), marked=(1, 2, 5, 7))
+    res = cantor.InsertResult(digits=cantor.DigitSeq((4, 4, 1, 2, 4, 3, 4)), marked=(1, 2, 5, 7))
     assert delete_marked(res) == reference(res) == (1, 2, 3)
 
 
@@ -693,6 +831,21 @@ def test_local_dimension_series_matches_continuant_reference(spec13):
         q = continuants(d[:m]).q
         want.append((m, _reference_log_mass(spec13, d[:m]) / -(log_int(q[-1]) + log_int(q[-1] + q[-2]))))
     assert local_dimension_series(spec13, d) == tuple(want)
+
+
+@pytest.mark.parametrize("B", [3, 5])
+def test_local_dimension_series_equals_reference_at_every_boundary(spec13, B):
+    # each segment's free block applied to the running pair as one continuant matrix
+    spec = CantorSpec(B=B, i=1, sp=spec13.sp, d=B + 1)
+    sp = spec.sp
+    d = sample_measure(spec, depth=sp.m[6], seed=31 + B, reject_accidental=False).digits
+    for end in (sp.m[6], sp.n[6], sp.m[5] + 1):
+        want = []
+        for m in sp.m:
+            if m <= end:
+                q = continuants(d[:m]).q
+                want.append((m, _reference_log_mass(spec, d[:m]) / -(log_int(q[-1]) + log_int(q[-1] + q[-2]))))
+        assert local_dimension_series(spec, d[:end]) == tuple(want)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])

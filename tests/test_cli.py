@@ -380,6 +380,13 @@ def test_dim_curve_name_outside_the_kind_exits2(kind, params, curve, capsys):
     assert captured.out == "" and captured.err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("curve", ["nu=1..", "nu=1", "nu=..2", "nu="])
+def test_dim_curve_without_both_endpoints_exits2(curve, capsys):
+    assert main(["dim", "--kind", "nu_level", "--nu", "1", "--curve", curve]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: cannot parse curve")
+
+
 def test_parameter_with_zero_denominator_exits2(capsys):
     # argparse rejects the text before any command runs
     with pytest.raises(SystemExit) as exc:
