@@ -456,12 +456,18 @@ def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     that state (MeasureContext.child), on the same integers and with the
     same float operations in the same order, so its mass has the same bits.
     A child leaves the state as it is, so each of its siblings steps from
-    it too; a call that raises leaves it as it is as well.
+    it too; a call that raises leaves it as it is as well.  A prefix longer
+    than the schedule's last run end m_K raises InputOutOfRange: the segment
+    exponents past it are not materialized.
     """
     digits = tuple(prefix)
-    ctx = measure_context(spec) if spec.sp.B_k is None else None  # a B_k prefix is validated first
-    if ctx is not None and (node := ctx.child(digits)) is not None:
-        return node
+    sp = spec.sp
+    ctx = measure_context(spec) if sp.B_k is None else None  # a B_k prefix is validated first
+    if ctx is not None:
+        if len(digits) > sp.m[-1]:
+            raise InputOutOfRange(f"depth {len(digits)} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
+        if (node := ctx.child(digits)) is not None:
+            return node
     digits = tuple(map(int, digits))
     validate_prefix(spec, digits)
     ctx = ctx or measure_context(spec)

@@ -150,10 +150,14 @@ def _state_chunks(B: int, f: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 def _log_qtotal_chunks(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
     """log of the full continuant (free digits + forced tail), chunked.
 
-    A table of at most _CACHE_LIMIT leaves is kept in _table_cache as its
-    list of chunks; the cache holds at most _CACHE_LIMIT leaves in all and
-    drops the least recently used table first.  The tail digit is no part of
-    the key of a table without a tail.
+    A tail is added in place on the fresh arrays that _state_chunks yields,
+    as (log q_f + log u) + log1p((v/u) r), the same operations in the same
+    order as the out-of-place expression.  A table of at most _CACHE_LIMIT
+    leaves is kept in _table_cache as its list of read-only chunks, so an
+    in-place op on a kept chunk raises instead of changing later sums; the
+    cache holds at most _CACHE_LIMIT leaves in all and drops the least
+    recently used table first.  The tail digit is no part of the key of a
+    table without a tail.
     """
     f, t = spec.free_length, spec.tail_i
     key = (B, f, spec.tail_digit if t else 0, t)
@@ -166,10 +170,15 @@ def _log_qtotal_chunks(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
     keep = B**f <= _CACHE_LIMIT
     pieces = []
     for logq, r in _state_chunks(B, f):
-        arr = logq + log_u + np.log1p(v_over_u * r) if t else logq
+        if t:
+            r *= v_over_u
+            np.log1p(r, out=r)
+            logq += log_u
+            logq += r
         if keep:
-            pieces.append(arr)
-        yield arr
+            logq.flags.writeable = False
+            pieces.append(logq)
+        yield logq
     if keep:
         _table_cache[key] = pieces
         while sum(b**n for b, n, _, _ in _table_cache) > _CACHE_LIMIT:
@@ -187,9 +196,13 @@ def sum_power(
     Each chunk of leaves is summed relative to its own maximum and the chunk
     sums are merged by a compensated (fsum) reduction in a fixed order.  The
     log q_total table of a spec with at most _CACHE_LIMIT (2^23) leaves is
-    cached as its list of chunks, in one least-recently-used cache of at most
-    _CACHE_LIMIT leaves (64 MB) in all, so a repeated call sums the same
-    chunks as the first; a larger table is rebuilt chunk by chunk per call.
+    cached as its list of read-only chunks, in one least-recently-used cache
+    of at most _CACHE_LIMIT leaves (64 MB) in all, so a repeated call sums
+    the same chunks as the first; a larger table is rebuilt chunk by chunk
+    per call.  A call works in one scratch buffer of at most _CHUNK doubles,
+    which no chunk outlives: each chunk's terms -2 rho (scale_log + log q),
+    less their maximum, and their exp are computed in place there, the same
+    operations in the same order as the out-of-place expression.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -199,10 +212,14 @@ def sum_power(
     if leaves > node_budget:
         raise BudgetExceeded(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {node_budget}")
     stats = []
+    buf = np.empty(min(leaves, _CHUNK))
     for arr in _log_qtotal_chunks(B, spec):
-        terms = -2.0 * rho * (spec.scale_log + arr)
+        terms = np.add(arr, spec.scale_log, out=buf[: arr.size])
+        terms *= -2.0 * rho
         m = float(terms.max())
-        stats.append((m, float(np.exp(terms - m).sum())))
+        terms -= m
+        np.exp(terms, out=terms)
+        stats.append((m, float(terms.sum())))
     m = max(s[0] for s in stats)
     total = math.fsum(s1 * math.exp(m1 - m) for m1, s1 in stats)
     return m + math.log(total)

@@ -101,17 +101,22 @@ _EIG_MAXITER = 100_000
 
 
 def leading_eigenvalue(M: np.ndarray) -> float:
-    """Dominant eigenvalue by power iteration with Rayleigh quotients."""
+    """Dominant eigenvalue by power iteration with Rayleigh quotients.
+
+    The norm is np.linalg.norm's own arithmetic for a real vector,
+    sqrt(w.dot(w)), without its call overhead, and the iterate is scaled in
+    place, so every iterate keeps its bits."""
     v = np.ones(M.shape[0])
     lam_prev = np.inf
     stable = 0
     for _ in range(_EIG_MAXITER):
         w = M @ v
         lam = float(v @ w) / float(v @ v)
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w.dot(w))
         if nw == 0:
             raise NoConvergence("operator annihilated the iterate")
-        v = w / nw
+        w /= nw
+        v = w
         if lam != 0 and abs(lam - lam_prev) <= _EIG_TOL * abs(lam):
             stable += 1
             if stable >= 3:

@@ -207,6 +207,20 @@ def test_measure_mass_inadmissible(spec13):
         measure_mass(spec13, (2, 3, 2))
 
 
+def test_prefix_past_the_schedule_is_out_of_range():
+    spec = CantorSpec(B=3, i=1, sp=construct_sequences(Fraction(1, 3), 1, k_max=2))
+    assert spec.sp.m[-1] == 23
+    d = list(sample_measure(spec, 23, seed=5).digits)
+    assert admissible_children(spec, d) == (1, 2, 3)
+    measure_mass(spec, d)  # kept, so d + [1] is a child of the kept prefix
+    for call in (measure_mass, local_dimension):
+        with pytest.raises(InputOutOfRange, match=r"depth 24 .*m_2 = 23"):
+            call(spec, d + [1])
+    measure_mass(spec, d[:-1])  # kept elsewhere: the full path
+    with pytest.raises(InputOutOfRange, match=r"depth 25 .*m_2 = 23"):
+        measure_mass(spec, d + [2, 3])
+
+
 # ---------------------------------------------------------------------------
 # the kept prefix state
 # ---------------------------------------------------------------------------

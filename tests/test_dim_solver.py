@@ -153,6 +153,69 @@ def test_table_cache_is_bounded_and_evicts_least_recent(monkeypatch):
     assert leaves() <= ds._CACHE_LIMIT
 
 
+def _out_of_place_table(B, spec):
+    """Reference: the log q_total chunks, the tail added out of place."""
+    log_u, v_over_u = ds.transfer.run_tail_logs(spec.tail_digit, spec.tail_i)
+    return [logq + log_u + np.log1p(v_over_u * r) if spec.tail_i else logq for logq, r in ds._state_chunks(B, spec.free_length)]
+
+
+def _sum_power_out_of_place(chunks, scale_log, rho):
+    """Reference: sum_power's chunk arithmetic with a fresh array per operation."""
+    stats = []
+    for arr in chunks:
+        terms = -2.0 * rho * (scale_log + arr)
+        m = float(terms.max())
+        stats.append((m, float(np.exp(terms - m).sum())))
+    m = max(s[0] for s in stats)
+    return m + math.log(math.fsum(s1 * math.exp(m1 - m) for m1, s1 in stats))
+
+
+@pytest.mark.parametrize(
+    "B, spec, limits, chunks, cached",
+    [
+        (3, SumKernelSpec(free_length=12), None, 1, True),
+        (3, SumKernelSpec(free_length=13, tail_i=1, tail_digit=1), None, 3, True),
+        (4, SumKernelSpec(free_length=7, tail_i=1, tail_digit=2), (64, 256), 4**3, False),
+        (3, SumKernelSpec(free_length=7, tail_i=3, tail_digit=2, scale_log=0.7), None, 1, True),
+        (2, SumKernelSpec(free_length=10, scale_log=-1.3), (2**10, 2**7), 2**3, True),
+        (5, SumKernelSpec(free_length=2, tail_i=2, tail_digit=3, scale_log=0.3), None, 1, True),
+    ],
+)
+def test_sum_power_bits_match_out_of_place_expression(monkeypatch, B, spec, limits, chunks, cached):
+    # a last-bit change in the terms moves the sum's bits at only a few rho
+    # (1-4 of 31 in a scratch mutant), so many rho are checked
+    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
+    if limits:
+        monkeypatch.setattr(ds, "_CACHE_LIMIT", limits[0])
+        monkeypatch.setattr(ds, "_CHUNK", limits[1])
+    table = _out_of_place_table(B, spec)
+    assert len(table) == chunks
+    for rho in [0.0, *np.linspace(0.05, 1.5, 40), 0.5]:  # the repeat reads the kept table
+        assert sum_power(B, spec, rho) == _sum_power_out_of_place(table, spec.scale_log, rho), rho
+    assert bool(ds._table_cache) == cached
+
+
+def test_cached_chunks_are_read_only_and_unchanged_by_sums(monkeypatch):
+    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
+    monkeypatch.setattr(ds, "_CHUNK", 3**4)
+    specs = (SumKernelSpec(free_length=7, tail_i=2, tail_digit=1), SumKernelSpec(free_length=6, scale_log=0.4))
+    for spec in specs:
+        for rho in (0.0, 0.25, 0.8, 1.5):
+            sum_power(3, spec, rho)
+    kept = dict(ds._table_cache)
+    assert len(kept) == 2 and all(len(chunks) > 1 for chunks in kept.values())
+    for chunks in kept.values():
+        with pytest.raises(ValueError):
+            chunks[0] += 1.0
+        with pytest.raises(ValueError):
+            np.exp(chunks[-1], out=chunks[-1])
+    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
+    for spec, chunks in zip(specs, kept.values()):
+        fresh = list(ds._log_qtotal_chunks(3, spec))
+        assert len(fresh) == len(chunks)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, chunks))
+
+
 # ---------------------------------------------------------------------------
 # pre-dimensional numbers
 # ---------------------------------------------------------------------------

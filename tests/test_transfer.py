@@ -94,3 +94,31 @@ def test_branch_rows_do_not_depend_on_growth_order():
     large_first.branch_rows(128)
     for rows in (small_first.branch_rows(3), large_first.branch_rows(3)):
         assert np.array_equal(rows, first)
+
+
+def _leading_eigenvalue_with_norm(M):
+    """Reference: the power iteration with np.linalg.norm and a fresh w / nw."""
+    v = np.ones(M.shape[0])
+    lam_prev = np.inf
+    stable = 0
+    for _ in range(transfer._EIG_MAXITER):
+        w = M @ v
+        lam = float(v @ w) / float(v @ v)
+        v = w / np.linalg.norm(w)
+        if lam != 0 and abs(lam - lam_prev) <= transfer._EIG_TOL * abs(lam):
+            stable += 1
+            if stable >= 3:
+                return lam
+        else:
+            stable = 0
+        lam_prev = lam
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("degree", [16, 32])
+def test_leading_eigenvalue_bits_match_norm_iteration(degree):
+    rng = np.random.default_rng(20 + degree)
+    cases = [(1, 0.5), (128, 1.0)] + [(int(rng.integers(1, 129)), float(rng.uniform(0.5, 1.0))) for _ in range(30)]
+    for B, s in cases:
+        M = transfer.transfer_matrix(B, s, degree)
+        assert transfer.leading_eigenvalue(M) == _leading_eigenvalue_with_norm(M), (B, s)
