@@ -48,7 +48,7 @@ def main() -> int:
         cfg = McConfig(seed=seed, samples=samples, n_digits=n_digits)
         r1, r2 = mc_laws(cfg, fixtures=placeholder)
         run_means[str(seed)] = {str(row["horizon"]): row["mean"] for row in r1.series}
-        nu_fracs[str(seed)] = {str(row["horizon"]): row["exceed_fraction"] for row in r2.series}
+        nu_fracs[str(seed)] = {str(row["horizon"]): row["exceed_fraction"] for row in r2.series if row["samples_used"]}
         print(f"seed {seed}: runlength means {run_means[str(seed)]}")
         print(f"seed {seed}: nu exceed    {nu_fracs[str(seed)]}")
 

@@ -24,10 +24,11 @@ segment's forced run i^t is appended in closed form,
 from the run continuants q_{t-2}, q_{t-1}, q_t(i) (cf_core.run_continuants).
 Segment roots, stacks, run continuants and bracket tables are cached per
 spec in a MeasureContext, and measure_context keeps the contexts of the 16
-most recently used specs.  A context also keeps the last prefix whose mass
-was computed in full, with its segment state, so the mass of each child of
-that prefix is one digit step past it.  That is one digits tuple per
-context: 16 contexts at most, 160 kB at 20 000 digits.
+most recently used specs.  A context also keeps one prefix whose mass it
+computed, with its segment state, and a mass walk resumes from that state
+whenever the prefix asked for extends the kept one; so the mass of each
+child of the kept prefix is one digit step past it.  That is one digits
+tuple per context: 16 contexts at most, 160 kB at 20 000 digits.
 """
 
 from __future__ import annotations
@@ -262,30 +263,35 @@ def _bound_at(spec: CantorSpec, pos: int) -> Optional[int]:
 def admissible_children(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[int, ...]:
     """Digits allowed at the next position given an admissible prefix.
 
-    The prefix that measure_mass last computed in full is known to be
-    admissible (MeasureContext.holds), so it is not validated again."""
-    if spec.sp.B_k is not None or not measure_context(spec).holds(tuple(prefix)):
-        validate_prefix(spec, prefix)
-    pos = len(prefix) + 1
+    The prefix that measure_mass keeps is known to be admissible, so only
+    the positions past it are validated (MeasureContext.resume)."""
+    digits = tuple(prefix)
+    start = 0 if spec.sp.B_k is not None else len(measure_context(spec).resume(digits)[0])
+    validate_prefix(spec, digits, start)
+    pos = len(digits) + 1
     bound = _bound_at(spec, pos)
     if bound is None:
         return (spec.i,)
     return tuple(range(1, bound + 1))
 
 
-def validate_prefix(spec: CantorSpec, prefix: Sequence[int]) -> None:
-    """Raise Inadmissible naming the first position that breaks the digit rule.
+def validate_prefix(spec: CantorSpec, prefix: Sequence[int], start: int = 0) -> None:
+    """Raise Inadmissible naming the first position past `start` that breaks
+    the digit rule; positions 1..start are taken as already checked.
 
     Each interval of the rule is checked on its whole slice (count of the run
     digit, or min and max against 1..bound); only a failing slice is scanned
     digit by digit.
     """
     digits = tuple(prefix)
-    i = spec.i
+    i, L = spec.i, len(digits)
     for lo, hi, bound in spec.intervals:
-        if lo >= len(digits):
+        if lo >= L:
             return
-        part = digits[lo : min(hi, len(digits))]
+        if hi <= start:
+            continue
+        lo = lo if lo > start else start  # max() without a call: this runs for every child mass
+        part = digits[lo : hi if hi < L else L]
         if bound is None:
             ok = part.count(i) == len(part)
         else:
@@ -293,17 +299,10 @@ def validate_prefix(spec: CantorSpec, prefix: Sequence[int]) -> None:
         if ok:
             continue
         for pos, a in enumerate(part, start=lo + 1):
-            _check_digit(i, bound, pos, a)
-
-
-def _check_digit(i: int, bound: Optional[int], pos: int, a: int) -> None:
-    """Raise Inadmissible unless digit a may stand at position pos: the run
-    digit i where bound is None, else a digit in 1..bound."""
-    if bound is None:
-        if a != i:
-            raise Inadmissible(f"position {pos} must carry the run digit {i}, got {a}")
-    elif not 1 <= a <= bound:
-        raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
+            if bound is None and a != i:
+                raise Inadmissible(f"position {pos} must carry the run digit {i}, got {a}")
+            if bound is not None and not 1 <= a <= bound:
+                raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +333,11 @@ class MeasureContext:
     kB; one run triple, three ints of about t log2 tau(i) bits, 23 kB at
     segment 10 of the nu_hat = 1/3, nu = 1, i = 1 schedule (t = 88 572); and
     one sampler table (`cdf_table`), 2 (_CDF_CELLS + 1)(B - 1) doubles, 8 kB
-    at B = 3 and 62 kB at B = 16.  It also keeps measure_mass's prefix
-    state: the digits of the last prefix computed in full, one tuple of
-    8-byte references to shared small ints (160 kB at 20 000 digits), and
-    that prefix's (segment, log mass, pair), whose ints are at most q_n.
+    at B = 3 and 62 kB at B = 16.  It also keeps measure_mass's resumable
+    prefix state: the digits of one prefix whose mass it computed, one tuple
+    of 8-byte references to shared small ints (160 kB at 20 000 digits), and
+    that prefix's state (segment, log mass, pair) (see advance), whose ints
+    are at most q_n.
     """
 
     def __init__(self, spec: CantorSpec):
@@ -403,34 +403,39 @@ class MeasureContext:
         # int true division rounds correctly: the float of the fraction q1/q
         return -2.0 * self.s_tilde(k).value * log_int(q) + self.stack(k).eval_log(left, q1 / q)
 
-    def holds(self, digits: Tuple[int, ...]) -> bool:
-        """Whether `digits` is the kept prefix.  Equal values match, so numpy
-        ints and integral floats do, as int() would convert them."""
+    def resume(self, digits: Tuple) -> Tuple[Tuple[int, ...], tuple]:
+        """The kept prefix and its state if `digits` extends it, else the
+        empty prefix and its state.  Equal values match, so numpy ints and
+        integral floats do, as int() would convert them."""
         kept = self._kept
-        return kept is not None and len(digits) == len(kept[0]) and digits == kept[0]
+        if kept is not None and digits[: len(kept[0])] == kept[0]:
+            return kept
+        return (), (1, 0.0, (0, 1))
 
-    def child(self, digits: Tuple[int, ...]) -> Optional[MeasureNode]:
-        """The node of `digits` if they are the kept prefix plus one digit,
-        else None: one validated position and one step from the kept state
-        (see measure_mass)."""
-        kept = self._kept
-        if kept is None or len(digits) != len(kept[0]) + 1 or digits[:-1] != kept[0]:
-            return None
-        prefix, (k, lm, (q1, q)) = kept
-        L, a = len(prefix), int(digits[-1])
-        pos = L + 1
-        _, n_k, m_k = self.seg_bounds(k)
-        if L < n_k:  # one q step in the free part
-            _check_digit(self.spec.i, self.spec.B, pos, a)
-            lm += self.open_factor(k, n_k - pos, q, a * q + q1)
-        elif L < m_k:  # into the forced run: its factor once the free part has closed
-            _check_digit(self.spec.i, None, pos, a)
-            if L == n_k:
+    def advance(self, state: tuple, digits: Tuple[int, ...], start: int) -> Tuple[tuple, float]:
+        """Walk digits[start:] from `state`, the state of digits[:start], to
+        the state of `digits` and their log mass.
+
+        A state (k, lm, (q1, q)) of L digits holds the segment k of position
+        L (m_{k-1} < L <= m_k; k = 1 at L = 0), the log mass lm of the
+        segments whose free part has closed (n_j < L), a left fold of their
+        segment factors, and the pair (q1, q) of segment k's free digits.
+        The log mass is lm, plus segment k's open factor when L lies inside
+        its free part.  Each segment of the walk starts from the pair (0, 1).
+        """
+        k, lm, (q1, q) = state
+        L, pos = len(digits), start
+        while True:
+            m_prev, n_k, m_k = self.seg_bounds(k)
+            if L <= n_k:
+                q1, q = denominators(digits[pos:L], q1, q)
+                return (k, lm, (q1, q)), (lm + self.open_factor(k, n_k - L, q1, q) if L > m_prev else lm)
+            if pos <= n_k:  # the free part closes inside the walk
+                q1, q = denominators(digits[pos:n_k], q1, q)
                 lm += self.segment_factor(k, q1, q)
-        else:  # the first free digit of the next segment
-            _check_digit(self.spec.i, self.spec.B, pos, a)
-            lm += self.open_factor(k + 1, self.seg_bounds(k + 1)[1] - pos, 1, a)
-        return MeasureNode(digits=prefix + (a,), log_mass=lm)
+            if L <= m_k:
+                return (k, lm, (q1, q)), lm
+            k, pos, q1, q = k + 1, m_k, 0, 1
 
 
 @functools.lru_cache(maxsize=16)
@@ -448,46 +453,31 @@ def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     continuant power times the operator-stack completion sum at the current
     continuant ratio.
 
-    A prefix computed in full is kept in its context with its state (k, lm,
-    (q1, q)): k is the segment holding its last position (1 for the empty
-    prefix), lm the log mass of the segments whose free part has closed,
-    and (q1, q) the pair of segment k's free digits.  A prefix that is the
-    kept one plus one digit (a child in a child sum) is then one step from
-    that state (MeasureContext.child), on the same integers and with the
-    same float operations in the same order, so its mass has the same bits.
-    A child leaves the state as it is, so each of its siblings steps from
-    it too; a call that raises leaves it as it is as well.  A prefix longer
-    than the schedule's last run end m_K raises InputOutOfRange: the segment
-    exponents past it are not materialized.
+    The context keeps one prefix with its state (MeasureContext.advance).
+    A prefix that extends it is walked from that state, any other from the
+    empty state, and only the digits past the resume point are converted
+    by int() and validated.  The walk runs on the same integers and the
+    same float operations in the same order from either point, so the mass
+    has the same bits.  The new state is kept unless the prefix is the kept
+    one plus one digit (a child in a child sum), so that its siblings step
+    from the same parent; a call that raises leaves the state as it is.
+    A prefix longer than the schedule's last run end m_K raises
+    InputOutOfRange: the segment exponents past it are not materialized.
     """
     digits = tuple(prefix)
     sp = spec.sp
-    ctx = measure_context(spec) if sp.B_k is None else None  # a B_k prefix is validated first
-    if ctx is not None:
-        if len(digits) > sp.m[-1]:
-            raise InputOutOfRange(f"depth {len(digits)} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
-        if (node := ctx.child(digits)) is not None:
-            return node
-    digits = tuple(map(int, digits))
-    validate_prefix(spec, digits)
-    ctx = ctx or measure_context(spec)
-    L = len(digits)
-    lm, k = 0.0, 1
-    while True:
-        m_prev, n_k, m_k = ctx.seg_bounds(k)
-        if L <= n_k:
-            q1, q = denominators(digits[m_prev:L])
-            state = (k, lm, (q1, q))
-            if L > m_prev:
-                lm += ctx.open_factor(k, n_k - L, q1, q)
-            break
-        q1, q = denominators(digits[m_prev:n_k])
-        lm += ctx.segment_factor(k, q1, q)
-        if L <= m_k:
-            state = (k, lm, (q1, q))
-            break
-        k += 1
-    ctx._kept = (digits, state)
+    if sp.B_k is not None:  # validated first; measure_context then rejects the variant
+        validate_prefix(spec, tuple(map(int, digits)))
+    elif len(digits) > sp.m[-1]:
+        raise InputOutOfRange(f"depth {len(digits)} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
+    ctx = measure_context(spec)
+    kept = ctx.resume(digits)
+    start = len(kept[0])
+    digits = kept[0] + tuple(map(int, digits[start:]))
+    validate_prefix(spec, digits, start)
+    state, lm = ctx.advance(kept[1], digits, start)
+    if not (kept is ctx._kept and len(digits) == start + 1):  # a child leaves its parent kept
+        ctx._kept = (digits, state)
     return MeasureNode(digits=digits, log_mass=lm)
 
 
@@ -575,7 +565,7 @@ def _sample_segment_free(
         return ()
     st = ctx.stack(k)
     m2s = -2.0 * ctx.s_tilde(k).value
-    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
+    interp = transfer.get_grid(st.degree).interp_matrix
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
     cap = _allowed_run(spec, k)

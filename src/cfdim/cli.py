@@ -106,10 +106,13 @@ def _parse_real_input(args) -> RealInput:
         if body.startswith("sqrt:"):
             body = body[5:]
         parts = [int(x) for x in body.split(",")]
+        if len(parts) not in (1, 4):
+            raise ValueError(f"cannot parse surd {args.surd!r}: need sqrt:d or sqrt:d,u,v,w, got {len(parts)} fields")
         if len(parts) == 1:
             d = parts[0]
-            return RealInput.surd(-math.isqrt(d), 1, 1, d)
-        d, u, v, w = parts[0], parts[1], parts[2], parts[3]
+            # isqrt needs d >= 0; RealInput.surd rejects a radicand below 1 itself
+            return RealInput.surd(-math.isqrt(max(d, 0)), 1, 1, d)
+        d, u, v, w = parts
         return RealInput.surd(u, v, w, d)
     return RealInput.decimal_input(args.decimal, args.precision)
 

@@ -102,7 +102,7 @@ class Report:
         keys = sorted({k for row in self.series for k in row})
         lines = [",".join(keys)]
         for row in self.series:
-            lines.append(",".join(repr(row.get(k, "")) for k in keys))
+            lines.append(",".join(repr(row[k]) if k in row else "" for k in keys))  # a missing key: an empty cell
         return "\n".join(lines) + "\n"
 
 
@@ -376,12 +376,15 @@ class RecordTracker:
         ests = [e for e in map(self.estimates, range(len(self._closed))) if e is not None]
         exceed = sum(e.nu_est > 0.05 for e in ests)
         self.hat_le_nu_violations += sum(e.nu_hat_est > e.nu_est + 1e-15 for e in ests)
-        frac = exceed / max(len(ests), 1)
-        self.series.append({"horizon": self.pos, "exceed_fraction": frac, "samples_used": len(ests)})
+        row = {"horizon": self.pos, "samples_used": len(ests)}
+        if ests:  # a fraction over no samples is left out, not read as 0
+            row["exceed_fraction"] = exceed / len(ests)
+        self.series.append(row)
 
     def report(self, cfg: McConfig, fixtures: Dict) -> Report:
         """Fraction of samples with nu estimate > 0.05 per snapshot; the a.e.
-        value of nu is 0, so the fraction must shrink along horizons.  Raises
+        value of nu is 0, so the fraction must shrink along horizons (a
+        snapshot without estimates has no fraction to check).  Raises
         InputOutOfRange when no sample has an estimate at the top horizon."""
         if not self.series[-1]["samples_used"]:
             raise InputOutOfRange(f"no sample has enough records of {self.i} for a nu estimate by n = {self.pos}")
@@ -389,6 +392,8 @@ class RecordTracker:
         rep = Report(self.suite, series=list(self.series), config={**asdict(cfg), "i": self.i})
         rep.add("exceed_fraction_at_top_horizon", self.series[-1]["exceed_fraction"], 0.0, fx["exceed_bound"])
         for r0, r1 in zip(self.series, self.series[1:]):
+            if not (r0["samples_used"] and r1["samples_used"]):
+                continue
             step = r1["exceed_fraction"] - r0["exceed_fraction"]
             name = f"fraction_non_increasing_{r0['horizon']}_to_{r1['horizon']}"
             rep.add(name, step, -math.inf, fx["monotone_slack"])

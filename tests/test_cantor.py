@@ -216,7 +216,7 @@ def test_prefix_past_the_schedule_is_out_of_range():
     for call in (measure_mass, local_dimension):
         with pytest.raises(InputOutOfRange, match=r"depth 24 .*m_2 = 23"):
             call(spec, d + [1])
-    measure_mass(spec, d[:-1])  # kept elsewhere: the full path
+    measure_mass(spec, d[:-1])  # not an extension of the kept prefix: walked from the empty state
     with pytest.raises(InputOutOfRange, match=r"depth 25 .*m_2 = 23"):
         measure_mass(spec, d + [2, 3])
 
@@ -228,23 +228,28 @@ def test_prefix_past_the_schedule_is_out_of_range():
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Counts the calls of validate_prefix made through the cantor module."""
+    """Records, per call of validate_prefix made through the cantor module,
+    the positions it checks: those past `start`."""
     seen = []
     real = cantor.validate_prefix
 
-    def counted(spec, prefix):
-        seen.append(len(prefix))
-        return real(spec, prefix)
+    def counted(spec, prefix, start=0):
+        seen.append(tuple(range(start + 1, len(prefix) + 1)))
+        return real(spec, prefix, start)
 
     monkeypatch.setattr(cantor, "validate_prefix", counted)
     return seen
 
 
+def _kept(spec):
+    """The prefix that the spec's context keeps."""
+    return measure_context(spec)._kept[0]
+
+
 def _cold_mass(spec, prefix):
-    """measure_mass of prefix by the full recursion, which keeps it: first
-    keep a prefix that it does not extend by one digit."""
-    measure_mass(spec, (1, 1) if len(prefix) == 1 else ())
-    assert not (len(prefix) and measure_context(spec).holds(tuple(prefix[:-1])))
+    """measure_mass of prefix walked from the empty state, which keeps it:
+    the kept prefix is dropped first."""
+    measure_context(spec)._kept = None
     return measure_mass(spec, prefix)
 
 
@@ -268,12 +273,50 @@ def test_child_masses_from_kept_state_equal_cold_masses(spec13, validations, B):
             del validations[:]
             kids = admissible_children(spec, parent)
             hits = [measure_mass(spec, parent + (a,)) for a in kids]
-            assert validations == []  # one step each from the parent's state
-            assert measure_context(spec).holds(parent)  # no sibling replaced it
+            # nothing past the kept parent, then one position per child
+            assert validations == [()] + [(len(parent) + 1,)] * len(kids)
+            assert _kept(spec) == parent  # no sibling replaced it
             assert node == _cold_mass(spec, parent)
             for a, hit in zip(kids, hits):
                 assert hit == _cold_mass(spec, parent + (a,))
                 assert hit.log_mass == _reference_log_mass(spec, parent + (a,))
+
+
+@pytest.mark.parametrize("B", [3, 4, 5])
+def test_masses_resumed_from_a_shallower_kept_prefix_equal_cold_masses(spec13, validations, B):
+    spec = CantorSpec(B=B, i=1, sp=spec13.sp, d=B + 1)
+    sp = spec.sp
+    ctx = measure_context(spec)
+    d = sample_measure(spec, depth=sp.m[5], seed=29 + B, reject_accidental=False).digits
+    for k in (1, 2, 5):
+        m_prev, n_k, m_k = ctx.seg_bounds(k)
+        # before n_k, at n_k, inside the run, at m_k, and in the next segment's free part and run
+        ends = (n_k - 1, n_k, n_k + 1, (n_k + m_k) // 2, m_k, m_k + 1, sp.n[k] + 1, sp.m[k])
+        for L0 in (m_prev, m_prev + 1, n_k - 2, n_k, n_k + 1, m_k):
+            for L in ends:
+                if L < L0 + 2:
+                    continue
+                want = _cold_mass(spec, d[:L])
+                _cold_mass(spec, d[:L0])
+                del validations[:]
+                got = measure_mass(spec, d[:L])
+                assert validations == [tuple(range(L0 + 1, L + 1))]  # only the positions past the kept prefix
+                assert got == want
+                assert got.log_mass == _reference_log_mass(spec, d[:L])
+                assert _kept(spec) == d[:L]
+    # an inadmissible digit deep in a resumed walk: the cold message, and the state as it was
+    for L0, pos, a in ((0, sp.n[1] + 1, 2), (sp.n[0], sp.m[2], 3), (sp.m[0], sp.n[3] - 5, B + 1), (sp.n[2], sp.n[3], 0)):
+        bad = _corrupt(d[: sp.m[3]], pos, a)
+        want = _reference_validate(spec, bad)
+        assert want is not None and f"position {pos} " in want
+        with pytest.raises(Inadmissible) as cold:
+            _cold_mass(spec, bad)
+        _cold_mass(spec, d[:L0])
+        before = ctx._kept
+        with pytest.raises(Inadmissible) as hit:
+            measure_mass(spec, bad)
+        assert str(hit.value) == str(cold.value) == want
+        assert ctx._kept is before
 
 
 def test_kept_state_at_the_end_of_the_schedule():
@@ -282,7 +325,7 @@ def test_kept_state_at_the_end_of_the_schedule():
     d = sample_measure(spec, depth=sp.m[-1], seed=4).digits
     for L in (sp.n[-1], sp.m[-1] - 1, sp.m[-1]):
         assert _cold_mass(spec, d[:L]).log_mass == _reference_log_mass(spec, d[:L])
-        assert measure_context(spec).holds(d[:L])
+        assert _kept(spec) == d[:L]
 
 
 def test_inadmissible_child_raises_the_cold_message(spec13, validations):
@@ -302,10 +345,10 @@ def test_inadmissible_child_raises_the_cold_message(spec13, validations):
                 measure_mass(spec13, child)
             assert str(hit.value) == str(cold.value) == want
             # the raising call left the state: a sibling still steps from it
-            assert measure_context(spec13).holds(parent)
+            assert _kept(spec13) == parent
             del validations[:]
             sibling = measure_mass(spec13, parent + (admissible_children(spec13, parent)[0],))
-            assert validations == []
+            assert validations == [(), (L + 1,)]
             assert sibling == _cold_mass(spec13, sibling.digits)
 
 
@@ -315,13 +358,13 @@ def test_raising_cold_call_keeps_the_state(spec13, validations):
     parent = d[: sp.n[1]]
     _cold_mass(spec13, parent)
     with pytest.raises(Inadmissible):
-        measure_mass(spec13, _corrupt(d, sp.n[1] + 1, 3))  # a longer prefix, validated in full
+        measure_mass(spec13, _corrupt(d, sp.n[1] + 1, 3))  # a longer prefix, validated past the parent
     with pytest.raises(ValueError):
         measure_mass(spec13, parent + ("x",))  # int() fails on the new digit
-    assert measure_context(spec13).holds(parent)
+    assert _kept(spec13) == parent
     del validations[:]
     child = measure_mass(spec13, parent + (1,))
-    assert validations == []
+    assert validations == [(len(parent) + 1,)]
     assert child == _cold_mass(spec13, parent + (1,))
 
 
@@ -340,7 +383,7 @@ def test_numpy_and_float_children_step_from_kept_state(spec13, validations):
             for child in (np.append(arr, a), [float(x) for x in parent] + [float(a)], [*parent, np.int64(a)]):
                 got = measure_mass(spec13, child)
                 assert got == w and all(type(x) is int for x in got.digits)
-        assert validations == []
+        assert validations == [()] + [(L + 1,)] * (3 * len(want))
 
 
 def test_infinite_variant_validates_without_a_context(monkeypatch):
@@ -799,6 +842,14 @@ def test_validate_prefix_names_first_bad_position(spec13):
         assert str(exc.value) == want
     assert _reference_validate(spec13, d) is None
     validate_prefix(spec13, d)
+    # with a start, only the positions past it are checked
+    bad = _corrupt(_corrupt(d, sp.n[0] + 1, 2), sp.m[4], 3)
+    for start in (0, sp.n[0], sp.n[0] + 1, sp.m[3], sp.m[4] - 1):
+        with pytest.raises(Inadmissible) as exc:
+            validate_prefix(spec13, bad, start)
+        assert str(exc.value) == _reference_validate(spec13, d[:start] + bad[start:])
+    validate_prefix(spec13, bad, sp.m[4])
+    validate_prefix(spec13, bad, len(bad) + 5)
 
 
 def test_validate_prefix_infinite_variant_matches_reference():

@@ -336,6 +336,10 @@ E_HAT = ["dim", "--kind", "E_hat", "--nu-hat", "1/2"]
         pytest.param(["dim", "--kind", "U_set", "--nu-hat=-1e999"], id="U_set-nu-hat-minus-inf"),
         pytest.param(["dim", "--kind", "nu_level", "--nu=-1e999"], id="nu_level-nu-minus-inf"),
         pytest.param(["cantor", "--nu-hat", "1/3", "--nu", "inf"], id="cantor-nu-inf"),
+        *(
+            pytest.param(["expand", "--surd", surd, "--n", "3"], id=f"expand-surd-{surd}")
+            for surd in ("sqrt:-3", "sqrt:-3,0,1,1", "sqrt:0", "sqrt:4")  # the radicand must be a positive non-square
+        ),
     ],
 )
 def test_parameter_range_errors_exit3(argv, capsys):
@@ -343,6 +347,14 @@ def test_parameter_range_errors_exit3(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("range error: ")
+
+
+@pytest.mark.parametrize("surd", ["sqrt:2,1", "sqrt:2,1,1", "sqrt:2,0,1,1,9", "sqrt:2,x"])
+def test_expand_surd_field_count_exits2(surd, capsys):
+    # sqrt:d or sqrt:d,u,v,w; any other field count is a parse error
+    assert main(["expand", "--surd", surd, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("parse error: ")
 
 
 def test_b_schedule_out_of_range_exits3_and_malformed_exits2(capsys):
@@ -482,6 +494,38 @@ def test_golden_files(name, argv, capsys):
     path = GOLDEN / f"{name}.json"
     assert path.exists(), f"golden file {path} missing; regenerate with scripts/make_goldens.py"
     assert out == path.read_text()
+
+
+_GOLDENS_UNDER_O = """
+import importlib.util, io, json, sys
+from contextlib import redirect_stdout
+spec = importlib.util.spec_from_file_location("make_goldens", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+out = {}
+for name, argv in script.CASES.items():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = script.main(argv)
+    out[name] = [rc, buf.getvalue()]
+sys.stdout.write(json.dumps({"debug": __debug__, "cases": out}))
+"""
+
+
+def test_golden_files_under_python_O():
+    # every case of scripts/make_goldens.py, run by cli.main in one `python -O -B`
+    # process (asserts stripped, no bytecode written), against the pinned files
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_goldens.py"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", _GOLDENS_UNDER_O, str(script)],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    got = json.loads(proc.stdout)
+    assert got["debug"] is False
+    assert sorted(got["cases"]) == sorted(p.stem for p in GOLDEN.glob("*.json"))
+    for name, (rc, out) in got["cases"].items():
+        assert rc == 0, name
+        assert out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
 
 
 def test_verify_budget_exceeded_exit4(capsys):

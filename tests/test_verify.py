@@ -321,6 +321,21 @@ def test_record_tracker_matches_decompose_reference():
             assert got.nu_hat_est == ref.nu_hat_est and got.nu_est == ref.nu_est
 
 
+def test_record_tracker_horizon_without_estimates_has_no_fraction():
+    tracker = RecordTracker(2, 1)
+    tracker.push(np.full((2, 50), 2))  # no digit 1 yet: no sample has a nu estimate
+    tracker.snapshot()
+    runs = [d for t in range(1, 12) for d in [1] * t + [2] * 3]  # eleven records of 1
+    tracker.push(np.array([runs, runs]))
+    tracker.snapshot()
+    assert tracker.series[0] == {"horizon": 50, "samples_used": 0}
+    assert tracker.series[1]["samples_used"] == 2 and "exceed_fraction" in tracker.series[1]
+    rep = tracker.report(McConfig(seed=0, samples=2, n_digits=tracker.pos), LOOSE_FIXTURES)
+    # the row without a fraction has no monotone check; the top horizon keeps its own
+    assert [c.name for c in rep.checks] == ["exceed_fraction_at_top_horizon", "nu_hat_le_nu_violations"]
+    assert rep.series_csv().splitlines()[1] == ",50,0"
+
+
 # the run_pilot.py placeholder: bounds that no pilot calibrated
 LOOSE_FIXTURES = {
     "mc_runlength": {"mean_bounds": [0.40, 0.60], "trend_slack": 0.05},
