@@ -420,25 +420,35 @@ def dim_limit(
 # ---------------------------------------------------------------------------
 
 
-def spectral_pressure(B: int, s: float) -> float:
+def spectral_pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
     """P_B(s): log leading eigenvalue of the weighted transfer operator.
 
-    Defined for any s >= 0 on a finite alphabet (the branch sums are finite);
-    conditioning is excellent on [0, ~4] which covers every root this package
-    solves for.
+    Defined for any finite s >= 0 on a finite alphabet (the branch sums are
+    finite); conditioning is excellent on [0, ~4] which covers every root
+    this package solves for.  `start` is the power iteration's start vector,
+    updated in place as in transfer.leading_eigenvalue.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return transfer.pressure(B, s)
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be finite and >= 0, got {s}")
+    return transfer.pressure(B, s, start)
 
 
 def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
-    """Root of  P_B(s) = 2 s (alpha/(1-alpha)) log tau(i)  by bisection."""
+    """Root of  P_B(s) = 2 s (alpha/(1-alpha)) log tau(i)  by bisection.
+
+    One start vector serves the whole solve: each pressure evaluation's
+    power iteration starts from the eigenvector of the one before, which
+    cuts the iterations by about 30 %.  That moves the pressures in their
+    last bits, but the root depends only on the signs of F at the bisection
+    midpoints, which solve_decreasing_root settles only where |F| >
+    _SIGN_FLOOR; on every root checked the result has the cold start's bits
+    (in practice, not by construction)."""
     af = _alpha_fraction(alpha)
     if af == 1:
         raise InputOutOfRange("alpha = 1 is handled by the closure convention, not the solver")
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
-    F = lambda s: spectral_pressure(B, s) - coeff * s
+    start = np.ones(transfer.DEFAULT_DEGREE + 1)
+    F = lambda s: spectral_pressure(B, s, start) - coeff * s
     root, bracket = solve_decreasing_root(F, width=_SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
     return DimEstimate(root, bracket, B_used=B, method="spectral")
 

@@ -6,8 +6,9 @@ The weighted operator on the alphabet {1..B} with exponent s acts as
 
 Functions are represented by their values on Chebyshev-Lobatto nodes and
 evaluated elsewhere by barycentric interpolation; the inverse branches map
-[0,1] into itself, so one application of L_s weights and sums the blocks
-of one cached (B, n, n) array, ChebyshevGrid.branch_rows(B).
+[0,1] into itself, so the collocation matrix of L_s is one contraction of
+the branch weights with one cached (B, n, n) array,
+ChebyshevGrid.branch_rows(B).
 
 Two consumers:
   * the leading eigenvalue of L_s (log of which is the pressure), and
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -88,38 +89,51 @@ def get_grid(degree: int) -> ChebyshevGrid:
 
 
 def transfer_matrix(B: int, s: float, degree: int = DEFAULT_DEGREE) -> np.ndarray:
-    """Collocation matrix of L_s: branch rows weighted by (a + x)^{-2s}, summed over a = 1..B in order."""
+    """Collocation matrix of L_s: branch rows weighted by (a + x)^{-2s}, summed over a = 1..B.
+
+    numpy's einsum (without `optimize`) adds the branches in order a = 1..B,
+    as a loop over the branches would; that order is not a documented
+    promise, and test_transfer_matrix_matches_branch_loop pins it."""
     if B < 1:
         raise InputOutOfRange(f"alphabet bound must be >= 1, got {B}")
     grid = get_grid(degree)
     w = (np.arange(1, B + 1)[:, None] + grid.nodes) ** (-2.0 * s)
-    return (w[:, :, None] * grid.branch_rows(B)).sum(axis=0)
+    return np.einsum("ax,axy->xy", w, grid.branch_rows(B))
 
 
 _EIG_TOL = 1e-12  # relative change of the Rayleigh quotient, three steps running
 _EIG_MAXITER = 100_000
 
 
-def leading_eigenvalue(M: np.ndarray) -> float:
+def leading_eigenvalue(M: np.ndarray, start: Optional[np.ndarray] = None) -> float:
     """Dominant eigenvalue by power iteration with Rayleigh quotients.
 
-    The norm is np.linalg.norm's own arithmetic for a real vector,
-    sqrt(w.dot(w)), without its call overhead, and the iterate is scaled in
-    place, so every iterate keeps its bits."""
-    v = np.ones(M.shape[0])
+    The iteration starts from a copy of `start`, or from all ones when none
+    is given.  On return the final unit iterate is written back into
+    `start`, so the next call on a nearby matrix starts close to its
+    eigenvector; a call that raises leaves `start` as it was.  The norm is
+    np.linalg.norm's own arithmetic for a real vector, sqrt(w.dot(w)),
+    without its call overhead, and the iterate is scaled in place, so every
+    iterate keeps its bits.  A non-finite norm (a nan or inf in M or in
+    `start`) raises at once."""
+    v = np.ones(M.shape[0]) if start is None else start.copy()
     lam_prev = np.inf
     stable = 0
     for _ in range(_EIG_MAXITER):
         w = M @ v
-        lam = float(v @ w) / float(v @ v)
         nw = math.sqrt(w.dot(w))
+        if not math.isfinite(nw):
+            raise NoConvergence(f"power iteration reached a non-finite norm {nw}")
         if nw == 0:
             raise NoConvergence("operator annihilated the iterate")
+        lam = float(v @ w) / float(v @ v)
         w /= nw
         v = w
         if lam != 0 and abs(lam - lam_prev) <= _EIG_TOL * abs(lam):
             stable += 1
             if stable >= 3:
+                if start is not None:
+                    start[:] = v
                 return lam
         else:
             stable = 0
@@ -127,9 +141,9 @@ def leading_eigenvalue(M: np.ndarray) -> float:
     raise NoConvergence(f"power iteration did not reach rel tol {_EIG_TOL}")
 
 
-def pressure(B: int, s: float, degree: int = DEFAULT_DEGREE) -> float:
-    """log of the leading eigenvalue of L_s on {1..B}."""
-    lam = leading_eigenvalue(transfer_matrix(B, s, degree))
+def pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
+    """log of the leading eigenvalue of L_s on {1..B}; `start` as in leading_eigenvalue."""
+    lam = leading_eigenvalue(transfer_matrix(B, s), start)
     if lam <= 0:
         raise NoConvergence(f"non-positive leading eigenvalue {lam}")
     return math.log(lam)

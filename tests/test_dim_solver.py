@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from cfdim import dim_solver as ds
-from cfdim.cf_core import continuants
+from cfdim import transfer
+from cfdim.cf_core import continuants, log_tau
 from cfdim.dim_solver import (
     DimEstimate,
     SumKernelSpec,
@@ -429,6 +430,56 @@ def test_spectral_dim_alpha_monotone():
 def test_spectral_dim_b1_zero():
     for alpha in (0, 0.3):
         assert spectral_dim(1, alpha, 1).value == 0.0
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -0.5])
+def test_spectral_pressure_rejects_non_finite_and_negative_s(s):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        spectral_pressure(2, s)
+
+
+def _cold_spectral_dim(B, alpha, i):
+    """Reference: the spectral root with every power iteration started from all ones."""
+    af = Fraction(alpha)
+    coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
+    F = lambda s: math.log(transfer.leading_eigenvalue(transfer.transfer_matrix(B, s))) - coeff * s
+    root, bracket = ds.solve_decreasing_root(F, width=ds._SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
+    return DimEstimate(root, bracket, B_used=B, method="spectral")
+
+
+def test_warm_started_spectral_roots_equal_cold_roots():
+    # the warm start moves pressures in their last bits; the roots keep them
+    rng = np.random.default_rng(71)
+    cases = [(2, 0, 1), (128, Fraction(1, 2), 1), (128, Fraction(3, 4), 3)]
+    for _ in range(37):
+        q = int(rng.integers(2, 60))
+        cases.append((int(rng.integers(1, 129)), Fraction(int(rng.integers(0, q)), q), int(rng.integers(1, 4))))
+    for B, alpha, i in cases:
+        assert spectral_dim(B, alpha, i) == _cold_spectral_dim(B, alpha, i), (B, alpha, i)
+
+
+def test_warm_started_dim_full_and_curves_equal_cold(monkeypatch):
+    args = [Fraction(k, 10) for k in range(1, 10)]
+    warm_full = [dim_full(a, i) for i in (1, 2) for a in args]
+    # the curve points of scripts/dimension_curves.py at its defaults
+    grid = [Fraction(k, 22) for k in range(23)]
+    curves = [("U_set", "nu_hat", grid), ("nu_level", "nu", [Fraction(k, 4) for k in range(17)]),
+              ("F", "alpha", [g / 2 for g in grid])]
+
+    def curve():
+        return [theorem_dims(kind, **{param: v}, B_schedule=(8, 16, 32, 64)) for kind, param, vs in curves for v in vs]
+
+    warm_curve = curve()
+    monkeypatch.setattr(ds, "spectral_dim", _cold_spectral_dim)
+    assert warm_full == [dim_full(a, i) for i in (1, 2) for a in args]
+    assert warm_curve == curve()
+
+
+def test_spectral_dim_keeps_no_state_between_calls():
+    first = spectral_dim(37, Fraction(2, 7), 2)
+    for B, alpha in [(5, Fraction(1, 3)), (128, Fraction(9, 10)), (37, Fraction(2, 5))]:
+        spectral_dim(B, alpha, 1)
+    assert spectral_dim(37, Fraction(2, 7), 2) == first
 
 
 # ---------------------------------------------------------------------------

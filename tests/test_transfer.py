@@ -1,6 +1,7 @@
 """Log-space segment stacks: settling, closed-form extension, anchors."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from cfdim import transfer
 from cfdim.cantor import construct_sequences
+from cfdim.errors import NoConvergence
 
 
 def _reference_levels(B, i, free, tail, s, degree=transfer.DEFAULT_DEGREE):
@@ -73,17 +75,19 @@ def test_short_stack_keeps_every_level_exactly():
         st.level(free + 1)
 
 
-@pytest.mark.parametrize("B", [1, 2, 3, 40, 128])
+@pytest.mark.parametrize("B", [1, 2, 3, 40, 128, 256, 1000])
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.3])
 def test_transfer_matrix_matches_branch_loop(B, s):
-    # the vectorized sum over the branch-row array adds the branches in the
-    # same order as this loop, so the bits agree
-    grid = transfer.get_grid(transfer.DEFAULT_DEGREE)
-    x = grid.nodes
-    ref = np.zeros((x.size, x.size))
-    for a in range(1, B + 1):
-        ref += (a + x)[:, None] ** (-2.0 * s) * grid.interp_matrix(1.0 / (a + x))
-    assert np.array_equal(transfer.transfer_matrix(B, s), ref)
+    # numpy's einsum "ax,axy->xy" (without `optimize`) adds the branches in
+    # order a = 1..B, as this loop does, so the bits agree; einsum does not
+    # promise that order, so this pins it
+    for degree in (16, 32, 48):
+        grid = transfer.get_grid(degree)
+        x = grid.nodes
+        ref = np.zeros((x.size, x.size))
+        for a in range(1, B + 1):
+            ref += (a + x)[:, None] ** (-2.0 * s) * grid.interp_matrix(1.0 / (a + x))
+        assert np.array_equal(transfer.transfer_matrix(B, s, degree), ref), degree
 
 
 def test_branch_rows_do_not_depend_on_growth_order():
@@ -96,9 +100,11 @@ def test_branch_rows_do_not_depend_on_growth_order():
         assert np.array_equal(rows, first)
 
 
-def _leading_eigenvalue_with_norm(M):
-    """Reference: the power iteration with np.linalg.norm and a fresh w / nw."""
-    v = np.ones(M.shape[0])
+def _leading_eigenvalue_with_norm(M, start=None):
+    """Reference: the power iteration with np.linalg.norm and a fresh w / nw,
+    from all ones or from a copy of `start`, into which the last iterate is
+    written on return."""
+    v = np.ones(M.shape[0]) if start is None else start.copy()
     lam_prev = np.inf
     stable = 0
     for _ in range(transfer._EIG_MAXITER):
@@ -108,6 +114,8 @@ def _leading_eigenvalue_with_norm(M):
         if lam != 0 and abs(lam - lam_prev) <= transfer._EIG_TOL * abs(lam):
             stable += 1
             if stable >= 3:
+                if start is not None:
+                    start[:] = v
                 return lam
         else:
             stable = 0
@@ -122,3 +130,42 @@ def test_leading_eigenvalue_bits_match_norm_iteration(degree):
     for B, s in cases:
         M = transfer.transfer_matrix(B, s, degree)
         assert transfer.leading_eigenvalue(M) == _leading_eigenvalue_with_norm(M), (B, s)
+
+
+def test_leading_eigenvalue_warm_start():
+    rng = np.random.default_rng(61)
+    cases = [(1, 0.5), (2, 0.53), (128, 1.0)] + [(int(rng.integers(1, 129)), float(rng.uniform(0.1, 2.0))) for _ in range(20)]
+    for B, s in cases:
+        M = transfer.transfer_matrix(B, s)
+        cold = transfer.leading_eigenvalue(M)
+        start = rng.uniform(0.5, 1.5, M.shape[0])
+        mine, ref = start.copy(), start.copy()
+        lam = transfer.leading_eigenvalue(M, mine)
+        assert lam == pytest.approx(cold, rel=1e-12, abs=0), (B, s)
+        # the same bits as the reference from the same start, and the vector
+        # written back is its final unit iterate
+        assert lam == _leading_eigenvalue_with_norm(M, ref), (B, s)
+        assert np.array_equal(mine, ref), (B, s)
+        assert np.linalg.norm(mine) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_leading_eigenvalue_leaves_start_unchanged_when_it_raises():
+    # every Rayleigh quotient of a quarter turn is exactly 0: it runs to the
+    # iteration limit
+    for M in (np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[1.0, np.nan], [0.0, 1.0]])):
+        start = np.array([1.0, 1.0])
+        with pytest.raises(NoConvergence):
+            transfer.leading_eigenvalue(M, start)
+        assert np.array_equal(start, [1.0, 1.0])
+    with pytest.raises(NoConvergence):
+        transfer.leading_eigenvalue(transfer.transfer_matrix(3, 0.5), np.zeros(transfer.DEFAULT_DEGREE + 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_leading_eigenvalue_stops_at_a_non_finite_norm(bad):
+    M = transfer.transfer_matrix(3, 0.5)
+    M[4, 7] = bad
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence, match="non-finite"):
+        transfer.leading_eigenvalue(M)
+    assert time.perf_counter() - t0 < 0.05
