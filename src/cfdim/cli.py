@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -128,11 +129,12 @@ def cmd_expand(args) -> int:
     if d.digits:
         t = continuants(d)
         ks = range(1, len(d.digits) + 1)
-        payload["convergents"] = [{"k": k, "p": str(t.pk(k)), "q": str(t.qk(k))} for k in ks]
+        # str(Decimal(v)) prints every digit; str(v) stops at Python's int-to-str digit limit
+        payload["convergents"] = [{"k": k, "p": str(Decimal(t.pk(k))), "q": str(Decimal(t.qk(k)))} for k in ks]
         # |I_k| = 1/(q_k (q_k + q_{k-1})), as basic_interval gives it
         denoms = [t.qk(k) * (t.qk(k) + t.qk(k - 1)) for k in ks]
         payload["intervals"] = [
-            {"k": k, "length": f"1/{m}", "length_float": 1 / m} for k, m in zip(ks, denoms)
+            {"k": k, "length": f"1/{Decimal(m)}", "length_float": 1 / m} for k, m in zip(ks, denoms)
         ]
     _emit(payload, args)
     return EXIT_OK
@@ -182,21 +184,17 @@ def cmd_dim(args) -> int:
     fields = ("kind", "nu_hat", "nu", "alpha", "beta", "i", "B_schedule", "curve")
     if args.curve:
         name, vals = _parse_curve(args.curve, args.kind)
+        if name == "B":
+            # sweep the finite-alphabet value of the theorem's argument, checked before any point
+            xi = dim_solver.theorem_argument(args.kind, nu_hat=args.nu_hat, nu=args.nu, alpha=args.alpha, beta=args.beta)
         rows = []
         for v in vals:
-            if name == "B":
-                # sweep the finite-alphabet value of the theorem's argument
-                xi = dim_solver.theorem_argument(
-                    args.kind, nu_hat=args.nu_hat, nu=args.nu, alpha=args.alpha, beta=args.beta
-                )
-                if xi is None:
-                    e = dim_solver.DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
-                else:
-                    e = dim_solver.spectral_dim(int(v), xi, args.i)
+            if name != "B":
+                e = dim_solver.theorem_dims(args.kind, **{**kw, name: v})
+            elif xi is None:
+                e = dim_solver.DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
             else:
-                kw2 = dict(kw)
-                kw2[name] = v
-                e = dim_solver.theorem_dims(args.kind, **kw2)
+                e = dim_solver.spectral_dim(int(v), xi, args.i)
             rows.append((v, e.value, e.bracket[0], e.bracket[1]))
         lines = ["param,value,lo,hi"] + [f"{float(p)!r},{v!r},{lo!r},{hi!r}" for p, v, lo, hi in rows]
         _emit_text("\n".join(lines) + "\n", args)
@@ -227,6 +225,10 @@ def cmd_cantor(args) -> int:
         if getattr(args, flag) < 0:
             raise InputOutOfRange(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
     spec = _build_spec(args)
+    # the schedule prints as JSON integers, which int's digit limit (Python >= 3.10.7) bounds; m_k > n_k
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(spec.sp.m) >= 10**limit:
+        raise InputOutOfRange(f"--k-max {args.k_max} gives schedule entries of more than {limit} digits; lower --k-max")
     if not 1 <= args.depth_k <= spec.sp.k_max:
         raise InputOutOfRange(f"--depth-k must lie in 1..{spec.sp.k_max} (--k-max), got {args.depth_k}")
     depth = spec.sp.m[args.depth_k - 1]
@@ -334,7 +336,7 @@ def cmd_verify(args) -> int:
     if args.suite == "lemmas":
         rep = verify.lemma_suite(seed=args.seed)
     elif args.suite == "solver":
-        rep = verify.solver_crosscheck(node_budget=args.node_budget)
+        rep = verify.solver_crosscheck()
     elif args.suite == "runlength":
         cfg = verify.McConfig(seed=args.seed, samples=args.samples, n_digits=args.n)
         rep = verify.mc_runlength(cfg)
@@ -344,7 +346,7 @@ def cmd_verify(args) -> int:
     else:
         raise InputOutOfRange(f"unknown suite {args.suite!r}")
     payload = {
-        "config": _config_echo("verify", args, ("suite", "seed", "samples", "n", "i", "node_budget")),
+        "config": _config_echo("verify", args, ("suite", "seed", "samples", "n", "i")),
         "report": rep.to_json_dict(),
     }
     if args.csv:
@@ -432,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=200)
     v.add_argument("--n", type=int, default=1_000_000)
     v.add_argument("--i", type=int, default=1)
-    v.add_argument("--node-budget", dest="node_budget", type=int, default=200_000_000)
     v.add_argument("--csv", action="store_true", help="emit the horizon series as CSV")
     add_common(v)
     v.set_defaults(fn=cmd_verify)

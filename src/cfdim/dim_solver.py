@@ -40,7 +40,7 @@ from . import transfer
 from .cf_core import log_tau
 from .errors import BudgetExceeded, InputOutOfRange, NoConvergence
 
-DEFAULT_NODE_BUDGET = 200_000_000
+DEFAULT_NODE_BUDGET = 200_000_000  # most leaves sum_power enumerates; more raise BudgetExceeded
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
 _SPECTRAL_WIDTH = 1e-8  # bisection width of the spectral roots; dim_full widens its bracket by it
 _SIGN_FLOOR = 1e-8  # |F| past which a sign holds further out: 390x the largest measured departure from monotone
@@ -185,12 +185,7 @@ def _log_qtotal_chunks(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
             _table_cache.popitem(last=False)
 
 
-def sum_power(
-    B: int,
-    spec: SumKernelSpec,
-    rho: float,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> float:
+def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
     """log of  sum over free strings of (exp(scale_log) * q_total)^(-2 rho).
 
     Each chunk of leaves is summed relative to its own maximum and the chunk
@@ -209,8 +204,8 @@ def sum_power(
     if rho < 0:
         raise ValueError("rho must be >= 0")
     leaves = B**spec.free_length
-    if leaves > node_budget:
-        raise BudgetExceeded(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {node_budget}")
+    if leaves > DEFAULT_NODE_BUDGET:
+        raise BudgetExceeded(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {DEFAULT_NODE_BUDGET}")
     stats = []
     buf = np.empty(min(leaves, _CHUNK))
     for arr in _log_qtotal_chunks(B, spec):
@@ -348,22 +343,22 @@ def _alpha_fraction(alpha: Number) -> Fraction:
     return af
 
 
-def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: str, node_budget: int) -> DimEstimate:
+def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: str) -> DimEstimate:
     """Root rho of sum_power(B, spec, rho) = 0, bisected to `width`."""
-    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho, node_budget), width=width)
+    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho), width=width)
     return DimEstimate(root, bracket, n_used=n, B_used=B, method=method)
 
 
-def predim_hat(B: int, alpha: Number, i: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
+def predim_hat(B: int, alpha: Number, i: int, n: int) -> DimEstimate:
     """Root of  sum (tau^{n alpha/(1-alpha)} q_n)^{-2 rho} = 1  over {1..B}^n."""
     af = _alpha_fraction(alpha)
     if af == 1:
         return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
     spec = SumKernelSpec(free_length=n, tail_digit=i, scale_log=float(af / (1 - af)) * n * log_tau(i))
-    return _enumerated_root(B, spec, _ROOT_WIDTH, n, "enumerate-hat", node_budget)
+    return _enumerated_root(B, spec, _ROOT_WIDTH, n, "enumerate-hat")
 
 
-def predim_s(B: int, alpha: Number, i: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DimEstimate:
+def predim_s(B: int, alpha: Number, i: int, n: int) -> DimEstimate:
     """Root of  sum q_n(free digits, i, ..., i)^{-2 rho} = 1  with floor(n alpha)
     forced trailing digits."""
     af = _alpha_fraction(alpha)
@@ -371,7 +366,7 @@ def predim_s(B: int, alpha: Number, i: int, n: int, node_budget: int = DEFAULT_N
         return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
     tail = int(n * af)  # exact floor: Fraction arithmetic
     spec = SumKernelSpec(free_length=n - tail, tail_i=tail, tail_digit=i)
-    return _enumerated_root(B, spec, _ROOT_WIDTH, n, "enumerate-s", node_budget)
+    return _enumerated_root(B, spec, _ROOT_WIDTH, n, "enumerate-s")
 
 
 def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
@@ -394,23 +389,17 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
         raise InputOutOfRange("tail length exceeds segment length")
     free = l_k - tail_len
     if B**free <= _CACHE_LIMIT:
-        return _enumerated_root(B, SumKernelSpec(free, tail_len, i), 1e-14, l_k, "enumerate-tilde", DEFAULT_NODE_BUDGET)
+        return _enumerated_root(B, SumKernelSpec(free, tail_len, i), 1e-14, l_k, "enumerate-tilde")
     root, bracket = solve_decreasing_root(lambda s: transfer.segment_log_sum(B, i, free, tail_len, s), width=4e-16)
     return DimEstimate(root, bracket, n_used=l_k, B_used=B, method="operator-tilde")
 
 
-def dim_limit(
-    B: int,
-    alpha: Number,
-    i: int,
-    n_schedule: Sequence[int],
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> DimEstimate:
+def dim_limit(B: int, alpha: Number, i: int, n_schedule: Sequence[int]) -> DimEstimate:
     """Pre-dimensional numbers along an increasing n-schedule plus Aitken
     extrapolation; the bracket is the last raw value +- its distance to the
     extrapolated one."""
     return _aitken_limit(
-        n_schedule, "n_schedule", lambda n: predim_hat(B, alpha, i, n, node_budget).value, 0.0,
+        n_schedule, "n_schedule", lambda n: predim_hat(B, alpha, i, n).value, 0.0,
         n_used=list(n_schedule)[-1], B_used=B, method="enumerate-limit",
     )
 

@@ -200,11 +200,9 @@ class SegmentStack:
 _SETTLE_TOL = 4.0 * np.finfo(np.float64).eps
 
 
-def segment_stack(
-    B: int, i: int, free: int, tail: int, s: float, degree: int = DEFAULT_DEGREE, keep_levels: bool = True
-) -> SegmentStack:
-    """Iterate the log-space operator from the run-tail seed until its shape
-    settles, for at most `free` levels.
+def segment_stack(B: int, i: int, free: int, tail: int, s: float, keep_levels: bool = True) -> SegmentStack:
+    """Iterate the log-space operator on the DEFAULT_DEGREE grid from the
+    run-tail seed until its shape settles, for at most `free` levels.
 
     The iterate is kept normalized: after each step its value at node 0
     (r = 0) is moved into a running offset, summed in double-double with
@@ -218,7 +216,7 @@ def segment_stack(
     segment_log_sum passes False, which lets a trace tell its iteration
     from a stack build.
     """
-    grid = get_grid(degree)
+    grid = get_grid(DEFAULT_DEGREE)
     x = grid.nodes
     log_u, v_over_u = run_tail_logs(i, tail)
     h = -2.0 * s * np.log1p(v_over_u * x)  # the seed minus its node-0 value
@@ -239,7 +237,7 @@ def segment_stack(
             h = h_next
             if settled:
                 break
-    return SegmentStack(degree=degree, free=free, levels=levels, step=step)
+    return SegmentStack(degree=DEFAULT_DEGREE, free=free, levels=levels, step=step)
 
 
 def _logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
@@ -247,6 +245,6 @@ def _logsumexp_axis0(arr: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(arr - m[None, :]).sum(axis=0))
 
 
-def segment_log_sum(B: int, i: int, free: int, tail: int, s: float, degree: int = DEFAULT_DEGREE) -> float:
+def segment_log_sum(B: int, i: int, free: int, tail: int, s: float) -> float:
     """log of sum over free digit strings of q(free digits + i-run tail)^{-2s}."""
-    return segment_stack(B, i, free, tail, s, degree, keep_levels=False).log_total()
+    return segment_stack(B, i, free, tail, s, keep_levels=False).log_total()

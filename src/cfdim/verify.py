@@ -29,7 +29,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +38,6 @@ from .cf_core import (
     RealInput,
     basic_interval,
     continuants,
-    denominators,
     expand,
     run_continuant,
     run_continuant_closed_form,
@@ -218,23 +216,19 @@ class LebesgueDigitChain:
 _DECIMAL_REDRAW_CAP = 200  # redraws before sample_digits_decimal gives up
 
 
-def sample_digits_decimal(rng: np.random.Generator, n: int, bits: Optional[int] = None) -> Tuple[Tuple[int, ...], int]:
+def sample_digits_decimal(rng: np.random.Generator, n: int) -> Tuple[Tuple[int, ...], int]:
     """Certified digits of one uniform sample via the decimal-budget pipeline.
 
-    Draws a uniform dyadic rational k / 2^bits at the full budget resolution
-    and expands it as a decimal input with the same budget, so a digit counts
-    only once the whole interval k / 2^bits +- 2^-bits lies inside its
-    cylinder; redraws until n digits certify.  Returns (digits, redraws).
+    Draws a uniform dyadic rational k / 2^bits, bits = 4n + 64, at the full
+    budget resolution and expands it as a decimal input with the same budget,
+    so a digit counts only once the whole interval k / 2^bits +- 2^-bits lies
+    inside its cylinder; redraws until n digits certify.  Returns (digits,
+    redraws).  The widest depth-n cylinder, that of 1^n, is 1 / (F_{n+1}
+    F_{n+2}) > 2^-(1.39 n + 2), so it is far wider than the interval.
 
-    Raises InputOutOfRange, before any draw, when F_{n+1} F_{n+2} >= 2^(bits-1):
-    no cylinder of depth n is then wider than the interval, 2^(1-bits).
     Raises NoConvergence after _DECIMAL_REDRAW_CAP redraws.
     """
-    bits = max(64, bits if bits is not None else 4 * n + 64)
-    # the widest depth-n cylinder is that of 1^n: 1 / (F_{n+1} F_{n+2})
-    f1, f2 = denominators(repeat(1, n + 1))
-    if f1 * f2 >= 1 << (bits - 1):
-        raise InputOutOfRange(f"{bits} bits cannot certify {n} digits: no depth-{n} cylinder is wider than 2^{1 - bits}")
+    bits = 4 * n + 64
     redraws = 0
     while redraws <= _DECIMAL_REDRAW_CAP:
         k = 0
@@ -522,19 +516,16 @@ def lemma_suite(seed: int = 20260809, n_strings: int = 10_000) -> Report:
     return rep
 
 
-def solver_crosscheck(
-    n_schedule: Sequence[int] = (3, 6, 12),
-    node_budget: int = dim_solver.DEFAULT_NODE_BUDGET,
-) -> Report:
+def solver_crosscheck(n_schedule: Sequence[int] = (3, 6, 12)) -> Report:
     """Enumeration-vs-spectral agreement matrix plus the bounded-type anchor
     value and alpha-monotonicity."""
-    rep = Report(suite="solver_crosscheck", config={"n_schedule": list(n_schedule), "node_budget": node_budget})
+    rep = Report(suite="solver_crosscheck", config={"n_schedule": list(n_schedule)})
     alphas = [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
     for B in (1, 2, 3):
         for i in (1, 2):
             prev = None
             for a in alphas:
-                e = dim_solver.dim_limit(B, a, i, n_schedule, node_budget=node_budget)
+                e = dim_solver.dim_limit(B, a, i, n_schedule)
                 s = dim_solver.spectral_dim(B, a, i)
                 gap = abs(e.value - s.value)
                 half = (e.bracket[1] - e.bracket[0]) / 2 + (s.bracket[1] - s.bracket[0]) / 2

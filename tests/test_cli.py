@@ -1,9 +1,11 @@
 """CLI behavior: schemas, reproducibility, exit codes, golden files."""
 
+import argparse
 import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +18,9 @@ from cfdim import cli, errors
 from cfdim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+needs_str_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
+)
 
 
 def run_cli(argv, capsys):
@@ -108,6 +113,53 @@ def test_dim_curve_b_sweep_forces_run_digit_one_for_run_length_kinds(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert len(out1.strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("params", [["--nu-hat", "-1", "--curve", "B=3..2"], ["--curve", "B=2..1"]])
+def test_dim_curve_b_checks_the_argument_on_an_empty_range(params, capsys):
+    # the theorem argument is computed once, before any point, so an empty sweep still checks it
+    rc = main(["dim", "--kind", "U_set", *params])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == "" and err.startswith("range error: nu_hat")
+
+
+@needs_str_digit_limit
+def test_expand_prints_integers_past_the_str_digit_limit(capsys):
+    # q_n (q_n + q_{n-1}) of sqrt(2) - 1 = [0; 2, 2, ...] passes Python's 4 300-digit limit at n = 5617
+    n = 5617
+    rc, out = run_cli(["expand", "--surd", "sqrt:2", "--n", str(n)], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    q_prev, q = 1, 2
+    for _ in range(n - 1):
+        q_prev, q = q, 2 * q + q_prev
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(q * (q + q_prev))) > old
+        assert payload["convergents"][-1] == {"k": n, "p": str(q_prev), "q": str(q)}
+        assert payload["intervals"][-1]["length"] == f"1/{q * (q + q_prev)}"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@needs_str_digit_limit
+def test_cantor_schedule_too_long_to_print_exits3_before_sampling(monkeypatch, capsys):
+    # nu-hat = 0: n_k = 2 * 2^(2^(2k)) + 2 has 4 933 digits at k = 7, five million at k = 12
+    base = ["cantor", "--nu-hat", "0", "--nu", "1", "--depth-k", "1"]
+    rc, out = run_cli([*base, "--k-max", "6"], capsys)
+    assert rc == 0 and json.loads(out)["depth"] == 69
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the schedule was checked")
+
+    monkeypatch.setattr(cli.cantor, "sample_measure", no_sampling)
+    for k_max in ([], ["--k-max", "7"]):
+        rc = main([*base, *k_max])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == "" and err.startswith("range error: --k-max")
 
 
 def test_cantor_samples_admissible(capsys):
@@ -528,10 +580,27 @@ def test_golden_files_under_python_O():
         assert out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
 
 
-def test_verify_budget_exceeded_exit4(capsys):
-    rc = main(["verify", "--suite", "solver", "--node-budget", "10"])
-    capsys.readouterr()
+def test_verify_budget_exceeded_exit4(monkeypatch, capsys):
+    # the solver suite enumerates up to 3^12 leaves; a smaller budget stops it at sum_power's guard
+    monkeypatch.setattr(cfdim.dim_solver, "DEFAULT_NODE_BUDGET", 10)
+    rc = main(["verify", "--suite", "solver"])
     assert rc == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_every_cli_flag_is_documented():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    docs = (root / "README.md").read_text() + (root / "docs" / "formats.md").read_text()
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{command} {flag}"
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag not in ("--help", "--version")
+        and not re.search(re.escape(flag) + r"(?![\w-])", docs)  # "--n" is not found in "--nu"
+    ]
+    assert missing == []
 
 
 def test_verify_failed_check_exit1(capsys):

@@ -79,7 +79,7 @@ def test_sum_power_monotone_decreasing_in_rho():
 
 def test_sum_power_budget():
     with pytest.raises(BudgetExceeded):
-        sum_power(3, SumKernelSpec(free_length=30), 1.0, node_budget=10**6)
+        sum_power(3, SumKernelSpec(free_length=30), 1.0)  # 3^30 leaves, past DEFAULT_NODE_BUDGET
 
 
 def test_sum_power_chunked_matches_cached(monkeypatch):

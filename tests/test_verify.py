@@ -188,9 +188,9 @@ def test_decimal_redraw_rate_small():
     assert redraws / 300 < 0.01
 
 
-def _sample_digits_via_string(rng, n, bits=None):
+def _sample_digits_via_string(rng, n):
     # the sampler drawn through the exact decimal string of k / 2^bits
-    bits = max(64, bits if bits is not None else 4 * n + 64)
+    bits = 4 * n + 64
     redraws = 0
     while True:
         k = 0
@@ -206,48 +206,33 @@ def _sample_digits_via_string(rng, n, bits=None):
         redraws += 1
 
 
-@pytest.mark.parametrize("n,bits", [(1, None), (3, None), (40, None), (200, None), (12, 64), (20, 100)])
-def test_sample_digits_decimal_matches_string_reference(n, bits):
+@pytest.mark.parametrize("n", [1, 3, 40, 200])
+def test_sample_digits_decimal_matches_string_reference(n):
     fast, ref = np.random.default_rng([n, 7]), np.random.default_rng([n, 7])
     for _ in range(20):
-        assert sample_digits_decimal(fast, n, bits) == _sample_digits_via_string(ref, n, bits)
+        assert sample_digits_decimal(fast, n) == _sample_digits_via_string(ref, n)
 
 
 def test_sample_digits_decimal_unchanged_at_seed_3():
-    # the range screen draws nothing, so the stream and the redraw counts stay
     for n in (100, 400, 700, 1050):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         assert sample_digits_decimal(rng, n) == _sample_digits_via_string(ref, n)
 
 
-def _first_uncertifiable(bits):
-    # smallest n with F_{n+1} F_{n+2} >= 2^(bits-1)
-    n, f1, f2 = 0, 1, 1
-    while f1 * f2 < 1 << (bits - 1):
-        n, f1, f2 = n + 1, f2, f1 + f2
-    return n
-
-
-@pytest.mark.parametrize("bits", [64, 100])
-def test_sample_digits_decimal_rejects_budget_before_drawing(bits):
-    n = _first_uncertifiable(bits)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(InputOutOfRange):
-        sample_digits_decimal(rng, n, bits)
-    assert rng.bit_generator.state == state
-
-
 def test_sample_digits_decimal_redraw_cap(monkeypatch):
-    # one digit short of the screen, 64 bits almost never certify; it used to redraw forever
+    # an expansion that never certifies all n digits used to redraw forever
+    def short_expand(x, n):
+        d = expand(x, n)
+        return dataclasses.replace(d, digits=d.digits[: n - 1])
+
     monkeypatch.setattr(verify, "_DECIMAL_REDRAW_CAP", 5)
+    monkeypatch.setattr(verify, "expand", short_expand)
     with pytest.raises(NoConvergence):
-        sample_digits_decimal(np.random.default_rng(0), _first_uncertifiable(64) - 1, 64)
-    with pytest.raises(NoConvergence):
-        sample_digits_decimal(np.random.default_rng(0), 40, 64)
-    # a budget that certifies at once is untouched by the cap
-    digits, redraws = sample_digits_decimal(np.random.default_rng(0), 12, 64)
-    assert len(digits) == 12 and redraws <= 5
+        sample_digits_decimal(np.random.default_rng(0), 12)
+    # an expansion that certifies at once is untouched by the cap
+    monkeypatch.undo()
+    digits, redraws = sample_digits_decimal(np.random.default_rng(0), 12)
+    assert len(digits) == 12 and redraws == 0
 
 
 def test_sample_digits_decimal_past_str_digit_limit():
