@@ -108,12 +108,23 @@ class SeqPair:
         return self.m[k - 1] - self.n[k - 1]
 
 
+_MAX_ENTRY_BITS = 2**25  # twice m_12 of nu_hat = 0, nu = 1 (16 777 219 bits), the largest default CLI entry
+_MAX_SAMPLE_DEPTH = 2**24  # sample_measure keeps one int reference per digit, in a list and a tuple: ~270 MB
+
+
+def _check_entry_bits(exponent: int, k_max: int) -> None:
+    """Refuse, before it is built, a schedule entry of about 2^exponent."""
+    if exponent > _MAX_ENTRY_BITS:
+        raise InputOutOfRange(f"k_max = {k_max} gives schedule entries of more than 2^25 bits; lower k_max")
+
+
 def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
     """Schedule with (m_k-n_k)/n_k -> nu and (m_k-n_k)/n_{k+1} -> nu_hat.
 
     nu_hat > 0:  n_1 = 2, n_{k+1} = floor((nu/nu_hat)(n_k + 1/nu)) + 2,
                  m_k = floor((1+nu) n_k) + 1.
     nu_hat = 0:  n_k = floor((1+nu) 2^(2^(2k))) + 2, same m_k formula.
+    An entry past _MAX_ENTRY_BITS bits raises InputOutOfRange before it is built.
     """
     nv = to_fraction(nu)
     nh = to_fraction(nu_hat)
@@ -131,6 +142,7 @@ def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
             nk = int((nv / nh) * (nk + Fraction(1) / nv)) + 2
     else:
         for k in range(1, k_max + 1):
+            _check_entry_bits(2 ** (2 * k), k_max)
             nk = int((1 + nv) * 2 ** (2 ** (2 * k))) + 2
             ns.append(nk)
             ms.append(int((1 + nv) * nk) + 1)
@@ -154,7 +166,9 @@ def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
     bs: List[int] = []
     if nh == 0:
         for k in range(1, k_max + 1):
+            _check_entry_bits(2 ** (2 * k + 1), k_max)  # m_k = n_k^2
             nk = 2 ** (2 ** (2 * k))
+            _check_entry_bits(nk, k_max)  # B_k = 2^(n_k); B_3 = 2^(2^64) refuses any k_max > 2
             ns.append(nk)
             ms.append(nk * nk)
             bs.append(2**nk)
@@ -522,13 +536,13 @@ def _cdf_brackets(ctx: MeasureContext, k: int) -> Optional[Tuple[array, array]]:
     if st.free <= len(st.levels) or not (np.isfinite(level).all() and math.isfinite(st.step)):
         return None
     B, m2s = ctx.spec.B, -2.0 * ctx.s_tilde(k).value
-    interp = transfer.get_grid(st.degree).interp_matrix
+    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
     ends = np.empty((_CDF_CELLS + 1, B - 1))  # the law at the cell ends, in blocks of rows
     for c0 in range(0, _CDF_CELLS + 1, _CDF_CHUNK):
         ar = np.arange(1, B + 1) + np.arange(c0, min(c0 + _CDF_CHUNK, _CDF_CELLS + 1))[:, None] / _CDF_CELLS
         ends[c0 : c0 + len(ar)] = _digit_cdf(k, m2s, interp, level, ar)[:, :-1]
     size = max(1.0, float(np.abs(level).max()) + st.free * abs(st.step))  # M, the largest level magnitude
-    rounding = np.finfo(np.float64).eps * (16.0 * (st.degree + 1) * size + B + 3)
+    rounding = np.finfo(np.float64).eps * (16.0 * (transfer.DEFAULT_DEGREE + 1) * size + B + 3)
     margin = 2.0 * np.abs(np.diff(ends, 2, axis=0)).max() + rounding
     lo = np.vstack([np.minimum(ends[:-1], ends[1:]), ends[-1:]]) - margin
     hi = np.vstack([np.maximum(ends[:-1], ends[1:]), ends[-1:]]) + margin
@@ -565,7 +579,7 @@ def _sample_segment_free(
         return ()
     st = ctx.stack(k)
     m2s = -2.0 * ctx.s_tilde(k).value
-    interp = transfer.get_grid(st.degree).interp_matrix
+    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
     cap = _allowed_run(spec, k)
@@ -614,11 +628,14 @@ def sample_measure(
     i-run can disturb the designed record blocks (runs capped below the
     previous designed run length and never adjacent to a designed run), so
     record extraction reproduces the designed blocks exactly; switch it off
-    for unconditioned measure-fidelity checks.
+    for unconditioned measure-fidelity checks.  A depth above
+    _MAX_SAMPLE_DEPTH raises InputOutOfRange before any segment is solved.
     """
     sp = spec.sp
     if depth > sp.m[-1]:
         raise InputOutOfRange(f"depth {depth} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
+    if depth > _MAX_SAMPLE_DEPTH:
+        raise InputOutOfRange(f"depth {depth} beyond the sampler's cap of 2^24 digits")
     ctx = measure_context(spec)
     rng = np.random.default_rng(seed)
     i = int(spec.i)

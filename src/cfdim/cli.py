@@ -37,7 +37,7 @@ def _stable_json(obj) -> str:
 
 
 def _emit_text(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -45,7 +45,8 @@ def _emit_text(text: str, args) -> None:
 
 
 def _emit(payload: dict, args) -> None:
-    _emit_text(_stable_json(payload) + "\n", args)
+    """Write the payload as one JSON line, with the command's config echo under "config"."""
+    _emit_text(_stable_json({"config": _config_echo(args), **payload}) + "\n", args)
 
 
 def _frac_str(fr: Fraction) -> str:
@@ -65,11 +66,24 @@ def _parse_param(s: str):
     return int(s)
 
 
-def _config_echo(command: str, args, fields: Sequence[str]) -> dict:
-    cfg = {"command": command, "schema_version": SCHEMA_VERSION, "version": __version__}
-    argv = [command]
-    for f in fields:
-        v = getattr(args, f)
+_NOT_ECHOED = ("command", "fn", "out", "csv")  # the command, its handler, and the flags that only route output
+
+
+def _config_echo(args) -> dict:
+    """The command and every flag of its parsed namespace but --out and --csv,
+    with `argv`, the canonical command line that re-runs it.
+
+    The flags come in parser order: argparse sets each subparser default in
+    the order the actions were added and parsed values overwrite them in
+    place, set_defaults(fn=...) comes last, and the subparser's namespace is
+    copied into the main one after `command`.  cmd_dim reassigns args.i in
+    place before it echoes, which keeps its position.
+    """
+    cfg = {"command": args.command, "schema_version": SCHEMA_VERSION, "version": __version__}
+    argv = [args.command]
+    for f, v in vars(args).items():
+        if f in _NOT_ECHOED:
+            continue
         if isinstance(v, Fraction):
             echoed = _frac_str(v)
         elif isinstance(v, float) and math.isinf(v):
@@ -121,11 +135,7 @@ def _parse_real_input(args) -> RealInput:
 def cmd_expand(args) -> int:
     x = _parse_real_input(args)
     d = expand(x, args.n)
-    payload = {
-        "config": _config_echo("expand", args, ("rational", "surd", "decimal", "n", "precision")),
-        "digits": list(d.digits),
-        "exhausted": d.exhausted,
-    }
+    payload = {"digits": list(d.digits), "exhausted": d.exhausted}
     if d.digits:
         t = continuants(d)
         ks = range(1, len(d.digits) + 1)
@@ -181,7 +191,6 @@ def cmd_dim(args) -> int:
     kw = dict(nu_hat=args.nu_hat, nu=args.nu, alpha=args.alpha, beta=args.beta, i=args.i)
     if args.B_schedule:
         kw["B_schedule"] = dim_solver.check_schedule([int(b) for b in args.B_schedule.split(",")], "--B-schedule")
-    fields = ("kind", "nu_hat", "nu", "alpha", "beta", "i", "B_schedule", "curve")
     if args.curve:
         name, vals = _parse_curve(args.curve, args.kind)
         if name == "B":
@@ -200,8 +209,7 @@ def cmd_dim(args) -> int:
         _emit_text("\n".join(lines) + "\n", args)
         return EXIT_OK
     e = dim_solver.theorem_dims(args.kind, **kw)
-    payload = {"config": _config_echo("dim", args, fields), "estimate": _estimate_payload(e)}
-    _emit(payload, args)
+    _emit({"estimate": _estimate_payload(e)}, args)
     return EXIT_OK
 
 
@@ -235,21 +243,12 @@ def cmd_cantor(args) -> int:
     samples = []
     for s in range(args.sample):
         d = cantor.sample_measure(spec, depth=depth, seed=args.seed + s)
-        row = {"seed": args.seed + s, "digits": list(int(a) for a in d.digits[: args.emit_digits])}
+        row = {"seed": args.seed + s, "digits": d.digits[: args.emit_digits]}
         if args.local_dim:
             series = cantor.local_dimension_series(spec, d.digits)
             row["local_dimension"] = [{"depth": m, "value": v} for m, v in series]
         samples.append(row)
-    payload = {
-        "config": _config_echo(
-            "cantor", args,
-            ("nu_hat", "nu", "alpha", "beta", "B", "i", "d", "depth_k", "k_max", "sample", "seed", "emit_digits", "local_dim"),
-        ),
-        "schedule": {"n": [int(v) for v in spec.sp.n], "m": [int(v) for v in spec.sp.m]},
-        "depth": depth,
-        "samples": samples,
-    }
-    _emit(payload, args)
+    _emit({"schedule": {"n": spec.sp.n, "m": spec.sp.m}, "depth": depth, "samples": samples}, args)
     return EXIT_OK
 
 
@@ -302,11 +301,10 @@ def cmd_exponents(args) -> int:
     bd = exponents.decompose(digits, args.target_i)
     est = exponents.exponent_estimates(bd, horizon=horizon)
     payload = {
-        "config": _config_echo("exponents", args, ("input", "target_i", "N")),
         "nu_hat_est": est.nu_hat_est,
         "nu_est": est.nu_est,
         "k_used": est.k_used,
-        "record_blocks": [[int(n), int(m)] for n, m in bd.record_blocks],
+        "record_blocks": bd.record_blocks,
     }
     _emit(payload, args)
     return EXIT_OK
@@ -317,7 +315,6 @@ def cmd_runlength(args) -> int:
     prof = runlength.run_profile(digits)
     est = runlength.ratio_estimates(prof, args.tail_fraction)
     payload = {
-        "config": _config_echo("runlength", args, ("input", "tail_fraction", "emit_profile")),
         "n_max": prof.n_max,
         "R_final": int(prof.R[-1]),
         "liminf_est": est.liminf_est,
@@ -325,7 +322,7 @@ def cmd_runlength(args) -> int:
         "window": list(est.window),
     }
     if args.emit_profile:
-        payload["R"] = [int(v) for v in prof.R]
+        payload["R"] = prof.R.tolist()
     _emit(payload, args)
     return EXIT_OK
 
@@ -345,14 +342,10 @@ def cmd_verify(args) -> int:
         rep = verify.mc_nu_zero(cfg, i=args.i)
     else:
         raise InputOutOfRange(f"unknown suite {args.suite!r}")
-    payload = {
-        "config": _config_echo("verify", args, ("suite", "seed", "samples", "n", "i")),
-        "report": rep.to_json_dict(),
-    }
     if args.csv:
         _emit_text(rep.series_csv(), args)
     else:
-        _emit(payload, args)
+        _emit({"report": rep.to_json_dict()}, args)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 

@@ -228,7 +228,6 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
 def solve_decreasing_root(
     F: Callable[[float], float],
     width: float,
-    lo: float = 0.0,
     hi: float = 2.0,
     hi_cap: float = 64.0,
 ) -> Tuple[float, Tuple[float, float]]:
@@ -236,7 +235,7 @@ def solve_decreasing_root(
     fewer evaluations of F.
 
     Returns (midpoint, bracket) of plain bisection to `width` on the first
-    sign change among lo, hi, 2 hi, ... <= hi_cap; F(lo) <= 0 short-circuits
+    sign change among 0, hi, 2 hi, ... <= hi_cap; F(0) <= 0 short-circuits
     to 0.  Those depend only on the signs of F at the midpoints, and a point
     p with F(p) > _SIGN_FLOOR settles the sign at every midpoint <= p (with
     F(p) < -_SIGN_FLOOR, at every midpoint >= p).  Regula falsi with
@@ -247,7 +246,7 @@ def solve_decreasing_root(
     +-_SIGN_FLOOR (F(y) >= F(x) - _SIGN_FLOOR for all y < x), and costs at
     most _FALSI_STEPS + 2 evaluations more.
     """
-    f_lo = F(lo)
+    lo, f_lo = 0.0, F(0.0)
     if f_lo <= 0:
         return 0.0, (0.0, 0.0)
     f_hi = F(hi)

@@ -166,15 +166,14 @@ def run_tail_logs(i: int, t: int) -> Tuple[float, float]:
 class SegmentStack:
     """Log-values of the constrained completion sums of one segment.
 
-    level(j) is log G_j at the grid nodes, where G_j(r) is the sum of
-    (relative continuant)^{-2s} over all completions with j free digits left
-    followed by the forced run tail; G_0 is the tail seed.  `levels` holds
-    j = 0..K, K the settling depth of segment_stack (or `free` when the
-    iterate never settled); past K each level adds the per-level `step`,
-    log of the operator's leading eigenvalue, at every node.
+    level(j) is log G_j at the nodes of the DEFAULT_DEGREE grid, where G_j(r)
+    is the sum of (relative continuant)^{-2s} over all completions with j
+    free digits left followed by the forced run tail; G_0 is the tail seed.
+    `levels` holds j = 0..K, K the settling depth of segment_stack (or `free`
+    when the iterate never settled); past K each level adds the per-level
+    `step`, log of the operator's leading eigenvalue, at every node.
     """
 
-    degree: int
     free: int
     levels: List[np.ndarray]
     step: float
@@ -193,7 +192,7 @@ class SegmentStack:
         return float(self.level(self.free)[0])  # node 0 is r = 0
 
     def eval_log(self, free_remaining: int, r: float) -> float:
-        grid = get_grid(self.degree)
+        grid = get_grid(DEFAULT_DEGREE)
         return float(grid.interp_matrix(np.array([r]))[0] @ self.level(free_remaining))
 
 
@@ -237,7 +236,7 @@ def segment_stack(B: int, i: int, free: int, tail: int, s: float, keep_levels: b
             h = h_next
             if settled:
                 break
-    return SegmentStack(degree=DEFAULT_DEGREE, free=free, levels=levels, step=step)
+    return SegmentStack(free=free, levels=levels, step=step)
 
 
 def _logsumexp_axis0(arr: np.ndarray) -> np.ndarray:

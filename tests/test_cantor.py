@@ -1,6 +1,10 @@
 """Construction, measure, sampling, and insertion-map tests."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from array import array
 from bisect import bisect_left
@@ -69,6 +73,35 @@ def test_construct_sequences_out_of_range():
         construct_sequences(Fraction(2, 3), 1)  # nu_hat > nu/(1+nu)
     with pytest.raises(InputOutOfRange):
         construct_sequences(0, 0)
+
+
+# builds that would not end without the entry cap run in a child that caps its own address space
+_CAPPED_BUILDS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cfdim.cantor import construct_sequences, construct_sequences_infinite
+from cfdim.errors import InputOutOfRange
+for build in (lambda: construct_sequences(0, 1, k_max=16), lambda: construct_sequences_infinite(0)):
+    try:
+        build()
+        print("returned")
+    except InputOutOfRange as exc:
+        print("range error:", exc)
+"""
+
+
+def test_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
+    # nu_hat = 0: n_13 has 2^26 bits; the infinite variant's B_3 = 2^(2^64)
+    src = str(pathlib.Path(cantor.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_BUILDS], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "range error: k_max = 16 gives schedule entries of more than 2^25 bits; lower k_max",
+        "range error: k_max = 6 gives schedule entries of more than 2^25 bits; lower k_max",
+    ]
 
 
 def test_construct_sequences_infinite_recipes():
@@ -405,6 +438,17 @@ def test_infinite_variant_validates_without_a_context(monkeypatch):
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+
+def test_sample_measure_refuses_a_depth_past_its_cap_before_any_solve(monkeypatch):
+    def no_context(spec):
+        raise AssertionError("reached measure_context")
+
+    monkeypatch.setattr(cantor, "measure_context", no_context)
+    spec = CantorSpec(B=3, i=1, sp=construct_sequences(Fraction(1, 3), 1, k_max=15))
+    assert spec.sp.m[-1] == 43_046_717
+    with pytest.raises(InputOutOfRange, match="cap of 2"):
+        sample_measure(spec, depth=2**24 + 1, seed=0)
 
 
 def test_samples_admissible_and_deterministic(spec13):

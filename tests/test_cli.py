@@ -1,6 +1,7 @@
 """CLI behavior: schemas, reproducibility, exit codes, golden files."""
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -18,6 +19,7 @@ from cfdim import cli, errors
 from cfdim.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+MAKE_GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_goldens.py"
 needs_str_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str digit limit"
 )
@@ -160,6 +162,38 @@ def test_cantor_schedule_too_long_to_print_exits3_before_sampling(monkeypatch, c
         out, err = capsys.readouterr()
         assert rc == 3
         assert out == "" and err.startswith("range error: --k-max")
+
+
+_CAPPED_CANTOR = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cfdim.cli import main
+sys.exit(main(["cantor", "--nu-hat", "0", "--nu", "1", "--k-max", "16"]))
+"""
+
+
+def test_cantor_schedule_past_the_entry_bit_cap_exits3_before_building_it():
+    # n_13 of the nu-hat = 0 schedule has 2^26 bits, n_16 2^32; the child caps its own address space
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CANTOR], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "range error: k_max = 16 gives schedule entries of more than 2^25 bits; lower k_max\n"
+
+
+def test_cantor_depth_past_the_sampler_cap_exits3_before_any_solve(monkeypatch, capsys):
+    # --depth-k 3 of this schedule is m_3 = 73 786 976 294 838 206 469 digits
+    def no_context(spec):
+        raise AssertionError("reached measure_context")
+
+    monkeypatch.setattr(cli.cantor, "measure_context", no_context)
+    rc = main(["cantor", "--nu-hat", "0", "--nu", "1", "--k-max", "6", "--depth-k", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == "" and err == "range error: depth 73786976294838206469 beyond the sampler's cap of 2^24 digits\n"
 
 
 def test_cantor_samples_admissible(capsys):
@@ -512,34 +546,54 @@ def test_verify_lemmas_exit_zero(capsys):
     assert payload["report"]["summary"]["failed"] == 0
 
 
-def test_rerun_from_echoed_argv_byte_identical(capsys):
-    cmds = [
-        ["expand", "--rational", "5/8", "--n", "6"],
-        ["dim", "--kind", "U_set", "--nu-hat", "1/4", "--i", "1", "--B-schedule", "8,16,32"],
-        ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "2", "--sample", "2", "--seed", "9"],
+def test_rerun_from_echoed_argv_byte_identical(tmp_path, capsys):
+    digits = str(tmp_path / "x.digits")
+    pathlib.Path(digits).write_text("1 2 1 1 3 1 1 1 2 1 1 1 1 4")
+    # (argv, its echo): every flag in parser order, defaults included; a None value and an off switch are left out
+    cases = [
+        (["expand", "--rational", "5/8", "--n", "6"], ["expand", "--rational", "5/8", "--n", "6"]),
+        (
+            ["dim", "--kind", "U_set", "--nu-hat", "1/4", "--i", "1", "--B-schedule", "8,16,32"],
+            ["dim", "--kind", "U_set", "--nu-hat", "1/4", "--i", "1", "--B-schedule", "8,16,32"],
+        ),
+        (
+            ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "2", "--sample", "2", "--seed", "9"],
+            ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--i", "1", "--depth-k", "2", "--k-max", "12",
+             "--sample", "2", "--seed", "9", "--emit-digits", "64"],
+        ),
+        (["exponents", "--input", digits], ["exponents", "--input", digits, "--target-i", "1"]),
+        (
+            ["runlength", "--input", digits, "--emit-profile"],
+            ["runlength", "--input", digits, "--tail-fraction", "0.5", "--emit-profile"],
+        ),
+        (
+            ["verify", "--suite", "lemmas", "--seed", "1"],
+            ["verify", "--suite", "lemmas", "--seed", "1", "--samples", "200", "--n", "1000000", "--i", "1"],
+        ),
+        (
+            ["verify", "--suite", "runlength", "--samples", "5", "--n", "20000"],
+            ["verify", "--suite", "runlength", "--seed", "20260809", "--samples", "5", "--n", "20000", "--i", "1"],
+        ),
     ]
-    for argv in cmds:
+    for argv, argv_echo in cases:
         rc1, out1 = run_cli(argv, capsys)
         assert rc1 == 0
         echoed = json.loads(out1)["config"]["argv"]
+        assert echoed == argv_echo
         rc2, out2 = run_cli(echoed, capsys)
         assert rc2 == 0
         assert out1 == out2
 
 
-@pytest.mark.parametrize(
-    "name,argv",
-    [
-        ("expand_58", ["expand", "--rational", "5/8", "--n", "6"]),
-        ("dim_Ehat_half", ["dim", "--kind", "E_hat", "--nu-hat", "1/2", "--i", "1", "--B-schedule", "8,16,32"]),
-        ("cantor_k2", ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "2", "--sample", "1", "--seed", "0"]),
-        (
-            "cantor_k7_local",
-            ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "7", "--sample", "2", "--seed", "5",
-             "--local-dim"],
-        ),
-    ],
-)
+def _golden_cases():
+    """The argv of each golden file, as scripts/make_goldens.py lists them."""
+    spec = importlib.util.spec_from_file_location("make_goldens", MAKE_GOLDENS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return list(script.CASES.items())
+
+
+@pytest.mark.parametrize("name,argv", _golden_cases())
 def test_golden_files(name, argv, capsys):
     rc, out = run_cli(argv, capsys)
     assert rc == 0
@@ -567,9 +621,8 @@ sys.stdout.write(json.dumps({"debug": __debug__, "cases": out}))
 def test_golden_files_under_python_O():
     # every case of scripts/make_goldens.py, run by cli.main in one `python -O -B`
     # process (asserts stripped, no bytecode written), against the pinned files
-    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_goldens.py"
     proc = subprocess.run(
-        [sys.executable, "-O", "-B", "-c", _GOLDENS_UNDER_O, str(script)],
+        [sys.executable, "-O", "-B", "-c", _GOLDENS_UNDER_O, str(MAKE_GOLDENS)],
         capture_output=True, text=True, check=True, timeout=300,
     )
     got = json.loads(proc.stdout)
