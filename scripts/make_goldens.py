@@ -17,6 +17,17 @@ CASES = {
     "cantor_k7_local": [
         "cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "7", "--sample", "2", "--seed", "5", "--local-dim",
     ],
+    # the commands of the README's CLI section that need no input file
+    "readme_expand_sqrt2": ["expand", "--surd", "sqrt:2", "--n", "10"],
+    "readme_expand_58": ["expand", "--rational", "5/8", "--n", "10"],
+    "readme_expand_decimal": ["expand", "--decimal", "0.414213562373", "--n", "8"],
+    "readme_dim_Ehat_half": ["dim", "--kind", "E_hat", "--nu-hat", "1/2", "--i", "1"],
+    "readme_dim_F_half": ["dim", "--kind", "F", "--alpha", "0.5"],
+    "readme_dim_nu_level_curve": ["dim", "--kind", "nu_level", "--nu", "1", "--i", "1", "--curve", "B=2..6"],  # CSV
+    "readme_cantor_k8_local": [
+        "cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "8", "--sample", "10", "--local-dim",
+    ],
+    "readme_verify_lemmas": ["verify", "--suite", "lemmas"],
 }
 
 

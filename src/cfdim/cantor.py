@@ -23,17 +23,16 @@ segment's forced run i^t is appended in closed form,
 
 from the run continuants q_{t-2}, q_{t-1}, q_t(i) (cf_core.run_continuants).
 Segment roots, stacks, run continuants and bracket tables are cached per
-spec in a MeasureContext, and measure_context keeps the contexts of the 16
-most recently used specs.  A context also keeps one prefix whose mass it
-computed, with its segment state, and a mass walk resumes from that state
-whenever the prefix asked for extends the kept one; so the mass of each
-child of the kept prefix is one digit step past it.  That is one digits
-tuple per context: 16 contexts at most, 160 kB at 20 000 digits.
+spec in a MeasureContext, which the spec keeps and measure_context returns.
+A context also keeps one prefix whose mass it computed, with its segment
+state, and a mass walk resumes from that state whenever the prefix asked for
+extends the kept one; so the mass of each child of the kept prefix is one
+digit step past it.  That is one digits tuple per spec, 160 kB at 20 000
+digits.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from array import array
@@ -109,6 +108,7 @@ class SeqPair:
 
 
 _MAX_ENTRY_BITS = 2**25  # twice m_12 of nu_hat = 0, nu = 1 (16 777 219 bits), the largest default CLI entry
+_MAX_POW2_SQRT_BITS = 2**17  # B_12 of nu_hat = 1 has 78 911 bits, certified in about a second; B_13 has 295 259
 _MAX_SAMPLE_DEPTH = 2**24  # sample_measure keeps one int reference per digit, in a list and a tuple: ~270 MB
 
 
@@ -157,6 +157,8 @@ def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
     nu_hat = 0:      n_k = 2^(2^(2k)), m_k = n_k^2, B_k = 2^(n_k).
     nu_hat = 1:      m_k = (k+1)!, n_1 = 1, n_{k+1} = m_k + floor(m_k/log m_k),
                      B_k = floor(2^sqrt(m_k)).
+    An entry past _MAX_ENTRY_BITS bits, or a B_k = floor(2^sqrt(m_k)) of more
+    than _MAX_POW2_SQRT_BITS bits, raises InputOutOfRange before it is built.
     """
     nh = to_fraction(nu_hat)
     if not (0 <= nh <= 1):
@@ -176,6 +178,8 @@ def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
         nk = 1
         for k in range(1, k_max + 1):
             mk = math.factorial(k + 1)
+            if math.isqrt(mk) > _MAX_POW2_SQRT_BITS:
+                raise InputOutOfRange(f"k_max = {k_max} gives alphabet bounds of more than 2^17 bits; lower k_max")
             ns.append(nk)
             ms.append(mk)
             bs.append(_floor_pow2_sqrt(mk))
@@ -183,18 +187,34 @@ def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
     else:
         nk = 2
         for k in range(1, k_max + 1):
+            _check_entry_bits(k * nk.bit_length(), k_max)  # n_k^k < 2^(k bits(n_k))
+            power = nk**k
             ns.append(nk)
-            mk = int(nh * nk**k) + nk
+            mk = int(nh * power) + nk
             ms.append(mk)
             bs.append(int(Fraction(mk) * Fraction(log_int(mk))))
-            nk = nk**k + 2 * nk
+            nk = power + 2 * nk
     return SeqPair(tuple(ns), tuple(ms), B_k=tuple(bs))
 
 
 def _floor_pow2_sqrt(m: int) -> int:
-    """floor(2^sqrt(m)) with enough working precision to trust the floor."""
-    with mpmath.workprec(max(64, 4 * int(math.isqrt(m)) + 64)):
-        return int(mpmath.floor(mpmath.power(2, mpmath.sqrt(m))))
+    """floor(2^sqrt(m)), certified: the floor shared by both ends of an
+    interval enclosure of 2^sqrt(m), from isqrt(m) + 64 bits of precision,
+    doubled while the ends' floors differ."""
+    r = math.isqrt(m)
+    if r * r == m:  # an enclosure of the integer 2^r straddles it, so its ends' floors never agree
+        return 1 << r
+    prec, saved = r + 64, mpmath.iv.prec
+    try:  # the interval context has no workprec
+        while True:
+            mpmath.iv.prec = prec
+            x = 2 ** mpmath.iv.sqrt(m)
+            lo, hi = int(x.a), int(x.b)  # floors: both ends are positive
+            if lo == hi:
+                return lo
+            prec *= 2
+    finally:
+        mpmath.iv.prec = saved
 
 
 def construct_sequences_runlength(alpha, beta, k_max: int = 12) -> SeqPair:
@@ -243,6 +263,10 @@ class CantorSpec:
     @property
     def marker(self) -> int:
         return self.d if self.d is not None else self.B + 1
+
+    @cached_property
+    def _context(self) -> "MeasureContext":
+        return MeasureContext(self)
 
     @cached_property
     def intervals(self) -> Tuple[Tuple[int, float, Optional[int]], ...]:
@@ -452,10 +476,9 @@ class MeasureContext:
             k, pos, q1, q = k + 1, m_k, 0, 1
 
 
-@functools.lru_cache(maxsize=16)
 def measure_context(spec: CantorSpec) -> MeasureContext:
-    """The shared context of a spec; the 16 most recently used are kept."""
-    return MeasureContext(spec)
+    """The spec's own context, built on first use and freed with the spec."""
+    return spec._context
 
 
 def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:

@@ -157,7 +157,8 @@ def cmd_expand(args) -> int:
 
 def _parse_curve(spec: str, kind: str):
     """name=lo..hi[:count] -> (name, values); integer step for int endpoints.
-    The name is B or a parameter of the kind's formula."""
+    The name is B or a parameter of the kind's formula.  With a count the
+    endpoints are parameter values, as the parameter flags read them."""
     name, _, rng = spec.partition("=")
     names = ("B",) + dim_solver.theorem_params(kind)
     if name not in names:
@@ -169,7 +170,7 @@ def _parse_curve(spec: str, kind: str):
     if count:
         if int(count) < 0:
             raise InputOutOfRange(f"curve point count must be >= 0, got {count}")
-        vals = list(np.linspace(float(lo), float(hi), int(count)))
+        vals = list(np.linspace(float(_parse_param(lo)), float(_parse_param(hi)), int(count)))
     else:
         vals = list(range(int(lo), int(hi) + 1))
     return name, vals
@@ -201,7 +202,7 @@ def cmd_dim(args) -> int:
             if name != "B":
                 e = dim_solver.theorem_dims(args.kind, **{**kw, name: v})
             elif xi is None:
-                e = dim_solver.DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
+                e = dim_solver.theorem_dims(args.kind, **kw)
             else:
                 e = dim_solver.spectral_dim(int(v), xi, args.i)
             rows.append((v, e.value, e.bracket[0], e.bracket[1]))
@@ -334,14 +335,9 @@ def cmd_verify(args) -> int:
         rep = verify.lemma_suite(seed=args.seed)
     elif args.suite == "solver":
         rep = verify.solver_crosscheck()
-    elif args.suite == "runlength":
+    else:  # the Monte Carlo suites; argparse admits no other name
         cfg = verify.McConfig(seed=args.seed, samples=args.samples, n_digits=args.n)
-        rep = verify.mc_runlength(cfg)
-    elif args.suite == "nu_zero":
-        cfg = verify.McConfig(seed=args.seed, samples=args.samples, n_digits=args.n)
-        rep = verify.mc_nu_zero(cfg, i=args.i)
-    else:
-        raise InputOutOfRange(f"unknown suite {args.suite!r}")
+        rep = verify.mc_runlength(cfg) if args.suite == "runlength" else verify.mc_nu_zero(cfg, i=args.i)
     if args.csv:
         _emit_text(rep.series_csv(), args)
     else:

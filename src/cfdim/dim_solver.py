@@ -449,9 +449,8 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
     extrapolation of spectral roots, with the exact closure conventions
     s(0) = 1 and s(1) = 1/2.
 
-    The endpoint values are returned exactly as the labelled limits; at
-    alpha = 0 the finite-B roots along the schedule are attached as `trace`,
-    at alpha = 1 the trace is empty.  Away from the endpoints the truncation
+    The endpoint values are returned exactly as the labelled limits, with an
+    empty trace and no B_used.  Away from the endpoints the truncation
     error decays like B^{1-2s}, which is too slow for Aitken extrapolation
     near alpha = 1: there the bracket misses the full-alphabet value (> 1/2).
     At alpha = 8/9, i = 1 it reads [0.2308, 0.4302] against the B = infinity
@@ -460,8 +459,7 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
     af = _alpha_fraction(alpha)
     if af == 0 or af == 1:
         value = 1.0 if af == 0 else 0.5
-        trace = tuple(spectral_dim(B, af, i).value for B in B_schedule) if af == 0 else ()
-        return DimEstimate(value, (value, value), B_used=list(B_schedule)[-1], method="convention", trace=trace)
+        return DimEstimate(value, (value, value), method="convention")
     return _aitken_limit(
         B_schedule, "B_schedule", lambda B: spectral_dim(B, af, i).value, _SPECTRAL_WIDTH,
         B_used=list(B_schedule)[-1], method="spectral-extrapolated",
@@ -583,14 +581,10 @@ def theorem_dims(
       FG       - intersection of liminf/limsup run-length level sets (i = 1)
       F        - liminf run-length level set (i = 1)
 
-    Degenerate branches return exactly 1, 1/2, or 0; interior arguments are
-    passed to the full-alphabet solver.
+    The zero branches return exactly 0; every other argument goes to
+    dim_full, which closes the endpoints 0 and 1 at exactly 1 and 1/2.
     """
     xi = theorem_argument(kind, nu_hat=nu_hat, nu=nu, alpha=alpha, beta=beta)
     if xi is None:
         return DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
-    if xi == 0:
-        return DimEstimate(1.0, (1.0, 1.0), method="convention")
-    if xi == 1:
-        return DimEstimate(0.5, (0.5, 0.5), method="convention")
     return dim_full(xi, theorem_run_digit(kind, i), B_schedule or DEFAULT_B_SCHEDULE)

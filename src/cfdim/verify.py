@@ -128,6 +128,7 @@ def load_fixtures() -> Dict[str, object]:
 _CHAIN_CHUNK = 512  # uniforms drawn per sample at a time
 _CLAMP_U = 2.0 / DIGIT_CAP  # a digit reaches DIGIT_CAP only from a uniform u <= this
 _CLAMP_FRACTION_BOUND = 1e-6  # clamped digits over samples x n_digits
+_LEMMA_STRINGS = 10_000  # random digit strings per lemma_suite run
 
 
 class LebesgueDigitChain:
@@ -418,21 +419,21 @@ def _check_runlength_horizon(cfg: McConfig) -> None:
         raise InputOutOfRange("the run-length law needs n_digits >= 2: log_phi(n) is 0 at n = 1")
 
 
-def mc_runlength(cfg: McConfig, fixtures: Optional[Dict] = None) -> Report:
+def mc_runlength(cfg: McConfig) -> Report:
     """Run-length law R_n / log_phi(n) -> 1/2 across uniform samples.
     Raises InputOutOfRange when n_digits < 2."""
     _check_runlength_horizon(cfg)
     tracker = RunMaxTracker(cfg.samples)
     clamps = _walk(cfg, [tracker])
-    return tracker.report(cfg, fixtures or load_fixtures(), clamps)
+    return tracker.report(cfg, load_fixtures(), clamps)
 
 
-def mc_nu_zero(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Report:
+def mc_nu_zero(cfg: McConfig, i: int = 1) -> Report:
     """Asymptotic-exponent law nu = 0 against y = [i, i, ...] across uniform
     samples.  Raises InputOutOfRange when no sample has an estimate at n_digits."""
     tracker = RecordTracker(cfg.samples, i)
     _walk(cfg, [tracker])
-    return tracker.report(cfg, fixtures or load_fixtures())
+    return tracker.report(cfg, load_fixtures())
 
 
 def mc_laws(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Tuple[Report, Report]:
@@ -451,15 +452,15 @@ def mc_laws(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Tuple
 # ---------------------------------------------------------------------------
 
 
-def lemma_suite(seed: int = 20260809, n_strings: int = 10_000) -> Report:
+def lemma_suite(seed: int = 20260809) -> Report:
     """Exact integer/rational property checks of the continued-fraction
     kernels at scale: continuant growth and splitting bounds, cylinder length
     identity and two-sided bounds, child-interval parity ordering, and the
-    constant-run closed form."""
+    constant-run closed form; the bounds are checked on _LEMMA_STRINGS strings."""
     rng = np.random.default_rng(seed)
-    rep = Report(suite="lemmas", config={"seed": seed, "n_strings": n_strings})
+    rep = Report(suite="lemmas", config={"seed": seed, "n_strings": _LEMMA_STRINGS})
     fails_growth = fails_split = fails_interval = 0
-    for _ in range(n_strings):
+    for _ in range(_LEMMA_STRINGS):
         n = int(rng.integers(1, 31))
         digits = rng.integers(1, 11, size=n).tolist()
         t = continuants(digits)

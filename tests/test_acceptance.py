@@ -44,7 +44,7 @@ def spec13():
 
 def test_criterion_1_exact_kernel_suite():
     t0 = time.time()
-    rep = lemma_suite(seed=20260809, n_strings=10_000)
+    rep = lemma_suite(seed=20260809)
     elapsed = time.time() - t0
     ok = rep.passed and elapsed < 30
     _report(1, ok, elapsed, f"failures={rep.summary()['failed']}")

@@ -1,15 +1,19 @@
 """Construction, measure, sampling, and insertion-map tests."""
 
+import gc
+import hashlib
 import math
 import os
 import pathlib
 import subprocess
 import sys
 import warnings
+import weakref
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,33 +79,74 @@ def test_construct_sequences_out_of_range():
         construct_sequences(0, 0)
 
 
-# builds that would not end without the entry cap run in a child that caps its own address space
+# builds that would not end without a cap run in a child that caps its own address space
 _CAPPED_BUILDS = """
-import resource
+import resource, sys
+from fractions import Fraction
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from cfdim.cantor import construct_sequences, construct_sequences_infinite
 from cfdim.errors import InputOutOfRange
-for build in (lambda: construct_sequences(0, 1, k_max=16), lambda: construct_sequences_infinite(0)):
+for build in sys.argv[1:]:
     try:
-        build()
+        eval(build)
         print("returned")
     except InputOutOfRange as exc:
         print("range error:", exc)
 """
 
 
-def test_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
-    # nu_hat = 0: n_13 has 2^26 bits; the infinite variant's B_3 = 2^(2^64)
+def _capped_builds(*builds):
     src = str(pathlib.Path(cantor.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_BUILDS], capture_output=True, text=True, timeout=30,
+        [sys.executable, "-c", _CAPPED_BUILDS, *builds], capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    return proc.stdout.splitlines()
+
+
+def test_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
+    # nu_hat = 0: n_13 has 2^26 bits; the infinite variant's B_3 = 2^(2^64)
+    assert _capped_builds("construct_sequences(0, 1, k_max=16)", "construct_sequences_infinite(0)") == [
         "range error: k_max = 16 gives schedule entries of more than 2^25 bits; lower k_max",
         "range error: k_max = 6 gives schedule entries of more than 2^25 bits; lower k_max",
     ]
+
+
+def test_infinite_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
+    # nu_hat = 1/2: n_11^11 would have about 80 Mbit; k_max = 10 (largest entry 10.1 Mbit) still builds
+    assert _capped_builds("construct_sequences_infinite(Fraction(1, 2), k_max=11)") == [
+        "range error: k_max = 11 gives schedule entries of more than 2^25 bits; lower k_max",
+    ]
+
+
+def test_infinite_schedule_alphabet_bounds_past_2_17_bits_raise_before_they_are_built():
+    # nu_hat = 1: B_13 = floor(2^sqrt(14!)) would have 295 259 bits
+    assert _capped_builds("construct_sequences_infinite(1, k_max=13)") == [
+        "range error: k_max = 13 gives alphabet bounds of more than 2^17 bits; lower k_max",
+    ]
+
+
+def _digest(ints):
+    return hashlib.sha256(",".join(f"{v:x}" for v in ints).encode()).hexdigest()
+
+
+def test_infinite_schedules_keep_their_entries():
+    # the entries, pinned by digest (in hex, since a decimal str stops at 4 300 digits)
+    sp = construct_sequences_infinite(Fraction(1, 2), k_max=9)
+    assert _digest(sp.n + sp.m + sp.B_k) == "07e81fb1174f5813cdcc2bda49ec920cc7aba1816cc4536b1a29cd4cefd24111"
+    # B_1..B_12 = floor(2^sqrt((k+1)!)), the last of 78 911 bits
+    sp = construct_sequences_infinite(1, k_max=12)
+    assert _digest(sp.B_k) == "7e3a32340d88cc76ca6b50e61fcc2caba47ad8ca2966eab7a5180ce0ed840fda"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9, 40_320, 2**20 - 1, 2**20, 2**20 + 1, (2**10 + 1) ** 2])
+def test_floor_pow2_sqrt_matches_a_wide_reference_and_restores_the_precision(m):
+    with mpmath.workprec(4 * math.isqrt(m) + 256):
+        expected = int(mpmath.floor(mpmath.power(2, mpmath.sqrt(m))))
+    prec = mpmath.iv.prec
+    assert cantor._floor_pow2_sqrt(m) == expected
+    assert mpmath.iv.prec == prec
 
 
 def test_construct_sequences_infinite_recipes():
@@ -221,18 +266,17 @@ def test_measure_stack_levels_stay_bounded(spec13):
     assert len(st.levels) <= 64
 
 
-def test_measure_context_shared_per_spec_and_bounded(spec13):
+def test_measure_context_kept_per_spec(spec13):
     ctx = measure_context(spec13)
-    assert measure_context(CantorSpec(B=3, i=1, sp=construct_sequences(Fraction(1, 3), 1, k_max=10), d=4)) is ctx
-    maxsize = measure_context.cache_info().maxsize
-    first = CantorSpec(B=3, i=1, sp=spec13.sp, d=5)
-    first_ctx = measure_context(first)
-    for d in range(6, 6 + maxsize):
-        measure_context(CantorSpec(B=3, i=1, sp=spec13.sp, d=d))
-        measure_context(spec13)  # kept most recent, so never evicted
-        assert measure_context.cache_info().currsize <= maxsize
     assert measure_context(spec13) is ctx
-    assert measure_context(first) is not first_ctx
+    # an equal but distinct spec gets its own context, freed with its spec
+    equal = CantorSpec(B=3, i=1, sp=construct_sequences(Fraction(1, 3), 1, k_max=10), d=4)
+    assert equal == spec13
+    freed = weakref.ref(measure_context(equal))
+    assert freed() is not ctx
+    del equal
+    gc.collect()
+    assert freed() is None
 
 
 def test_measure_mass_inadmissible(spec13):

@@ -485,6 +485,15 @@ def test_dim_curve_without_both_endpoints_exits2(curve, capsys):
     assert captured.out == "" and captured.err.startswith("parse error: cannot parse curve")
 
 
+def test_dim_curve_count_endpoints_parse_like_parameter_flags(capsys):
+    # "1/2" reads as --alpha 1/2 does, so both spellings sweep the same points
+    curve = ["dim", "--kind", "F", "--B-schedule", "4,8,16", "--curve"]
+    rc1, out1 = run_cli([*curve, "alpha=0..1/2:3"], capsys)
+    rc2, out2 = run_cli([*curve, "alpha=0..0.5:3"], capsys)
+    assert rc1 == rc2 == 0
+    assert out1 == out2 and out1.splitlines()[1:4:2] == ["0.0,1.0,1.0,1.0", "0.5,0.5,0.5,0.5"]
+
+
 def test_parameter_with_zero_denominator_exits2(capsys):
     # argparse rejects the text before any command runs
     with pytest.raises(SystemExit) as exc:

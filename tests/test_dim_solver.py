@@ -523,6 +523,10 @@ def test_dim_full_conventions():
     assert dim_full(0, 1).value == 1.0
     assert dim_full(1, 1).value == 0.5
     assert dim_full(Fraction(1), 2).value == 0.5
+    # the one closure branch: exact value, no B_used, empty trace, as theorem_dims returns it
+    assert dim_full(0, 1) == DimEstimate(1.0, (1.0, 1.0), method="convention") == theorem_dims("F", alpha=0)
+    assert dim_full(1, 2, (4, 8)) == DimEstimate(0.5, (0.5, 0.5), method="convention")
+    assert theorem_dims("nu_level", nu=float("inf")) == DimEstimate(0.5, (0.5, 0.5), method="convention")
 
 
 def test_dim_full_interior_range_and_monotone():
@@ -598,6 +602,9 @@ def test_theorem_out_of_range():
         theorem_dims("F", alpha=1.2)
     with pytest.raises(InputOutOfRange):
         theorem_dims("banana", nu=1)
+    for nu_hat in (0, 1):  # the endpoints check the run digit like every interior argument
+        with pytest.raises(InputOutOfRange):
+            theorem_dims("E_hat", nu_hat=nu_hat, i=0)
 
 
 RAISE = "raise"

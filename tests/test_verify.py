@@ -332,11 +332,13 @@ LOOSE_FIXTURES = {
     "seed, samples, n, i, fixtures",
     [(5, 20, 10_000, 1, None), (2, 40, 20_000, 1, None), (2, 40, 20_000, 2, LOOSE_FIXTURES)],
 )
-def test_mc_laws_equal_standalone_suites(seed, samples, n, i, fixtures):
+def test_mc_laws_equal_standalone_suites(seed, samples, n, i, fixtures, monkeypatch):
     cfg = McConfig(seed=seed, samples=samples, n_digits=n)
     runs, records = mc_laws(cfg, i=i, fixtures=fixtures)
-    assert runs.to_json_dict() == mc_runlength(cfg, fixtures=fixtures).to_json_dict()
-    assert records.to_json_dict() == mc_nu_zero(cfg, i=i, fixtures=fixtures).to_json_dict()
+    if fixtures is not None:  # the standalone suites read only the package fixtures
+        monkeypatch.setattr(verify, "load_fixtures", lambda: fixtures)
+    assert runs.to_json_dict() == mc_runlength(cfg).to_json_dict()
+    assert records.to_json_dict() == mc_nu_zero(cfg, i=i).to_json_dict()
 
 
 def test_block_trackers_equal_row_scans_at_every_chunk_edge(monkeypatch):
@@ -421,8 +423,9 @@ def test_run_max_tracker_matches_run_profile():
 # ---------------------------------------------------------------------------
 
 
-def test_lemma_suite_passes():
-    rep = lemma_suite(n_strings=2_000)
+def test_lemma_suite_passes(monkeypatch):
+    monkeypatch.setattr(verify, "_LEMMA_STRINGS", 2_000)
+    rep = lemma_suite()
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
 
@@ -439,7 +442,7 @@ _LEMMA_REPORT = (
 
 @pytest.mark.parametrize("seed", [20260809, 1])
 def test_lemma_report_pinned(seed):
-    rep = lemma_suite(seed=seed, n_strings=10_000)
+    rep = lemma_suite(seed=seed)
     assert json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":")) == _LEMMA_REPORT % seed
 
 
@@ -452,7 +455,8 @@ def test_lemma_suite_draws_and_kernel_calls(monkeypatch):
         kernel = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda d, kernel=kernel, name=name: calls.append((name, tuple(d))) or kernel(d))
     seed, n_strings = 11, 300
-    lemma_suite(seed=seed, n_strings=n_strings)
+    monkeypatch.setattr(verify, "_LEMMA_STRINGS", n_strings)
+    lemma_suite(seed=seed)
     rng = np.random.default_rng(seed)
     expected = []
     for _ in range(n_strings):
@@ -470,21 +474,22 @@ def test_lemma_suite_draws_and_kernel_calls(monkeypatch):
     assert calls == expected
 
 
-def _lemma_failures(n_strings=300):
-    return {c.name: c.statistic for c in lemma_suite(seed=3, n_strings=n_strings).checks}
+def _lemma_failures(monkeypatch):
+    monkeypatch.setattr(verify, "_LEMMA_STRINGS", 300)
+    return {c.name: c.statistic for c in lemma_suite(seed=3).checks}
 
 
 def test_lemma_suite_catches_swapped_ends(monkeypatch):
     kernel = verify.basic_interval
     monkeypatch.setattr(verify, "basic_interval", lambda d: dataclasses.replace(b := kernel(d), left=b.right, right=b.left))
-    fails = _lemma_failures()
+    fails = _lemma_failures(monkeypatch)
     assert fails["interval_identity_failures"] > 0 and fails["parity_ordering_failures"] > 0
 
 
 def test_lemma_suite_catches_wrong_length(monkeypatch):
     kernel = verify.basic_interval
     monkeypatch.setattr(verify, "basic_interval", lambda d: dataclasses.replace(b := kernel(d), length=b.length * 2))
-    assert _lemma_failures()["interval_identity_failures"] > 0
+    assert _lemma_failures(monkeypatch)["interval_identity_failures"] > 0
 
 
 def test_lemma_suite_catches_wrong_last_denominator(monkeypatch):
@@ -495,7 +500,7 @@ def test_lemma_suite_catches_wrong_last_denominator(monkeypatch):
         return dataclasses.replace(t, q=t.q[:-1] + (t.q[-1] + 1,))
 
     monkeypatch.setattr(verify, "continuants", off_by_one)
-    assert _lemma_failures()["growth_bound_failures"] > 0
+    assert _lemma_failures(monkeypatch)["growth_bound_failures"] > 0
 
 
 def test_solver_crosscheck_passes():
