@@ -1,10 +1,10 @@
 """Cantor-set constructions with prescribed constant-run structure.
 
 A construction is a pair of index sequences {n_k}, {m_k} (runs of the digit i
-occupy positions n_k+1 .. m_k) together with an alphabet bound B for the free
-positions.  This module builds the standard sequence schedules for prescribed
-uniform/asymptotic exponents and run-length densities, distributes a
-probability measure over the admissible digit tree segment by segment (the
+occupy positions n_k+1 .. m_k) together with one alphabet bound B for every
+free position.  This module builds the standard sequence schedules for
+prescribed uniform/asymptotic exponents and run-length densities, distributes
+a probability measure over the admissible digit tree segment by segment (the
 per-segment exponent is the root of that segment's partition sum), samples
 from the measure, probes local dimensions, and applies the marker-digit
 insertion map that pins the exponents of the image points.
@@ -43,7 +43,6 @@ from functools import cached_property
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from . import dim_solver, transfer
@@ -76,16 +75,11 @@ def log_int(n: int) -> float:
 
 @dataclass(frozen=True)
 class SeqPair:
-    """Run-position sequences: the k-th forced run covers n_k+1 .. m_k.
-
-    For the unbounded-exponent variant, `B_k` carries per-block alphabet
-    bounds for the free stretches (m_k, n_{k+1}] and all other positions are
-    forced; in the plain variant every non-run position uses one global bound.
-    """
+    """Run-position sequences: the k-th forced run covers n_k+1 .. m_k; every
+    other position is free, in the spec's alphabet 1..B."""
 
     n: Tuple[int, ...]
     m: Tuple[int, ...]
-    B_k: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if len(self.n) != len(self.m):
@@ -108,14 +102,7 @@ class SeqPair:
 
 
 _MAX_ENTRY_BITS = 2**25  # twice m_12 of nu_hat = 0, nu = 1 (16 777 219 bits), the largest default CLI entry
-_MAX_POW2_SQRT_BITS = 2**17  # B_12 of nu_hat = 1 has 78 911 bits, certified in about a second; B_13 has 295 259
 _MAX_SAMPLE_DEPTH = 2**24  # sample_measure keeps one int reference per digit, in a list and a tuple: ~270 MB
-
-
-def _check_entry_bits(exponent: int, k_max: int) -> None:
-    """Refuse, before it is built, a schedule entry of about 2^exponent."""
-    if exponent > _MAX_ENTRY_BITS:
-        raise InputOutOfRange(f"k_max = {k_max} gives schedule entries of more than 2^25 bits; lower k_max")
 
 
 def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
@@ -142,79 +129,12 @@ def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
             nk = int((nv / nh) * (nk + Fraction(1) / nv)) + 2
     else:
         for k in range(1, k_max + 1):
-            _check_entry_bits(2 ** (2 * k), k_max)
+            if 2 ** (2 * k) > _MAX_ENTRY_BITS:  # the entry has about 2^(2k) bits: refused before it is built
+                raise InputOutOfRange(f"k_max = {k_max} gives schedule entries of more than 2^25 bits; lower k_max")
             nk = int((1 + nv) * 2 ** (2 ** (2 * k))) + 2
             ns.append(nk)
             ms.append(int((1 + nv) * nk) + 1)
     return SeqPair(tuple(ns), tuple(ms))
-
-
-def construct_sequences_infinite(nu_hat, k_max: int = 6) -> SeqPair:
-    """Schedules with (m_k-n_k)/n_k unbounded and per-block alphabet bounds.
-
-    0 < nu_hat < 1:  n_1 = 2, n_{k+1} = n_k^k + 2 n_k,
-                     m_k = floor(nu_hat n_k^k) + n_k,  B_k = floor(m_k log m_k).
-    nu_hat = 0:      n_k = 2^(2^(2k)), m_k = n_k^2, B_k = 2^(n_k).
-    nu_hat = 1:      m_k = (k+1)!, n_1 = 1, n_{k+1} = m_k + floor(m_k/log m_k),
-                     B_k = floor(2^sqrt(m_k)).
-    An entry past _MAX_ENTRY_BITS bits, or a B_k = floor(2^sqrt(m_k)) of more
-    than _MAX_POW2_SQRT_BITS bits, raises InputOutOfRange before it is built.
-    """
-    nh = to_fraction(nu_hat)
-    if not (0 <= nh <= 1):
-        raise InputOutOfRange("need 0 <= nu_hat <= 1")
-    ns: List[int] = []
-    ms: List[int] = []
-    bs: List[int] = []
-    if nh == 0:
-        for k in range(1, k_max + 1):
-            _check_entry_bits(2 ** (2 * k + 1), k_max)  # m_k = n_k^2
-            nk = 2 ** (2 ** (2 * k))
-            _check_entry_bits(nk, k_max)  # B_k = 2^(n_k); B_3 = 2^(2^64) refuses any k_max > 2
-            ns.append(nk)
-            ms.append(nk * nk)
-            bs.append(2**nk)
-    elif nh == 1:
-        nk = 1
-        for k in range(1, k_max + 1):
-            mk = math.factorial(k + 1)
-            if math.isqrt(mk) > _MAX_POW2_SQRT_BITS:
-                raise InputOutOfRange(f"k_max = {k_max} gives alphabet bounds of more than 2^17 bits; lower k_max")
-            ns.append(nk)
-            ms.append(mk)
-            bs.append(_floor_pow2_sqrt(mk))
-            nk = mk + int(mk / log_int(mk))
-    else:
-        nk = 2
-        for k in range(1, k_max + 1):
-            _check_entry_bits(k * nk.bit_length(), k_max)  # n_k^k < 2^(k bits(n_k))
-            power = nk**k
-            ns.append(nk)
-            mk = int(nh * power) + nk
-            ms.append(mk)
-            bs.append(int(Fraction(mk) * Fraction(log_int(mk))))
-            nk = power + 2 * nk
-    return SeqPair(tuple(ns), tuple(ms), B_k=tuple(bs))
-
-
-def _floor_pow2_sqrt(m: int) -> int:
-    """floor(2^sqrt(m)), certified: the floor shared by both ends of an
-    interval enclosure of 2^sqrt(m), from isqrt(m) + 64 bits of precision,
-    doubled while the ends' floors differ."""
-    r = math.isqrt(m)
-    if r * r == m:  # an enclosure of the integer 2^r straddles it, so its ends' floors never agree
-        return 1 << r
-    prec, saved = r + 64, mpmath.iv.prec
-    try:  # the interval context has no workprec
-        while True:
-            mpmath.iv.prec = prec
-            x = 2 ** mpmath.iv.sqrt(m)
-            lo, hi = int(x.a), int(x.b)  # floors: both ends are positive
-            if lo == hi:
-                return lo
-            prec *= 2
-    finally:
-        mpmath.iv.prec = saved
 
 
 def construct_sequences_runlength(alpha, beta, k_max: int = 12) -> SeqPair:
@@ -273,20 +193,15 @@ class CantorSpec:
         """The digit rule as (lo, hi, bound): positions lo < pos <= hi lie in
         1..bound, or carry the run digit i when bound is None.
 
-        Free stretch k is (m_{k-1}, n_k] and the last one is (m_K, inf).  The
-        plain variant bounds every free stretch by B; the unbounded variant
-        forces 1..n_1 and bounds (m_k, n_{k+1}] by B_k.
+        Free stretch k is (m_{k-1}, n_k], bounded by B, and the last one is
+        (m_K, inf).
         """
         sp = self.sp
         out = []
         m_prev = 0
         for k in range(sp.k_max + 1):
-            if sp.B_k is None:
-                bound = self.B
-            else:
-                bound = sp.B_k[k - 1] if k else None
             n_k = sp.n[k] if k < sp.k_max else math.inf
-            out.append((m_prev, n_k, bound))
+            out.append((m_prev, n_k, self.B))
             if k < sp.k_max:
                 out.append((n_k, sp.m[k], None))
                 m_prev = sp.m[k]
@@ -304,8 +219,7 @@ def admissible_children(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[int, .
     The prefix that measure_mass keeps is known to be admissible, so only
     the positions past it are validated (MeasureContext.resume)."""
     digits = tuple(prefix)
-    start = 0 if spec.sp.B_k is not None else len(measure_context(spec).resume(digits)[0])
-    validate_prefix(spec, digits, start)
+    validate_prefix(spec, digits, len(measure_context(spec).resume(digits)[0]))
     pos = len(digits) + 1
     bound = _bound_at(spec, pos)
     if bound is None:
@@ -379,8 +293,6 @@ class MeasureContext:
     """
 
     def __init__(self, spec: CantorSpec):
-        if spec.sp.B_k is not None:
-            raise InputOutOfRange("measure machinery supports the bounded-alphabet variant only")
         self.spec = spec
         self._s_tilde: Dict[int, DimEstimate] = {}
         self._stacks: Dict[int, transfer.SegmentStack] = {}
@@ -503,9 +415,7 @@ def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     """
     digits = tuple(prefix)
     sp = spec.sp
-    if sp.B_k is not None:  # validated first; measure_context then rejects the variant
-        validate_prefix(spec, tuple(map(int, digits)))
-    elif len(digits) > sp.m[-1]:
+    if len(digits) > sp.m[-1]:
         raise InputOutOfRange(f"depth {len(digits)} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
     ctx = measure_context(spec)
     kept = ctx.resume(digits)

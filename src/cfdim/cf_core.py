@@ -200,7 +200,10 @@ def run_continuant_closed_form(i: int, n: int) -> int:
 
 
 def log_tau(i: int) -> float:
-    """float log tau(i), tau(i) = (i + sqrt(i^2+4))/2 the growth rate of q_n(i, ..., i)."""
+    """float log tau(i), tau(i) = (i + sqrt(i^2+4))/2 the growth rate of q_n(i, ..., i).
+    Raises InputOutOfRange for i < 1: no run digit is below 1."""
+    if i < 1:
+        raise InputOutOfRange(f"need i >= 1, got {i}")
     return math.log((i + math.sqrt(i * i + 4)) / 2.0)
 
 

@@ -3,7 +3,7 @@
 Every command echoes its full effective configuration inside the JSON output
 (no timestamps), so re-running the canonical argv from the echo reproduces
 byte-identical output.  Exit codes: 0 ok, 1 check failed, 2 parse error,
-3 range error, 4 budget exceeded.
+3 range error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, cantor, dim_solver, exponents, runlength, verify
 from .cf_core import MAX_DIGIT, RealInput, continuants, expand
-from .errors import BudgetExceeded, Exhausted, Inadmissible, InputOutOfRange, NoConvergence, Overflow
+from .errors import Exhausted, Inadmissible, InputOutOfRange, NoConvergence, Overflow
 
 SCHEMA_VERSION = 1
 
@@ -29,7 +29,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_RANGE = 3
-EXIT_BUDGET = 4
 
 
 def _stable_json(obj) -> str:
@@ -435,9 +434,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
     except (InputOutOfRange, Overflow, Exhausted, Inadmissible) as exc:
         sys.stderr.write(f"range error: {exc}\n")
         return EXIT_RANGE

@@ -38,9 +38,9 @@ import numpy as np
 
 from . import transfer
 from .cf_core import log_tau
-from .errors import BudgetExceeded, InputOutOfRange, NoConvergence
+from .errors import InputOutOfRange, NoConvergence
 
-DEFAULT_NODE_BUDGET = 200_000_000  # most leaves sum_power enumerates; more raise BudgetExceeded
+DEFAULT_NODE_BUDGET = 200_000_000  # most leaves sum_power enumerates; more raise InputOutOfRange
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
 _SPECTRAL_WIDTH = 1e-8  # bisection width of the spectral roots; dim_full widens its bracket by it
 _SIGN_FLOOR = 1e-8  # |F| past which a sign holds further out: 390x the largest measured departure from monotone
@@ -205,7 +205,7 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
         raise ValueError("rho must be >= 0")
     leaves = B**spec.free_length
     if leaves > DEFAULT_NODE_BUDGET:
-        raise BudgetExceeded(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {DEFAULT_NODE_BUDGET}")
+        raise InputOutOfRange(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {DEFAULT_NODE_BUDGET}")
     stats = []
     buf = np.empty(min(leaves, _CHUNK))
     for arr in _log_qtotal_chunks(B, spec):
@@ -430,10 +430,11 @@ def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
     last bits, but the root depends only on the signs of F at the bisection
     midpoints, which solve_decreasing_root settles only where |F| >
     _SIGN_FLOOR; on every root checked the result has the cold start's bits
-    (in practice, not by construction)."""
+    (in practice, not by construction).  At alpha = 1 the finite-alphabet
+    root is exactly 0, as for predim_hat."""
     af = _alpha_fraction(alpha)
     if af == 1:
-        raise InputOutOfRange("alpha = 1 is handled by the closure convention, not the solver")
+        return DimEstimate(0.0, (0.0, 0.0), B_used=B, method="degenerate")
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
     start = np.ones(transfer.DEFAULT_DEGREE + 1)
     F = lambda s: spectral_pressure(B, s, start) - coeff * s
@@ -450,7 +451,8 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
     s(0) = 1 and s(1) = 1/2.
 
     The endpoint values are returned exactly as the labelled limits, with an
-    empty trace and no B_used.  Away from the endpoints the truncation
+    empty trace and no B_used.  Every branch raises InputOutOfRange for
+    i < 1.  Away from the endpoints the truncation
     error decays like B^{1-2s}, which is too slow for Aitken extrapolation
     near alpha = 1: there the bracket misses the full-alphabet value (> 1/2).
     At alpha = 8/9, i = 1 it reads [0.2308, 0.4302] against the B = infinity
@@ -458,6 +460,8 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
     """
     af = _alpha_fraction(alpha)
     if af == 0 or af == 1:
+        if i < 1:  # the interior's spectral_dim refuses it in log_tau
+            raise InputOutOfRange(f"need i >= 1, got {i}")
         value = 1.0 if af == 0 else 0.5
         return DimEstimate(value, (value, value), method="convention")
     return _aitken_limit(

@@ -23,10 +23,6 @@ class InsufficientBlocks(CfdimError):
     """Fewer record blocks than required for an estimate."""
 
 
-class BudgetExceeded(CfdimError):
-    """Enumeration would exceed the configured node budget."""
-
-
 class NoConvergence(CfdimError):
     """Iterative solver failed to converge within its cap."""
 

@@ -1,7 +1,6 @@
 """Construction, measure, sampling, and insertion-map tests."""
 
 import gc
-import hashlib
 import math
 import os
 import pathlib
@@ -13,7 +12,6 @@ from array import array
 from bisect import bisect_left
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +22,6 @@ from cfdim.cantor import (
     SeqPair,
     admissible_children,
     construct_sequences,
-    construct_sequences_infinite,
     construct_sequences_runlength,
     delete_marked,
     insert_map,
@@ -82,9 +79,8 @@ def test_construct_sequences_out_of_range():
 # builds that would not end without a cap run in a child that caps its own address space
 _CAPPED_BUILDS = """
 import resource, sys
-from fractions import Fraction
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from cfdim.cantor import construct_sequences, construct_sequences_infinite
+from cfdim.cantor import construct_sequences
 from cfdim.errors import InputOutOfRange
 for build in sys.argv[1:]:
     try:
@@ -106,67 +102,10 @@ def _capped_builds(*builds):
 
 
 def test_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
-    # nu_hat = 0: n_13 has 2^26 bits; the infinite variant's B_3 = 2^(2^64)
-    assert _capped_builds("construct_sequences(0, 1, k_max=16)", "construct_sequences_infinite(0)") == [
+    # nu_hat = 0: n_13 has 2^26 bits
+    assert _capped_builds("construct_sequences(0, 1, k_max=16)") == [
         "range error: k_max = 16 gives schedule entries of more than 2^25 bits; lower k_max",
-        "range error: k_max = 6 gives schedule entries of more than 2^25 bits; lower k_max",
     ]
-
-
-def test_infinite_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
-    # nu_hat = 1/2: n_11^11 would have about 80 Mbit; k_max = 10 (largest entry 10.1 Mbit) still builds
-    assert _capped_builds("construct_sequences_infinite(Fraction(1, 2), k_max=11)") == [
-        "range error: k_max = 11 gives schedule entries of more than 2^25 bits; lower k_max",
-    ]
-
-
-def test_infinite_schedule_alphabet_bounds_past_2_17_bits_raise_before_they_are_built():
-    # nu_hat = 1: B_13 = floor(2^sqrt(14!)) would have 295 259 bits
-    assert _capped_builds("construct_sequences_infinite(1, k_max=13)") == [
-        "range error: k_max = 13 gives alphabet bounds of more than 2^17 bits; lower k_max",
-    ]
-
-
-def _digest(ints):
-    return hashlib.sha256(",".join(f"{v:x}" for v in ints).encode()).hexdigest()
-
-
-def test_infinite_schedules_keep_their_entries():
-    # the entries, pinned by digest (in hex, since a decimal str stops at 4 300 digits)
-    sp = construct_sequences_infinite(Fraction(1, 2), k_max=9)
-    assert _digest(sp.n + sp.m + sp.B_k) == "07e81fb1174f5813cdcc2bda49ec920cc7aba1816cc4536b1a29cd4cefd24111"
-    # B_1..B_12 = floor(2^sqrt((k+1)!)), the last of 78 911 bits
-    sp = construct_sequences_infinite(1, k_max=12)
-    assert _digest(sp.B_k) == "7e3a32340d88cc76ca6b50e61fcc2caba47ad8ca2966eab7a5180ce0ed840fda"
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9, 40_320, 2**20 - 1, 2**20, 2**20 + 1, (2**10 + 1) ** 2])
-def test_floor_pow2_sqrt_matches_a_wide_reference_and_restores_the_precision(m):
-    with mpmath.workprec(4 * math.isqrt(m) + 256):
-        expected = int(mpmath.floor(mpmath.power(2, mpmath.sqrt(m))))
-    prec = mpmath.iv.prec
-    assert cantor._floor_pow2_sqrt(m) == expected
-    assert mpmath.iv.prec == prec
-
-
-def test_construct_sequences_infinite_recipes():
-    sp = construct_sequences_infinite(Fraction(1, 2), k_max=4)
-    # k = 1: m_1 = floor(1/2 * 2) + 2 = 3, n_2 = 2^1 + 2*2 = 6
-    assert sp.m[0] == 3
-    assert sp.n[1] == 6
-    sp0 = construct_sequences_infinite(0, k_max=2)
-    assert sp0.n[0] == 2**4 and sp0.m[0] == 2**8
-    assert sp0.B_k[0] == 2**16
-    sp1 = construct_sequences_infinite(1, k_max=5)
-    assert sp1.m[:4] == (2, 6, 24, 120)  # (k+1)!
-
-
-def test_construct_sequences_infinite_ratios_grow():
-    sp = construct_sequences_infinite(Fraction(1, 2), k_max=6)
-    ratios = [Fraction(sp.m[k] - sp.n[k], sp.n[k]) for k in range(6)]
-    assert all(a < b for a, b in zip(ratios, ratios[1:]))
-    hat = [Fraction(sp.m[k] - sp.n[k], sp.n[k + 1]) for k in range(5)]
-    assert abs(float(hat[-1]) - 0.5) <= 0.01
 
 
 def test_construct_sequences_runlength_targets():
@@ -204,16 +143,6 @@ def test_admissible_children(spec13):
         admissible_children(spec13, (2, 3, 2))  # wrong digit inside a run
     with pytest.raises(Inadmissible):
         validate_prefix(spec13, (4,))  # beyond the alphabet bound
-
-
-def test_admissible_children_infinite_variant():
-    sp = construct_sequences_infinite(Fraction(1, 2), k_max=4)
-    spec = CantorSpec(B=2, i=1, sp=sp)
-    # positions 1..n_1 and the runs are forced; free stretches use B_k
-    assert admissible_children(spec, ()) == (1,)
-    free_pos = sp.m[0] + 1
-    prefix = [1] * (free_pos - 1)
-    assert admissible_children(spec, prefix) == tuple(range(1, sp.B_k[0] + 1))
 
 
 def test_cantor_spec_validation(spec13):
@@ -463,26 +392,6 @@ def test_numpy_and_float_children_step_from_kept_state(spec13, validations):
         assert validations == [()] + [(L + 1,)] * (3 * len(want))
 
 
-def test_infinite_variant_validates_without_a_context(monkeypatch):
-    sp = construct_sequences_infinite(Fraction(1, 2), k_max=4)
-    spec = CantorSpec(B=2, i=1, sp=sp)
-
-    def no_context(spec):
-        raise AssertionError("a context was built")
-
-    monkeypatch.setattr(cantor, "measure_context", no_context)
-    assert admissible_children(spec, [1] * sp.n[0]) == (1,)
-    with pytest.raises(Inadmissible):
-        measure_mass(spec, (2,))  # before the context's range error
-    monkeypatch.undo()
-    with pytest.raises(InputOutOfRange):
-        measure_mass(spec, (1,))
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
 
 def test_sample_measure_refuses_a_depth_past_its_cap_before_any_solve(monkeypatch):
     def no_context(spec):
@@ -729,12 +638,8 @@ def _reference_validate(spec, prefix):
         j = bisect_left(sp.m, pos)
         if j < len(sp.m) and sp.n[j] < pos <= sp.m[j]:  # inside run j + 1
             bound = None
-        elif sp.B_k is None:
-            bound = spec.B
         else:
-            j = bisect_left(sp.m, pos)
-            free = j >= 1 and sp.m[j - 1] < pos and (j >= len(sp.n) or pos <= sp.n[j])
-            bound = sp.B_k[j - 1] if free else None
+            bound = spec.B
         if bound is None and a != spec.i:
             return f"position {pos} must carry the run digit {spec.i}, got {a}"
         if bound is not None and not 1 <= a <= bound:
@@ -938,23 +843,6 @@ def test_validate_prefix_names_first_bad_position(spec13):
         assert str(exc.value) == _reference_validate(spec13, d[:start] + bad[start:])
     validate_prefix(spec13, bad, sp.m[4])
     validate_prefix(spec13, bad, len(bad) + 5)
-
-
-def test_validate_prefix_infinite_variant_matches_reference():
-    sp = construct_sequences_infinite(Fraction(1, 2), k_max=4)
-    spec = CantorSpec(B=2, i=1, sp=sp)
-    good = (1,) * sp.m[1] + (2,) * 5
-    validate_prefix(spec, good)
-    for pos in range(1, len(good) + 1):
-        for a in (0, 2, sp.B_k[0], sp.B_k[0] + 1):
-            prefix = _corrupt(good, pos, a)
-            want = _reference_validate(spec, prefix)
-            if want is None:
-                validate_prefix(spec, prefix)
-                continue
-            with pytest.raises(Inadmissible) as exc:
-                validate_prefix(spec, prefix)
-            assert str(exc.value) == want
 
 
 def test_local_dimension_series_matches_pointwise(spec13):

@@ -117,6 +117,14 @@ def test_dim_curve_b_sweep_forces_run_digit_one_for_run_length_kinds(capsys):
     assert len(out1.strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize("kind_params", [["nu_level", "--nu", "inf"], ["E_hat", "--nu-hat", "1", "--i", "3"]])
+def test_dim_curve_b_sweep_at_argument_one_prints_the_finite_alphabet_root(kind_params, capsys):
+    # at argument 1 every finite-alphabet root is exactly 0; only the B = infinity value is 1/2
+    rc, out = run_cli(["dim", "--kind", *kind_params, "--curve", "B=2..3"], capsys)
+    assert rc == 0
+    assert out == "param,value,lo,hi\n2.0,0.0,0.0,0.0\n3.0,0.0,0.0,0.0\n"
+
+
 @pytest.mark.parametrize("params", [["--nu-hat", "-1", "--curve", "B=3..2"], ["--curve", "B=2..1"]])
 def test_dim_curve_b_checks_the_argument_on_an_empty_range(params, capsys):
     # the theorem argument is computed once, before any point, so an empty sweep still checks it
@@ -510,7 +518,6 @@ EXIT_BY_ERROR = {
     errors.Exhausted: 3,
     errors.Inadmissible: 3,
     errors.NoConvergence: 3,
-    errors.BudgetExceeded: 4,
     errors.InsufficientBlocks: None,
 }
 
@@ -642,12 +649,12 @@ def test_golden_files_under_python_O():
         assert out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
 
 
-def test_verify_budget_exceeded_exit4(monkeypatch, capsys):
+def test_verify_past_the_node_budget_exits3(monkeypatch, capsys):
     # the solver suite enumerates up to 3^12 leaves; a smaller budget stops it at sum_power's guard
     monkeypatch.setattr(cfdim.dim_solver, "DEFAULT_NODE_BUDGET", 10)
     rc = main(["verify", "--suite", "solver"])
-    assert rc == 4
-    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("range error: ")
 
 
 def test_every_cli_flag_is_documented():

@@ -28,7 +28,7 @@ from cfdim.dim_solver import (
     theorem_dims,
     to_fraction,
 )
-from cfdim.errors import BudgetExceeded, InputOutOfRange, NoConvergence
+from cfdim.errors import InputOutOfRange, NoConvergence
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -78,7 +78,7 @@ def test_sum_power_monotone_decreasing_in_rho():
 
 
 def test_sum_power_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(InputOutOfRange, match="leaves exceed budget"):
         sum_power(3, SumKernelSpec(free_length=30), 1.0)  # 3^30 leaves, past DEFAULT_NODE_BUDGET
 
 
@@ -264,6 +264,9 @@ def test_predim_alpha_zero_coincide():
 def test_predim_alpha_one_degenerate():
     est = predim_s(3, 1, 1, 8)
     assert est.value == 0.0 and est.method == "degenerate"
+    # every finite-alphabet solver returns the exact root 0 at alpha = 1
+    assert predim_hat(3, 1, 1, 8) == DimEstimate(0.0, (0.0, 0.0), n_used=8, B_used=3, method="degenerate")
+    assert spectral_dim(3, 1, 2) == DimEstimate(0.0, (0.0, 0.0), B_used=3, method="degenerate")
 
 
 def test_predim_hat_shares_one_table_across_run_digits(monkeypatch):
@@ -605,6 +608,16 @@ def test_theorem_out_of_range():
     for nu_hat in (0, 1):  # the endpoints check the run digit like every interior argument
         with pytest.raises(InputOutOfRange):
             theorem_dims("E_hat", nu_hat=nu_hat, i=0)
+    # below theorem_dims the solvers check the run digit too
+    for solve in (
+        lambda: spectral_dim(4, Fraction(1, 2), 0),
+        lambda: predim_hat(3, Fraction(1, 2), 0, 4),
+        lambda: dim_full(Fraction(1, 2), 0, (4, 8)),
+        lambda: dim_full(0, 0),
+        lambda: dim_full(1, 0),
+    ):
+        with pytest.raises(InputOutOfRange, match="need i >= 1, got 0"):
+            solve()
 
 
 RAISE = "raise"

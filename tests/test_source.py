@@ -4,7 +4,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -71,6 +73,15 @@ def test_script_imports(path):
         spec.loader.exec_module(module)
     finally:
         sys.path[:] = saved
+
+
+def test_cantor_import_leaves_mpmath_unloaded():
+    # the measure code needs no mpmath; a fresh process shows what the import pulls in
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cfdim.cantor; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.stdout == "False\n"
 
 
 def _tracing_targets():
