@@ -69,7 +69,7 @@ class RealInput:
         try:
             v = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputOutOfRange(f"cannot parse decimal {s!r}") from exc
+            raise InputOutOfRange(f"cannot parse decimal of {len(s)} characters starting {s[:32]!r}") from exc
         if not (0 < v < 1):
             raise InputOutOfRange(f"decimal {s} not in (0,1)")
         return RealInput(kind="decimal", frac=v, precision_bits=precision_bits)

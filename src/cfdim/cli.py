@@ -225,7 +225,7 @@ def _build_spec(args) -> cantor.CantorSpec:
         if args.nu_hat is None or args.nu is None:
             raise InputOutOfRange("give --nu-hat and --nu, or --alpha and --beta")
         sp = cantor.construct_sequences(args.nu_hat, args.nu, k_max=args.k_max)
-    return cantor.CantorSpec(B=args.B, i=args.i, sp=sp, d=args.d)
+    return cantor.CantorSpec(B=args.B, i=args.i, sp=sp)
 
 
 def cmd_cantor(args) -> int:
@@ -350,6 +350,12 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 2 on a parse error.  Takes no abbreviated flags, so a removed
+    flag such as `cantor --d` is refused instead of read as `--depth-k`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
@@ -392,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--beta", type=_parse_param, default=None)
     c.add_argument("--B", type=int, default=3)
     c.add_argument("--i", type=int, default=1)
-    c.add_argument("--d", type=int, default=None, help="insertion marker digit (> B)")
     c.add_argument("--depth-k", dest="depth_k", type=int, default=6, help="sample to the k-th block boundary")
     c.add_argument("--k-max", dest="k_max", type=int, default=12)
     c.add_argument("--sample", type=int, default=1)

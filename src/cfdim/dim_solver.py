@@ -28,11 +28,11 @@ conventions  s(0) = 1  and  s(1) = 1/2  applied exactly at the endpoints.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,13 +40,11 @@ from . import transfer
 from .cf_core import log_tau
 from .errors import InputOutOfRange, NoConvergence
 
-DEFAULT_NODE_BUDGET = 200_000_000  # most leaves sum_power enumerates; more raise InputOutOfRange
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
 _SPECTRAL_WIDTH = 1e-8  # bisection width of the spectral roots; dim_full widens its bracket by it
 _SIGN_FLOOR = 1e-8  # |F| past which a sign holds further out: 390x the largest measured departure from monotone
 _FALSI_STEPS = 8  # most evaluations before the bisection in solve_decreasing_root; roots use 2-5
-_CACHE_LIMIT = 2**23  # max leaves in one cached table, and in the whole table cache
-_CHUNK = 2**20
+_TABLE_LIMIT = 2**20  # most leaves sum_power enumerates; more raise InputOutOfRange
 
 Number = Union[int, float, Fraction]
 
@@ -87,8 +85,9 @@ class DimEstimate:
 @dataclass(frozen=True)
 class SumKernelSpec:
     """Shape of one constrained partition sum: `free_length` enumerated
-    digits, a trailing run of `tail_i` copies of `tail_digit`, and a
-    log-scale added to log q before the -2 rho power."""
+    digits (sum_power takes at most _TABLE_LIMIT = 2^20 strings), a trailing
+    run of `tail_i` copies of `tail_digit`, and a log-scale added to log q
+    before the -2 rho power."""
 
     free_length: int
     tail_i: int = 0
@@ -104,10 +103,6 @@ class SumKernelSpec:
 # enumeration engine
 # ---------------------------------------------------------------------------
 
-# log q_total chunk lists keyed by (B, free length, tail digit, tail length),
-# least recently used first; see _log_qtotal_chunks for what bounds it
-_table_cache: OrderedDict[Tuple[int, int, int, int], List[np.ndarray]] = OrderedDict()
-
 
 def _grow_level(logq: np.ndarray, r: np.ndarray, B: int) -> Tuple[np.ndarray, np.ndarray]:
     n = logq.size
@@ -120,104 +115,50 @@ def _grow_level(logq: np.ndarray, r: np.ndarray, B: int) -> Tuple[np.ndarray, np
     return new_logq, new_r
 
 
-def _state_chunks(B: int, f: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """(log q_f, q_{f-1}/q_f) over all B^f free strings, one chunk of at most
-    _CHUNK leaves per prefix of the first j digits (j = 0: the whole table)."""
-    # prefix length j such that the remaining subtree fits in a chunk
-    sub = f
-    while B**sub > _CHUNK:
-        sub -= 1
-    j = f - sub
-    for prefix_idx in range(B**j):
-        # decode prefix digits (most-significant digit first)
-        logq0, r0 = 0.0, 0.0
-        idx = prefix_idx
-        digits = []
-        for _ in range(j):
-            digits.append(idx % B + 1)
-            idx //= B
-        for a in reversed(digits):
-            ar = a + r0
-            logq0 += math.log(ar)
-            r0 = 1.0 / ar
-        logq = np.array([logq0])
-        r = np.array([r0])
-        for _ in range(sub):
-            logq, r = _grow_level(logq, r, B)
-        yield logq, r
-
-
-def _log_qtotal_chunks(B: int, spec: SumKernelSpec) -> Iterator[np.ndarray]:
-    """log of the full continuant (free digits + forced tail), chunked.
-
-    A tail is added in place on the fresh arrays that _state_chunks yields,
-    as (log q_f + log u) + log1p((v/u) r), the same operations in the same
-    order as the out-of-place expression.  A table of at most _CACHE_LIMIT
-    leaves is kept in _table_cache as its list of read-only chunks, so an
-    in-place op on a kept chunk raises instead of changing later sums; the
-    cache holds at most _CACHE_LIMIT leaves in all and drops the least
-    recently used table first.  The tail digit is no part of the key of a
-    table without a tail.
-    """
-    f, t = spec.free_length, spec.tail_i
-    key = (B, f, spec.tail_digit if t else 0, t)
-    hit = _table_cache.get(key)
-    if hit is not None:
-        _table_cache.move_to_end(key)
-        yield from hit
-        return
-    log_u, v_over_u = transfer.run_tail_logs(spec.tail_digit, t)
-    keep = B**f <= _CACHE_LIMIT
-    pieces = []
-    for logq, r in _state_chunks(B, f):
-        if t:
-            r *= v_over_u
-            np.log1p(r, out=r)
-            logq += log_u
-            logq += r
-        if keep:
-            logq.flags.writeable = False
-            pieces.append(logq)
-        yield logq
-    if keep:
-        _table_cache[key] = pieces
-        while sum(b**n for b, n, _, _ in _table_cache) > _CACHE_LIMIT:
-            _table_cache.popitem(last=False)
+@functools.lru_cache(maxsize=2**23 // _TABLE_LIMIT)  # 8 tables, 64 MB at most
+def _log_qtotal(B: int, f: int, tail_digit: int, t: int) -> np.ndarray:
+    """log q_total (f free digits, then t copies of tail_digit) over all B^f
+    free strings, as one read-only array: an in-place op on a cached table
+    raises instead of changing later sums.  The tail is added in place as
+    (log q_f + log u) + log1p((v/u) r), the out-of-place expression's
+    operations in its order."""
+    logq, r = np.zeros(1), np.zeros(1)
+    for _ in range(f):
+        logq, r = _grow_level(logq, r, B)
+    if t:
+        log_u, v_over_u = transfer.run_tail_logs(tail_digit, t)
+        r *= v_over_u
+        np.log1p(r, out=r)
+        logq += log_u
+        logq += r
+    logq.flags.writeable = False
+    return logq
 
 
 def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
     """log of  sum over free strings of (exp(scale_log) * q_total)^(-2 rho).
 
-    Each chunk of leaves is summed relative to its own maximum and the chunk
-    sums are merged by a compensated (fsum) reduction in a fixed order.  The
-    log q_total table of a spec with at most _CACHE_LIMIT (2^23) leaves is
-    cached as its list of read-only chunks, in one least-recently-used cache
-    of at most _CACHE_LIMIT leaves (64 MB) in all, so a repeated call sums
-    the same chunks as the first; a larger table is rebuilt chunk by chunk
-    per call.  A call works in one scratch buffer of at most _CHUNK doubles,
-    which no chunk outlives: each chunk's terms -2 rho (scale_log + log q),
-    less their maximum, and their exp are computed in place there, the same
-    operations in the same order as the out-of-place expression.
+    Enumerates at most _TABLE_LIMIT (2^20) free strings; more raise
+    InputOutOfRange.  _log_qtotal caches the table (the tail digit is no
+    part of the key of a table without a tail), so a repeated call sums the
+    same table.  The terms -2 rho (scale_log + log q), less their maximum,
+    and their exp are computed in place in one fresh array, the out-of-place
+    expression's operations in its order.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if rho < 0:
         raise ValueError("rho must be >= 0")
     leaves = B**spec.free_length
-    if leaves > DEFAULT_NODE_BUDGET:
-        raise InputOutOfRange(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {DEFAULT_NODE_BUDGET}")
-    stats = []
-    buf = np.empty(min(leaves, _CHUNK))
-    for arr in _log_qtotal_chunks(B, spec):
-        terms = np.add(arr, spec.scale_log, out=buf[: arr.size])
-        terms *= -2.0 * rho
-        m = float(terms.max())
-        terms -= m
-        np.exp(terms, out=terms)
-        stats.append((m, float(terms.sum())))
-    m = max(s[0] for s in stats)
-    total = math.fsum(s1 * math.exp(m1 - m) for m1, s1 in stats)
-    return m + math.log(total)
+    if leaves > _TABLE_LIMIT:
+        raise InputOutOfRange(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {_TABLE_LIMIT}")
+    table = _log_qtotal(B, spec.free_length, spec.tail_digit if spec.tail_i else 0, spec.tail_i)
+    terms = table + spec.scale_log
+    terms *= -2.0 * rho
+    m = float(terms.max())
+    terms -= m
+    np.exp(terms, out=terms)
+    return m + math.log(float(terms.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +283,12 @@ def _alpha_fraction(alpha: Number) -> Fraction:
     return af
 
 
+def _check_run_digit(i: int) -> None:
+    """Raises InputOutOfRange for i < 1: no run digit is below 1."""
+    if i < 1:
+        raise InputOutOfRange(f"need i >= 1, got {i}")
+
+
 def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: str) -> DimEstimate:
     """Root rho of sum_power(B, spec, rho) = 0, bisected to `width`."""
     root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho), width=width)
@@ -351,6 +298,7 @@ def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: 
 def predim_hat(B: int, alpha: Number, i: int, n: int) -> DimEstimate:
     """Root of  sum (tau^{n alpha/(1-alpha)} q_n)^{-2 rho} = 1  over {1..B}^n."""
     af = _alpha_fraction(alpha)
+    _check_run_digit(i)
     if af == 1:
         return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
     spec = SumKernelSpec(free_length=n, tail_digit=i, scale_log=float(af / (1 - af)) * n * log_tau(i))
@@ -361,6 +309,7 @@ def predim_s(B: int, alpha: Number, i: int, n: int) -> DimEstimate:
     """Root of  sum q_n(free digits, i, ..., i)^{-2 rho} = 1  with floor(n alpha)
     forced trailing digits."""
     af = _alpha_fraction(alpha)
+    _check_run_digit(i)
     if af == 1:
         return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
     tail = int(n * af)  # exact floor: Fraction arithmetic
@@ -372,10 +321,10 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
     """Root of the one-segment sum with free digits l - tail_len and a forced
     trailing i-run.
 
-    The free digits are enumerated exactly when their table fits the table
-    cache (B^free <= _CACHE_LIMIT = 2^23 leaves), so the bisection (width
-    1e-14) builds it once and every later step sums the cached chunks.  A
-    larger free part takes the log-space operator iteration (same sum,
+    The free digits are enumerated exactly when they fit one table
+    (B^free <= _TABLE_LIMIT = 2^20 leaves), so the bisection (width 1e-14)
+    builds it once and every later step sums the cached table.  A larger
+    free part takes the log-space operator iteration (same sum,
     evaluated as an iterated transfer operator), with a near-machine
     bisection width of 4e-16 so the root residual stays tiny even for very
     long segments.  Each operator evaluation iterates only to the settling
@@ -383,11 +332,12 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
     and adds log lambda per remaining free digit, so its cost does not grow
     with the segment length.
     """
+    _check_run_digit(i)
     l_k, tail_len = segment
     if tail_len > l_k or tail_len < 0:
         raise InputOutOfRange("tail length exceeds segment length")
     free = l_k - tail_len
-    if B**free <= _CACHE_LIMIT:
+    if B**free <= _TABLE_LIMIT:
         return _enumerated_root(B, SumKernelSpec(free, tail_len, i), 1e-14, l_k, "enumerate-tilde")
     root, bracket = solve_decreasing_root(lambda s: transfer.segment_log_sum(B, i, free, tail_len, s), width=4e-16)
     return DimEstimate(root, bracket, n_used=l_k, B_used=B, method="operator-tilde")
@@ -433,6 +383,7 @@ def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
     (in practice, not by construction).  At alpha = 1 the finite-alphabet
     root is exactly 0, as for predim_hat."""
     af = _alpha_fraction(alpha)
+    _check_run_digit(i)
     if af == 1:
         return DimEstimate(0.0, (0.0, 0.0), B_used=B, method="degenerate")
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
@@ -459,9 +410,8 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
     root 0.50996.
     """
     af = _alpha_fraction(alpha)
+    _check_run_digit(i)
     if af == 0 or af == 1:
-        if i < 1:  # the interior's spectral_dim refuses it in log_tau
-            raise InputOutOfRange(f"need i >= 1, got {i}")
         value = 1.0 if af == 0 else 0.5
         return DimEstimate(value, (value, value), method="convention")
     return _aitken_limit(
@@ -560,8 +510,7 @@ def theorem_argument(
 def theorem_run_digit(kind: str, i: int) -> int:
     """Run digit of a theorem's formula: 1 for the run-length kinds FG and F
     (runs of the digit 1), else i.  Raises InputOutOfRange for i < 1."""
-    if i < 1:
-        raise InputOutOfRange(f"need i >= 1, got {i}")
+    _check_run_digit(i)
     return 1 if kind in ("FG", "F") else i
 
 

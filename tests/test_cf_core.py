@@ -73,6 +73,10 @@ def test_expand_rejects_out_of_range():
         RealInput.surd(1, 1, 1, 2)  # 1 + sqrt(2) > 1
     with pytest.raises(InputOutOfRange):
         RealInput.decimal_input("1.5")
+    # a 5 000-character input that does not parse is named, not repeated
+    with pytest.raises(InputOutOfRange, match="^cannot parse decimal of 5000 characters starting '0.111") as exc:
+        RealInput.decimal_input("0." + "1" * 4997 + "x")
+    assert len(str(exc.value)) < 200
 
 
 def test_expand_decimal_certifies_prefix():

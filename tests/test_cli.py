@@ -502,6 +502,15 @@ def test_dim_curve_count_endpoints_parse_like_parameter_flags(capsys):
     assert out1 == out2 and out1.splitlines()[1:4:2] == ["0.0,1.0,1.0,1.0", "0.5,0.5,0.5,0.5"]
 
 
+@pytest.mark.parametrize("flag", ["--d", "--depth"])
+def test_unknown_or_abbreviated_flag_exits2(flag, capsys):
+    # no prefix matching: neither the removed --d nor --depth is read as --depth-k
+    with pytest.raises(SystemExit) as exc:
+        main(["cantor", "--nu-hat", "1/3", "--nu", "1", flag, "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_parameter_with_zero_denominator_exits2(capsys):
     # argparse rejects the text before any command runs
     with pytest.raises(SystemExit) as exc:
@@ -651,7 +660,7 @@ def test_golden_files_under_python_O():
 
 def test_verify_past_the_node_budget_exits3(monkeypatch, capsys):
     # the solver suite enumerates up to 3^12 leaves; a smaller budget stops it at sum_power's guard
-    monkeypatch.setattr(cfdim.dim_solver, "DEFAULT_NODE_BUDGET", 10)
+    monkeypatch.setattr(cfdim.dim_solver, "_TABLE_LIMIT", 10)
     rc = main(["verify", "--suite", "solver"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("range error: ")

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -79,142 +79,87 @@ def test_sum_power_monotone_decreasing_in_rho():
 
 def test_sum_power_budget():
     with pytest.raises(InputOutOfRange, match="leaves exceed budget"):
-        sum_power(3, SumKernelSpec(free_length=30), 1.0)  # 3^30 leaves, past DEFAULT_NODE_BUDGET
+        sum_power(3, SumKernelSpec(free_length=30), 1.0)  # 3^30 leaves
+    # one leaf past the table limit: 2^21 leaves
+    with pytest.raises(InputOutOfRange, match=r"2\^21 = 2097152 leaves exceed budget 1048576"):
+        sum_power(2, SumKernelSpec(free_length=21), 1.0)
 
 
-def test_sum_power_chunked_matches_cached(monkeypatch):
-    spec = SumKernelSpec(free_length=9, tail_i=1, tail_digit=1)
-    cached = sum_power(4, spec, 1.0)
-    exact = _exact_free_sum(4, 9, 2, tail=(1,))
-    assert cached == pytest.approx(math.log(float(exact)), rel=1e-12)
-    # force the streaming path and compare
-    monkeypatch.setattr(ds, "_CACHE_LIMIT", 64)
-    monkeypatch.setattr(ds, "_CHUNK", 256)
-    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
-    streamed = sum_power(4, spec, 1.0)
-    assert streamed == pytest.approx(math.log(float(exact)), rel=5e-13)
-
-
-def test_sum_power_repeat_is_bit_identical(monkeypatch):
-    # 3^13 leaves: more than one chunk, few enough to be cached
-    assert ds._CHUNK < 3**13 <= ds._CACHE_LIMIT
-    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
-    spec = SumKernelSpec(free_length=13, tail_i=1, tail_digit=1)
-    first = sum_power(3, spec, 0.5)
-    assert sum_power(3, spec, 0.5) == first
-
-
-def _count_table_builds(monkeypatch):
-    """Fresh table cache; returns a list that grows by one per table build."""
-    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
-    builds = []
-    build = ds._state_chunks
-
-    def counting(B, f):
-        builds.append((B, f))
-        return build(B, f)
-
-    monkeypatch.setattr(ds, "_state_chunks", counting)
-    return builds
-
-
-def test_sum_power_untailed_multichunk_table_built_once(monkeypatch):
-    builds = _count_table_builds(monkeypatch)
-    monkeypatch.setattr(ds, "_CHUNK", 3**4)
-    spec = SumKernelSpec(free_length=7, scale_log=0.3)  # 3^7 leaves in 27 chunks
-    first = sum_power(3, spec, 0.5)
-    assert sum_power(3, spec, 0.5) == first
-    assert builds == [(3, 7)]
-
-
-def test_table_cache_is_bounded_and_evicts_least_recent(monkeypatch):
-    builds = _count_table_builds(monkeypatch)
-    monkeypatch.setattr(ds, "_CACHE_LIMIT", 100)
-    monkeypatch.setattr(ds, "_CHUNK", 16)
-
-    def leaves():
-        return sum(B**f for B, f, _, _ in ds._table_cache)
-
-    k1 = SumKernelSpec(free_length=6, tail_i=1, tail_digit=1)  # 64 leaves
-    k2 = SumKernelSpec(free_length=5)  # 32 leaves
-    k3 = SumKernelSpec(free_length=3, tail_i=2, tail_digit=2)  # 27 leaves, at B = 3
-    big = SumKernelSpec(free_length=5, tail_i=1, tail_digit=2)  # 243 leaves, at B = 3
-    first = {}
-    for B, spec in ((2, k1), (2, k2), (2, k1), (3, k3), (3, big)):
-        value = sum_power(B, spec, 0.7)
-        assert first.setdefault(spec, value) == value
-        assert leaves() <= ds._CACHE_LIMIT
-    # k1 was used after k2, so k3 pushed out k2; the big table is never kept
-    assert list(ds._table_cache) == [(2, 6, 1, 1), (3, 3, 2, 2)]
-    assert builds == [(2, 6), (2, 5), (3, 3), (3, 5)]
-    assert sum_power(2, k2, 0.7) == first[k2]  # evicted: rebuilt
-    assert sum_power(3, k3, 0.7) == first[k3]  # kept
-    assert sum_power(3, big, 0.7) == first[big]  # never cached: rebuilt
-    assert builds == [(2, 6), (2, 5), (3, 3), (3, 5), (2, 5), (3, 5)]
-    assert leaves() <= ds._CACHE_LIMIT
+def test_table_cache_is_bounded_and_evicts_least_recent():
+    info = ds._log_qtotal.cache_info
+    size = info().maxsize
+    assert size * ds._TABLE_LIMIT <= 2**23  # 64 MB of leaves at most
+    ds._log_qtotal.cache_clear()
+    specs = [SumKernelSpec(free_length=f, tail_i=f % 2, tail_digit=2) for f in range(1, size + 1)]
+    first = {spec: sum_power(2, spec, 0.7) for spec in specs}
+    assert info().misses == info().currsize == size
+    assert sum_power(2, specs[0], 0.7) == first[specs[0]]  # kept: specs[1] is now the least recent
+    assert info().misses == size
+    sum_power(2, SumKernelSpec(free_length=3, tail_i=2, tail_digit=3), 0.7)  # pushes out specs[1]
+    assert info().currsize == size
+    assert sum_power(2, specs[0], 0.7) == first[specs[0]]  # kept
+    assert info().misses == size + 1
+    assert sum_power(2, specs[1], 0.7) == first[specs[1]]  # evicted: rebuilt
+    assert info().misses == size + 2
 
 
 def _out_of_place_table(B, spec):
-    """Reference: the log q_total chunks, the tail added out of place."""
+    """Reference: the log q_total table grown from the empty string, the
+    tail added out of place."""
+    logq, r = np.zeros(1), np.zeros(1)
+    for _ in range(spec.free_length):
+        logq, r = ds._grow_level(logq, r, B)
+    if not spec.tail_i:
+        return logq
     log_u, v_over_u = ds.transfer.run_tail_logs(spec.tail_digit, spec.tail_i)
-    return [logq + log_u + np.log1p(v_over_u * r) if spec.tail_i else logq for logq, r in ds._state_chunks(B, spec.free_length)]
+    return logq + log_u + np.log1p(v_over_u * r)
 
 
-def _sum_power_out_of_place(chunks, scale_log, rho):
-    """Reference: sum_power's chunk arithmetic with a fresh array per operation."""
-    stats = []
-    for arr in chunks:
-        terms = -2.0 * rho * (scale_log + arr)
-        m = float(terms.max())
-        stats.append((m, float(np.exp(terms - m).sum())))
-    m = max(s[0] for s in stats)
-    return m + math.log(math.fsum(s1 * math.exp(m1 - m) for m1, s1 in stats))
+def _sum_power_out_of_place(table, scale_log, rho):
+    """Reference: sum_power's arithmetic with a fresh array per operation."""
+    terms = -2.0 * rho * (scale_log + table)
+    m = float(terms.max())
+    return m + math.log(float(np.exp(terms - m).sum()))
 
 
 @pytest.mark.parametrize(
-    "B, spec, limits, chunks, cached",
+    "B, spec",
     [
-        (3, SumKernelSpec(free_length=12), None, 1, True),
-        (3, SumKernelSpec(free_length=13, tail_i=1, tail_digit=1), None, 3, True),
-        (4, SumKernelSpec(free_length=7, tail_i=1, tail_digit=2), (64, 256), 4**3, False),
-        (3, SumKernelSpec(free_length=7, tail_i=3, tail_digit=2, scale_log=0.7), None, 1, True),
-        (2, SumKernelSpec(free_length=10, scale_log=-1.3), (2**10, 2**7), 2**3, True),
-        (5, SumKernelSpec(free_length=2, tail_i=2, tail_digit=3, scale_log=0.3), None, 1, True),
+        (3, SumKernelSpec(free_length=12)),
+        (2, SumKernelSpec(free_length=20, tail_i=2, tail_digit=1, scale_log=0.2)),  # 2^20 leaves, the limit
+        (4, SumKernelSpec(free_length=7, tail_i=1, tail_digit=2)),
+        (3, SumKernelSpec(free_length=7, tail_i=3, tail_digit=2, scale_log=0.7)),
+        (2, SumKernelSpec(free_length=10, scale_log=-1.3)),
+        (5, SumKernelSpec(free_length=2, tail_i=2, tail_digit=3, scale_log=0.3)),
     ],
 )
-def test_sum_power_bits_match_out_of_place_expression(monkeypatch, B, spec, limits, chunks, cached):
+def test_sum_power_bits_match_out_of_place_expression(B, spec):
     # a last-bit change in the terms moves the sum's bits at only a few rho
     # (1-4 of 31 in a scratch mutant), so many rho are checked
-    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
-    if limits:
-        monkeypatch.setattr(ds, "_CACHE_LIMIT", limits[0])
-        monkeypatch.setattr(ds, "_CHUNK", limits[1])
+    ds._log_qtotal.cache_clear()
     table = _out_of_place_table(B, spec)
-    assert len(table) == chunks
     for rho in [0.0, *np.linspace(0.05, 1.5, 40), 0.5]:  # the repeat reads the kept table
         assert sum_power(B, spec, rho) == _sum_power_out_of_place(table, spec.scale_log, rho), rho
-    assert bool(ds._table_cache) == cached
+    assert ds._log_qtotal.cache_info().misses == 1  # one table per case
 
 
-def test_cached_chunks_are_read_only_and_unchanged_by_sums(monkeypatch):
-    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
-    monkeypatch.setattr(ds, "_CHUNK", 3**4)
+def test_cached_chunks_are_read_only_and_unchanged_by_sums():
+    ds._log_qtotal.cache_clear()
     specs = (SumKernelSpec(free_length=7, tail_i=2, tail_digit=1), SumKernelSpec(free_length=6, scale_log=0.4))
+    keys = ((3, 7, 1, 2), (3, 6, 0, 0))  # (B, free length, tail digit, tail length)
     for spec in specs:
         for rho in (0.0, 0.25, 0.8, 1.5):
             sum_power(3, spec, rho)
-    kept = dict(ds._table_cache)
-    assert len(kept) == 2 and all(len(chunks) > 1 for chunks in kept.values())
-    for chunks in kept.values():
+    kept = [ds._log_qtotal(*key) for key in keys]
+    assert ds._log_qtotal.cache_info().misses == 2
+    for table in kept:
         with pytest.raises(ValueError):
-            chunks[0] += 1.0
+            table += 1.0
         with pytest.raises(ValueError):
-            np.exp(chunks[-1], out=chunks[-1])
-    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
-    for spec, chunks in zip(specs, kept.values()):
-        fresh = list(ds._log_qtotal_chunks(3, spec))
-        assert len(fresh) == len(chunks)
-        assert all(np.array_equal(a, b) for a, b in zip(fresh, chunks))
+            np.exp(table, out=table)
+    ds._log_qtotal.cache_clear()
+    for key, table in zip(keys, kept):
+        assert np.array_equal(ds._log_qtotal(*key), table)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +214,12 @@ def test_predim_alpha_one_degenerate():
     assert spectral_dim(3, 1, 2) == DimEstimate(0.0, (0.0, 0.0), B_used=3, method="degenerate")
 
 
-def test_predim_hat_shares_one_table_across_run_digits(monkeypatch):
+def test_predim_hat_shares_one_table_across_run_digits():
     # without a tail the run digit only moves the scale, not the table
-    builds = _count_table_builds(monkeypatch)
+    ds._log_qtotal.cache_clear()
     for i in (1, 2):
         predim_hat(3, Fraction(1, 2), i, 8)
-    assert builds == [(3, 8)]
+    assert ds._log_qtotal.cache_info().misses == 1
 
 
 def test_predim_s_close_to_hat():
@@ -302,12 +247,14 @@ def test_predim_tilde_identities():
 
 def test_predim_tilde_operator_backend_agrees(monkeypatch):
     # free = 8 fits a table of 3^9 leaves, free = 10 does not
-    monkeypatch.setattr(ds, "_CACHE_LIMIT", 3**9)
-    monkeypatch.setattr(ds, "_table_cache", OrderedDict())
+    cases = []
     for seg, tag in (((20, 12), "enumerate-tilde"), ((30, 20), "operator-tilde")):
         free, tail = seg[0] - seg[1], seg[1]
         spec = SumKernelSpec(free_length=free, tail_i=tail, tail_digit=1)
         e, _ = ds.solve_decreasing_root(lambda rho: sum_power(3, spec, rho), width=1e-14)
+        cases.append((seg, tag, free, tail, e))
+    monkeypatch.setattr(ds, "_TABLE_LIMIT", 3**9)  # also refuses the 3^10-leaf reference above
+    for seg, tag, free, tail, e in cases:
         o, _ = ds.solve_decreasing_root(
             lambda s: ds.transfer.segment_log_sum(3, 1, free, tail, s), width=4e-16
         )
@@ -517,7 +464,7 @@ def test_dim_limit_agrees_with_spectral_grid():
 
 
 def test_dim_limit_raw_trend_small_steps():
-    est = dim_limit(3, Fraction(1, 2), 1, (8, 10, 12, 14))
+    est = dim_limit(3, Fraction(1, 2), 1, (8, 10, 12))  # 3^14 leaves are past the budget
     diffs = [abs(a - b) for a, b in zip(est.trace, est.trace[1:])]
     assert all(d < 0.02 for d in diffs)
 
@@ -615,6 +562,13 @@ def test_theorem_out_of_range():
         lambda: dim_full(Fraction(1, 2), 0, (4, 8)),
         lambda: dim_full(0, 0),
         lambda: dim_full(1, 0),
+        # before the alpha = 1 shortcut and the kernel spec's own check
+        lambda: predim_hat(3, 1, 0, 8),
+        lambda: predim_s(3, 1, 0, 8),
+        lambda: predim_s(3, Fraction(1, 2), 0, 8),
+        lambda: spectral_dim(3, 1, 0),
+        lambda: predim_tilde(3, 0, (8, 4)),  # enumerated
+        lambda: predim_tilde(3, 0, (40, 4)),  # operator route
     ):
         with pytest.raises(InputOutOfRange, match="need i >= 1, got 0"):
             solve()

@@ -26,8 +26,6 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in src/cfdim or scripts: {found}"
 
 
-# the one module-level mutable cache, bounded by dim_solver._CACHE_LIMIT leaves
-ALLOWED_MODULE_DICTS = {("dim_solver.py", "_table_cache")}
 DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict"}
 
 
@@ -41,9 +39,9 @@ def _is_dict(value) -> bool:
     return False
 
 
-def test_no_module_level_dicts_but_the_table_cache():
-    # a module-level dict is a cache that nothing evicts; other caches go
-    # through functools (lru_cache, cache)
+def test_no_module_level_dicts():
+    # a module-level dict is a cache that nothing evicts; caches go through
+    # functools (lru_cache, cache)
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -54,11 +52,7 @@ def test_no_module_level_dicts_but_the_table_cache():
             else:
                 continue
             if _is_dict(value):
-                found += [
-                    f"{path.name}:{node.lineno} {t.id}"
-                    for t in targets
-                    if isinstance(t, ast.Name) and (path.name, t.id) not in ALLOWED_MODULE_DICTS
-                ]
+                found += [f"{path.name}:{node.lineno} {t.id}" for t in targets if isinstance(t, ast.Name)]
     assert not found, f"module-level dicts in src/cfdim: {found}"
 
 
