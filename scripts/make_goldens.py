@@ -28,6 +28,16 @@ CASES = {
         "cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "3", "--depth-k", "8", "--sample", "10", "--local-dim",
     ],
     "readme_verify_lemmas": ["verify", "--suite", "lemmas"],
+    # the README's dimension curves, without --out; CSV
+    "readme_curve_uniform_set": [
+        "dim", "--kind", "U_set", "--curve", "nu_hat=0..1:23", "--B-schedule", "8,16,32,64",
+    ],
+    "readme_curve_asymptotic_level": [
+        "dim", "--kind", "nu_level", "--curve", "nu=0..4:17", "--B-schedule", "8,16,32,64",
+    ],
+    "readme_curve_runlength_liminf": [
+        "dim", "--kind", "F", "--curve", "alpha=0..1/2:23", "--B-schedule", "8,16,32,64",
+    ],
 }
 
 

@@ -76,12 +76,15 @@ def log_int(n: int) -> float:
 @dataclass(frozen=True)
 class SeqPair:
     """Run-position sequences: the k-th forced run covers n_k+1 .. m_k; every
-    other position is free, in the spec's alphabet 1..B."""
+    other position is free, in the spec's alphabet 1..B.  A schedule without
+    a run raises InputOutOfRange, as k_max < 1 gives one."""
 
     n: Tuple[int, ...]
     m: Tuple[int, ...]
 
     def __post_init__(self):
+        if not self.n and not self.m:
+            raise InputOutOfRange("k_max must be >= 1: the schedule has no run")
         if len(self.n) != len(self.m):
             raise ValueError(f"{len(self.n)} run starts but {len(self.m)} run ends")
         for k in range(len(self.n)):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, cantor, dim_solver, exponents, runlength, verify
+from . import __version__, cantor, dim_solver, exponents, runlength, transfer, verify
 from .cf_core import MAX_DIGIT, RealInput, continuants, expand
 from .errors import Exhausted, Inadmissible, InputOutOfRange, NoConvergence, Overflow
 
@@ -157,7 +157,10 @@ def cmd_expand(args) -> int:
 def _parse_curve(spec: str, kind: str):
     """name=lo..hi[:count] -> (name, values); integer step for int endpoints.
     The name is B or a parameter of the kind's formula.  With a count the
-    endpoints are parameter values, as the parameter flags read them."""
+    endpoints are parameter values, as the parameter flags read them, and the
+    points are the exact rationals lo + k (hi - lo)/(count - 1), k < count,
+    made as they are read; count 1 gives lo.  An infinite endpoint, or a B
+    endpoint above transfer.MAX_B, raises InputOutOfRange before any point."""
     name, _, rng = spec.partition("=")
     names = ("B",) + dim_solver.theorem_params(kind)
     if name not in names:
@@ -167,11 +170,16 @@ def _parse_curve(spec: str, kind: str):
     if not lo or not hi:
         raise ValueError(f"cannot parse curve {spec!r}: need both endpoints, name=lo..hi[:count]")
     if count:
-        if int(count) < 0:
+        n = int(count)
+        if n < 0:
             raise InputOutOfRange(f"curve point count must be >= 0, got {count}")
-        vals = list(np.linspace(float(_parse_param(lo)), float(_parse_param(hi)), int(count)))
+        a, b = (dim_solver.to_fraction(_parse_param(x)) for x in (lo, hi))
+        vals = (a + (b - a) * Fraction(k, max(n - 1, 1)) for k in range(n))
     else:
-        vals = list(range(int(lo), int(hi) + 1))
+        a, b = int(lo), int(hi)
+        vals = range(a, b + 1)
+    if name == "B":
+        transfer.check_alphabet(int(max(a, b)), "--curve B")
     return name, vals
 
 
@@ -191,6 +199,7 @@ def cmd_dim(args) -> int:
     kw = dict(nu_hat=args.nu_hat, nu=args.nu, alpha=args.alpha, beta=args.beta, i=args.i)
     if args.B_schedule:
         kw["B_schedule"] = dim_solver.check_schedule([int(b) for b in args.B_schedule.split(",")], "--B-schedule")
+        transfer.check_alphabet(kw["B_schedule"][-1], "--B-schedule")
     if args.curve:
         name, vals = _parse_curve(args.curve, args.kind)
         if name == "B":

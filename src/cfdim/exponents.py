@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
-from .cf_core import DigitSeq, QuadraticTarget, gauss_shift
+from .cf_core import DigitSeq, QuadraticTarget
 from .errors import Exhausted, InputOutOfRange, InsufficientBlocks
 from .runlength import digit_array, maximal_runs
 
@@ -94,13 +93,28 @@ def exponent_estimates(bd: BlockDecomposition, horizon: int) -> ExponentEstimate
 # ---------------------------------------------------------------------------
 
 
-def forward_run_lengths(a: np.ndarray, i: int) -> np.ndarray:
-    """f[j] = length of the i-run starting at 0-based position j (f[size]=0)."""
+def _longest_common_prefix(d: DigitSeq, i: int, lo: int, hi: int) -> int:
+    """Longest common prefix of T^n(x)'s digits with (i, i, ...) over the
+    shifts lo <= n <= hi, 0 for an empty window: the i-run [s, e) that holds
+    n gives e - n.
+
+    Raises Exhausted for fewer than hi + 1 certified digits, and when an
+    i-run that meets the window ends at the last digit of a sequence that
+    might continue.
+    """
+    a = digit_array(d)
+    if a.size < hi + 1:
+        raise Exhausted(f"need at least {hi + 1} certified digits, have {a.size}")
+    if lo > hi:
+        return 0
     starts, lengths = maximal_runs(a)
-    to_end = np.repeat(starts + lengths, lengths) - np.arange(a.size, dtype=np.int64)
-    f = np.zeros(a.size + 1, dtype=np.int64)
-    f[: a.size] = np.where(a == i, to_end, 0)
-    return f
+    ends = starts + lengths
+    held = (a[starts] == i) & (ends > lo) & (starts <= hi)
+    if not held.any():
+        return 0
+    if not d.complete and ends[held][-1] == a.size:
+        raise Exhausted("common prefix with target runs past certified digits")
+    return int((ends[held] - np.maximum(starts[held], lo)).max())
 
 
 def common_prefix_with_target(d: DigitSeq, n: int, i: int) -> int:
@@ -109,15 +123,9 @@ def common_prefix_with_target(d: DigitSeq, n: int, i: int) -> int:
     Raises Exhausted when the run of i's reaches the end of the certified
     digits of a sequence that might continue.
     """
-    shifted = gauss_shift(d, n)
-    m = 0
-    for a in shifted.digits:
-        if a != i:
-            return m
-        m += 1
-    if shifted.complete:
-        return m
-    raise Exhausted("common prefix with target runs past certified digits")
+    if n < 0:
+        raise ValueError("shift must be >= 0")
+    return _longest_common_prefix(d, i, n, n)
 
 
 def distance_bracket(
@@ -154,28 +162,24 @@ class HitCheck:
         return None
 
 
-def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
-
-
 def _threshold_interval(t: QuadraticTarget, N: int, nu_hat: float):
     """Enclosure of |I_N(y)|^{nu_hat} as (lo, hi) Fractions.
 
     Computed at _THRESHOLD_BITS working precision and widened by a relative
     guard of 2^{-_THRESHOLD_BITS//2}, which dominates the few-ulp error of
-    the exp/log chain by hundreds of bits.
+    the exp/log chain by hundreds of bits.  mpmath is imported here, on the
+    one path that uses it, so that importing cfdim does not load it.
     """
+    import mpmath
+
     length = t.cylinder_length(N)
     with mpmath.workprec(_THRESHOLD_BITS):
         val = mpmath.exp(
             mpmath.mpf(nu_hat)
             * (mpmath.log(mpmath.mpf(length.numerator)) - mpmath.log(mpmath.mpf(length.denominator)))
         )
-        center = _mpf_to_fraction(val)
+    man, exp = val.man_exp
+    center = Fraction(man) * Fraction(2) ** exp
     guard = Fraction(1, 2 ** (_THRESHOLD_BITS // 2))
     return center * (1 - guard), center * (1 + guard)
 
@@ -198,21 +202,11 @@ def uniform_hit_check(
     if nu_hat == 0:
         # threshold |I_N|^0 = 1 strictly exceeds any distance inside [0,1)
         return HitCheck(certain=True, possible=True)
-    a = digit_array(d)
-    if a.size < N + 1:
-        raise Exhausted(f"need at least {N + 1} certified digits, have {a.size}")
-    f = forward_run_lengths(a, t.i)
-    # m at shift n is the run length starting at position n (0-based index n)
-    ms = f[1 : N + 1]
-    boundary = ms + np.arange(1, N + 1) >= a.size
-    if not d.complete and boundary.any():
-        raise Exhausted("a common prefix inside the window runs past certified digits")
-    if ms.size == 0:  # empty window: no shift to hit with
-        return HitCheck(certain=False, possible=False)
-
     # |I_m(y)| strictly decreases in m, so both distance bounds are smallest
-    # at the longest run in the window: that run alone decides the check
-    m = int(ms.max())
+    # at the longest common prefix in the window: it alone decides the check
+    m = _longest_common_prefix(d, t.i, 1, N)
+    if N < 1:  # empty window: no shift to hit with
+        return HitCheck(certain=False, possible=False)
     log_upper = t.log_cylinder_length(m)
     log_lower = log_upper - math.log(2 * (t.i + 2) ** 2)
     log_thr = nu_hat * t.log_cylinder_length(N)

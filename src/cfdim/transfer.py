@@ -36,12 +36,19 @@ from .cf_core import log_run_continuant
 from .errors import InputOutOfRange, NoConvergence
 
 DEFAULT_DEGREE = 32
+MAX_B = 2**12  # largest alphabet bound: its branch rows take 34 MB at the default degree
+
+
+def check_alphabet(B: int, name: str = "alphabet bound") -> None:
+    """Raises InputOutOfRange for B above MAX_B, whose branch rows are not built."""
+    if B > MAX_B:
+        raise InputOutOfRange(f"{name} must be <= {MAX_B}, got {B}")
 
 
 class ChebyshevGrid:
     """Chebyshev-Lobatto nodes on [0,1] with barycentric interpolation, and
-    the read-only branch rows up to the largest B asked for: B (degree + 1)^2
-    float64s, 1.1 MB at B = 128 and the default degree."""
+    the read-only branch rows up to the largest B asked for, at most MAX_B:
+    B (degree + 1)^2 float64s, 1.1 MB at B = 128 and the default degree."""
 
     def __init__(self, degree: int = DEFAULT_DEGREE):
         if degree < 2:
@@ -73,7 +80,9 @@ class ChebyshevGrid:
 
     def branch_rows(self, B: int) -> np.ndarray:
         """(B, n, n) array whose block a - 1 is the interpolation rows at the
-        branch images 1/(a + nodes), a = 1..B; a view of the cached array."""
+        branch images 1/(a + nodes), a = 1..B; a view of the cached array.
+        B above MAX_B raises InputOutOfRange and builds nothing."""
+        check_alphabet(B)
         have = self._branch_rows.shape[0]
         if B > have:
             new = [self.interp_matrix(1.0 / (a + self.nodes)) for a in range(have + 1, B + 1)]

@@ -108,6 +108,16 @@ def test_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
     ]
 
 
+@pytest.mark.parametrize("k_max", [0, -2])
+def test_schedule_without_a_run_is_out_of_range(k_max):
+    # an empty schedule has no m_k to sample to or to weigh a mass by
+    for build in (lambda: construct_sequences(Fraction(1, 3), 1, k_max=k_max),
+                  lambda: construct_sequences(0, 1, k_max=k_max),
+                  lambda: construct_sequences_runlength(Fraction(1, 4), Fraction(1, 2), k_max=k_max)):
+        with pytest.raises(InputOutOfRange, match="k_max must be >= 1"):
+            build()
+
+
 def test_construct_sequences_runlength_targets():
     sp = construct_sequences_runlength(Fraction(1, 3), Fraction(1, 2), k_max=22)
     for k in range(18, 21):

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -421,6 +422,8 @@ E_HAT = ["dim", "--kind", "E_hat", "--nu-hat", "1/2"]
         pytest.param([*CANTOR, "--i", "0"], id="cantor-i0"),
         pytest.param(["dim", "--kind", "nu_level", "--nu", "1", "--curve", "B=0..2"], id="curve-B-below-1"),
         pytest.param(["dim", "--kind", "nu_level", "--nu", "1", "--curve", "nu=0.1..2:-3"], id="curve-count-below-0"),
+        pytest.param(["dim", "--kind", "nu_level", "--nu", "1", "--curve", "B=4097..4097"], id="curve-B-above-cap"),
+        pytest.param(["dim", "--kind", "nu_level", "--nu", "1", "--B-schedule", "8,4097"], id="B-schedule-above-cap"),
         pytest.param([*CANTOR, "--sample", "-1"], id="cantor-sample-below-0"),
         pytest.param([*CANTOR, "--emit-digits", "-5"], id="cantor-emit-digits-below-0"),
         pytest.param([*CANTOR, "--seed", "-1"], id="cantor-seed-below-0"),
@@ -500,6 +503,41 @@ def test_dim_curve_count_endpoints_parse_like_parameter_flags(capsys):
     rc2, out2 = run_cli([*curve, "alpha=0..0.5:3"], capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2 and out1.splitlines()[1:4:2] == ["0.0,1.0,1.0,1.0", "0.5,0.5,0.5,0.5"]
+
+
+def test_dim_curve_count_points_are_exact_rationals(capsys):
+    # k/22 as a rational, not as np.linspace's float: 5/22 prints 0.22727272727272727
+    rc, out = run_cli(["dim", "--kind", "U_set", "--curve", "nu_hat=0..1:23", "--B-schedule", "4,8"], capsys)
+    assert rc == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [repr(float(Fraction(k, 22))) for k in range(23)]
+
+
+@pytest.mark.parametrize("count, params", [("1", ["0.5"]), ("0", [])])
+def test_dim_curve_count_one_gives_lo_and_zero_gives_none(count, params, capsys):
+    rc, out = run_cli(["dim", "--kind", "nu_level", "--curve", f"nu=1/2..4:{count}"], capsys)
+    assert rc == 0
+    assert [row.split(",")[0] for row in out.splitlines()] == ["param", *params]
+
+
+@pytest.mark.parametrize("curve", ["nu=1..inf:3", "nu=inf..1:2"])
+def test_dim_curve_count_with_an_infinite_endpoint_exits3_before_any_point(curve, monkeypatch, capsys):
+    def no_point(*args, **kwargs):
+        raise AssertionError("computed a point before the endpoints were checked")
+
+    monkeypatch.setattr(cli.dim_solver, "theorem_dims", no_point)
+    assert main(["dim", "--kind", "nu_level", "--curve", curve]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("range error: ")
+
+
+@pytest.mark.parametrize(
+    "params", [["--nu-hat", "1/3", "--nu", "1", "--k-max", "0"], ["--nu-hat", "1/3", "--nu", "1", "--k-max", "-2"],
+               ["--alpha", "1/4", "--beta", "1/2", "--k-max", "0"]],
+)
+def test_cantor_schedule_without_a_run_exits3(params, capsys):
+    assert main(["cantor", *params]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "range error: k_max must be >= 1: the schedule has no run\n"
 
 
 @pytest.mark.parametrize("flag", ["--d", "--depth"])

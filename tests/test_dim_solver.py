@@ -411,7 +411,7 @@ def test_warm_started_spectral_roots_equal_cold_roots():
 def test_warm_started_dim_full_and_curves_equal_cold(monkeypatch):
     args = [Fraction(k, 10) for k in range(1, 10)]
     warm_full = [dim_full(a, i) for i in (1, 2) for a in args]
-    # the curve points of scripts/dimension_curves.py at its defaults
+    # the curve points of the README's three `cfdim dim --curve` commands
     grid = [Fraction(k, 22) for k in range(23)]
     curves = [("U_set", "nu_hat", grid), ("nu_level", "nu", [Fraction(k, 4) for k in range(17)]),
               ("F", "alpha", [g / 2 for g in grid])]

@@ -17,7 +17,6 @@ from cfdim.exponents import (
     decompose,
     distance_bracket,
     exponent_estimates,
-    forward_run_lengths,
     uniform_hit_check,
 )
 from cfdim.surd import Surd
@@ -144,12 +143,58 @@ def test_random_digits_nu_small():
 # ---------------------------------------------------------------------------
 
 
-@given(digit_lists, st.integers(min_value=1, max_value=4))
-def test_forward_run_lengths_match_prefix_scan(digits, i):
-    d = digit_seq(digits, complete=True)
-    f = forward_run_lengths(np.asarray(digits), i)
-    assert f[-1] == 0
-    assert f[:-1].tolist() == [common_prefix_with_target(d, n, i) for n in range(len(digits))]
+def _prefix_naive(digits, n, i):
+    """Oracle: (common prefix of digits[n:] with (i, i, ...), whether it reaches the last digit)."""
+    j = n
+    while j < len(digits) and digits[j] == i:
+        j += 1
+    return j - n, j == len(digits)
+
+
+# short runs of 1 and 2, so that i-runs often touch the last digit
+run_digits = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4)), max_size=12
+).map(_digits_from_runs)
+
+
+@given(run_digits, st.integers(min_value=1, max_value=2), st.booleans())
+def test_common_prefix_matches_naive_loop(digits, i, complete):
+    d = digit_seq(digits, complete=complete)
+    for n in range(-1, len(digits) + 2):
+        if n < 0:
+            with pytest.raises(ValueError):
+                common_prefix_with_target(d, n, i)
+            continue
+        m, at_end = _prefix_naive(digits, n, i) if n < len(digits) else (0, True)
+        if n >= len(digits) or (m and at_end and not complete):
+            with pytest.raises(Exhausted):
+                common_prefix_with_target(d, n, i)
+        else:
+            assert common_prefix_with_target(d, n, i) == m
+
+
+@given(run_digits, st.integers(min_value=1, max_value=2), st.booleans(), st.sampled_from([0.3, 0.5, 1.0, 1.5]))
+def test_hit_check_window_matches_naive_loop(digits, i, complete, nu_hat):
+    d, t = digit_seq(digits, complete=complete), target(i)
+    for N in range(-2, len(digits) + 2):
+        prefixes = [_prefix_naive(digits, n, i) for n in range(1, min(N, len(digits) - 1) + 1)]
+        if len(digits) < N + 1 or (not complete and any(m and at_end for m, at_end in prefixes)):
+            with pytest.raises(Exhausted):
+                uniform_hit_check(d, t, N, nu_hat)
+        elif N < 1:  # the empty window: no shift, even where an i-run starts at position 0
+            assert uniform_hit_check(d, t, N, nu_hat) == HitCheck(certain=False, possible=False)
+        else:
+            assert uniform_hit_check(d, t, N, nu_hat) == _hit_reference(d, t, N, nu_hat)
+
+
+def test_hit_check_empty_window_skips_a_run_at_position_zero():
+    # the run at 0 is the prefix of T^0(x) = x, which no window [1, N] holds
+    t = target(1)
+    for complete in (True, False):
+        d = digit_seq([1, 1, 1, 2] if complete else [1, 1, 1], complete=complete)
+        assert uniform_hit_check(d, t, 0, 0.5) == HitCheck(certain=False, possible=False)
+    with pytest.raises(Exhausted):
+        uniform_hit_check(digit_seq([1, 1, 1]), t, 1, 0.5)
 
 
 def test_distance_bracket_upper_example():
@@ -285,7 +330,8 @@ def _hit_reference(d, t, N, nu_hat):
     """Per-n exact decision: any upper bound below the threshold enclosure
     proves a hit, any lower bound below it leaves one possible."""
     thr_lo, thr_hi = _threshold_interval(t, N, nu_hat)
-    brackets = [distance_bracket(d, n, t) for n in range(1, N + 1)]
+    cylinders = [t.cylinder_length(_prefix_naive(d.digits, n, t.i)[0]) for n in range(1, N + 1)]
+    brackets = [(c / (2 * (t.i + 2) ** 2), c) for c in cylinders]
     certain = any(up < thr_lo for _, up in brackets)
     return HitCheck(certain=certain, possible=any(lo < thr_hi for lo, _ in brackets))
 
@@ -304,7 +350,7 @@ def test_hit_check_matches_per_n_exact_reference():
             digits[at:at] = [i] * int(rng.integers(1, 12))
         d = digit_seq(digits, complete=True)
         N = int(rng.integers(1, len(digits)))
-        m_star = int(forward_run_lengths(np.array(digits), i)[1 : N + 1].max())
+        m_star = max(_prefix_naive(digits, n, i)[0] for n in range(1, N + 1))
         if m_star == 0:
             continue
         log_upper = t.log_cylinder_length(m_star)

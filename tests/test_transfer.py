@@ -9,7 +9,7 @@ import pytest
 
 from cfdim import transfer
 from cfdim.cantor import construct_sequences
-from cfdim.errors import NoConvergence
+from cfdim.errors import InputOutOfRange, NoConvergence
 
 
 def _reference_levels(B, i, free, tail, s, degree=transfer.DEFAULT_DEGREE):
@@ -98,6 +98,15 @@ def test_branch_rows_do_not_depend_on_growth_order():
     large_first.branch_rows(128)
     for rows in (small_first.branch_rows(3), large_first.branch_rows(3)):
         assert np.array_equal(rows, first)
+
+
+def test_alphabet_bound_past_the_cap_raises_before_rows_are_built():
+    # the rows of B = 2^12 take 34 MB at the default degree; nothing builds more
+    grid = transfer.get_grid(transfer.DEFAULT_DEGREE)
+    have = grid._branch_rows.shape[0]
+    with pytest.raises(InputOutOfRange, match="must be <= 4096, got 4097"):
+        transfer.transfer_matrix(2**12 + 1, 0.5)
+    assert grid._branch_rows.shape[0] == have
 
 
 def _leading_eigenvalue_with_norm(M, start=None):
