@@ -376,12 +376,12 @@ def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
 
     One start vector serves the whole solve: each pressure evaluation's
     power iteration starts from the eigenvector of the one before, which
-    cuts the iterations by about 30 %.  That moves the pressures in their
-    last bits, but the root depends only on the signs of F at the bisection
-    midpoints, which solve_decreasing_root settles only where |F| >
-    _SIGN_FLOOR; on every root checked the result has the cold start's bits
-    (in practice, not by construction).  At alpha = 1 the finite-alphabet
-    root is exactly 0, as for predim_hat."""
+    cuts the iterations of M^4 by about 17 %.  That and M^4 move pressures
+    in their last bits, but the root depends only on the signs of F at the
+    bisection midpoints, which solve_decreasing_root settles only where
+    |F| > _SIGN_FLOOR; on every root checked the result has the bits of cold
+    plain iteration on M (in practice, not by construction).  At alpha = 1
+    the finite-alphabet root is exactly 0, as for predim_hat."""
     af = _alpha_fraction(alpha)
     _check_run_digit(i)
     if af == 1:

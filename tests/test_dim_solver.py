@@ -360,8 +360,37 @@ def test_pressure_strictly_decreasing_in_s():
 
 
 def test_pressure_at_zero_is_log_alphabet():
-    for B in (1, 2, 7):
-        assert spectral_pressure(B, 0.0) == pytest.approx(math.log(B), abs=1e-11)
+    # L_0 maps constants to B times themselves: P_B(0) = log B is exact
+    for B in (1, 2, 3, 7, 128, 4096):
+        assert spectral_pressure(B, 0.0) == math.log(B)
+
+
+def _plain_leading_eigenvalue(M):
+    """Reference: plain power iteration on M from all ones, stopped when the
+    Rayleigh quotient changes by at most _EIG_TOL relative three steps running."""
+    v = np.ones(M.shape[0])
+    lam_prev = np.inf
+    stable = 0
+    for _ in range(100_000):
+        w = M @ v
+        lam = float(v @ w) / float(v @ v)
+        v = w / math.sqrt(w.dot(w))
+        if lam != 0 and abs(lam - lam_prev) <= transfer._EIG_TOL * abs(lam):
+            stable += 1
+            if stable >= 3:
+                return lam
+        else:
+            stable = 0
+        lam_prev = lam
+    raise AssertionError("reference iteration did not converge")
+
+
+def test_pressure_matches_plain_iteration_at_the_ends():
+    # far from the roots: a steep eigenfunction at s = 400, the largest alphabet near s = 0;
+    # 1e-12 in P is 1e-12 relative in the eigenvalue
+    for B, s in ((2, 400.0), (4096, 1e-3), (1, 0.5), (128, 1.0)):
+        plain = math.log(_plain_leading_eigenvalue(transfer.transfer_matrix(B, s)))
+        assert spectral_pressure(B, s) == pytest.approx(plain, rel=0, abs=1e-12), (B, s)
 
 
 def test_spectral_dim_b2_bounded_type_value():
@@ -378,6 +407,7 @@ def test_spectral_dim_alpha_monotone():
 
 
 def test_spectral_dim_b1_zero():
+    # holds by construction: F(0) = P_1(0) = log 1 = 0 exactly, so the solver returns 0
     for alpha in (0, 0.3):
         assert spectral_dim(1, alpha, 1).value == 0.0
 
@@ -389,18 +419,21 @@ def test_spectral_pressure_rejects_non_finite_and_negative_s(s):
 
 
 def _cold_spectral_dim(B, alpha, i):
-    """Reference: the spectral root with every power iteration started from all ones."""
+    """Reference: the spectral root with every pressure from plain power
+    iteration on M started from all ones, at s = 0 too."""
     af = Fraction(alpha)
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
-    F = lambda s: math.log(transfer.leading_eigenvalue(transfer.transfer_matrix(B, s))) - coeff * s
+    F = lambda s: math.log(_plain_leading_eigenvalue(transfer.transfer_matrix(B, s))) - coeff * s
     root, bracket = ds.solve_decreasing_root(F, width=ds._SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
     return DimEstimate(root, bracket, B_used=B, method="spectral")
 
 
 def test_warm_started_spectral_roots_equal_cold_roots():
-    # the warm start moves pressures in their last bits; the roots keep them
+    # the warm start, the iteration on M^4 and the exact P(0) move pressures
+    # in their last bits; the roots keep the bits of cold plain iteration
     rng = np.random.default_rng(71)
     cases = [(2, 0, 1), (128, Fraction(1, 2), 1), (128, Fraction(3, 4), 3)]
+    cases += [(B, alpha, 1) for alpha in (Fraction(1, 3), Fraction(7, 9)) for B in range(1, 41)]
     for _ in range(37):
         q = int(rng.integers(2, 60))
         cases.append((int(rng.integers(1, 129)), Fraction(int(rng.integers(0, q)), q), int(rng.integers(1, 4))))

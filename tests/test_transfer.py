@@ -110,14 +110,17 @@ def test_alphabet_bound_past_the_cap_raises_before_rows_are_built():
 
 
 def _leading_eigenvalue_with_norm(M, start=None):
-    """Reference: the power iteration with np.linalg.norm and a fresh w / nw,
-    from all ones or from a copy of `start`, into which the last iterate is
-    written on return."""
+    """Reference: the power iteration on M^4 = (M M)(M M) with np.linalg.norm
+    and a fresh w / nw, from all ones or from a copy of `start`, into which
+    the last iterate is written on return; the value is that iterate's
+    Rayleigh quotient on M."""
+    M2 = M @ M
+    M4 = M2 @ M2
     v = np.ones(M.shape[0]) if start is None else start.copy()
     lam_prev = np.inf
     stable = 0
     for _ in range(transfer._EIG_MAXITER):
-        w = M @ v
+        w = M4 @ v
         lam = float(v @ w) / float(v @ v)
         v = w / np.linalg.norm(w)
         if lam != 0 and abs(lam - lam_prev) <= transfer._EIG_TOL * abs(lam):
@@ -125,7 +128,7 @@ def _leading_eigenvalue_with_norm(M, start=None):
             if stable >= 3:
                 if start is not None:
                     start[:] = v
-                return lam
+                return float(v @ (M @ v)) / float(v @ v)
         else:
             stable = 0
         lam_prev = lam
@@ -158,10 +161,31 @@ def test_leading_eigenvalue_warm_start():
         assert np.linalg.norm(mine) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_leading_eigenvalue_matches_lapack():
+    # np.linalg.eigvals (LAPACK's Hessenberg QR) is an independent route to the same eigenvalue
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        B, s = int(rng.integers(1, 129)), float(rng.uniform(0.1, 2.0))
+        M = transfer.transfer_matrix(B, s)
+        ev = np.linalg.eigvals(M)
+        ref = ev[np.argmax(np.abs(ev))]
+        assert ref.imag == 0, (B, s)
+        assert transfer.leading_eigenvalue(M) == pytest.approx(ref.real, rel=1e-12, abs=0), (B, s)
+
+
+def test_leading_eigenvalue_keeps_the_sign_of_a_negative_eigenvalue(monkeypatch):
+    # M^4 = diag(16, 1) has eigenvalue 16; the readback on M gives -2, so pressure refuses it
+    assert transfer.leading_eigenvalue(np.diag([-2.0, 1.0])) == pytest.approx(-2.0, rel=1e-12)
+    monkeypatch.setattr(transfer, "transfer_matrix", lambda B, s: np.diag([-2.0, 1.0]))
+    with pytest.raises(NoConvergence, match="non-positive leading eigenvalue -2"):
+        transfer.pressure(3, 0.5)
+
+
 def test_leading_eigenvalue_leaves_start_unchanged_when_it_raises():
-    # every Rayleigh quotient of a quarter turn is exactly 0: it runs to the
-    # iteration limit
-    for M in (np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[1.0, np.nan], [0.0, 1.0]])):
+    # M^4 of a quarter turn is the identity and M^4 of diag(2, -2) is 16 I,
+    # on which the iteration settles at once; the readback on M (0) misses
+    # them, as plain iteration on M never settles
+    for M in (np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([2.0, -2.0]), np.array([[1.0, np.nan], [0.0, 1.0]])):
         start = np.array([1.0, 1.0])
         with pytest.raises(NoConvergence):
             transfer.leading_eigenvalue(M, start)
@@ -170,11 +194,19 @@ def test_leading_eigenvalue_leaves_start_unchanged_when_it_raises():
         transfer.leading_eigenvalue(transfer.transfer_matrix(3, 0.5), np.zeros(transfer.DEFAULT_DEGREE + 1))
 
 
+@pytest.mark.parametrize("B", [0, 2**12 + 1])
+def test_pressure_at_zero_checks_the_alphabet_first(B):
+    # P_B(0) = log B needs no matrix, but B outside 1..MAX_B is still refused
+    with pytest.raises(InputOutOfRange, match=f"got {B}"):
+        transfer.pressure(B, 0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_leading_eigenvalue_stops_at_a_non_finite_norm(bad):
     M = transfer.transfer_matrix(3, 0.5)
     M[4, 7] = bad
     t0 = time.perf_counter()
-    with pytest.raises(NoConvergence, match="non-finite"):
+    # an inf meets entries of both signs in M @ M: numpy warns of the nan it makes
+    with pytest.raises(NoConvergence, match="non-finite"), np.errstate(invalid="ignore"):
         transfer.leading_eigenvalue(M)
     assert time.perf_counter() - t0 < 0.05
