@@ -103,6 +103,11 @@ class SeqPair:
         """Length of the k-th run (1-based k)."""
         return self.m[k - 1] - self.n[k - 1]
 
+    @cached_property
+    def segments(self) -> Tuple[Tuple[int, int, int], ...]:
+        """(m_{k-1}, n_k, m_k) of every segment k, with m_0 = 0."""
+        return tuple(zip((0,) + self.m[:-1], self.n, self.m))
+
 
 _MAX_ENTRY_BITS = 2**25  # twice m_12 of nu_hat = 0, nu = 1 (16 777 219 bits), the largest default CLI entry
 _MAX_SAMPLE_DEPTH = 2**24  # sample_measure keeps one int reference per digit, in a list and a tuple: ~270 MB
@@ -199,16 +204,8 @@ class CantorSpec:
         Free stretch k is (m_{k-1}, n_k], bounded by B, and the last one is
         (m_K, inf).
         """
-        sp = self.sp
-        out = []
-        m_prev = 0
-        for k in range(sp.k_max + 1):
-            n_k = sp.n[k] if k < sp.k_max else math.inf
-            out.append((m_prev, n_k, self.B))
-            if k < sp.k_max:
-                out.append((n_k, sp.m[k], None))
-                m_prev = sp.m[k]
-        return tuple(out)
+        stretches = [((m_prev, n_k, self.B), (n_k, m_k, None)) for m_prev, n_k, m_k in self.sp.segments]
+        return tuple(chain.from_iterable(stretches)) + ((self.sp.m[-1], math.inf, self.B),)
 
 
 def _bound_at(spec: CantorSpec, pos: int) -> Optional[int]:
@@ -306,9 +303,7 @@ class MeasureContext:
 
     def seg_bounds(self, k: int) -> Tuple[int, int, int]:
         """(m_{k-1}, n_k, m_k) for 1-based segment k."""
-        sp = self.spec.sp
-        m_prev = sp.m[k - 2] if k >= 2 else 0
-        return m_prev, sp.n[k - 1], sp.m[k - 1]
+        return self.spec.sp.segments[k - 1]
 
     def s_tilde(self, k: int) -> DimEstimate:
         if k not in self._s_tilde:
@@ -576,12 +571,11 @@ def sample_measure(
     rng = np.random.default_rng(seed)
     i = int(spec.i)
     out: List[int] = []
-    k = 1
-    while len(out) < depth:
-        m_prev, n_k, m_k = ctx.seg_bounds(k)
+    for k, (_, n_k, m_k) in enumerate(sp.segments, start=1):
+        if len(out) >= depth:
+            break
         out.extend(_sample_segment_free(ctx, k, rng, reject_accidental))
         out.extend([i] * (m_k - n_k))
-        k += 1
     return DigitSeq(tuple(out[:depth]))  # every digit is already an int
 
 
@@ -611,16 +605,15 @@ def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tup
     in closed form.  Each value equals local_dimension(spec, prefix[:m_k]).
     """
     digits = tuple(map(int, prefix))
-    ends = [m_k for m_k in spec.sp.m if m_k <= len(digits)]
-    if not ends:
+    done = [seg for seg in spec.sp.segments if seg[2] <= len(digits)]
+    if not done:
         return ()
-    validate_prefix(spec, digits[: ends[-1]])
+    validate_prefix(spec, digits[: done[-1][2]])
     ctx = measure_context(spec)
     out = []
     lm = 0.0
     q_prev, q = 0, 1
-    for k, m_k in enumerate(ends, start=1):
-        m_prev, n_k, _ = ctx.seg_bounds(k)
+    for k, (m_prev, n_k, m_k) in enumerate(done, start=1):
         free = digits[m_prev:n_k]
         Q1, Q = denominators(free)
         P1, P = denominators(free, 1, 0)

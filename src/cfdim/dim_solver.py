@@ -43,6 +43,7 @@ from .errors import InputOutOfRange, NoConvergence
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
 _SPECTRAL_WIDTH = 1e-8  # bisection width of the spectral roots; dim_full widens its bracket by it
 _SIGN_FLOOR = 1e-8  # |F| past which a sign holds further out: 390x the largest measured departure from monotone
+_HI_CAP = 64.0  # solve_decreasing_root looks for a sign change up to here
 _FALSI_STEPS = 8  # most evaluations before the bisection in solve_decreasing_root; roots use 2-5
 _TABLE_LIMIT = 2**20  # most leaves sum_power enumerates; more raise InputOutOfRange
 
@@ -167,16 +168,13 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
 
 
 def solve_decreasing_root(
-    F: Callable[[float], float],
-    width: float,
-    hi: float = 2.0,
-    hi_cap: float = 64.0,
+    F: Callable[[float], float], width: float, hi: float = 2.0
 ) -> Tuple[float, Tuple[float, float]]:
     """Bisection root of a strictly decreasing F with F(root) = 0, from
     fewer evaluations of F.
 
     Returns (midpoint, bracket) of plain bisection to `width` on the first
-    sign change among 0, hi, 2 hi, ... <= hi_cap; F(0) <= 0 short-circuits
+    sign change among 0, hi, 2 hi, ... <= _HI_CAP; F(0) <= 0 short-circuits
     to 0.  Those depend only on the signs of F at the midpoints, and a point
     p with F(p) > _SIGN_FLOOR settles the sign at every midpoint <= p (with
     F(p) < -_SIGN_FLOOR, at every midpoint >= p).  Regula falsi with
@@ -194,8 +192,8 @@ def solve_decreasing_root(
     while f_hi > 0:
         lo = hi
         hi *= 2
-        if hi > hi_cap:
-            raise NoConvergence(f"no sign change up to rho = {hi_cap}")
+        if hi > _HI_CAP:
+            raise NoConvergence(f"no sign change up to rho = {_HI_CAP}")
         f_hi = F(hi)
     if not f_hi < 0:
         # hit a float plateau at 0: the sum has a term pinned at 1 and never
@@ -257,13 +255,11 @@ def check_schedule(schedule: Sequence[int], name: str) -> Tuple[int, ...]:
     return values
 
 
-def _aitken_limit(
-    schedule: Sequence[int], name: str, raw_at: Callable[[int], float], pad: float, **fields
-) -> DimEstimate:
-    """Aitken limit of raw_at(x) along a strictly increasing schedule, clamped
-    to [0, 1]; the bracket is the last raw value +- (its distance to the
-    extrapolated one + pad), clamped to [0, 1] and widened to hold the value."""
-    raw = [raw_at(x) for x in check_schedule(schedule, name)]
+def _aitken_limit(schedule: Tuple[int, ...], raw_at: Callable[[int], float], pad: float, **fields) -> DimEstimate:
+    """Aitken limit of raw_at(x) along a checked schedule, clamped to [0, 1];
+    the bracket is the last raw value +- (its distance to the extrapolated
+    one + pad), clamped to [0, 1] and widened to hold the value."""
+    raw = [raw_at(x) for x in schedule]
     extrap, last = aitken(raw), raw[-1]
     r = abs(last - extrap) + pad
     value = min(max(extrap, 0.0), 1.0)
@@ -347,9 +343,9 @@ def dim_limit(B: int, alpha: Number, i: int, n_schedule: Sequence[int]) -> DimEs
     """Pre-dimensional numbers along an increasing n-schedule plus Aitken
     extrapolation; the bracket is the last raw value +- its distance to the
     extrapolated one."""
+    ns = check_schedule(n_schedule, "n_schedule")
     return _aitken_limit(
-        n_schedule, "n_schedule", lambda n: predim_hat(B, alpha, i, n).value, 0.0,
-        n_used=list(n_schedule)[-1], B_used=B, method="enumerate-limit",
+        ns, lambda n: predim_hat(B, alpha, i, n).value, 0.0, n_used=ns[-1], B_used=B, method="enumerate-limit"
     )
 
 
@@ -359,13 +355,11 @@ def dim_limit(B: int, alpha: Number, i: int, n_schedule: Sequence[int]) -> DimEs
 
 
 def spectral_pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
-    """P_B(s): log leading eigenvalue of the weighted transfer operator.
-
-    Defined for any finite s >= 0 on a finite alphabet (the branch sums are
-    finite); conditioning is excellent on [0, ~4] which covers every root
-    this package solves for.  `start` is the power iteration's start vector,
-    updated in place as in transfer.leading_eigenvalue.
-    """
+    """P_B(s): log leading eigenvalue of the weighted transfer operator, for
+    0 <= s <= 4 (transfer.pressure raises InputOutOfRange past 4, where its
+    collocation goes wrong silently); every root this package solves for
+    lies in [0, 1].  `start` is the power iteration's start vector, updated
+    in place as in transfer.leading_eigenvalue."""
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be finite and >= 0, got {s}")
     return transfer.pressure(B, s, start)
@@ -389,7 +383,8 @@ def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
     start = np.ones(transfer.DEFAULT_DEGREE + 1)
     F = lambda s: spectral_pressure(B, s, start) - coeff * s
-    root, bracket = solve_decreasing_root(F, width=_SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
+    # F(1) = P_B(1) - coeff < 0, as lambda_B(1) < 1 for finite B: the sign search stops at hi = 1
+    root, bracket = solve_decreasing_root(F, width=_SPECTRAL_WIDTH, hi=1.0)
     return DimEstimate(root, bracket, B_used=B, method="spectral")
 
 
@@ -414,9 +409,9 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
     if af == 0 or af == 1:
         value = 1.0 if af == 0 else 0.5
         return DimEstimate(value, (value, value), method="convention")
+    Bs = check_schedule(B_schedule, "B_schedule")
     return _aitken_limit(
-        B_schedule, "B_schedule", lambda B: spectral_dim(B, af, i).value, _SPECTRAL_WIDTH,
-        B_used=list(B_schedule)[-1], method="spectral-extrapolated",
+        Bs, lambda B: spectral_dim(B, af, i).value, _SPECTRAL_WIDTH, B_used=Bs[-1], method="spectral-extrapolated"
     )
 
 
@@ -521,7 +516,7 @@ def theorem_dims(
     alpha: Optional[Number] = None,
     beta: Optional[Number] = None,
     i: int = 1,
-    B_schedule: Optional[Sequence[int]] = None,
+    B_schedule: Sequence[int] = DEFAULT_B_SCHEDULE,
 ) -> DimEstimate:
     """Piecewise dimension formulas for the uniform/asymptotic exponent and
     run-length level sets.
@@ -540,4 +535,4 @@ def theorem_dims(
     xi = theorem_argument(kind, nu_hat=nu_hat, nu=nu, alpha=alpha, beta=beta)
     if xi is None:
         return DimEstimate(0.0, (0.0, 0.0), method="piecewise-zero")
-    return dim_full(xi, theorem_run_digit(kind, i), B_schedule or DEFAULT_B_SCHEDULE)
+    return dim_full(xi, theorem_run_digit(kind, i), B_schedule)

@@ -8,7 +8,8 @@ the common digit prefix of T^n(x) with the constant sequence (i, i, ...):
 Block decomposition keeps the "record" i-runs of x: the maximal runs of the
 digit i that are strictly longer than every earlier one.  The exponents are
 finite-scale liminf/limsup of the record ratios (m_k - n_k)/n_{k+1} and
-(m_k - n_k)/n_k.
+(m_k - n_k)/n_k.  RecordScan finds the records: `decompose` pushes one row
+through it, and verify.RecordTracker extends it to the Monte Carlo samples.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,19 +47,73 @@ class ExponentEstimate:
     k_used: int
 
 
+class RecordScan:
+    """Record blocks of the digit i in each of `rows` digit strings, scanned
+    as `push` feeds the next digits of every row.  A run of i open at the
+    last digit pushed closes at the next push that starts with another digit."""
+
+    def __init__(self, rows: int, i: int):
+        self.i = i
+        self.pos = 0
+        self.runlen = np.zeros(rows, dtype=np.int64)  # the open run of i at each row's end
+        self.best = np.zeros(rows, dtype=np.int64)  # the last closed record's length
+        self._closed: List[List[Tuple[int, int]]] = [[] for _ in range(rows)]
+
+    def _close(self, k: int, end: int, length: int) -> None:
+        self._closed[k].append((end - length, end))
+        self.best[k] = length
+
+    def push(self, block: np.ndarray) -> None:
+        """Feed the next digits of every row, a (rows, width) block; it is
+        read, not kept.  Only record runs reach Python code."""
+        nrows, width = block.shape
+        pos, runlen, best = self.pos, self.runlen, self.best
+        isi = block == self.i
+        head, tail = isi[:, 0], isi[:, -1]
+        # a carried run that ends at the block's first digit
+        for k in np.flatnonzero((runlen > best) & ~head).tolist():
+            self._close(k, pos, int(runlen[k]))
+        starts, lengths = maximal_runs(isi)  # runs of i and of other digits, alternating
+        first = starts.searchsorted(np.arange(nrows) * width)
+        last = np.append(first[1:], starts.size) - 1
+        lengths[first] += runlen * head  # the carried run goes on
+        self.runlen = np.where(tail, lengths[last], 0)
+        lengths[last[tail]] = 0  # runs still open at the block's end close later
+        self.pos += width
+        # a closed run of i is a record when it is longer than its row's
+        # best and than every earlier run of the row in this block: screen
+        # by the smallest best, then compare keys that sort by row, then
+        # by length, with their running maximum
+        cand = np.flatnonzero(isi.ravel()[starts] & (lengths > best.min()))
+        rows = first.searchsorted(cand, side="right")
+        rows -= 1
+        L = lengths[cand]
+        key = rows * (pos + width + 1)
+        key += L
+        rec = L > best[rows]
+        rec[1:] &= key[1:] > np.maximum.accumulate(key[:-1])
+        cand, rows, L = cand[rec], rows[rec], L[rec]
+        ends = pos + starts[cand + 1] - rows * width  # where the next run of the row starts
+        for k, end, length in zip(rows.tolist(), ends.tolist(), L.tolist()):
+            self._close(k, end, length)
+
+    def records(self, k: int) -> Tuple[Tuple[int, int], ...]:
+        """Record blocks of row k, the still-open run included when it is one."""
+        rl = int(self.runlen[k])
+        open_run = ((self.pos - rl, self.pos),) if rl > self.best[k] else ()
+        return tuple(self._closed[k]) + open_run
+
+
 def decompose(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
     a = digit_array(d)
     if a.size == 0:
         raise ValueError("empty digit sequence")
-    starts, lengths = maximal_runs(a)
-    hit = a[starts] == i
-    if not hit.any():
+    scan = RecordScan(1, i)
+    scan.push(a.reshape(1, -1))
+    records = scan.records(0)
+    if not records:
         raise InputOutOfRange(f"digit {i} never occurs")
-    starts, lengths = starts[hit], lengths[hit]
-    # strictly longer than every earlier i-run, with 0 before the first
-    rec = lengths > np.maximum.accumulate(np.concatenate(([0], lengths[:-1])))
-    ends = starts[rec] + lengths[rec]
-    return BlockDecomposition(i=i, record_blocks=tuple(zip(starts[rec].tolist(), ends.tolist())))
+    return BlockDecomposition(i=i, record_blocks=records)
 
 
 def exponent_estimates(bd: BlockDecomposition, horizon: int) -> ExponentEstimate:
@@ -72,9 +127,7 @@ def exponent_estimates(bd: BlockDecomposition, horizon: int) -> ExponentEstimate
     recs = [(n, m) for (n, m) in bd.record_blocks if m <= horizon]
     if len(recs) < 2:
         raise InsufficientBlocks(f"need >= 2 record blocks within horizon, have {len(recs)}")
-    nu_pairs = recs
-    tail_nu = nu_pairs[len(nu_pairs) // 2 :]
-    nu_est = max((m - n) / n for n, m in tail_nu)
+    nu_est = max((m - n) / n for n, m in recs[len(recs) // 2 :])
 
     hat_pairs = [
         (recs[k], recs[k + 1][0])

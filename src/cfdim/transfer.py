@@ -114,6 +114,7 @@ def transfer_matrix(B: int, s: float, degree: int = DEFAULT_DEGREE) -> np.ndarra
 _EIG_TOL = 1e-12  # relative change of M^4's Rayleigh quotient, three steps running
 _EIG_MAXITER = 100_000  # iterations of M^4
 _READBACK_TOL = 1e-9  # relative gap of (readback on M)^4 from M^4's eigenvalue; 2000x the largest measured
+_MAX_PRESSURE_S = 4.0  # largest s that pressure takes (see there)
 
 
 def leading_eigenvalue(M: np.ndarray, start: Optional[np.ndarray] = None) -> float:
@@ -167,9 +168,15 @@ def leading_eigenvalue(M: np.ndarray, start: Optional[np.ndarray] = None) -> flo
 
 
 def pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
-    """log of the leading eigenvalue of L_s on {1..B}; `start` as in
-    leading_eigenvalue.  L_0 maps constants to B times themselves, so at
-    s = 0 it is exactly log B, from no matrix and with `start` untouched."""
+    """log of the leading eigenvalue of L_s on {1..B} for s <= 4, else
+    InputOutOfRange; `start` as in leading_eigenvalue.  At s = 0 it is
+    exactly log B (L_0 maps constants to B times themselves), from no matrix
+    and with `start` untouched.  Up to s = 4.5 the default degree is exact
+    to rounding (|P_1(s) + 2 s log phi| <= 7e-15; degree 64 agrees within
+    1e-13 at B = 2, 3, 16, 256, 4096); past it both go wrong silently: P_1
+    is 0.51 off at s = 5 and 2.9 at s = 8, the degrees 0.23 apart at s = 5."""
+    if s > _MAX_PRESSURE_S:
+        raise InputOutOfRange(f"s must be <= {_MAX_PRESSURE_S}, got {s}")
     if s == 0 and 1 <= B <= MAX_B:
         return math.log(B)
     lam = leading_eigenvalue(transfer_matrix(B, s), start)

@@ -297,65 +297,16 @@ class RunMaxTracker:
         return rep
 
 
-class RecordTracker:
-    """Record blocks of the digit i, tracked as `push` feeds the next block of
-    digits of every sample; they equal `exponents.decompose(...).record_blocks`
-    of the digits pushed so far."""
+class RecordTracker(exponents.RecordScan):
+    """The exponents.RecordScan of every sample's digits, with the
+    snapshots and report of the nu = 0 law."""
 
     suite = "mc_nu_zero"
 
     def __init__(self, samples: int, i: int):
-        self.i = i
-        self.pos = 0
-        self.runlen = np.zeros(samples, dtype=np.int64)  # the open run of i at each sample's end
-        self.best = np.zeros(samples, dtype=np.int64)  # the last closed record's length
-        self._closed: List[List[Tuple[int, int]]] = [[] for _ in range(samples)]
+        super().__init__(samples, i)
         self.series: List[Dict[str, float]] = []
         self.hat_le_nu_violations = 0
-
-    def _close(self, k: int, end: int, length: int) -> None:
-        self._closed[k].append((end - length, end))
-        self.best[k] = length
-
-    def push(self, block: np.ndarray) -> None:
-        """Feed the next digits of every sample, a (samples, width) block;
-        it is read, not kept.  Only record runs reach Python code."""
-        samples, width = block.shape
-        pos, runlen, best = self.pos, self.runlen, self.best
-        isi = block == self.i
-        head, tail = isi[:, 0], isi[:, -1]
-        # a carried run that ends at the block's first digit
-        for k in np.flatnonzero((runlen > best) & ~head).tolist():
-            self._close(k, pos, int(runlen[k]))
-        starts, lengths = maximal_runs(isi)  # runs of i and of other digits, alternating
-        first = starts.searchsorted(np.arange(samples) * width)
-        last = np.append(first[1:], starts.size) - 1
-        lengths[first] += runlen * head  # the carried run goes on
-        self.runlen = np.where(tail, lengths[last], 0)
-        lengths[last[tail]] = 0  # runs still open at the block's end close later
-        self.pos += width
-        # a closed run of i is a record when it is longer than its sample's
-        # best and than every earlier run of the sample in this block: screen
-        # by the smallest best, then compare keys that sort by sample, then
-        # by length, with their running maximum
-        cand = np.flatnonzero(isi.ravel()[starts] & (lengths > best.min()))
-        rows = first.searchsorted(cand, side="right")
-        rows -= 1
-        L = lengths[cand]
-        key = rows * (pos + width + 1)
-        key += L
-        rec = L > best[rows]
-        rec[1:] &= key[1:] > np.maximum.accumulate(key[:-1])
-        cand, rows, L = cand[rec], rows[rec], L[rec]
-        ends = pos + starts[cand + 1] - rows * width  # where the next run of the row starts
-        for k, end, length in zip(rows.tolist(), ends.tolist(), L.tolist()):
-            self._close(k, end, length)
-
-    def records(self, k: int) -> Tuple[Tuple[int, int], ...]:
-        """Record blocks of sample k, the still-open run included when it is one."""
-        rl = int(self.runlen[k])
-        open_run = ((self.pos - rl, self.pos),) if rl > self.best[k] else ()
-        return tuple(self._closed[k]) + open_run
 
     def estimates(self, k: int) -> Optional[exponents.ExponentEstimate]:
         """Exponent estimates of sample k at the current position, or None

@@ -309,7 +309,7 @@ def _random_roots(rng):
         af = Fraction(int(rng.integers(0, 89)), 89)
         coeff = 2.0 * float(af / (1 - af)) * ds.log_tau(i)
         F = lambda s, B=B, coeff=coeff: spectral_pressure(B, s) - coeff * s
-        yield "spectral", F, ds._SPECTRAL_WIDTH, {"hi": 1.0, "hi_cap": 8.0}
+        yield "spectral", F, ds._SPECTRAL_WIDTH, {"hi": 1.0}
     for width in (1e-12, 1e-14):
         for _ in range(8):
             B, n = int(rng.integers(2, 5)), int(rng.integers(2, 9))
@@ -348,9 +348,9 @@ def test_solver_returns_plain_bisection_bits_from_fewer_evaluations():
 
 def test_pressure_single_branch_closed_form():
     # one inverse branch: pressure is -2 s log(phi), the value at the golden
-    # fixed point x = 1/(1+x)
-    for s in (0.2, 0.5, 1.0, 1.7):
-        assert spectral_pressure(1, s) == pytest.approx(-2 * s * math.log(PHI), abs=1e-11)
+    # fixed point x = 1/(1+x), over pressure's whole range
+    for s in np.linspace(0.0, 4.0, 33):
+        assert spectral_pressure(1, s) == pytest.approx(-2 * s * math.log(PHI), abs=1e-13), s
 
 
 def test_pressure_strictly_decreasing_in_s():
@@ -386,11 +386,15 @@ def _plain_leading_eigenvalue(M):
 
 
 def test_pressure_matches_plain_iteration_at_the_ends():
-    # far from the roots: a steep eigenfunction at s = 400, the largest alphabet near s = 0;
-    # 1e-12 in P is 1e-12 relative in the eigenvalue
-    for B, s in ((2, 400.0), (4096, 1e-3), (1, 0.5), (128, 1.0)):
+    # far from the roots: the largest alphabet near s = 0; 1e-12 in P is 1e-12
+    # relative in the eigenvalue
+    for B, s in ((4096, 1e-3), (1, 0.5), (128, 1.0)):
         plain = math.log(_plain_leading_eigenvalue(transfer.transfer_matrix(B, s)))
         assert spectral_pressure(B, s) == pytest.approx(plain, rel=0, abs=1e-12), (B, s)
+    # the M^4 readback on a steep eigenfunction, at s = 400: past pressure's range
+    M = transfer.transfer_matrix(2, 400.0)
+    plain = math.log(_plain_leading_eigenvalue(M))
+    assert math.log(transfer.leading_eigenvalue(M)) == pytest.approx(plain, rel=0, abs=1e-12)
 
 
 def test_spectral_dim_b2_bounded_type_value():
@@ -424,7 +428,7 @@ def _cold_spectral_dim(B, alpha, i):
     af = Fraction(alpha)
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
     F = lambda s: math.log(_plain_leading_eigenvalue(transfer.transfer_matrix(B, s))) - coeff * s
-    root, bracket = ds.solve_decreasing_root(F, width=ds._SPECTRAL_WIDTH, hi=1.0, hi_cap=8.0)
+    root, bracket = ds.solve_decreasing_root(F, width=ds._SPECTRAL_WIDTH, hi=1.0)
     return DimEstimate(root, bracket, B_used=B, method="spectral")
 
 
@@ -510,6 +514,23 @@ def test_dim_full_conventions():
     assert dim_full(0, 1) == DimEstimate(1.0, (1.0, 1.0), method="convention") == theorem_dims("F", alpha=0)
     assert dim_full(1, 2, (4, 8)) == DimEstimate(0.5, (0.5, 0.5), method="convention")
     assert theorem_dims("nu_level", nu=float("inf")) == DimEstimate(0.5, (0.5, 0.5), method="convention")
+
+
+def test_dim_full_empty_schedule_raises_input_out_of_range():
+    with pytest.raises(InputOutOfRange, match="B_schedule must be strictly increasing"):
+        dim_full(Fraction(1, 2), 1, [])
+    # the endpoint conventions return before the schedule is read
+    assert dim_full(0, 1, []) == dim_full(0, 1)
+
+
+def test_dim_limit_empty_schedule_raises_input_out_of_range():
+    with pytest.raises(InputOutOfRange, match="n_schedule must be strictly increasing"):
+        dim_limit(2, Fraction(1, 4), 1, [])
+
+
+def test_theorem_dims_empty_schedule_is_not_the_default():
+    with pytest.raises(InputOutOfRange, match="B_schedule must be strictly increasing"):
+        theorem_dims("E_hat", nu_hat=Fraction(1, 2), B_schedule=[])
 
 
 def test_dim_full_interior_range_and_monotone():

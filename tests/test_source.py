@@ -26,6 +26,37 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in src/cfdim or scripts: {found}"
 
 
+# numpy and mpmath are the declared dependencies; scipy is installed in some
+# environments but not declared, so nothing may import it
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "mpmath", "cfdim"}
+
+
+def _foreign_imports(paths):
+    """path:line module of every absolute import outside ALLOWED_IMPORTS."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.partition(".")[0] not in ALLOWED_IMPORTS]
+    return found
+
+
+def test_imports_are_stdlib_or_declared():
+    found = _foreign_imports(sorted([*SRC.rglob("*.py"), *(ROOT / "scripts").rglob("*.py")]))
+    assert not found, f"imports of undeclared packages in src/cfdim or scripts: {found}"
+
+
+def test_import_guard_catches_an_undeclared_package(tmp_path):
+    mutant = tmp_path / "mutant.py"
+    mutant.write_text("import math\n\ndef f():\n    from scipy.linalg import eig\n    import numpy.linalg, scipy\n")
+    assert _foreign_imports([mutant]) == ["mutant.py:4 scipy.linalg", "mutant.py:5 scipy"]
+
+
 DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict"}
 
 

@@ -210,3 +210,21 @@ def test_leading_eigenvalue_stops_at_a_non_finite_norm(bad):
     with pytest.raises(NoConvergence, match="non-finite"), np.errstate(invalid="ignore"):
         transfer.leading_eigenvalue(M)
     assert time.perf_counter() - t0 < 0.05
+
+
+@pytest.mark.parametrize("B", [2, 3, 16, 256, 4096])
+def test_pressure_at_s_4_does_not_move_when_the_degree_doubles(B):
+    # degree 64 by the branch loop on a grid of its own: the cached rows of
+    # B = 4096 would take 138 MB at that degree
+    grid = transfer.ChebyshevGrid(64)
+    x = grid.nodes
+    M = np.zeros((x.size, x.size))
+    for a in range(1, B + 1):
+        M += (a + x)[:, None] ** -8.0 * grid.interp_matrix(1.0 / (a + x))
+    assert abs(transfer.pressure(B, 4.0) - math.log(transfer.leading_eigenvalue(M))) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [4.5, 5.0, 400.0])
+def test_pressure_past_s_4_raises(s):
+    with pytest.raises(InputOutOfRange, match=f"s must be <= 4.0, got {s}"):
+        transfer.pressure(2, s)

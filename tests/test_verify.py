@@ -26,6 +26,7 @@ from cfdim.verify import (
     sample_digits_decimal,
     solver_crosscheck,
 )
+from test_exponents import _raw_blocks_oracle, _select_records_oracle
 
 
 def test_fixtures_present():
@@ -295,7 +296,9 @@ def test_record_tracker_matches_decompose_reference():
     for k in range(25):
         got = tracker.estimates(k)
         bd = exponents.decompose(M[k], 1)
-        assert tracker.records(k) == bd.record_blocks
+        # decompose runs the tracker's scan; the oracle is code of its own
+        oracle = tuple(_select_records_oracle(_raw_blocks_oracle(M[k].tolist(), 1)))
+        assert tracker.records(k) == bd.record_blocks == oracle
         try:
             ref = exponents.exponent_estimates(bd, n)
         except InsufficientBlocks:
@@ -363,7 +366,8 @@ def test_block_trackers_equal_row_scans_at_every_chunk_edge(monkeypatch):
         assert np.array_equal(runs.rmax, R[:, h - 1]), h
         for k, row in enumerate(M[:, :h]):
             ref = exponents.decompose(row, 1).record_blocks if (row == 1).any() else ()
-            assert records.records(k) == ref, (h, k)
+            oracle = tuple(_select_records_oracle(_raw_blocks_oracle(row.tolist(), 1)))
+            assert records.records(k) == ref == oracle, (h, k)
     assert records.records(0)[:2] == ((4, 7), (10, 21)) and runs.rmax[2] == 23
 
 
