@@ -559,10 +559,12 @@ def sample_measure(
     i-run can disturb the designed record blocks (runs capped below the
     previous designed run length and never adjacent to a designed run), so
     record extraction reproduces the designed blocks exactly; switch it off
-    for unconditioned measure-fidelity checks.  A depth above
-    _MAX_SAMPLE_DEPTH raises InputOutOfRange before any segment is solved.
+    for unconditioned measure-fidelity checks.  A negative depth, or one above
+    _MAX_SAMPLE_DEPTH, raises InputOutOfRange before any segment is solved.
     """
     sp = spec.sp
+    if depth < 0:
+        raise InputOutOfRange(f"depth {depth} is negative")
     if depth > sp.m[-1]:
         raise InputOutOfRange(f"depth {depth} beyond materialized schedule (m_{sp.k_max} = {sp.m[-1]})")
     if depth > _MAX_SAMPLE_DEPTH:

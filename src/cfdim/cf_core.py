@@ -4,9 +4,9 @@ Expansion of rationals / quadratic surds / uncertainty-budgeted decimals into
 partial quotients, continuant tables p_k, q_k, exact cylinder intervals, the
 digit shift realizing the Gauss map, and quadratic targets y = [i, i, ...].
 
-Everything here is exact: rationals are `fractions.Fraction`, surds live in
-`cfdim.surd.Surd`, continuants are arbitrary-precision integers.  Floating
-point appears only in convenience accessors.
+Everything here is exact: rationals are `fractions.Fraction`, surd inputs
+integer PQa states, targets `cfdim.surd.Surd`s, continuants big integers.
+Floating point appears only in convenience accessors.
 """
 
 from __future__ import annotations
@@ -31,18 +31,21 @@ MAX_DIGIT = 2**63 - 1  # machine-word cap on a single partial quotient
 @dataclass(frozen=True)
 class RealInput:
     """A number x in (0,1) given exactly (rational, surd) or with a precision
-    budget (decimal string).
+    budget (decimal string).  kind: "rational" | "surd" | "decimal".
 
-    kind: "rational" | "surd" | "decimal"
+    A surd is the state pqa = (P, Q, D) its PQa expansion starts from: x =
+    (P + sqrt(D))/Q, D a positive non-square, Q | D - P^2.  Building one
+    checks 0 < x < 1 in integers, as floor(x) == 0.
     """
 
     kind: str
     frac: Optional[Fraction] = None
-    surd_u: int = 0
-    surd_v: int = 0
-    surd_w: int = 1
-    surd_d: int = 0
+    pqa: Optional[Tuple[int, int, int]] = None
     precision_bits: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind == "surd" and _surd_floor(*self.pqa[:2], math.isqrt(self.pqa[2])) != 0:
+            raise InputOutOfRange("surd does not lie in (0,1)")
 
     @staticmethod
     def rational(p: int, q: int) -> "RealInput":
@@ -57,10 +60,9 @@ class RealInput:
             raise InputOutOfRange(f"radicand {d} must be a positive non-square")
         if v == 0 or w == 0:
             raise InputOutOfRange("surd must be irrational with nonzero denominator")
-        x = Surd(Fraction(u, w), Fraction(v, w), d)
-        if not (x.sign() > 0 and (x - 1).sign() < 0):
-            raise InputOutOfRange("surd does not lie in (0,1)")
-        return RealInput(kind="surd", surd_u=u, surd_v=v, surd_w=w, surd_d=d)
+        if v < 0:
+            u, v, w = -u, -v, -w
+        return RealInput(kind="surd", pqa=(u * abs(w), w * abs(w), v * v * d * w * w))
 
     @staticmethod
     def decimal_input(s: str, precision_bits: Optional[int] = None) -> "RealInput":
@@ -299,29 +301,20 @@ def _expand_rational(x: Fraction, n: int) -> Tuple[Tuple[int, ...], bool]:
     return tuple(digits), r == 0
 
 
+def _surd_floor(P: int, Q: int, s: int) -> int:
+    """floor((P + sqrt(D))/Q) from s = isqrt(D): P + s < P + sqrt(D) < P + s + 1."""
+    return (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
+
+
 def _expand_surd_digits(x: RealInput, n: int) -> Tuple[int, ...]:
-    """PQa algorithm on (P + sqrt(D))/Q with the invariant Q | (D - P^2)."""
-    u, v, w, dd = x.surd_u, x.surd_v, x.surd_w, x.surd_d
-    if v < 0:
-        u, v, w = -u, -v, -w
-    P = u * abs(w)
-    D = v * v * dd * w * w
-    Q = w * abs(w)
+    """PQa algorithm on (P + sqrt(D))/Q, Q | D - P^2, from the input's state."""
+    P, Q, D = x.pqa
     s = math.isqrt(D)
-
-    def fl(P, Q):
-        if Q > 0:
-            return (P + s) // Q
-        return -((P + s) // (-Q)) - 1
-
-    if fl(P, Q) != 0:
-        raise InputOutOfRange("surd not in (0,1)")
-    digits = []
-    a = 0
+    digits, a = [], 0
     for _ in range(n):
         P = a * Q - P
         Q = (D - P * P) // Q
-        a = fl(P, Q)
+        a = _surd_floor(P, Q, s)
         digits.append(a)
     return tuple(digits)
 

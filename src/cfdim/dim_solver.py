@@ -106,14 +106,9 @@ class SumKernelSpec:
 
 
 def _grow_level(logq: np.ndarray, r: np.ndarray, B: int) -> Tuple[np.ndarray, np.ndarray]:
-    n = logq.size
-    new_logq = np.empty(B * n)
-    new_r = np.empty(B * n)
-    for k, a in enumerate(range(1, B + 1)):
-        ar = a + r
-        new_logq[k * n : (k + 1) * n] = logq + np.log(ar)
-        new_r[k * n : (k + 1) * n] = 1.0 / ar
-    return new_logq, new_r
+    ar = np.arange(1, B + 1)[:, None] + r  # row a - 1 holds a + r, a-major
+    new_r = (1.0 / ar).ravel()
+    return np.add(np.log(ar, out=ar), logq, out=ar).ravel(), new_r  # two level-sized arrays at a time
 
 
 @functools.lru_cache(maxsize=2**23 // _TABLE_LIMIT)  # 8 tables, 64 MB at most

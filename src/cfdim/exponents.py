@@ -250,7 +250,7 @@ def uniform_hit_check(
     exact arithmetic, so `certain`/`possible` are rigorous.
     """
     nu_hat = float(nu_hat)
-    if nu_hat < 0:
+    if not nu_hat >= 0:  # NaN too: every comparison with it is False
         raise ValueError("nu_hat must be >= 0")
     if nu_hat == 0:
         # threshold |I_N|^0 = 1 strictly exceeds any distance inside [0,1)

@@ -428,6 +428,15 @@ def test_sample_depth_guard(spec13):
         sample_measure(spec13, depth=spec13.sp.m[-1] + 1, seed=0)
 
 
+def test_sample_measure_refuses_a_negative_depth_before_any_solve(monkeypatch, spec13):
+    def no_context(spec):
+        raise AssertionError("reached measure_context")
+
+    monkeypatch.setattr(cantor, "measure_context", no_context)
+    with pytest.raises(InputOutOfRange, match="depth -5 is negative"):
+        sample_measure(spec13, depth=-5, seed=0)
+
+
 def test_root_frequencies_match_masses(spec13):
     probs = np.array([math.exp(measure_mass(spec13, (a,)).log_mass) for a in (1, 2, 3)])
     N = 10_000

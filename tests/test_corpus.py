@@ -1,0 +1,70 @@
+"""Same-bits corpus: one sha256 per layer over seeded inputs, against a
+committed hex value.
+
+A change that claims to keep a layer's outputs must keep its digest.  Each
+digest hashes integers, flags and error messages only, so it does not depend
+on the platform; a change that moves it must name the moved digest and the
+correctness fix that requires it.
+"""
+
+import hashlib
+import math
+import random
+
+from cfdim.cf_core import RealInput, expand
+
+EXPAND_DIGEST = "9d65b5864ffd45af60813d5668eadcd5c306d1bc188703a94083343a9bef27e4"
+
+
+def _rationals(rng, count):
+    for _ in range(count):
+        q = rng.randrange(2, 2 ** rng.randrange(2, 129) + 1)
+        # p = 0 and p = q fall outside (0,1); they pin the range message
+        yield RealInput.rational, (rng.randrange(0, q + 1), q), rng.randrange(1, 120)
+
+
+def _surds(rng, count):
+    for k in range(count):
+        d = rng.randrange(2, 10**12 + 1)
+        if k % 97 == 0:
+            d = math.isqrt(d) ** 2  # a square radicand
+        v = rng.choice((-1, 1)) * rng.randrange(1, 4)
+        w = rng.choice((-1, 1)) * rng.randrange(1, 21)
+        # (u + v sqrt(d)) / w lies in (0,1) for the |w| integers u next to
+        # f = floor(-v sqrt(d)); a sixth of the u step just outside them
+        f = math.isqrt(v * v * d)
+        f = -f - 1 if v > 0 else f
+        lo, hi = (f + 1, f + w) if w > 0 else (f + w + 1, f)
+        u = rng.choice((lo - 1, hi + 1)) if rng.randrange(6) == 0 else rng.randrange(lo, hi + 1)
+        yield RealInput.surd, (u, v, w, d), rng.randrange(1, 300)
+
+
+def _decimals(rng, count):
+    for _ in range(count):
+        s = "0." + "".join(rng.choice("0123456789") for _ in range(rng.randrange(20, 401)))
+        n = rng.randrange(1, 200)
+        yield RealInput.decimal_input, (s,), n
+        yield RealInput.decimal_input, (s, rng.randrange(64, 513)), n
+
+
+def expand_digest() -> str:
+    """sha256 over `repr((digits, exhausted, complete))` of `expand` for
+    2 000 rationals (denominators up to 2^128), 2 000 surds (radicands up to
+    10^12, |w| <= 20, v in +-1..3, about a sixth out of range) and 300
+    decimals of 20-400 digits at the default budget and at 64-512 bits; an
+    input that raises hashes `Type: message` instead."""
+    rng = random.Random(20261020)
+    h = hashlib.sha256()
+    for gen, count in ((_rationals, 2000), (_surds, 2000), (_decimals, 300)):
+        for make, args, n in gen(rng, count):
+            try:
+                seq = expand(make(*args), n)
+                line = repr((seq.digits, seq.exhausted, seq.complete))
+            except Exception as exc:  # noqa: BLE001 - the error is the output
+                line = f"{type(exc).__name__}: {exc}"
+            h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_expand_digest_matches_committed_hex():
+    assert expand_digest() == EXPAND_DIGEST

@@ -104,11 +104,18 @@ def test_table_cache_is_bounded_and_evicts_least_recent():
 
 
 def _out_of_place_table(B, spec):
-    """Reference: the log q_total table grown from the empty string, the
-    tail added out of place."""
+    """Reference: the log q_total table grown from the empty string one
+    branch digit a at a time into its block of each level, the tail added
+    out of place."""
     logq, r = np.zeros(1), np.zeros(1)
     for _ in range(spec.free_length):
-        logq, r = ds._grow_level(logq, r, B)
+        n = logq.size
+        new_logq, new_r = np.empty(B * n), np.empty(B * n)
+        for k, a in enumerate(range(1, B + 1)):
+            ar = a + r
+            new_logq[k * n : (k + 1) * n] = logq + np.log(ar)
+            new_r[k * n : (k + 1) * n] = 1.0 / ar
+        logq, r = new_logq, new_r
     if not spec.tail_i:
         return logq
     log_u, v_over_u = ds.transfer.run_tail_logs(spec.tail_digit, spec.tail_i)

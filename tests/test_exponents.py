@@ -294,6 +294,15 @@ def test_hit_check_zero_exponent_always_true():
     assert res.verdict is True
 
 
+def test_hit_check_refuses_a_nan_exponent():
+    # NaN compares False with everything, so it must not read as "excluded"
+    d = digit_seq([2, 3, 4, 5, 2, 3], complete=True)
+    with pytest.raises(ValueError, match="nu_hat must be >= 0"):
+        uniform_hit_check(d, target(1), 3, float("nan"))
+    # |I_N|^inf = 0: no distance is below it
+    assert uniform_hit_check(d, target(1), 3, math.inf) == HitCheck(certain=False, possible=False)
+
+
 def test_hit_check_monotone_in_exponent():
     t = target(1)
     rng = np.random.default_rng(5)
