@@ -143,7 +143,7 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    if rho < 0:
+    if not rho >= 0:  # NaN too: every comparison with it is False
         raise ValueError("rho must be >= 0")
     leaves = B**spec.free_length
     if leaves > _TABLE_LIMIT:

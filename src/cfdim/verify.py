@@ -13,6 +13,14 @@ Euclid on two (4n + 64)-bit numerators, so its cost grows like n^2.
 The chain runs in chunks of at most _CHAIN_CHUNK steps and yields one int64
 block of shape (samples, width) per chunk, row k holding sample k's digits;
 the run trackers scan whole blocks and carry their state across chunk edges.
+A chunk's steps run as _CHAIN_LANES lanes side by side, so that one ufunc
+call serves lanes x samples values.  Lane j >= 1 starts from r = 0 and
+warms up over the last _CHAIN_WARMUP uniforms of lane j - 1, dropping those
+digits; r forgets its start at Levy's rate, so the warmed-up r almost always
+equals lane j - 1's final r bit for bit.  That equality is checked exactly
+at every seam, and it makes each lane's digits the sequential chain's,
+since every step is the same IEEE operations on the same doubles; a chunk
+with a mismatched seam runs again as one lane from the untouched uniforms.
 A chunk whose uniforms all lie above _CLAMP_U = 2 / DIGIT_CAP drops the floor
 at 1e-300 and the cap at DIGIT_CAP from its steps, because neither can change
 a digit there (`LebesgueDigitChain.next_digits` gives the bound); the other,
@@ -126,6 +134,8 @@ def load_fixtures() -> Dict[str, object]:
 
 
 _CHAIN_CHUNK = 512  # uniforms drawn per sample at a time
+_CHAIN_LANES = 4  # lanes that a chunk's steps run in, side by side
+_CHAIN_WARMUP = 48  # steps a lane runs over the last uniforms of the lane before it
 _CLAMP_U = 2.0 / DIGIT_CAP  # a digit reaches DIGIT_CAP only from a uniform u <= this
 _CLAMP_FRACTION_BOUND = 1e-6  # clamped digits over samples x n_digits
 _LEMMA_STRINGS = 10_000  # random digit strings per lemma_suite run
@@ -136,7 +146,8 @@ class LebesgueDigitChain:
 
     Per-sample RNG streams are derived from (seed, sample index), so results
     do not depend on batching.  `clamps` counts the digits set to DIGIT_CAP,
-    the 1e-300 floor on t included.
+    the 1e-300 floor on t included; `redone` counts the chunks whose lanes
+    missed a seam and were run again as one lane.
     """
 
     def __init__(self, seed: int, samples: int):
@@ -147,6 +158,7 @@ class LebesgueDigitChain:
         ]
         self.r = np.zeros(samples)
         self.clamps = 0
+        self.redone = 0
 
     def next_digits(self, steps: int) -> Iterable[np.ndarray]:
         """Yield the next `steps` digits of every sample as int64 blocks of
@@ -166,50 +178,96 @@ class LebesgueDigitChain:
         stays a float until the chunk ends: every digit is an integer below
         2^53, so the float and the int64 digit are equal.  The chunk's
         digits are then cast into the sample-major buffer its uniforms were
-        drawn into, which the transpose has freed.
+        drawn into, which the transposes have freed.
+
+        A chunk's steps run as _CHAIN_LANES lanes of L = take // _CHAIN_LANES
+        steps side by side, so that each ufunc call covers lanes x samples
+        values: a step row of the step-major buffer holds step l of every
+        lane.  Lane 0 starts from the chain's r.  Lane j >= 1 starts from
+        r = 0 and first runs _CHAIN_WARMUP steps over the last uniforms of
+        lane j - 1, dropping their digits; r = q_{k-1} / q_k = [0; a_k, ...,
+        a_1] forgets its start at Levy's rate e^{-2.37 k}, so it then almost
+        always holds the bits of lane j - 1's final r.  Every step is the
+        same elementwise IEEE operations on the same doubles, so a lane whose
+        start equals the sequential chain's r at its first step yields the
+        sequential digits bit for bit.  By induction from lane 0, every lane
+        starts from the sequential r when each lane's warmed-up r equals the
+        final r of the lane before, which the chain checks exactly
+        (`np.array_equal`; r in [0, 1] has no NaN and no -0).  On a
+        mismatch the whole chunk runs again as one lane from the chain's r
+        and the untouched drawn uniforms, and `redone` counts it.  A chunk
+        too short for lanes (L < _CHAIN_WARMUP) runs as one lane, and so do
+        the take - lanes x L steps after the lanes.
 
         A chunk whose smallest uniform is above _CLAMP_U skips the floor
         at 1e-300 and the cap, which change no value there, with no rounding
         margin needed: r <= 1, so the computed denominator (1 + r) - u r is
         at most 2 and t >= u / 2 > 1 / DIGIT_CAP (u / 2 is exact, and
         rounding is monotone), hence 1 / t rounds to at most DIGIT_CAP.
-        Only the other, screened, chunks count clamps.
+        Only the other, screened, chunks count clamps, over the digits they
+        keep, so a warm-up digit is not counted.
         """
-        n, r = self.samples, self.r
-        den, t = np.empty(n), np.empty(n)
-        one, tiny, cap = np.ones(n), np.full(n, 1e-300), np.full(n, float(DIGIT_CAP))
+        n, r, warm = self.samples, self.r, _CHAIN_WARMUP
+        m = _CHAIN_LANES * n
+        lane_r, warmed, den, t = np.empty(m), np.empty(m - n), np.empty(m), np.empty(m)
+        one, tiny, cap = np.ones(m), np.full(m, 1e-300), np.full(m, float(DIGIT_CAP))
         width = min(_CHAIN_CHUNK, steps)
         drawn = np.empty((n, width))  # sample-major: one stream per row
-        by_step = np.empty((width, n))  # step-major: one step per row
+        by_step = np.empty(width * n)  # step-major: one step of every lane per row
         digits = drawn.view(np.int64)
         add, sub, mul, div, recip = np.add, np.subtract, np.multiply, np.divide, np.reciprocal
         maximum, minimum, trunc = np.maximum, np.minimum, np.trunc
+
+        def walk(U, r, screened, keep=True):
+            # one step per row of U from r, which it updates; a kept digit
+            # overwrites its uniform, a dropped one lands in t
+            w = r.size
+            d, s, o, lo, hi = den[:w], t[:w], one[:w], tiny[:w], cap[:w]
+            for u in U:
+                v = u if keep else s
+                add(o, r, out=d)
+                mul(u, r, out=s)
+                sub(d, s, out=d)
+                div(u, d, out=s)
+                if screened:
+                    maximum(s, lo, out=s)
+                recip(s, out=s)
+                if screened:
+                    minimum(s, hi, out=s)
+                trunc(s, out=v)
+                add(v, r, out=d)
+                recip(d, out=r)
+
         done = 0
         while done < steps:
             take = min(width, steps - done)
             block = drawn[:, :take]
             for row, g in zip(block, self._gens):
                 g.random(out=row)
-            U = by_step[:take]
-            U[...] = block.T
-            screened = U.min() <= _CLAMP_U
-            for u in U:
-                add(one, r, out=den)
-                mul(u, r, out=t)
-                sub(den, t, out=den)
-                div(u, den, out=t)
-                if screened:
-                    maximum(t, tiny, out=t)
-                recip(t, out=t)
-                if screened:
-                    minimum(t, cap, out=t)
-                trunc(t, out=u)
-                add(u, r, out=den)
-                recip(den, out=r)
+            screened = block.min() <= _CLAMP_U
+            k = _CHAIN_LANES if take // _CHAIN_LANES >= warm else 1
+            for k in (k, 1):  # the lanes, then after a seam mismatch the chunk as one lane
+                L = take // k
+                lanes = by_step[:L * k * n].reshape(L, k, n)
+                lanes[...] = block[:, :k * L].reshape(n, k, L).transpose(2, 1, 0)
+                rl, starts = lane_r[:k * n], warmed[:(k - 1) * n]
+                rl[:n], rl[n:] = r, 0.0
+                if k > 1:
+                    walk(lanes[L - warm:, :-1].reshape(warm, (k - 1) * n), rl[n:], screened, keep=False)
+                    starts[...] = rl[n:]
+                walk(lanes.reshape(L, k * n), rl, screened)
+                if np.array_equal(rl[:-n], starts):  # each lane ends where the next started
+                    break
+                self.redone += 1
+            r[...] = rl[-n:]
+            rest = by_step[k * L * n:take * n].reshape(take - k * L, n)
+            rest[...] = block[:, k * L:].T
+            walk(rest, r, screened)
             if screened:
-                self.clamps += int(np.count_nonzero(U == DIGIT_CAP))
+                self.clamps += int(np.count_nonzero(by_step[:take * n] == DIGIT_CAP))
             out = digits[:, :take]
-            out[...] = U.T
+            out[:, :k * L].reshape(n, k, L)[...] = lanes.transpose(2, 1, 0)
+            out[:, k * L:] = rest.T
             yield out
             done += take
 

@@ -12,8 +12,10 @@ import math
 import random
 
 from cfdim.cf_core import RealInput, expand
+from cfdim.verify import LebesgueDigitChain
 
 EXPAND_DIGEST = "9d65b5864ffd45af60813d5668eadcd5c306d1bc188703a94083343a9bef27e4"
+CHAIN_DIGEST = "70430166741c240da77c82072f0d8777678dcb32097be3c889f4f256d873a5fc"
 
 
 def _rationals(rng, count):
@@ -68,3 +70,20 @@ def expand_digest() -> str:
 
 def test_expand_digest_matches_committed_hex():
     assert expand_digest() == EXPAND_DIGEST
+
+
+def chain_digest() -> str:
+    """sha256 over the little-endian int64 digit blocks of one seeded
+    200-sample `LebesgueDigitChain` for 10^4 steps and then 203 more (the
+    last chunk's lanes leave remainder steps), and its clamp count."""
+    h = hashlib.sha256()
+    chain = LebesgueDigitChain(20261020, 200)
+    for steps in (10_000, 203):
+        for block in chain.next_digits(steps):
+            h.update(block.astype("<i8").tobytes())
+    h.update(repr(chain.clamps).encode())
+    return h.hexdigest()
+
+
+def test_chain_digest_matches_committed_hex():
+    assert chain_digest() == CHAIN_DIGEST

@@ -77,6 +77,12 @@ def test_sum_power_monotone_decreasing_in_rho():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("rho", [math.nan, -0.5])
+def test_sum_power_rejects_nan_and_negative_rho(rho):
+    with pytest.raises(ValueError, match="rho must be >= 0"):
+        sum_power(2, SumKernelSpec(free_length=3), rho)
+
+
 def test_sum_power_budget():
     with pytest.raises(InputOutOfRange, match="leaves exceed budget"):
         sum_power(3, SumKernelSpec(free_length=30), 1.0)  # 3^30 leaves

@@ -158,6 +158,46 @@ def test_chain_screen_switches_per_chunk(monkeypatch):
     assert chain.clamps == np.count_nonzero(M[:, 4:8] == DIGIT_CAP) == np.count_nonzero(M == DIGIT_CAP) == 2
 
 
+@pytest.mark.parametrize("samples", [1, 7])
+@pytest.mark.parametrize("last", [37, 4 * 48 + 3])
+def test_chain_lanes_equal_step_oracle(samples, last):
+    # at the default chunk: three chunks in lanes, then a last chunk too short
+    # for lanes, or one in four lanes of 48 steps and 3 remainder steps
+    assert verify._CHAIN_LANES == 4 and verify._CHAIN_WARMUP == 48
+    n = 3 * verify._CHAIN_CHUNK + last
+    chain = LebesgueDigitChain(20260809, samples)
+    assert np.array_equal(chain_digit_matrix(chain, n), _chain_oracle(20260809, samples, n))
+    assert chain.redone == 0
+
+
+def test_chain_redoes_a_chunk_whose_seams_miss(monkeypatch):
+    # with no warm-up every lane j >= 1 starts from r = 0, which no lane ends at
+    # (r = 1 / (digit + r) > 0), so every seam misses and every chunk runs again
+    monkeypatch.setattr(verify, "_CHAIN_WARMUP", 0)
+    n = 3 * verify._CHAIN_CHUNK + 37
+    chain = LebesgueDigitChain(3, 5)
+    assert np.array_equal(chain_digit_matrix(chain, n), _chain_oracle(3, 5, n))
+    assert chain.redone == 4
+
+
+def test_chain_lanes_count_each_clamp_once(monkeypatch):
+    # one screened chunk in lanes of 128 steps: the u = 0 at step 90 of
+    # sample 0 lies in lane 1's warm-up window (steps 80..127 of lane 0), the
+    # 2^-40 at step 356 of sample 1 in lane 3's (steps 336..383 of lane 2);
+    # a warm-up digit is dropped, so each clamp counts once, in its own lane
+    assert verify._CHAIN_CHUNK // verify._CHAIN_LANES == 128 and verify._CHAIN_WARMUP == 48
+    n = verify._CHAIN_CHUNK
+    streams = np.random.default_rng(8).random((3, n))
+    streams[0, 90], streams[1, 356] = 0.0, 2.0**-40
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _FixedStream(streams[seq.spawn_key[0]]))
+    chain = LebesgueDigitChain(0, 3)
+    M = chain_digit_matrix(chain, n)
+    assert np.array_equal(M, _chain_oracle(0, 3, n))
+    assert chain.redone == 0
+    assert chain.clamps == np.count_nonzero(M == DIGIT_CAP) == 2
+    assert M[0, 90] == M[1, 356] == DIGIT_CAP
+
+
 def test_clamp_fraction_check():
     cfg = McConfig(seed=1, samples=4, n_digits=50)
     tracker = RunMaxTracker(4)
@@ -329,6 +369,16 @@ LOOSE_FIXTURES = {
     "mc_runlength": {"mean_bounds": [0.40, 0.60], "trend_slack": 0.05},
     "mc_nu_zero": {"exceed_bound": 1.0, "monotone_slack": 1.0},
 }
+
+
+@pytest.mark.parametrize("seed", load_fixtures()["pilot"]["seeds"])
+def test_mc_laws_reproduce_committed_pilot_values(seed):
+    # the pilot wrote these 10^4-horizon values with the chain of its day, so
+    # equality pins the chain's bits to data that no test oracle produced
+    pilot = load_fixtures()["pilot"]
+    runs, records = mc_laws(McConfig(seed=seed, samples=pilot["samples"], n_digits=10_000))
+    assert runs.series[-1]["mean"] == pilot["mc_runlength_means"][str(seed)]["10000"]
+    assert records.series[-1]["exceed_fraction"] == pilot["mc_nu_zero_fractions"][str(seed)]["10000"]
 
 
 @pytest.mark.parametrize(
