@@ -38,15 +38,11 @@ def main() -> int:
     samples = 50 if args.quick else 200
     n_digits = 100_000 if args.quick else 1_000_000
 
-    placeholder = {
-        "mc_runlength": {"mean_bounds": [0.40, 0.60], "trend_slack": 0.05},
-        "mc_nu_zero": {"exceed_bound": 1.0, "monotone_slack": 1.0},
-    }
     run_means = {}
     nu_fracs = {}
     for seed in SEEDS:
         cfg = McConfig(seed=seed, samples=samples, n_digits=n_digits)
-        r1, r2 = mc_laws(cfg, fixtures=placeholder)
+        r1, r2 = mc_laws(cfg)
         run_means[str(seed)] = {str(row["horizon"]): row["mean"] for row in r1.series}
         nu_fracs[str(seed)] = {str(row["horizon"]): row["exceed_fraction"] for row in r2.series if row["samples_used"]}
         print(f"seed {seed}: runlength means {run_means[str(seed)]}")

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dim_solver, transfer
-from .cf_core import DigitSeq, denominators, run_continuants
+from .cf_core import DigitSeq, check_run_digit, denominators, run_continuants
 from .dim_solver import DimEstimate, to_fraction
 from .errors import Inadmissible, InputOutOfRange, NoConvergence
 
@@ -183,8 +183,10 @@ class CantorSpec:
     d: Optional[int] = None
 
     def __post_init__(self):
-        if not 1 <= self.i < self.B:
-            raise InputOutOfRange(f"need 1 <= i and B >= i+1, got B={self.B}, i={self.i}")
+        check_run_digit(self.i)
+        transfer.check_alphabet(self.B)
+        if self.B < self.i + 1:
+            raise InputOutOfRange(f"need B >= i+1, got B={self.B}, i={self.i}")
         if self.d is not None and self.d <= self.B:
             raise InputOutOfRange(f"insertion digit must exceed B, got d={self.d}")
 

@@ -35,7 +35,7 @@ class RealInput:
 
     A surd is the state pqa = (P, Q, D) its PQa expansion starts from: x =
     (P + sqrt(D))/Q, D a positive non-square, Q | D - P^2.  Building one
-    checks 0 < x < 1 in integers, as floor(x) == 0.
+    checks that state, and 0 < x < 1 in integers, as floor(x) == 0.
     """
 
     kind: str
@@ -44,8 +44,12 @@ class RealInput:
     precision_bits: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind == "surd" and _surd_floor(*self.pqa[:2], math.isqrt(self.pqa[2])) != 0:
-            raise InputOutOfRange("surd does not lie in (0,1)")
+        if self.kind == "surd":
+            P, Q, D = self.pqa
+            if D <= 0 or is_square(D) or Q == 0 or (D - P * P) % Q:
+                raise InputOutOfRange(f"PQa state {self.pqa} needs D a positive non-square, Q != 0 and Q | D - P^2")
+            if _surd_floor(P, Q, math.isqrt(D)) != 0:
+                raise InputOutOfRange("surd does not lie in (0,1)")
 
     @staticmethod
     def rational(p: int, q: int) -> "RealInput":
@@ -167,14 +171,21 @@ def denominators(digits: Iterable[int], prev: int = 0, cur: int = 1) -> Tuple[in
     return prev, cur
 
 
+def check_run_digit(i: int) -> None:
+    """The run digit's one range rule: InputOutOfRange unless i >= 1, as every digit is."""
+    if i < 1:
+        raise InputOutOfRange(f"need i >= 1, got {i}")
+
+
 def run_continuants(i: int, t: int) -> Tuple[int, int, int]:
     """(q_{t-2}, q_{t-1}, q_t) of the constant run i^t, from q_{-1} = 0, q_0 = 1:
     [[i, 1], [1, 0]]^t = [[q_t, q_{t-1}], [q_{t-1}, q_{t-2}]] by fast doubling
     over the bits of t, (a, b) = (q_n, q_{n-1}) -> (a^2 + b^2, b (2a - i b))
     and a step (i a + b, a).  O(M(q_t) log t) instead of t big-int steps,
     with the integers of the recursion."""
-    if i < 1 or t < 0:
-        raise ValueError("need i >= 1, t >= 0")
+    check_run_digit(i)
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
     a, b = 1, 0
     for bit in bin(t)[2:] if t else "":
         a, b = a * a + b * b, b * (2 * a - i * b)
@@ -202,10 +213,8 @@ def run_continuant_closed_form(i: int, n: int) -> int:
 
 
 def log_tau(i: int) -> float:
-    """float log tau(i), tau(i) = (i + sqrt(i^2+4))/2 the growth rate of q_n(i, ..., i).
-    Raises InputOutOfRange for i < 1: no run digit is below 1."""
-    if i < 1:
-        raise InputOutOfRange(f"need i >= 1, got {i}")
+    """float log tau(i), tau(i) = (i + sqrt(i^2+4))/2 the growth rate of q_n(i, ..., i)."""
+    check_run_digit(i)
     return math.log((i + math.sqrt(i * i + 4)) / 2.0)
 
 
@@ -383,7 +392,7 @@ class QuadraticTarget:
 
     def cylinder_length(self, m: int) -> Fraction:
         """|I_m(y)| = 1/(q_m (q_m + q_{m-1})) with constant-run continuants."""
-        _, qm1, qm = run_continuants(self.i, m)  # ValueError unless i >= 1, m >= 0
+        _, qm1, qm = run_continuants(self.i, m)  # ValueError for m < 0
         return Fraction(1, qm * (qm + qm1))
 
     def log_cylinder_length(self, m: int) -> float:
@@ -401,7 +410,5 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def target(i: int) -> QuadraticTarget:
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    y = Surd(Fraction(-i, 2), Fraction(1, 2), i * i + 4)
-    return QuadraticTarget(i=i, y=y)
+    check_run_digit(i)
+    return QuadraticTarget(i=i, y=Surd(Fraction(-i, 2), Fraction(1, 2), i * i + 4))

@@ -53,15 +53,13 @@ def _frac_str(fr: Fraction) -> str:
 
 
 def _parse_param(s: str):
-    if s in ("inf", "infinity"):
-        return float("inf")
     if "/" in s:
         p, q = map(int, s.split("/"))
         if not q:
             raise ValueError(f"zero denominator in {s!r}")
         return Fraction(p, q)
-    if "." in s or "e" in s or "E" in s:
-        return float(s)
+    if "." in s or "e" in s.lower() or s.lstrip("+-").lower() in ("inf", "infinity"):
+        return float(s)  # a decimal, or infinity of either sign in any letter case
     return int(s)
 
 
@@ -86,7 +84,7 @@ def _config_echo(args) -> dict:
         if isinstance(v, Fraction):
             echoed = _frac_str(v)
         elif isinstance(v, float) and math.isinf(v):
-            echoed = "inf"  # strict JSON has no Infinity literal
+            echoed = "inf" if v > 0 else "-inf"  # strict JSON has no Infinity literal
         else:
             echoed = v
         cfg[f.replace("_", "-")] = echoed

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import transfer
-from .cf_core import log_tau
+from .cf_core import check_run_digit, log_tau
 from .errors import InputOutOfRange, NoConvergence
 
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
@@ -96,7 +96,8 @@ class SumKernelSpec:
     scale_log: float = 0.0
 
     def __post_init__(self):
-        if self.free_length < 0 or self.tail_i < 0 or self.tail_digit < 1:
+        check_run_digit(self.tail_digit)
+        if self.free_length < 0 or self.tail_i < 0:
             raise ValueError("invalid kernel spec")
 
 
@@ -141,8 +142,7 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
     and their exp are computed in place in one fresh array, the out-of-place
     expression's operations in its order.
     """
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    transfer.check_alphabet(B)
     if not rho >= 0:  # NaN too: every comparison with it is False
         raise ValueError("rho must be >= 0")
     leaves = B**spec.free_length
@@ -267,17 +267,16 @@ def _aitken_limit(schedule: Tuple[int, ...], raw_at: Callable[[int], float], pad
 # ---------------------------------------------------------------------------
 
 
-def _alpha_fraction(alpha: Number) -> Fraction:
+def _solver_inputs(alpha: Number, i: int, B: Optional[int] = None) -> Fraction:
+    """alpha as an exact rational in [0,1], once alpha, the run digit i and
+    the alphabet bound B (when given) have passed their range rules."""
     af = to_fraction(alpha)
     if not (0 <= af <= 1):
         raise InputOutOfRange(f"alpha = {af} outside [0,1]")
+    check_run_digit(i)
+    if B is not None:
+        transfer.check_alphabet(B)
     return af
-
-
-def _check_run_digit(i: int) -> None:
-    """Raises InputOutOfRange for i < 1: no run digit is below 1."""
-    if i < 1:
-        raise InputOutOfRange(f"need i >= 1, got {i}")
 
 
 def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: str) -> DimEstimate:
@@ -288,8 +287,7 @@ def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: 
 
 def predim_hat(B: int, alpha: Number, i: int, n: int) -> DimEstimate:
     """Root of  sum (tau^{n alpha/(1-alpha)} q_n)^{-2 rho} = 1  over {1..B}^n."""
-    af = _alpha_fraction(alpha)
-    _check_run_digit(i)
+    af = _solver_inputs(alpha, i, B)
     if af == 1:
         return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
     spec = SumKernelSpec(free_length=n, tail_digit=i, scale_log=float(af / (1 - af)) * n * log_tau(i))
@@ -299,8 +297,7 @@ def predim_hat(B: int, alpha: Number, i: int, n: int) -> DimEstimate:
 def predim_s(B: int, alpha: Number, i: int, n: int) -> DimEstimate:
     """Root of  sum q_n(free digits, i, ..., i)^{-2 rho} = 1  with floor(n alpha)
     forced trailing digits."""
-    af = _alpha_fraction(alpha)
-    _check_run_digit(i)
+    af = _solver_inputs(alpha, i, B)
     if af == 1:
         return DimEstimate(0.0, (0.0, 0.0), n_used=n, B_used=B, method="degenerate")
     tail = int(n * af)  # exact floor: Fraction arithmetic
@@ -323,7 +320,7 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
     and adds log lambda per remaining free digit, so its cost does not grow
     with the segment length.
     """
-    _check_run_digit(i)
+    check_run_digit(i)
     l_k, tail_len = segment
     if tail_len > l_k or tail_len < 0:
         raise InputOutOfRange("tail length exceeds segment length")
@@ -350,13 +347,8 @@ def dim_limit(B: int, alpha: Number, i: int, n_schedule: Sequence[int]) -> DimEs
 
 
 def spectral_pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
-    """P_B(s): log leading eigenvalue of the weighted transfer operator, for
-    0 <= s <= 4 (transfer.pressure raises InputOutOfRange past 4, where its
-    collocation goes wrong silently); every root this package solves for
-    lies in [0, 1].  `start` is the power iteration's start vector, updated
-    in place as in transfer.leading_eigenvalue."""
-    if not 0 <= s < math.inf:
-        raise ValueError(f"s must be finite and >= 0, got {s}")
+    """P_B(s) = transfer.pressure(B, s, start), which keeps the range rules
+    of B and s; every root this package solves for lies in [0, 1]."""
     return transfer.pressure(B, s, start)
 
 
@@ -371,8 +363,7 @@ def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
     |F| > _SIGN_FLOOR; on every root checked the result has the bits of cold
     plain iteration on M (in practice, not by construction).  At alpha = 1
     the finite-alphabet root is exactly 0, as for predim_hat."""
-    af = _alpha_fraction(alpha)
-    _check_run_digit(i)
+    af = _solver_inputs(alpha, i, B)
     if af == 1:
         return DimEstimate(0.0, (0.0, 0.0), B_used=B, method="degenerate")
     coeff = 2.0 * float(af / (1 - af)) * log_tau(i)
@@ -399,8 +390,7 @@ def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDU
     At alpha = 8/9, i = 1 it reads [0.2308, 0.4302] against the B = infinity
     root 0.50996.
     """
-    af = _alpha_fraction(alpha)
-    _check_run_digit(i)
+    af = _solver_inputs(alpha, i)
     if af == 0 or af == 1:
         value = 1.0 if af == 0 else 0.5
         return DimEstimate(value, (value, value), method="convention")
@@ -500,7 +490,7 @@ def theorem_argument(
 def theorem_run_digit(kind: str, i: int) -> int:
     """Run digit of a theorem's formula: 1 for the run-length kinds FG and F
     (runs of the digit 1), else i.  Raises InputOutOfRange for i < 1."""
-    _check_run_digit(i)
+    check_run_digit(i)
     return 1 if kind in ("FG", "F") else i
 
 

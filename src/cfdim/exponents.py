@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cf_core import DigitSeq, QuadraticTarget
+from .cf_core import DigitSeq, QuadraticTarget, check_run_digit
 from .errors import Exhausted, InputOutOfRange, InsufficientBlocks
 from .runlength import digit_array, maximal_runs
 
@@ -53,6 +53,7 @@ class RecordScan:
     last digit pushed closes at the next push that starts with another digit."""
 
     def __init__(self, rows: int, i: int):
+        check_run_digit(i)
         self.i = i
         self.pos = 0
         self.runlen = np.zeros(rows, dtype=np.int64)  # the open run of i at each row's end
@@ -105,10 +106,10 @@ class RecordScan:
 
 
 def decompose(d: Sequence[int] | DigitSeq, i: int) -> BlockDecomposition:
+    scan = RecordScan(1, i)
     a = digit_array(d)
     if a.size == 0:
         raise ValueError("empty digit sequence")
-    scan = RecordScan(1, i)
     scan.push(a.reshape(1, -1))
     records = scan.records(0)
     if not records:

@@ -41,9 +41,10 @@ MAX_B = 2**12  # largest alphabet bound: its branch rows take 34 MB at the defau
 
 
 def check_alphabet(B: int, name: str = "alphabet bound") -> None:
-    """Raises InputOutOfRange for B above MAX_B, whose branch rows are not built."""
-    if B > MAX_B:
-        raise InputOutOfRange(f"{name} must be <= {MAX_B}, got {B}")
+    """The alphabet bound's one range rule: InputOutOfRange unless 1 <= B <= MAX_B."""
+    if not 1 <= B <= MAX_B:
+        bound = ">= 1" if B < 1 else f"<= {MAX_B}"
+        raise InputOutOfRange(f"{name} must be {bound}, got {B}")
 
 
 class ChebyshevGrid:
@@ -82,7 +83,7 @@ class ChebyshevGrid:
     def branch_rows(self, B: int) -> np.ndarray:
         """(B, n, n) array whose block a - 1 is the interpolation rows at the
         branch images 1/(a + nodes), a = 1..B; a view of the cached array.
-        B above MAX_B raises InputOutOfRange and builds nothing."""
+        B outside check_alphabet's range raises and builds nothing."""
         check_alphabet(B)
         have = self._branch_rows.shape[0]
         if B > have:
@@ -104,11 +105,10 @@ def transfer_matrix(B: int, s: float, degree: int = DEFAULT_DEGREE) -> np.ndarra
     numpy's einsum (without `optimize`) adds the branches in order a = 1..B,
     as a loop over the branches would; that order is not a documented
     promise, and test_transfer_matrix_matches_branch_loop pins it."""
-    if B < 1:
-        raise InputOutOfRange(f"alphabet bound must be >= 1, got {B}")
     grid = get_grid(degree)
+    rows = grid.branch_rows(B)  # checks B before any weight is built
     w = (np.arange(1, B + 1)[:, None] + grid.nodes) ** (-2.0 * s)
-    return np.einsum("ax,axy->xy", w, grid.branch_rows(B))
+    return np.einsum("ax,axy->xy", w, rows)
 
 
 _EIG_TOL = 1e-12  # relative change of M^4's Rayleigh quotient, three steps running
@@ -168,16 +168,18 @@ def leading_eigenvalue(M: np.ndarray, start: Optional[np.ndarray] = None) -> flo
 
 
 def pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
-    """log of the leading eigenvalue of L_s on {1..B} for s <= 4, else
-    InputOutOfRange; `start` as in leading_eigenvalue.  At s = 0 it is
-    exactly log B (L_0 maps constants to B times themselves), from no matrix
-    and with `start` untouched.  Up to s = 4.5 the default degree is exact
-    to rounding (|P_1(s) + 2 s log phi| <= 7e-15; degree 64 agrees within
+    """log of the leading eigenvalue of L_s on {1..B}; the exponent's one
+    range rule is 0 <= s <= 4, else InputOutOfRange; `start` as in
+    leading_eigenvalue.  At s = 0 it is exactly log B, from no matrix and
+    with `start` untouched.  Up to s = 4.5 the default degree is exact to
+    rounding (|P_1(s) + 2 s log phi| <= 7e-15; degree 64 agrees within
     1e-13 at B = 2, 3, 16, 256, 4096); past it both go wrong silently: P_1
     is 0.51 off at s = 5 and 2.9 at s = 8, the degrees 0.23 apart at s = 5."""
-    if s > _MAX_PRESSURE_S:
-        raise InputOutOfRange(f"s must be <= {_MAX_PRESSURE_S}, got {s}")
-    if s == 0 and 1 <= B <= MAX_B:
+    if not 0 <= s <= _MAX_PRESSURE_S:  # NaN too: every comparison with it is False
+        bound = f"<= {_MAX_PRESSURE_S}" if s > 0 else "finite and >= 0"
+        raise InputOutOfRange(f"s must be {bound}, got {s}")
+    check_alphabet(B)
+    if s == 0:
         return math.log(B)
     lam = leading_eigenvalue(transfer_matrix(B, s), start)
     if lam <= 0:
@@ -253,6 +255,7 @@ def segment_stack(B: int, i: int, free: int, tail: int, s: float, keep_levels: b
     """
     grid = get_grid(DEFAULT_DEGREE)
     x = grid.nodes
+    Cflat = grid.branch_rows(B).reshape(B * x.size, x.size)  # checks B before any (B, n) array
     log_u, v_over_u = run_tail_logs(i, tail)
     h = -2.0 * s * np.log1p(v_over_u * x)  # the seed minus its node-0 value
     hi, lo = -2.0 * s * log_u, 0.0
@@ -260,7 +263,6 @@ def segment_stack(B: int, i: int, free: int, tail: int, s: float, keep_levels: b
     step = 0.0
     if free:
         W = -2.0 * s * np.log(np.arange(1, B + 1)[:, None] + x)  # (B, n)
-        Cflat = grid.branch_rows(B).reshape(B * x.size, x.size)
         for _ in range(free):
             g = _logsumexp_axis0(W + (Cflat @ h).reshape(B, x.size))
             step = float(g[0])

@@ -439,19 +439,19 @@ def mc_runlength(cfg: McConfig) -> Report:
 
 def mc_nu_zero(cfg: McConfig, i: int = 1) -> Report:
     """Asymptotic-exponent law nu = 0 against y = [i, i, ...] across uniform
-    samples.  Raises InputOutOfRange when no sample has an estimate at n_digits."""
+    samples.  Raises InputOutOfRange for i < 1 or no estimate at n_digits."""
     tracker = RecordTracker(cfg.samples, i)
     _walk(cfg, [tracker])
     return tracker.report(cfg, load_fixtures())
 
 
-def mc_laws(cfg: McConfig, i: int = 1, fixtures: Optional[Dict] = None) -> Tuple[Report, Report]:
+def mc_laws(cfg: McConfig, i: int = 1) -> Tuple[Report, Report]:
     """The mc_runlength and mc_nu_zero reports from one chain walk, each
     equal to its standalone suite's.  Raises InputOutOfRange when n_digits < 2
-    or when no sample has a nu estimate at n_digits."""
+    or i < 1 (before the walk), or when no sample has a nu estimate at n_digits."""
     _check_runlength_horizon(cfg)
-    fixtures = fixtures or load_fixtures()
     runs, records = RunMaxTracker(cfg.samples), RecordTracker(cfg.samples, i)
+    fixtures = load_fixtures()
     clamps = _walk(cfg, [runs, records])
     return runs.report(cfg, fixtures, clamps), records.report(cfg, fixtures)
 

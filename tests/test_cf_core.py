@@ -428,7 +428,7 @@ def test_run_continuants_fast_doubling_matches_recursion(i):
     assert run_continuants(i, 0) == (1, 0, 1)
     with pytest.raises(ValueError):
         run_continuants(i, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange, match="need i >= 1, got 0"):
         run_continuants(0, 3)
 
 
@@ -514,6 +514,28 @@ def test_randomized_kernel_suite_at_scale():
             qh = continuants(digits[:cut]).qk(cut)
             qt = continuants(digits[cut:]).qk(n - cut)
             assert qh * qt <= qn <= 2 * qh * qt
+
+
+@pytest.mark.parametrize(
+    "pqa",
+    [
+        (0, 3, 5),  # sqrt(5)/3: 3 does not divide 5 - 0^2; it expanded to (2, 4, 4, ...)
+        (1, 5, 5),  # 5 does not divide 5 - 1^2, yet floor((1 + sqrt(5))/5) = 0
+        (0, 0, 5),  # Q = 0
+        (0, 3, 9),  # a square radicand
+        (0, 3, 0),
+        (1, 3, -8),
+    ],
+)
+def test_surd_state_out_of_range_is_refused_where_built(pqa):
+    with pytest.raises(InputOutOfRange, match=r"needs D a positive non-square, Q != 0 and Q \| D - P\^2$"):
+        RealInput(kind="surd", pqa=pqa)
+
+
+def test_surd_state_of_a_valid_pqa_expands_like_its_surd():
+    # (0 + sqrt(45))/9 = sqrt(5)/3, and 9 | 45 - 0^2
+    assert expand(RealInput(kind="surd", pqa=(0, 9, 45)), 6) == expand(RealInput.surd(0, 1, 3, 5), 6)
+    assert expand(RealInput.surd(0, 1, 3, 5), 6).digits == (1, 2, 1, 12, 1, 2)
 
 
 def test_surd_expansion_cylinder_membership():

@@ -446,6 +446,36 @@ def test_parameter_range_errors_exit3(argv, capsys):
     assert captured.err.startswith("range error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--kind", "nu_level", "--nu=-inf"],
+        ["dim", "--kind", "U_set", "--nu-hat=-Infinity"],
+        ["cantor", "--nu-hat", "1/3", "--nu=-inf", "--depth-k", "2"],
+        ["cantor", "--nu-hat=-INF", "--nu", "1", "--depth-k", "2"],
+    ],
+)
+def test_negative_infinity_in_any_spelling_exits3(argv, capsys):
+    # -inf was a parse error (exit 2) while -1e999, the same value, was a range error
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("range error: ")
+
+
+@pytest.mark.parametrize("spelling", ["+inf", "Inf", "INFINITY", "+Infinity"])
+@pytest.mark.parametrize("argv", [["dim", "--kind", "U_set", "--nu-hat="], ["dim", "--kind", "nu_level", "--nu="]])
+def test_signed_or_capitalized_inf_gives_the_bytes_of_inf(argv, spelling, capsys):
+    *head, flag = argv
+    assert run_cli([*head, f"{flag}{spelling}"], capsys) == run_cli([*head, f"{flag}inf"], capsys)
+
+
+def test_negative_infinity_echoes_with_its_sign(capsys):
+    # U_set reads no nu, so -inf reaches the echo, which read "inf" before
+    rc, out = run_cli(["dim", "--kind", "U_set", "--nu-hat", "0", "--nu=-inf"], capsys)
+    assert rc == 0 and json.loads(out)["config"]["nu"] == "-inf"
+
+
 @pytest.mark.parametrize("surd", ["sqrt:2,1", "sqrt:2,1,1", "sqrt:2,0,1,1,9", "sqrt:2,x"])
 def test_expand_surd_field_count_exits2(surd, capsys):
     # sqrt:d or sqrt:d,u,v,w; any other field count is a parse error

@@ -1,21 +1,28 @@
 """Same-bits corpus: one sha256 per layer over seeded inputs, against a
 committed hex value.
 
-A change that claims to keep a layer's outputs must keep its digest.  Each
-digest hashes integers, flags and error messages only, so it does not depend
-on the platform; a change that moves it must name the moved digest and the
-correctness fix that requires it.
+A change that claims to keep a layer's outputs must keep its digest.  The
+expansion digest hashes integers, flags and error messages only, so it does
+not depend on the platform.  The chain, spectral and tracker digests hash
+float64 results bit for bit, so they also pin the numpy build's arithmetic.
+A change that moves a digest must name it and the correctness fix that
+requires it.
 """
 
 import hashlib
 import math
 import random
+from fractions import Fraction
 
+from cfdim import transfer
 from cfdim.cf_core import RealInput, expand
-from cfdim.verify import LebesgueDigitChain
+from cfdim.dim_solver import spectral_dim
+from cfdim.verify import LebesgueDigitChain, RecordTracker, RunMaxTracker
 
 EXPAND_DIGEST = "9d65b5864ffd45af60813d5668eadcd5c306d1bc188703a94083343a9bef27e4"
 CHAIN_DIGEST = "70430166741c240da77c82072f0d8777678dcb32097be3c889f4f256d873a5fc"
+SPECTRAL_DIGEST = "670d06257b179fb83e8bcb8f7f9c68160091f6116cc64918ae95e3ed6a70cf62"
+TRACKER_DIGEST = "ba9e769f43bc7ea05a4faa59901c621bdd4e1bc3b86f5eceeced727daa8b5224"
 
 
 def _rationals(rng, count):
@@ -87,3 +94,56 @@ def chain_digest() -> str:
 
 def test_chain_digest_matches_committed_hex():
     assert chain_digest() == CHAIN_DIGEST
+
+
+def spectral_digest() -> str:
+    """sha256 over `repr((value, bracket))` of `spectral_dim` for B in
+    {2, 3, 5, 8, 16, 32, 64, 128}, alpha in {0, 1/4, 1/2, 3/4} and i in
+    {1, 2}; the bytes of `transfer_matrix` at a few (B, s); and `repr` of
+    `segment_log_sum` at a few (B, i, free, tail, s)."""
+    h = hashlib.sha256()
+    for B in (2, 3, 5, 8, 16, 32, 64, 128):
+        for alpha in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            for i in (1, 2):
+                est = spectral_dim(B, alpha, i)
+                h.update(repr((est.value, est.bracket)).encode() + b"\n")
+    for B, s in ((1, 0.5), (2, 0.0), (3, 0.25), (7, 0.75), (64, 1.0), (300, 3.5)):
+        h.update(transfer.transfer_matrix(B, s).astype("<f8").tobytes())
+    for args in (  # (B, i, free, tail, s)
+        (2, 1, 0, 3, 0.5),
+        (3, 1, 40, 5, 0.6),
+        (5, 2, 7, 0, 0.3),
+        (16, 3, 200, 12, 0.8),
+        (64, 1, 1000, 50, 0.55),
+    ):
+        h.update(repr(transfer.segment_log_sum(*args)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_spectral_digest_matches_committed_hex():
+    assert spectral_digest() == SPECTRAL_DIGEST
+
+
+def tracker_digest() -> str:
+    """sha256 over the Monte Carlo trackers' state after one seeded 64-sample
+    chain walks 10^4 steps and then 203 more into a `RunMaxTracker` and a
+    `RecordTracker` of the digit 1, each snapshotted after both walks: the
+    run maxima, every sample's record blocks and both series."""
+    chain = LebesgueDigitChain(20261021, 64)
+    runs, records = RunMaxTracker(64), RecordTracker(64, 1)
+    for steps in (10_000, 203):
+        for block in chain.next_digits(steps):
+            runs.push(block)
+            records.push(block)
+        runs.snapshot()
+        records.snapshot()
+    h = hashlib.sha256()
+    h.update(runs.rmax.astype("<i8").tobytes())
+    for k in range(64):
+        h.update(repr(records.records(k)).encode() + b"\n")
+    h.update(repr((runs.series, records.series)).encode())
+    return h.hexdigest()
+
+
+def test_tracker_digest_matches_committed_hex():
+    assert tracker_digest() == TRACKER_DIGEST

@@ -431,7 +431,8 @@ def test_spectral_dim_b1_zero():
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -0.5])
 def test_spectral_pressure_rejects_non_finite_and_negative_s(s):
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    # transfer.pressure's range rule: +inf reads "s must be <= 4.0", the rest "finite and >= 0"
+    with pytest.raises(InputOutOfRange, match="s must be"):
         spectral_pressure(2, s)
 
 

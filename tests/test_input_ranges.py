@@ -1,0 +1,127 @@
+"""One range rule per solver input, applied where the input enters.
+
+The run digit i (cf_core.check_run_digit), the alphabet bound B
+(transfer.check_alphabet) and the pressure exponent s (transfer.pressure)
+each have one check that raises InputOutOfRange.  Every public entry that
+takes the input refuses an out-of-range value with that check's message,
+before it builds an array, scans digits or walks a chain.
+"""
+
+import math
+import pathlib
+import re
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from cfdim import cantor, dim_solver, exponents, transfer, verify
+from cfdim.cf_core import log_tau, run_continuants, target
+from cfdim.cli import main
+from cfdim.dim_solver import SumKernelSpec
+from cfdim.errors import InputOutOfRange
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cfdim"
+HALF = Fraction(1, 2)
+SP = cantor.construct_sequences(Fraction(1, 3), 1, k_max=4)
+MC = verify.McConfig(seed=1, samples=4, n_digits=100)
+
+
+@pytest.fixture
+def no_chain(monkeypatch):
+    """Fail the test if a Monte Carlo digit chain is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a digit chain was built")
+
+    monkeypatch.setattr(verify, "LebesgueDigitChain", refuse)
+
+
+RUN_DIGIT_ENTRIES = {
+    "predim_hat": lambda i: dim_solver.predim_hat(3, HALF, i, 4),
+    "predim_s": lambda i: dim_solver.predim_s(3, HALF, i, 4),
+    "predim_tilde": lambda i: dim_solver.predim_tilde(3, i, (8, 4)),
+    "spectral_dim": lambda i: dim_solver.spectral_dim(3, HALF, i),
+    "dim_full": lambda i: dim_solver.dim_full(HALF, i),
+    "theorem_dims": lambda i: dim_solver.theorem_dims("nu_level", nu=1, i=i),
+    "log_tau": log_tau,
+    "target": target,
+    "run_continuants": lambda i: run_continuants(i, 3),
+    "decompose": lambda i: exponents.decompose([1, 2, 1, 1], i),
+    "mc_nu_zero": lambda i: verify.mc_nu_zero(MC, i),
+    "mc_laws": lambda i: verify.mc_laws(MC, i),
+    "CantorSpec": lambda i: cantor.CantorSpec(B=3, i=i, sp=SP),
+}
+
+
+@pytest.mark.parametrize("entry", RUN_DIGIT_ENTRIES)
+def test_run_digit_below_1_is_refused_with_one_message(entry, no_chain):
+    with pytest.raises(InputOutOfRange, match=r"^need i >= 1, got 0$"):
+        RUN_DIGIT_ENTRIES[entry](0)
+
+
+ALPHABET_ENTRIES = {
+    "transfer_matrix": lambda B: transfer.transfer_matrix(B, 0.5),
+    "pressure": lambda B: transfer.pressure(B, 0.5),
+    "pressure_at_0": lambda B: transfer.pressure(B, 0.0),
+    "spectral_pressure": lambda B: dim_solver.spectral_pressure(B, 0.5),
+    "spectral_dim": lambda B: dim_solver.spectral_dim(B, HALF, 1),
+    "spectral_dim_degenerate": lambda B: dim_solver.spectral_dim(B, 1, 1),
+    "segment_stack": lambda B: transfer.segment_stack(B, 1, 5, 3, 0.5),
+    "segment_stack_no_free": lambda B: transfer.segment_stack(B, 1, 0, 3, 0.5),
+    "segment_log_sum": lambda B: transfer.segment_log_sum(B, 1, 5, 3, 0.5),
+    "sum_power": lambda B: dim_solver.sum_power(B, SumKernelSpec(free_length=1), 0.5),
+    "predim_hat": lambda B: dim_solver.predim_hat(B, HALF, 1, 1),
+    "CantorSpec": lambda B: cantor.CantorSpec(B=B, i=1, sp=SP),
+}
+
+
+def _peak_bytes_of_refusal(call, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputOutOfRange, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("B", [0, 2**16])
+@pytest.mark.parametrize("entry", ALPHABET_ENTRIES)
+def test_alphabet_bound_out_of_range_is_refused_before_any_array(entry, B):
+    # B = 2^16 once asked for 35.6 MB of weights before the cap was checked
+    match = f"^alphabet bound must be (>= 1|<= 4096), got {B}$"
+    peak = _peak_bytes_of_refusal(lambda: ALPHABET_ENTRIES[entry](B), match)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("s", [-0.5, math.nan, math.inf, 4.5])
+@pytest.mark.parametrize("pressure", [transfer.pressure, dim_solver.spectral_pressure])
+def test_pressure_exponent_out_of_range_is_refused(pressure, s):
+    with pytest.raises(InputOutOfRange, match=r"^s must be (<= 4\.0|finite and >= 0), got "):
+        pressure(2, s)
+
+
+def test_verify_nu_zero_with_run_digit_0_exits3_before_any_chain(no_chain, capsys):
+    assert main(["verify", "--suite", "nu_zero", "--i", "0"]) == 3
+    assert capsys.readouterr().err == "range error: need i >= 1, got 0\n"
+
+
+def test_cantor_with_huge_alphabet_exits3_before_any_array(capsys):
+    argv = ["cantor", "--nu-hat", "1/3", "--nu", "1", "--B", "262144", "--depth-k", "2"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err == "range error: alphabet bound must be <= 4096, got 262144\n"
+
+
+def test_no_second_rule_for_run_digit_alphabet_or_exponent():
+    assert not hasattr(dim_solver, "_check_run_digit")
+    pattern = re.compile(r"raise ValueError\(.*(\bi must|need i\b|\bB must|\bs must)")
+    for path in sorted(SRC.glob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            assert not pattern.search(line), f"{path.name}:{n}: {line.strip()}"

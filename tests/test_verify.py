@@ -387,9 +387,9 @@ def test_mc_laws_reproduce_committed_pilot_values(seed):
 )
 def test_mc_laws_equal_standalone_suites(seed, samples, n, i, fixtures, monkeypatch):
     cfg = McConfig(seed=seed, samples=samples, n_digits=n)
-    runs, records = mc_laws(cfg, i=i, fixtures=fixtures)
-    if fixtures is not None:  # the standalone suites read only the package fixtures
+    if fixtures is not None:  # every suite reads only the package fixtures
         monkeypatch.setattr(verify, "load_fixtures", lambda: fixtures)
+    runs, records = mc_laws(cfg, i=i)
     assert runs.to_json_dict() == mc_runlength(cfg).to_json_dict()
     assert records.to_json_dict() == mc_nu_zero(cfg, i=i).to_json_dict()
 
