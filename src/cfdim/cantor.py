@@ -109,8 +109,25 @@ class SeqPair:
         return tuple(zip((0,) + self.m[:-1], self.n, self.m))
 
 
-_MAX_ENTRY_BITS = 2**25  # twice m_12 of nu_hat = 0, nu = 1 (16 777 219 bits), the largest default CLI entry
+_MAX_SCHEDULE_BITS = 2**26  # over all entries of a schedule, 8 MB; nu_hat = 0, nu = 1 fits to k_max = 12
 _MAX_SAMPLE_DEPTH = 2**24  # sample_measure keeps one int reference per digit, in a list and a tuple: ~270 MB
+
+
+def _schedule(k_max: int, n_1: int, m_of, n_next) -> SeqPair:
+    """Runs k = 1..k_max: n_1, m_k = m_of(n_k), n_k = n_next(n_{k-1}, m_{k-1}, k).
+    More than _MAX_SCHEDULE_BITS bits in all raise InputOutOfRange before the
+    run that must pass them is built; runs never shrink (n_k < m_k < n_{k+1}),
+    so the next has at least the last one's bits: one that fits is never refused."""
+    ns, ms, bits = [], [], 0
+    for k in range(1, k_max + 1):
+        n = n_next(ns[-1], ms[-1], k) if ns else n_1
+        ns.append(n)
+        ms.append(m_of(n))
+        last = n.bit_length() + ms[-1].bit_length()
+        bits += last
+        if bits + (last if k < k_max else 0) > _MAX_SCHEDULE_BITS:
+            raise InputOutOfRange(f"k_max = {k_max} gives a schedule of more than 2^26 bits; lower k_max")
+    return SeqPair(tuple(ns), tuple(ms))
 
 
 def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
@@ -119,7 +136,7 @@ def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
     nu_hat > 0:  n_1 = 2, n_{k+1} = floor((nu/nu_hat)(n_k + 1/nu)) + 2,
                  m_k = floor((1+nu) n_k) + 1.
     nu_hat = 0:  n_k = floor((1+nu) 2^(2^(2k))) + 2, same m_k formula.
-    An entry past _MAX_ENTRY_BITS bits raises InputOutOfRange before it is built.
+    A schedule past _MAX_SCHEDULE_BITS bits raises InputOutOfRange (see _schedule).
     """
     nv = to_fraction(nu)
     nh = to_fraction(nu_hat)
@@ -127,22 +144,11 @@ def construct_sequences(nu_hat, nu, k_max: int = 12) -> SeqPair:
         raise InputOutOfRange("need 0 < nu < infinity")
     if not (0 <= nh <= nv / (1 + nv)):
         raise InputOutOfRange(f"need 0 <= nu_hat <= nu/(1+nu) = {nv/(1+nv)}")
-    ns: List[int] = []
-    ms: List[int] = []
     if nh > 0:
-        nk = 2
-        for _ in range(k_max):
-            ns.append(nk)
-            ms.append(int((1 + nv) * nk) + 1)
-            nk = int((nv / nh) * (nk + Fraction(1) / nv)) + 2
+        n_1, n_next = 2, lambda n, m, k: int((nv / nh) * (n + Fraction(1) / nv)) + 2
     else:
-        for k in range(1, k_max + 1):
-            if 2 ** (2 * k) > _MAX_ENTRY_BITS:  # the entry has about 2^(2k) bits: refused before it is built
-                raise InputOutOfRange(f"k_max = {k_max} gives schedule entries of more than 2^25 bits; lower k_max")
-            nk = int((1 + nv) * 2 ** (2 ** (2 * k))) + 2
-            ns.append(nk)
-            ms.append(int((1 + nv) * nk) + 1)
-    return SeqPair(tuple(ns), tuple(ms))
+        n_1, n_next = int((1 + nv) * 2**4) + 2, lambda n, m, k: int((1 + nv) * 2 ** (2 ** (2 * k))) + 2
+    return _schedule(k_max, n_1, lambda n: int((1 + nv) * n) + 1, n_next)
 
 
 def construct_sequences_runlength(alpha, beta, k_max: int = 12) -> SeqPair:
@@ -151,20 +157,13 @@ def construct_sequences_runlength(alpha, beta, k_max: int = 12) -> SeqPair:
 
     One valid choice (implementation-defined): n_1 = 2,
     m_k = floor(n_k/(1-beta)) + 1, n_{k+1} = floor(((1-alpha)/alpha)(m_k-n_k)) + 2.
+    A schedule past _MAX_SCHEDULE_BITS bits raises InputOutOfRange (see _schedule).
     """
     a = to_fraction(alpha)
     b = to_fraction(beta)
     if not (0 < a <= b / (1 + b) < b < 1):
         raise InputOutOfRange(f"need 0 < alpha <= beta/(1+beta) < beta < 1, got alpha={a}, beta={b}")
-    ns: List[int] = []
-    ms: List[int] = []
-    nk = 2
-    for _ in range(k_max):
-        ns.append(nk)
-        mk = int(nk / (1 - b)) + 1
-        ms.append(mk)
-        nk = int(((1 - a) / a) * (mk - nk)) + 2
-    return SeqPair(tuple(ns), tuple(ms))
+    return _schedule(k_max, 2, lambda n: int(n / (1 - b)) + 1, lambda n, m, k: int(((1 - a) / a) * (m - n)) + 2)
 
 
 # ---------------------------------------------------------------------------

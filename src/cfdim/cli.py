@@ -94,8 +94,8 @@ def _config_echo(args) -> dict:
         if isinstance(v, bool):
             if v:
                 argv.append(flag)
-        else:
-            argv.extend([flag, echoed if isinstance(echoed, str) else str(v)])
+        else:  # one token for "-...", which argparse would read as a flag
+            argv.extend([f"{flag}={echoed}"] if str(echoed).startswith("-") else [flag, str(echoed)])
     cfg["argv"] = argv
     return cfg
 

@@ -132,6 +132,11 @@ def _log_qtotal(B: int, f: int, tail_digit: int, t: int) -> np.ndarray:
     return logq
 
 
+def _fits_table(B: int, free: int) -> bool:
+    """B^free <= _TABLE_LIMIT (read when called), exact without B^free: B^b > it for B >= 2, b its bit length."""
+    return B ** min(free, _TABLE_LIMIT.bit_length()) <= _TABLE_LIMIT
+
+
 def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
     """log of  sum over free strings of (exp(scale_log) * q_total)^(-2 rho).
 
@@ -145,9 +150,8 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
     transfer.check_alphabet(B)
     if not rho >= 0:  # NaN too: every comparison with it is False
         raise ValueError("rho must be >= 0")
-    leaves = B**spec.free_length
-    if leaves > _TABLE_LIMIT:
-        raise InputOutOfRange(f"{B}^{spec.free_length} = {leaves} leaves exceed budget {_TABLE_LIMIT}")
+    if not _fits_table(B, spec.free_length):
+        raise InputOutOfRange(f"{B}^{spec.free_length} leaves exceed budget {_TABLE_LIMIT}")
     table = _log_qtotal(B, spec.free_length, spec.tail_digit if spec.tail_i else 0, spec.tail_i)
     terms = table + spec.scale_log
     terms *= -2.0 * rho
@@ -310,9 +314,9 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
     trailing i-run.
 
     The free digits are enumerated exactly when they fit one table
-    (B^free <= _TABLE_LIMIT = 2^20 leaves), so the bisection (width 1e-14)
-    builds it once and every later step sums the cached table.  A larger
-    free part takes the log-space operator iteration (same sum,
+    (_fits_table: B^free <= _TABLE_LIMIT = 2^20 leaves), so the bisection
+    (width 1e-14) builds it once and every later step sums the cached table.
+    A larger free part takes the log-space operator iteration (same sum,
     evaluated as an iterated transfer operator), with a near-machine
     bisection width of 4e-16 so the root residual stays tiny even for very
     long segments.  Each operator evaluation iterates only to the settling
@@ -325,7 +329,7 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
     if tail_len > l_k or tail_len < 0:
         raise InputOutOfRange("tail length exceeds segment length")
     free = l_k - tail_len
-    if B**free <= _TABLE_LIMIT:
+    if _fits_table(B, free):
         return _enumerated_root(B, SumKernelSpec(free, tail_len, i), 1e-14, l_k, "enumerate-tilde")
     root, bracket = solve_decreasing_root(lambda s: transfer.segment_log_sum(B, i, free, tail_len, s), width=4e-16)
     return DimEstimate(root, bracket, n_used=l_k, B_used=B, method="operator-tilde")

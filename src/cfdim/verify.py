@@ -13,14 +13,14 @@ Euclid on two (4n + 64)-bit numerators, so its cost grows like n^2.
 The chain runs in chunks of at most _CHAIN_CHUNK steps and yields one int64
 block of shape (samples, width) per chunk, row k holding sample k's digits;
 the run trackers scan whole blocks and carry their state across chunk edges.
-A chunk's steps run as _CHAIN_LANES lanes side by side, so that one ufunc
-call serves lanes x samples values.  Lane j >= 1 starts from r = 0 and
-warms up over the last _CHAIN_WARMUP uniforms of lane j - 1, dropping those
-digits; r forgets its start at Levy's rate, so the warmed-up r almost always
-equals lane j - 1's final r bit for bit.  That equality is checked exactly
-at every seam, and it makes each lane's digits the sequential chain's,
-since every step is the same IEEE operations on the same doubles; a chunk
-with a mismatched seam runs again as one lane from the untouched uniforms.
+A chunk's steps run as _CHAIN_LANES equal lanes side by side (or as one
+lane), so that one ufunc call serves lanes x samples values.  Lane j >= 1
+starts from r = 0 and warms up over the last _CHAIN_WARMUP uniforms of lane
+j - 1, dropping those digits; r forgets its start at Levy's rate, so the
+warmed-up r almost always equals lane j - 1's final r bit for bit.  That
+equality is checked exactly at every seam, and it makes each lane's digits
+the sequential chain's, since every step is the same IEEE operations on the
+same doubles; a chunk with a mismatched seam runs again as one lane.
 A chunk whose uniforms all lie above _CLAMP_U = 2 / DIGIT_CAP drops the floor
 at 1e-300 and the cap at DIGIT_CAP from its steps, because neither can change
 a digit there (`LebesgueDigitChain.next_digits` gives the bound); the other,
@@ -121,6 +121,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1 or self.n_digits < 1:
             raise InputOutOfRange(f"samples and n_digits must be >= 1, got {self.samples} and {self.n_digits}")
+        if self.samples > _MAX_SAMPLES:
+            raise InputOutOfRange(f"samples must be <= {_MAX_SAMPLES}, got {self.samples}")
 
 
 def load_fixtures() -> Dict[str, object]:
@@ -136,6 +138,7 @@ def load_fixtures() -> Dict[str, object]:
 _CHAIN_CHUNK = 512  # uniforms drawn per sample at a time
 _CHAIN_LANES = 4  # lanes that a chunk's steps run in, side by side
 _CHAIN_WARMUP = 48  # steps a lane runs over the last uniforms of the lane before it
+_MAX_SAMPLES = 2**12  # a chain chunk holds about 9 kB per sample: 37 MB at the cap
 _CLAMP_U = 2.0 / DIGIT_CAP  # a digit reaches DIGIT_CAP only from a uniform u <= this
 _CLAMP_FRACTION_BOUND = 1e-6  # clamped digits over samples x n_digits
 _LEMMA_STRINGS = 10_000  # random digit strings per lemma_suite run
@@ -180,24 +183,22 @@ class LebesgueDigitChain:
         digits are then cast into the sample-major buffer its uniforms were
         drawn into, which the transposes have freed.
 
-        A chunk's steps run as _CHAIN_LANES lanes of L = take // _CHAIN_LANES
-        steps side by side, so that each ufunc call covers lanes x samples
-        values: a step row of the step-major buffer holds step l of every
-        lane.  Lane 0 starts from the chain's r.  Lane j >= 1 starts from
-        r = 0 and first runs _CHAIN_WARMUP steps over the last uniforms of
-        lane j - 1, dropping their digits; r = q_{k-1} / q_k = [0; a_k, ...,
-        a_1] forgets its start at Levy's rate e^{-2.37 k}, so it then almost
-        always holds the bits of lane j - 1's final r.  Every step is the
-        same elementwise IEEE operations on the same doubles, so a lane whose
-        start equals the sequential chain's r at its first step yields the
-        sequential digits bit for bit.  By induction from lane 0, every lane
-        starts from the sequential r when each lane's warmed-up r equals the
-        final r of the lane before, which the chain checks exactly
-        (`np.array_equal`; r in [0, 1] has no NaN and no -0).  On a
-        mismatch the whole chunk runs again as one lane from the chain's r
-        and the untouched drawn uniforms, and `redone` counts it.  A chunk
-        too short for lanes (L < _CHAIN_WARMUP) runs as one lane, and so do
-        the take - lanes x L steps after the lanes.
+        A chunk of take = _CHAIN_LANES x L steps with L >= _CHAIN_WARMUP runs
+        as _CHAIN_LANES lanes of L steps side by side (any other chunk as one
+        lane), so each ufunc call covers lanes x samples values: a step row of
+        the step-major buffer holds step l of every lane.  Lane 0 starts from
+        the chain's r.  Lane j >= 1 starts from r = 0 and first runs
+        _CHAIN_WARMUP steps over the last uniforms of lane j - 1, dropping
+        their digits; r = q_{k-1} / q_k = [0; a_k, ..., a_1] forgets its start
+        at Levy's rate e^{-2.37 k}, so it then almost always holds the bits of
+        lane j - 1's final r.  Every step is the same IEEE operations on the
+        same doubles, so a lane whose start equals the sequential chain's r at
+        its first step yields the sequential digits bit for bit.  By induction
+        from lane 0, every lane starts from the sequential r when each lane's
+        warmed-up r equals the final r of the lane before, which the chain
+        checks exactly (`np.array_equal`; r in [0, 1] has no NaN and no -0).
+        On a mismatch the chunk runs again as one lane from the chain's r and
+        the untouched uniforms; `redone` counts it.
 
         A chunk whose smallest uniform is above _CLAMP_U skips the floor
         at 1e-300 and the cap, which change no value there, with no rounding
@@ -245,11 +246,11 @@ class LebesgueDigitChain:
             for row, g in zip(block, self._gens):
                 g.random(out=row)
             screened = block.min() <= _CLAMP_U
-            k = _CHAIN_LANES if take // _CHAIN_LANES >= warm else 1
+            k = _CHAIN_LANES if take % _CHAIN_LANES == 0 and take // _CHAIN_LANES >= warm else 1
             for k in (k, 1):  # the lanes, then after a seam mismatch the chunk as one lane
                 L = take // k
-                lanes = by_step[:L * k * n].reshape(L, k, n)
-                lanes[...] = block[:, :k * L].reshape(n, k, L).transpose(2, 1, 0)
+                lanes = by_step[:take * n].reshape(L, k, n)
+                lanes[...] = block.reshape(n, k, L).transpose(2, 1, 0)
                 rl, starts = lane_r[:k * n], warmed[:(k - 1) * n]
                 rl[:n], rl[n:] = r, 0.0
                 if k > 1:
@@ -260,14 +261,10 @@ class LebesgueDigitChain:
                     break
                 self.redone += 1
             r[...] = rl[-n:]
-            rest = by_step[k * L * n:take * n].reshape(take - k * L, n)
-            rest[...] = block[:, k * L:].T
-            walk(rest, r, screened)
             if screened:
                 self.clamps += int(np.count_nonzero(by_step[:take * n] == DIGIT_CAP))
             out = digits[:, :take]
-            out[:, :k * L].reshape(n, k, L)[...] = lanes.transpose(2, 1, 0)
-            out[:, k * L:] = rest.T
+            out.reshape(n, k, L)[...] = lanes.transpose(2, 1, 0)
             yield out
             done += take
 

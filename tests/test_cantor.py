@@ -102,9 +102,9 @@ def _capped_builds(*builds):
 
 
 def test_schedule_entries_past_the_bit_cap_raise_before_they_are_built():
-    # nu_hat = 0: n_13 has 2^26 bits
+    # nu_hat = 0: n_13 has 2^26 bits, n_16 2^32
     assert _capped_builds("construct_sequences(0, 1, k_max=16)") == [
-        "range error: k_max = 16 gives schedule entries of more than 2^25 bits; lower k_max",
+        "range error: k_max = 16 gives a schedule of more than 2^26 bits; lower k_max",
     ]
 
 

@@ -190,7 +190,7 @@ def test_cantor_schedule_past_the_entry_bit_cap_exits3_before_building_it():
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "range error: k_max = 16 gives schedule entries of more than 2^25 bits; lower k_max\n"
+    assert proc.stderr == "range error: k_max = 16 gives a schedule of more than 2^26 bits; lower k_max\n"
 
 
 def test_cantor_depth_past_the_sampler_cap_exits3_before_any_solve(monkeypatch, capsys):
@@ -474,6 +474,16 @@ def test_negative_infinity_echoes_with_its_sign(capsys):
     # U_set reads no nu, so -inf reaches the echo, which read "inf" before
     rc, out = run_cli(["dim", "--kind", "U_set", "--nu-hat", "0", "--nu=-inf"], capsys)
     assert rc == 0 and json.loads(out)["config"]["nu"] == "-inf"
+
+
+@pytest.mark.parametrize("value", ["--nu=-inf", "--nu=-1/2", "--alpha=-0.5"])
+def test_negative_value_echo_reruns_byte_identical(value, capsys):
+    # U_set reads neither value; the echo writes it as one --flag=value token,
+    # since argparse reads a separate "-inf" as a flag and exits 2
+    rc1, out1 = run_cli(["dim", "--kind", "U_set", "--nu-hat", "0", value], capsys)
+    echoed = json.loads(out1)["config"]["argv"]
+    assert rc1 == 0 and value in echoed
+    assert run_cli(echoed, capsys) == (0, out1)
 
 
 @pytest.mark.parametrize("surd", ["sqrt:2,1", "sqrt:2,1,1", "sqrt:2,0,1,1,9", "sqrt:2,x"])

@@ -15,14 +15,22 @@ import random
 from fractions import Fraction
 
 from cfdim import transfer
+from cfdim.cantor import (
+    CantorSpec,
+    construct_sequences,
+    construct_sequences_runlength,
+    local_dimension_series,
+    sample_measure,
+)
 from cfdim.cf_core import RealInput, expand
-from cfdim.dim_solver import spectral_dim
+from cfdim.dim_solver import predim_tilde, spectral_dim
 from cfdim.verify import LebesgueDigitChain, RecordTracker, RunMaxTracker
 
 EXPAND_DIGEST = "9d65b5864ffd45af60813d5668eadcd5c306d1bc188703a94083343a9bef27e4"
 CHAIN_DIGEST = "70430166741c240da77c82072f0d8777678dcb32097be3c889f4f256d873a5fc"
 SPECTRAL_DIGEST = "670d06257b179fb83e8bcb8f7f9c68160091f6116cc64918ae95e3ed6a70cf62"
 TRACKER_DIGEST = "ba9e769f43bc7ea05a4faa59901c621bdd4e1bc3b86f5eceeced727daa8b5224"
+CANTOR_DIGEST = "fdbcd6404327b5ba7f89960c9a8d885dad18240b51bb9964607b157a490ce77d"
 
 
 def _rationals(rng, count):
@@ -81,8 +89,8 @@ def test_expand_digest_matches_committed_hex():
 
 def chain_digest() -> str:
     """sha256 over the little-endian int64 digit blocks of one seeded
-    200-sample `LebesgueDigitChain` for 10^4 steps and then 203 more (the
-    last chunk's lanes leave remainder steps), and its clamp count."""
+    200-sample `LebesgueDigitChain` for 10^4 steps and then 203 more (a
+    chunk that does not split into equal lanes), and its clamp count."""
     h = hashlib.sha256()
     chain = LebesgueDigitChain(20261020, 200)
     for steps in (10_000, 203):
@@ -147,3 +155,39 @@ def tracker_digest() -> str:
 
 def test_tracker_digest_matches_committed_hex():
     assert tracker_digest() == TRACKER_DIGEST
+
+
+def cantor_digest() -> str:
+    """sha256 over the Cantor layer: the entries of every schedule that
+    `construct_sequences` and `construct_sequences_runlength` build over a
+    small grid of (nu_hat, nu), nu_hat = 0 included, and (alpha, beta) at
+    k_max 1..12, as little-endian bytes (`repr` stops at 4 300 digits);
+    `repr((value, bracket, method))` of `predim_tilde` at segments 1..10 of
+    (nu_hat, nu, B, i) = (1/3, 1, 3, 1) and (1/4, 1/2, 4, 1), whose segment 3
+    enumerates exactly 4^10 = 2^20 leaves, the largest table; and the digits
+    that `sample_measure` draws at two seeds, with their
+    `local_dimension_series`."""
+    h = hashlib.sha256()
+    F = Fraction
+    grid = [(construct_sequences, a, b) for a, b in ((0, 1), (0, F(1, 2)), (F(1, 3), 1), (F(1, 4), F(1, 2)))]
+    grid += [(construct_sequences, F(1, 2), 1)]
+    grid += [(construct_sequences_runlength, a, b) for a, b in ((F(1, 3), F(1, 2)), (F(1, 5), F(3, 4)))]
+    for build, a, b in grid:
+        for k_max in range(1, 13):
+            sp = build(a, b, k_max)
+            for entry in sp.n + sp.m:
+                h.update(entry.to_bytes((entry.bit_length() + 8) // 8, "little") + b"\n")
+    for nu_hat, nu, B, i in ((Fraction(1, 3), 1, 3, 1), (Fraction(1, 4), Fraction(1, 2), 4, 1)):
+        for m_prev, n_k, m_k in construct_sequences(nu_hat, nu, 10).segments:
+            est = predim_tilde(B, i, (m_k - m_prev, m_k - n_k))
+            h.update(repr((est.value, est.bracket, est.method)).encode() + b"\n")
+    spec = CantorSpec(3, 1, construct_sequences(Fraction(1, 3), 1, 6))
+    for seed in (20261020, 20261021):
+        digits = sample_measure(spec, spec.sp.m[4], seed).digits
+        h.update(repr(digits).encode() + b"\n")
+        h.update(repr(local_dimension_series(spec, digits)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_cantor_digest_matches_committed_hex():
+    assert cantor_digest() == CANTOR_DIGEST

@@ -1,15 +1,20 @@
-"""One range rule per solver input, applied where the input enters.
+"""One range rule per solver input, applied where the input enters, and
+one size rule per built object, decided before the object is built.
 
 The run digit i (cf_core.check_run_digit), the alphabet bound B
 (transfer.check_alphabet) and the pressure exponent s (transfer.pressure)
 each have one check that raises InputOutOfRange.  Every public entry that
 takes the input refuses an out-of-range value with that check's message,
-before it builds an array, scans digits or walks a chain.
+before it builds an array, scans digits or walks a chain.  So do the size
+rules: a Cantor schedule's bit budget (cantor._schedule), the enumeration
+table's leaf budget (dim_solver._fits_table) and the Monte Carlo sample
+count (verify.McConfig).
 """
 
 import math
 import pathlib
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -125,3 +130,77 @@ def test_no_second_rule_for_run_digit_alphabet_or_exponent():
     for path in sorted(SRC.glob("*.py")):
         for n, line in enumerate(path.read_text().splitlines(), 1):
             assert not pattern.search(line), f"{path.name}:{n}: {line.strip()}"
+
+
+SCHEDULE_BUILDS = {
+    "nu_hat_1/3": lambda k_max: cantor.construct_sequences(Fraction(1, 3), 1, k_max=k_max),
+    "nu_hat_0": lambda k_max: cantor.construct_sequences(0, 1, k_max=k_max),
+    "runlength": lambda k_max: cantor.construct_sequences_runlength(Fraction(1, 3), HALF, k_max=k_max),
+}
+SCHEDULE_REFUSAL = "k_max = {} gives a schedule of more than 2^26 bits; lower k_max"
+
+
+def _result_seconds_and_peak_bytes(call):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        result = call()
+        return result, time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build,k_max", [("nu_hat_1/3", 10**6), ("runlength", 10**6), ("nu_hat_0", 13), ("nu_hat_0", 16)]
+)
+def test_schedule_past_the_bit_budget_is_refused_before_it_is_built(build, k_max):
+    # the parent built every run: 82 MB at k_max = 20 000 of nu_hat = 1/3, quadratic in k_max
+    def refused():
+        with pytest.raises(InputOutOfRange, match=f"^{re.escape(SCHEDULE_REFUSAL.format(k_max))}$"):
+            SCHEDULE_BUILDS[build](k_max)
+
+    _, seconds, peak = _result_seconds_and_peak_bytes(refused)
+    assert seconds < 1.0 and peak < 16 * 2**20
+
+
+def test_cantor_schedule_past_the_bit_budget_exits3_before_it_is_built(capsys):
+    argv = ["cantor", "--nu-hat", "1/3", "--nu", "1", "--k-max", "1000000"]
+    rc, seconds, peak = _result_seconds_and_peak_bytes(lambda: main(argv))
+    assert rc == 3 and seconds < 1.0 and peak < 16 * 2**20
+    assert capsys.readouterr().err == f"range error: {SCHEDULE_REFUSAL.format(10**6)}\n"
+
+
+@pytest.mark.parametrize("build,k_max", [("nu_hat_0", 12), ("nu_hat_1/3", 5000)])
+def test_schedule_within_the_bit_budget_is_built(build, k_max):
+    sp = SCHEDULE_BUILDS[build](k_max)
+    assert sp.k_max == k_max
+    assert sum(entry.bit_length() for entry in sp.n + sp.m) <= cantor._MAX_SCHEDULE_BITS
+
+
+@pytest.mark.parametrize("limit", [2**20, 3**9])
+def test_table_predicate_equals_the_exact_power(limit, monkeypatch):
+    # read when called: a test that lowers the limit lowers the predicate's
+    monkeypatch.setattr(dim_solver, "_TABLE_LIMIT", limit)
+    for B in range(1, 4097):
+        for free in range(41):
+            assert dim_solver._fits_table(B, free) == (B**free <= limit), (B, free)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**7])
+def test_enumeration_past_the_table_is_refused_without_the_power(n):
+    # the parent formatted 3^n into its message: past the int-to-str limit a ValueError
+    t0 = time.perf_counter()
+    with pytest.raises(InputOutOfRange, match=rf"^3\^{n} leaves exceed budget 1048576$"):
+        dim_solver.predim_hat(3, 0, 1, n)
+    assert time.perf_counter() - t0 < 0.01
+
+
+def test_sample_count_past_the_cap_is_refused_before_any_chain(no_chain, capsys):
+    # a chunk holds about 9 kB per sample: 10^6 samples once asked for about 9 GB
+    verify.McConfig(seed=1, samples=4096, n_digits=2)
+    peak = _peak_bytes_of_refusal(
+        lambda: verify.McConfig(seed=1, samples=4097, n_digits=2), r"^samples must be <= 4096, got 4097$"
+    )
+    assert peak < 2**20
+    assert main(["verify", "--suite", "runlength", "--samples", "4097", "--n", "2"]) == 3
+    assert capsys.readouterr().err == "range error: samples must be <= 4096, got 4097\n"

@@ -159,10 +159,11 @@ def test_chain_screen_switches_per_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("samples", [1, 7])
-@pytest.mark.parametrize("last", [37, 4 * 48 + 3])
+@pytest.mark.parametrize("last", [37, 4 * 48, 4 * 48 + 3, 4 * 48 + 4])
 def test_chain_lanes_equal_step_oracle(samples, last):
     # at the default chunk: three chunks in lanes, then a last chunk too short
-    # for lanes, or one in four lanes of 48 steps and 3 remainder steps
+    # for lanes, one in the shortest lanes (48 steps), one that does not split
+    # into four equal lanes and runs as one lane, or one in four lanes of 49
     assert verify._CHAIN_LANES == 4 and verify._CHAIN_WARMUP == 48
     n = 3 * verify._CHAIN_CHUNK + last
     chain = LebesgueDigitChain(20260809, samples)
@@ -174,7 +175,7 @@ def test_chain_redoes_a_chunk_whose_seams_miss(monkeypatch):
     # with no warm-up every lane j >= 1 starts from r = 0, which no lane ends at
     # (r = 1 / (digit + r) > 0), so every seam misses and every chunk runs again
     monkeypatch.setattr(verify, "_CHAIN_WARMUP", 0)
-    n = 3 * verify._CHAIN_CHUNK + 37
+    n = 3 * verify._CHAIN_CHUNK + 36  # a last chunk of four equal lanes
     chain = LebesgueDigitChain(3, 5)
     assert np.array_equal(chain_digit_matrix(chain, n), _chain_oracle(3, 5, n))
     assert chain.redone == 4
