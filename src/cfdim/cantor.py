@@ -11,9 +11,9 @@ insertion map that pins the exponents of the image points.
 
 Masses and conditional sampling run on per-segment transfer-operator stacks
 (see cfdim.transfer), so depths far beyond enumeration range stay cheap.  A
-sampled digit is one uniform compared with a per-segment bracket table of
-the digit law, and an inverse-CDF draw over B weights in numpy only where
-the table cannot decide; a prefix is checked one schedule interval at a
+sampled digit is one uniform compared with the stack's bracket table of the
+digit law, and an inverse-CDF draw over B weights in numpy only where the
+table cannot decide; a prefix is checked one schedule interval at a
 time, and masses need only the denominators q_{n-1}, q_n of their digits
 (cf_core.denominators); local dimensions at all block boundaries share one
 pass over the prefix.  The recursion runs over free digits only: each
@@ -22,20 +22,19 @@ segment's forced run i^t is appended in closed form,
     q(w i^t) = q(w) q_t(i) + q(w-) q_{t-1}(i),
 
 from the run continuants q_{t-2}, q_{t-1}, q_t(i) (cf_core.run_continuants).
-Segment roots, stacks, run continuants and bracket tables are cached per
-spec in a MeasureContext, which the spec keeps and measure_context returns.
-A context also keeps one prefix whose mass it computed, with its segment
-state, and a mass walk resumes from that state whenever the prefix asked for
-extends the kept one; so the mass of each child of the kept prefix is one
-digit step past it.  That is one digits tuple per spec, 160 kB at 20 000
-digits.
+Segment roots, stacks (each with its bracket table) and run continuants are
+cached per spec in a MeasureContext, which the spec keeps and
+measure_context returns.  A context also keeps one prefix whose mass it
+computed, with its segment state, and a mass walk resumes from that state
+whenever the prefix asked for extends the kept one; so the mass of each
+child of the kept prefix is one digit step past it.  That is one digits
+tuple per spec, 160 kB at 20 000 digits.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,10 +282,9 @@ class MeasureContext:
     append the run to any free digits in closed form (`through_run`).
     Per segment asked for (at most k_max) a context keeps one root; one
     stack, levels 0..K of degree + 1 floats (K = 21-48 over B <= 16), a few
-    kB; one run triple, three ints of about t log2 tau(i) bits, 23 kB at
-    segment 10 of the nu_hat = 1/3, nu = 1, i = 1 schedule (t = 88 572); and
-    one sampler table (`cdf_table`), 2 (_CDF_CELLS + 1)(B - 1) doubles, 8 kB
-    at B = 3 and 62 kB at B = 16.  It also keeps measure_mass's resumable
+    kB, with its sampler table (8 kB at B = 3, 62 kB at B = 16); one run
+    triple, three ints of about t log2 tau(i) bits, 23 kB at segment 10 of
+    the nu_hat = 1/3, nu = 1, i = 1 schedule (t = 88 572).  It also keeps measure_mass's resumable
     prefix state: the digits of one prefix whose mass it computed, one tuple
     of 8-byte references to shared small ints (160 kB at 20 000 digits), and
     that prefix's state (segment, log mass, pair) (see advance), whose ints
@@ -298,32 +296,26 @@ class MeasureContext:
         self._s_tilde: Dict[int, DimEstimate] = {}
         self._stacks: Dict[int, transfer.SegmentStack] = {}
         self._runs: Dict[int, Tuple[int, int, int]] = {}
-        self._tables: Dict[int, Optional[Tuple[array, array]]] = {}
         # the kept prefix and its state, one attribute so that they change together (see measure_mass)
         self._kept: Optional[Tuple[Tuple[int, ...], Tuple[int, float, Tuple[int, int]]]] = None
 
-    def seg_bounds(self, k: int) -> Tuple[int, int, int]:
-        """(m_{k-1}, n_k, m_k) for 1-based segment k."""
-        return self.spec.sp.segments[k - 1]
-
     def s_tilde(self, k: int) -> DimEstimate:
         if k not in self._s_tilde:
-            m_prev, n_k, m_k = self.seg_bounds(k)
+            m_prev, n_k, m_k = self.spec.sp.segments[k - 1]
             self._s_tilde[k] = dim_solver.predim_tilde(self.spec.B, self.spec.i, (m_k - m_prev, m_k - n_k))
         return self._s_tilde[k]
 
     def stack(self, k: int) -> transfer.SegmentStack:
         if k not in self._stacks:
-            m_prev, n_k, m_k = self.seg_bounds(k)
-            self._stacks[k] = transfer.segment_stack(
-                self.spec.B, self.spec.i, n_k - m_prev, m_k - n_k, self.s_tilde(k).value, keep_levels=True
-            )
+            m_prev, n_k, m_k = self.spec.sp.segments[k - 1]
+            s = self.s_tilde(k).value
+            self._stacks[k] = transfer.segment_stack(self.spec.B, self.spec.i, n_k - m_prev, m_k - n_k, s)
         return self._stacks[k]
 
     def run_continuants(self, k: int) -> Tuple[int, int, int]:
         """(q_{t-2}, q_{t-1}, q_t) of segment k's forced run i^t, t = m_k - n_k."""
         if k not in self._runs:
-            _, n_k, m_k = self.seg_bounds(k)
+            _, n_k, m_k = self.spec.sp.segments[k - 1]
             self._runs[k] = run_continuants(self.spec.i, m_k - n_k)
         return self._runs[k]
 
@@ -332,13 +324,6 @@ class MeasureContext:
         i^t is segment k's forced run: q(w i^t) = q(w) q_t + q(w-) q_{t-1}."""
         r2, r1, r = self.run_continuants(k)
         return cur * r1 + prev * r2, cur * r + prev * r1
-
-    def cdf_table(self, k: int) -> Optional[Tuple[array, array]]:
-        """Segment k's sampler table (lo, hi) (see _sample_segment_free), or None when
-        no free digit has more than K left (free - 1 <= K) or that law is not finite."""
-        if k not in self._tables:
-            self._tables[k] = _cdf_brackets(self, k)
-        return self._tables[k]
 
     def segment_factor(self, k: int, q1: int, q: int) -> float:
         """-2 s~_k log q_{l_k} of complete segment k (its free digits, then
@@ -374,8 +359,9 @@ class MeasureContext:
         """
         k, lm, (q1, q) = state
         L, pos = len(digits), start
+        segments = self.spec.sp.segments
         while True:
-            m_prev, n_k, m_k = self.seg_bounds(k)
+            m_prev, n_k, m_k = segments[k - 1]
             if L <= n_k:
                 q1, q = denominators(digits[pos:L], q1, q)
                 return (k, lm, (q1, q)), (lm + self.open_factor(k, n_k - L, q1, q) if L > m_prev else lm)
@@ -439,86 +425,29 @@ def _allowed_run(spec: CantorSpec, k: int) -> int:
     return spec.sp.run_length(k - 1)
 
 
-def _digit_cdf(k: int, m2s: float, interp, level: np.ndarray, ar: np.ndarray) -> np.ndarray:
-    """CDF of segment k's digit law over a = 1..B along the last axis of
-    ar = a + r (a row per state r), log completion sums `level` at the nodes."""
-    with np.errstate(invalid="ignore"):  # a non-finite level gives 0 inf = NaN: raised on below
-        logw = m2s * np.log(ar) + (interp((1.0 / ar).ravel()) @ level).reshape(ar.shape)
-    top = logw.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
-        # NaN or +inf (max propagates NaN); below, every exp(logw - top) is in [0, 1]
-        raise ValueError(f"segment {k}: log-weights {logw.tolist()} are not finite")
-    w = np.exp(logw - top)
-    w /= w.sum(axis=-1, keepdims=True)
-    cdf = w.cumsum(axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
-
-
-_CDF_CELLS = 256  # cells of the sampler bracket table over r in [0, 1]
-_CDF_CHUNK = 64  # cell ends per vectorized block of a table build
-
-
-def _cdf_brackets(ctx: MeasureContext, k: int) -> Optional[Tuple[array, array]]:
-    """(lo, hi) in array('d'), row-major over (cell, boundary b < B - 1): row c <
-    _CDF_CELLS covers r in [c, c + 1] / _CDF_CELLS, row _CDF_CELLS r = 1; one margin
-    for all b keeps rows nondecreasing, as bisect needs."""
-    st = ctx.stack(k)
-    level = st.levels[-1]
-    if st.free <= len(st.levels) or not (np.isfinite(level).all() and math.isfinite(st.step)):
-        return None
-    B, m2s = ctx.spec.B, -2.0 * ctx.s_tilde(k).value
-    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
-    ends = np.empty((_CDF_CELLS + 1, B - 1))  # the law at the cell ends, in blocks of rows
-    for c0 in range(0, _CDF_CELLS + 1, _CDF_CHUNK):
-        ar = np.arange(1, B + 1) + np.arange(c0, min(c0 + _CDF_CHUNK, _CDF_CELLS + 1))[:, None] / _CDF_CELLS
-        ends[c0 : c0 + len(ar)] = _digit_cdf(k, m2s, interp, level, ar)[:, :-1]
-    size = max(1.0, float(np.abs(level).max()) + st.free * abs(st.step))  # M, the largest level magnitude
-    rounding = np.finfo(np.float64).eps * (16.0 * (transfer.DEFAULT_DEGREE + 1) * size + B + 3)
-    margin = 2.0 * np.abs(np.diff(ends, 2, axis=0)).max() + rounding
-    lo = np.vstack([np.minimum(ends[:-1], ends[1:]), ends[-1:]]) - margin
-    hi = np.vstack([np.maximum(ends[:-1], ends[1:]), ends[-1:]]) + margin
-    return array("d", lo.tobytes()), array("d", hi.tobytes())
-
-
-def _sample_segment_free(
-    ctx: MeasureContext, k: int, rng: np.random.Generator, reject: bool
-) -> Tuple[int, ...]:
+def _sample_segment_free(ctx: MeasureContext, k: int, rng: np.random.Generator, reject: bool) -> Tuple[int, ...]:
     """Free digits of segment k, drawn from the conditional measure law.
 
-    Each digit is an inverse-CDF draw with one u = rng.random(): the
-    arithmetic of rng.choice(B, p=w) without its argument checks (the exact
-    path), so a seed gives the same digits as that call.  With j > K free
-    digits left (K the settling depth), level(j) = levels[K] + (j - K) step
-    and the shift cancels, so the law depends on r = q_{n-1}/q_n alone, up
-    to rounding.  Such a draw reads cell floor(r _CDF_CELLS) of the bracket
-    table (MeasureContext.cdf_table): if lo_b <= CDF_b(r) <= hi_b and the
-    boundaries with hi_b <= u are those with lo_b <= u, the exact path
-    counts the same boundaries below u; otherwise it runs on the same u.
-    The margin around the cell-end values sums three terms.  Curvature,
-    measured: 2 max|second difference|, 16 times the chord error
-    max|c''| h^2 / 8 that it estimates (a 16 times finer grid found no value
-    outside its cell ends).  Log-weight rounding, proved to first order:
-    16 (degree + 1) eps M, M = max|levels[K]| + free |step|; each
-    log-weight of either computation errs by at most 6.6 (degree + 1) eps M
-    (interpolation rows' absolute sums stay below 3.3) and a CDF value by
-    half that.  Normalization and cumulative sums: (B + 3) eps.
+    Each digit is an inverse-CDF draw with one u = rng.random() on the
+    stack's digit_cdf: the arithmetic of rng.choice(B, p=w) without its
+    argument checks (the exact path), so a seed gives the same digits as
+    that call.  A draw with more than K free digits after it (K the settling
+    depth) first reads cell floor(r cells) of the stack's bracket table
+    (SegmentStack.cdf_table): if lo_b <= CDF_b(r) <= hi_b and the boundaries
+    with hi_b <= u are those with lo_b <= u, the exact path counts the same
+    boundaries below u; otherwise it runs on the same u.
     """
     spec = ctx.spec
-    m_prev, n_k, _ = ctx.seg_bounds(k)
+    m_prev, n_k, _ = spec.sp.segments[k - 1]
     free = n_k - m_prev
     if free == 0:
         return ()
     st = ctx.stack(k)
-    m2s = -2.0 * ctx.s_tilde(k).value
-    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
     cap = _allowed_run(spec, k)
     guard_first = k >= 2  # no digit i next to the previous run end (the last free digit is never i)
-    table = ctx.cdf_table(k)
-    lo, hi = table or ((), ())
-    fast = free - len(st.levels) if table else 0  # draw j has free - j - 1 > K digits left iff j < fast
+    lo, hi, cells, fast = st.cdf_table or ((), (), 0, 0)  # draw j reads the table iff j < fast
     nb = B - 1
     for attempt in range(200):
         out: List[int] = []
@@ -527,12 +456,12 @@ def _sample_segment_free(
             u = rng.random()
             a = 0
             if j < fast:
-                row = int(r * _CDF_CELLS) * nb
+                row = int(r * cells) * nb
                 below = bisect_right(hi, u, row, row + nb)
                 if below == bisect_right(lo, u, row, row + nb):
                     a = below - row + 1
             if not a:
-                cdf = _digit_cdf(k, m2s, interp, st.level(free - j - 1), a_vec + r)
+                cdf = st.digit_cdf(free - j - 1, a_vec + r)
                 a = int(cdf.searchsorted(u, side="right")) + 1
             out.append(a)
             r = 1.0 / (a + r)

@@ -12,6 +12,7 @@ Floating point appears only in convenience accessors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -172,7 +173,9 @@ def denominators(digits: Iterable[int], prev: int = 0, cur: int = 1) -> Tuple[in
 
 
 def check_run_digit(i: int) -> None:
-    """The run digit's one range rule: InputOutOfRange unless i >= 1, as every digit is."""
+    """The run digit's one range rule: InputOutOfRange unless i is an integer >= 1, as every digit is."""
+    if type(i) is not int and not isinstance(i, numbers.Integral):  # numpy integers are Integral; an int skips the ABC
+        raise InputOutOfRange(f"need an integer i, got {i}")
     if i < 1:
         raise InputOutOfRange(f"need i >= 1, got {i}")
 

@@ -158,7 +158,8 @@ def _parse_curve(spec: str, kind: str):
     endpoints are parameter values, as the parameter flags read them, and the
     points are the exact rationals lo + k (hi - lo)/(count - 1), k < count,
     made as they are read; count 1 gives lo.  An infinite endpoint, or a B
-    endpoint above transfer.MAX_B, raises InputOutOfRange before any point."""
+    point above transfer.MAX_B or not an integer, raises InputOutOfRange
+    before any point."""
     name, _, rng = spec.partition("=")
     names = ("B",) + dim_solver.theorem_params(kind)
     if name not in names:
@@ -172,7 +173,11 @@ def _parse_curve(spec: str, kind: str):
         if n < 0:
             raise InputOutOfRange(f"curve point count must be >= 0, got {count}")
         a, b = (dim_solver.to_fraction(_parse_param(x)) for x in (lo, hi))
-        vals = (a + (b - a) * Fraction(k, max(n - 1, 1)) for k in range(n))
+        step = (b - a) / max(n - 1, 1)
+        vals = (a + step * k for k in range(n))
+        bad = [v for v in (a, a + step)[:n] if v.denominator != 1]  # all points are integers iff these are
+        if name == "B" and bad:
+            raise InputOutOfRange(f"--curve B points must be integers, got {bad[0]}")
     else:
         a, b = int(lo), int(hi)
         vals = range(a, b + 1)

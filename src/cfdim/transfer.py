@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -41,7 +43,9 @@ MAX_B = 2**12  # largest alphabet bound: its branch rows take 34 MB at the defau
 
 
 def check_alphabet(B: int, name: str = "alphabet bound") -> None:
-    """The alphabet bound's one range rule: InputOutOfRange unless 1 <= B <= MAX_B."""
+    """The alphabet bound's one range rule: InputOutOfRange unless B is an integer, 1 <= B <= MAX_B."""
+    if type(B) is not int and not isinstance(B, numbers.Integral):  # numpy integers are Integral; an int skips the ABC
+        raise InputOutOfRange(f"{name} must be an integer, got {B}")
     if not 1 <= B <= MAX_B:
         bound = ">= 1" if B < 1 else f"<= {MAX_B}"
         raise InputOutOfRange(f"{name} must be {bound}, got {B}")
@@ -200,6 +204,10 @@ def run_tail_logs(i: int, t: int) -> Tuple[float, float]:
     return lq, math.exp(log_run_continuant(i, t - 1) - lq)
 
 
+_CDF_CELLS = 256  # cells of the sampler bracket table over r in [0, 1]: 2 (cells + 1) (B - 1) doubles
+_CDF_CHUNK = 64  # cell ends per vectorized block of a table build
+
+
 @dataclass
 class SegmentStack:
     """Log-values of the constrained completion sums of one segment.
@@ -209,12 +217,15 @@ class SegmentStack:
     free digits left followed by the forced run tail; G_0 is the tail seed.
     `levels` holds j = 0..K, K the settling depth of segment_stack (or `free`
     when the iterate never settled); past K each level adds the per-level
-    `step`, log of the operator's leading eigenvalue, at every node.
+    `step`, log of the operator's leading eigenvalue, at every node.  B and s
+    are the alphabet bound and the exponent the stack was built for.
     """
 
     free: int
     levels: List[np.ndarray]
     step: float
+    B: int
+    s: float
 
     def level(self, j: int) -> np.ndarray:
         """log G_j at the grid nodes, for 0 <= j <= free."""
@@ -232,6 +243,55 @@ class SegmentStack:
     def eval_log(self, free_remaining: int, r: float) -> float:
         grid = get_grid(DEFAULT_DEGREE)
         return float(grid.interp_matrix(np.array([r]))[0] @ self.level(free_remaining))
+
+    def digit_cdf(self, j: int, ar: np.ndarray) -> np.ndarray:
+        """CDF of the next free digit, with j free digits after it, over
+        a = 1..B along the last axis of ar = a + r (a row per state r)."""
+        interp = get_grid(DEFAULT_DEGREE).interp_matrix
+        with np.errstate(invalid="ignore"):  # a non-finite level gives 0 inf = NaN: raised on below
+            logw = -2.0 * self.s * np.log(ar) + (interp((1.0 / ar).ravel()) @ self.level(j)).reshape(ar.shape)
+        top = logw.max(axis=-1, keepdims=True)
+        if not np.isfinite(top).all():
+            # NaN or +inf (max propagates NaN); below, every exp(logw - top) is in [0, 1]
+            raise ValueError(f"log-weights {logw.tolist()} with {j} free digits left are not finite")
+        w = np.exp(logw - top)
+        w /= w.sum(axis=-1, keepdims=True)
+        cdf = w.cumsum(axis=-1)
+        cdf /= cdf[..., -1:]
+        return cdf
+
+    @functools.cached_property
+    def cdf_table(self) -> Optional[Tuple[array, array, int, int]]:
+        """The digit law's bracket table (lo, hi, cells, draws), built on first
+        read; None when free <= K + 1 or levels[K] or the step is not finite.
+
+        lo, hi: array('d') row-major over (cell, boundary b < B - 1); row c <
+        cells covers r in [c, c + 1] / cells, row `cells` r = 1.  The first
+        `draws` draws of the free part have j > K free digits after them, where
+        level(j) = levels[K] + (j - K) step and the shift cancels: up to
+        rounding lo_b <= digit_cdf(j, a + r)_b <= hi_b on the cell of r.  One
+        margin for all b keeps rows nondecreasing, as bisect needs.  It sums
+        curvature, measured: 2 max|second difference|, 16 times the chord error
+        max|c''| h^2 / 8 that it estimates (a 16 times finer grid found no
+        value outside its cell ends); log-weight rounding, proved to first
+        order: 16 (degree + 1) eps M, M = max|levels[K]| + free |step| (each
+        log-weight of either computation errs by at most 6.6 (degree + 1) eps M,
+        as interpolation rows' absolute sums stay below 3.3, and a CDF value by
+        half that); and (B + 3) eps for normalization and cumulative sums."""
+        K = len(self.levels) - 1
+        level = self.levels[K]
+        if self.free <= K + 1 or not (np.isfinite(level).all() and math.isfinite(self.step)):
+            return None
+        ends = np.empty((_CDF_CELLS + 1, self.B - 1))  # the law at the cell ends, in blocks of rows
+        for c0 in range(0, _CDF_CELLS + 1, _CDF_CHUNK):
+            ar = np.arange(1, self.B + 1) + np.arange(c0, min(c0 + _CDF_CHUNK, _CDF_CELLS + 1))[:, None] / _CDF_CELLS
+            ends[c0 : c0 + len(ar)] = self.digit_cdf(K, ar)[:, :-1]
+        size = max(1.0, float(np.abs(level).max()) + self.free * abs(self.step))  # M, the largest level magnitude
+        rounding = np.finfo(np.float64).eps * (16.0 * (DEFAULT_DEGREE + 1) * size + self.B + 3)
+        margin = 2.0 * np.abs(np.diff(ends, 2, axis=0)).max(initial=0.0) + rounding
+        lo = np.vstack([np.minimum(ends[:-1], ends[1:]), ends[-1:]]) - margin
+        hi = np.vstack([np.maximum(ends[:-1], ends[1:]), ends[-1:]]) + margin
+        return array("d", lo.tobytes()), array("d", hi.tobytes()), _CDF_CELLS, self.free - K - 1
 
 
 _SETTLE_TOL = 4.0 * np.finfo(np.float64).eps
@@ -274,7 +334,7 @@ def segment_stack(B: int, i: int, free: int, tail: int, s: float, keep_levels: b
             h = h_next
             if settled:
                 break
-    return SegmentStack(free=free, levels=levels, step=step)
+    return SegmentStack(free=free, levels=levels, step=step, B=B, s=s)
 
 
 def _logsumexp_axis0(arr: np.ndarray) -> np.ndarray:

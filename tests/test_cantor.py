@@ -305,7 +305,7 @@ def test_masses_resumed_from_a_shallower_kept_prefix_equal_cold_masses(spec13, v
     ctx = measure_context(spec)
     d = sample_measure(spec, depth=sp.m[5], seed=29 + B, reject_accidental=False).digits
     for k in (1, 2, 5):
-        m_prev, n_k, m_k = ctx.seg_bounds(k)
+        m_prev, n_k, m_k = sp.segments[k - 1]
         # before n_k, at n_k, inside the run, at m_k, and in the next segment's free part and run
         ends = (n_k - 1, n_k, n_k + 1, (n_k + m_k) // 2, m_k, m_k + 1, sp.n[k] + 1, sp.m[k])
         for L0 in (m_prev, m_prev + 1, n_k - 2, n_k, n_k + 1, m_k):
@@ -622,7 +622,7 @@ def _reference_sample(spec, depth, seed, reject):
     out = []
     k = 1
     while len(out) < depth:
-        m_prev, n_k, m_k = ctx.seg_bounds(k)
+        m_prev, n_k, m_k = spec.sp.segments[k - 1]
         free = n_k - m_prev
         st = ctx.stack(k)
         s = ctx.s_tilde(k).value
@@ -679,7 +679,7 @@ def _reference_log_mass(spec, prefix):
     digits = tuple(prefix)
     lm, L, k = 0.0, len(digits), 1
     while True:
-        m_prev, n_k, m_k = ctx.seg_bounds(k)
+        m_prev, n_k, m_k = spec.sp.segments[k - 1]
         if L >= m_k:
             lm += -2.0 * s_of(k) * log_q(digits[m_prev:m_k])
             if L == m_k:
@@ -714,18 +714,33 @@ def test_sampler_matches_choice_reference_b5():
         assert sample_measure(spec, depth=depth, seed=seed).digits == _reference_sample(spec, depth, seed, True)
 
 
+def _segment_stack(spec, k):
+    """Segment k's stack built by transfer.segment_stack at the segment's root."""
+    m_prev, n_k, m_k = spec.sp.segments[k - 1]
+    return transfer.segment_stack(spec.B, spec.i, n_k - m_prev, m_k - n_k, measure_context(spec).s_tilde(k).value)
+
+
+def _sample_with_stack(spec, k, st, depth):
+    """sample_measure(spec, depth, seed 0, no rejection) on a fresh context
+    whose segment k reads the stack st."""
+    ctx = MeasureContext(spec)
+    ctx._stacks[k] = st
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cantor, "measure_context", lambda spec: ctx)
+        return sample_measure(spec, depth=depth, seed=0, reject_accidental=False)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("node", [0, 7])
-def test_sampler_raises_on_non_finite_level(spec13, monkeypatch, bad, node):
-    ctx = MeasureContext(spec13)
-    st = ctx.stack(2)
-    st.levels = [level.copy() for level in st.levels]
+def test_sampler_raises_on_non_finite_level(spec13, bad, node):
+    st = _segment_stack(spec13, 2)
     st.levels[3][node] = bad  # one node of one level read by the free part of segment 2
-    monkeypatch.setattr(cantor, "measure_context", lambda spec: ctx)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
-            sample_measure(spec13, depth=spec13.sp.m[1], seed=0, reject_accidental=False)
+            st.digit_cdf(3, np.arange(1.0, spec13.B + 1))
+        with pytest.raises(ValueError, match="not finite"):
+            _sample_with_stack(spec13, 2, st, spec13.sp.m[1])
 
 
 # ---------------------------------------------------------------------------
@@ -745,17 +760,18 @@ def test_sampler_table_matches_forced_exact(monkeypatch, B, i, reject):
     # table), segments 4-7 longer ones; the forced run leaves every cell
     # undecided, so every draw runs the exact path on the same u
     spec = _table_spec(B, i)
-    ctx = measure_context(spec)
     depth = spec.sp.m[6]
     kept = [sample_measure(spec, depth=depth, seed=seed, reject_accidental=reject).digits for seed in (0, 1, 2)]
-    assert [ctx.cdf_table(k) is None for k in range(1, 8)] == [True] * 3 + [False] * 4
-    table = MeasureContext.cdf_table
+    stacks = [measure_context(spec).stack(k) for k in range(1, 8)]
+    assert all("cdf_table" in vars(st) for st in stacks)  # the sampler read each stack's table
+    assert [st.cdf_table is None for st in stacks] == [True] * 3 + [False] * 4
+    table = transfer.SegmentStack.cdf_table  # the cached_property itself
 
-    def undecided(self, k):
-        lo, hi = table(self, k) or (None, None)
-        return None if lo is None else (array("d", [0.0]) * len(lo), array("d", [2.0]) * len(hi))
+    def undecided(self):
+        t = table.__get__(self)
+        return t and (array("d", [0.0]) * len(t[0]), array("d", [2.0]) * len(t[1]), *t[2:])
 
-    monkeypatch.setattr(MeasureContext, "cdf_table", undecided)
+    monkeypatch.setattr(transfer.SegmentStack, "cdf_table", property(undecided))
     for seed, digits in zip((0, 1, 2), kept):
         assert sample_measure(spec, depth=depth, seed=seed, reject_accidental=reject).digits == digits
 
@@ -763,44 +779,41 @@ def test_sampler_table_matches_forced_exact(monkeypatch, B, i, reject):
 @pytest.mark.parametrize("B, i", [(3, 1), (5, 2), (16, 1)])
 def test_cdf_table_encloses_exact_law(B, i):
     spec = _table_spec(B, i)
-    ctx = measure_context(spec)
     rng = np.random.default_rng(B + 10 * i)
-    cells = cantor._CDF_CELLS
-    interp = transfer.get_grid(transfer.DEFAULT_DEGREE).interp_matrix
     for k in range(4, 9):
-        st = ctx.stack(k)
-        m2s = -2.0 * ctx.s_tilde(k).value
+        st = _segment_stack(spec, k)
         K = len(st.levels) - 1
-        lo, hi = (np.array(t).reshape(cells + 1, B - 1) for t in ctx.cdf_table(k))
+        lo, hi, cells, draws = st.cdf_table
+        assert (cells, draws) == (transfer._CDF_CELLS, st.free - K - 1)
+        lo, hi = (np.array(t).reshape(cells + 1, B - 1) for t in (lo, hi))
         assert (lo < hi).all() and (np.diff(lo, axis=1) >= 0).all() and (np.diff(hi, axis=1) >= 0).all()
         # random states, every cell end, and the states r = 0, 1/(B + 1), 1
         rs = list(rng.random(300)) + [c / cells for c in range(cells + 1)] + [0.0, 1.0 / (B + 1), 1.0]
         for r in rs:
             j = int(rng.integers(K + 1, st.free))
             ar = np.arange(1, B + 1, dtype=np.float64) + float(r)
-            cdf = cantor._digit_cdf(k, m2s, interp, st.level(j), ar)[:-1]  # the exact path's CDF
+            cdf = st.digit_cdf(j, ar)[:-1]  # the exact path's CDF
             row = int(r * cells)
             assert (lo[row] <= cdf).all() and (cdf <= hi[row]).all(), (k, r, j)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_sampler_raises_on_non_finite_settled_level(spec13, monkeypatch, bad):
+def test_sampler_raises_on_non_finite_settled_level(spec13, bad):
     # levels[K], which the table and every draw past K read.  At an interior
     # node the unit interpolation row of x = 1 (r = 0) multiplies inf by 0,
     # and that NaN must raise the ValueError with no RuntimeWarning first;
     # the last node (x = 1) is read through the unit row itself
     for node in (3, -1):
-        ctx = MeasureContext(spec13)
-        st = ctx.stack(5)
+        st = _segment_stack(spec13, 5)
         assert st.free > len(st.levels)  # segment 5 has draws past its settling depth
-        st.levels = [level.copy() for level in st.levels]
         st.levels[-1][node] = bad
-        monkeypatch.setattr(cantor, "measure_context", lambda spec: ctx)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
-                sample_measure(spec13, depth=spec13.sp.m[4], seed=0, reject_accidental=False)
-        assert ctx.cdf_table(5) is None
+                st.digit_cdf(st.free - 1, np.arange(1.0, spec13.B + 1))
+            with pytest.raises(ValueError, match="not finite"):
+                _sample_with_stack(spec13, 5, st, spec13.sp.m[4])
+        assert st.cdf_table is None
 
 
 @pytest.mark.parametrize("B, i", [(3, 1), (5, 2), (16, 1), (16, 2)])

@@ -570,6 +570,27 @@ def test_dim_curve_count_with_an_infinite_endpoint_exits3_before_any_point(curve
     assert captured.out == "" and captured.err.startswith("range error: ")
 
 
+@pytest.mark.parametrize("curve", ["B=2..3:3", "B=5/2..3:1", "B=2..7/2:4"])
+def test_dim_curve_b_with_a_non_integer_point_exits3_before_any_point(curve, monkeypatch, capsys):
+    # B=2..3:3 once exited 0 and printed the row of B = 5/2 with the B = 2 value
+    def no_point(*args, **kwargs):
+        raise AssertionError("computed a point before the points were checked")
+
+    monkeypatch.setattr(cli.dim_solver, "spectral_dim", no_point)
+    monkeypatch.setattr(cli.dim_solver, "theorem_dims", no_point)
+    assert main(["dim", "--kind", "nu_level", "--nu", "1", "--curve", curve]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "range error: --curve B points must be integers, got 5/2\n"
+
+
+def test_dim_curve_b_count_over_integers_prints_the_rows_of_the_plain_range(capsys):
+    rc, plain = run_cli(["dim", "--kind", "nu_level", "--nu", "1", "--curve", "B=2..6"], capsys)
+    rows = plain.splitlines(keepends=True)
+    assert rc == 0 and len(rows) == 6
+    for curve, want in (("B=2..6:5", rows), ("B=2..6:3", rows[:1] + rows[1::2]), ("B=6..6:1", rows[:1] + rows[-1:])):
+        assert run_cli(["dim", "--kind", "nu_level", "--nu", "1", "--curve", curve], capsys) == (0, "".join(want))
+
+
 @pytest.mark.parametrize(
     "params", [["--nu-hat", "1/3", "--nu", "1", "--k-max", "0"], ["--nu-hat", "1/3", "--nu", "1", "--k-max", "-2"],
                ["--alpha", "1/4", "--beta", "1/2", "--k-max", "0"]],

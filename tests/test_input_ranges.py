@@ -18,6 +18,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cfdim import cantor, dim_solver, exponents, transfer, verify
@@ -65,6 +66,19 @@ def test_run_digit_below_1_is_refused_with_one_message(entry, no_chain):
         RUN_DIGIT_ENTRIES[entry](0)
 
 
+@pytest.mark.parametrize("entry", RUN_DIGIT_ENTRIES)
+def test_run_digit_not_an_integer_is_refused_with_one_message(entry, no_chain):
+    # i = 1.5 once gave run_continuants(1.5, 3) = (1.5, 3.25, 6.375) and spectral_dim 0.3663
+    with pytest.raises(InputOutOfRange, match=r"^need an integer i, got 1\.5$"):
+        RUN_DIGIT_ENTRIES[entry](1.5)
+
+
+def test_numpy_integers_pass_the_run_digit_and_alphabet_rules():
+    spec = cantor.CantorSpec(B=np.int64(3), i=np.int32(1), sp=SP)
+    assert transfer.segment_stack(np.int16(3), np.int64(2), 5, 3, 0.5).B == 3
+    assert log_tau(np.uint8(1)) == log_tau(1) and (spec.B, spec.i) == (3, 1)
+
+
 ALPHABET_ENTRIES = {
     "transfer_matrix": lambda B: transfer.transfer_matrix(B, 0.5),
     "pressure": lambda B: transfer.pressure(B, 0.5),
@@ -91,11 +105,12 @@ def _peak_bytes_of_refusal(call, match):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("B", [0, 2**16])
+@pytest.mark.parametrize("B", [0, 2**16, 2.5])
 @pytest.mark.parametrize("entry", ALPHABET_ENTRIES)
 def test_alphabet_bound_out_of_range_is_refused_before_any_array(entry, B):
-    # B = 2^16 once asked for 35.6 MB of weights before the cap was checked
-    match = f"^alphabet bound must be (>= 1|<= 4096), got {B}$"
+    # B = 2^16 once asked for 35.6 MB of weights before the cap was checked;
+    # B = 2.5 once gave the B = 3 sums, pressure log 2.5 and a TypeError
+    match = f"^alphabet bound must be (>= 1|<= 4096|an integer), got {re.escape(str(B))}$"
     peak = _peak_bytes_of_refusal(lambda: ALPHABET_ENTRIES[entry](B), match)
     assert peak < 2**20
 

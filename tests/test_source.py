@@ -57,6 +57,32 @@ def test_import_guard_catches_an_undeclared_package(tmp_path):
     assert _foreign_imports([mutant]) == ["mutant.py:4 scipy.linalg", "mutant.py:5 scipy"]
 
 
+def _stack_layout_reads(paths):
+    """path:line attr of every read of .levels or .step and every call of get_grid."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("levels", "step"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call) and "get_grid" in (getattr(node.func, n, None) for n in ("attr", "id")):
+                found.append(f"{path.name}:{node.lineno} get_grid()")
+    return found
+
+
+def test_only_transfer_reads_a_stack_layout():
+    # a segment stack's levels 0..K on the default grid and its per-level
+    # step are transfer.SegmentStack's own: others ask it for levels, the
+    # digit law (digit_cdf) and its bracket table (cdf_table)
+    found = _stack_layout_reads(sorted(p for p in SRC.rglob("*.py") if p.name != "transfer.py"))
+    assert not found, f"reads of a segment stack's layout outside transfer.py: {found}"
+
+
+def test_stack_layout_guard_catches_a_read(tmp_path):
+    mutant = tmp_path / "mutant.py"
+    mutant.write_text("def f(st, t):\n    return st.levels[-1], st.step + t.get_grid(32).degree\n")
+    assert _stack_layout_reads([mutant]) == ["mutant.py:2 .levels", "mutant.py:2 .step", "mutant.py:2 get_grid()"]
+
+
 DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict"}
 
 

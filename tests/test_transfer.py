@@ -75,6 +75,15 @@ def test_short_stack_keeps_every_level_exactly():
         st.level(free + 1)
 
 
+def test_stack_digit_law_over_a_one_letter_alphabet():
+    # one digit: every CDF is [1], and the table has no boundary to bracket
+    st = transfer.segment_stack(1, 1, 200, 3, 0.5)
+    assert (st.B, st.s) == (1, 0.5)
+    assert st.digit_cdf(150, np.array([[1.0], [1.5]])).tolist() == [[1.0], [1.0]]
+    lo, hi, cells, draws = st.cdf_table
+    assert (len(lo), len(hi), cells, draws) == (0, 0, transfer._CDF_CELLS, 200 - len(st.levels))
+
+
 @pytest.mark.parametrize("B", [1, 2, 3, 40, 128, 256, 1000])
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.3])
 def test_transfer_matrix_matches_branch_loop(B, s):
