@@ -75,8 +75,9 @@ def log_int(n: int) -> float:
 @dataclass(frozen=True)
 class SeqPair:
     """Run-position sequences: the k-th forced run covers n_k+1 .. m_k; every
-    other position is free, in the spec's alphabet 1..B.  A schedule without
-    a run raises InputOutOfRange, as k_max < 1 gives one."""
+    other position is free, in 1..B.  Shape rules: k_max >= 1 and n_1 >= 1
+    (InputOutOfRange); one end per start, n_k < m_k < n_{k+1}, no run shorter
+    than the one before (ValueError).  So every segment has a nonempty free part."""
 
     n: Tuple[int, ...]
     m: Tuple[int, ...]
@@ -93,6 +94,8 @@ class SeqPair:
                 raise ValueError(f"run {k + 1} ends at {self.m[k]}, not before the next start {self.n[k + 1]}")
             if k and self.m[k] - self.n[k] < self.m[k - 1] - self.n[k - 1]:
                 raise ValueError(f"run {k + 1} is shorter than run {k}")
+        if self.n[0] < 1:
+            raise InputOutOfRange(f"the first run start n_1 must be >= 1, got {self.n[0]}")
 
     @property
     def k_max(self) -> int:
@@ -440,8 +443,6 @@ def _sample_segment_free(ctx: MeasureContext, k: int, rng: np.random.Generator, 
     spec = ctx.spec
     m_prev, n_k, _ = spec.sp.segments[k - 1]
     free = n_k - m_prev
-    if free == 0:
-        return ()
     st = ctx.stack(k)
     B, i = spec.B, spec.i
     a_vec = np.arange(1, B + 1, dtype=np.float64)
@@ -583,8 +584,6 @@ def insert_map(spec: CantorSpec, x_digits: Sequence[int]) -> InsertResult:
     pos = n1
     k = 1
     while pos < len(digits):
-        if k > sp.k_max:
-            raise InputOutOfRange(f"input longer than the materialized schedule (n_{sp.k_max+1})")
         chunk = sp.run_length(k)
         block_end = sp.n[k] if k < sp.k_max else len(digits)
         stop = min(block_end, len(digits))

@@ -172,18 +172,18 @@ def leading_eigenvalue(M: np.ndarray, start: Optional[np.ndarray] = None) -> flo
 
 
 def pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
-    """log of the leading eigenvalue of L_s on {1..B}; the exponent's one
-    range rule is 0 <= s <= 4, else InputOutOfRange; `start` as in
-    leading_eigenvalue.  At s = 0 it is exactly log B, from no matrix and
-    with `start` untouched.  Up to s = 4.5 the default degree is exact to
-    rounding (|P_1(s) + 2 s log phi| <= 7e-15; degree 64 agrees within
-    1e-13 at B = 2, 3, 16, 256, 4096); past it both go wrong silently: P_1
-    is 0.51 off at s = 5 and 2.9 at s = 8, the degrees 0.23 apart at s = 5."""
+    """log of the leading eigenvalue of L_s on {1..B}; the exponent's one range
+    rule is 0 <= s <= 4, else InputOutOfRange; `start` as in leading_eigenvalue.
+    At s = 0 it is exactly log B: no matrix, `start` untouched, B checked here;
+    other paths check B in transfer_matrix.  Up to s = 4.5 the default degree is
+    exact to rounding (|P_1(s) + 2 s log phi| <= 7e-15; degree 64 agrees within
+    1e-13 at B = 2, 3, 16, 256, 4096); past it both go wrong silently: P_1 is
+    0.51 off at s = 5 and 2.9 at s = 8, the degrees 0.23 apart at s = 5."""
     if not 0 <= s <= _MAX_PRESSURE_S:  # NaN too: every comparison with it is False
         bound = f"<= {_MAX_PRESSURE_S}" if s > 0 else "finite and >= 0"
         raise InputOutOfRange(f"s must be {bound}, got {s}")
-    check_alphabet(B)
     if s == 0:
+        check_alphabet(B)
         return math.log(B)
     lam = leading_eigenvalue(transfer_matrix(B, s), start)
     if lam <= 0:

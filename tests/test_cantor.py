@@ -146,6 +146,14 @@ def test_seq_pair_rejects_bad_schedules(n, m):
         SeqPair(n, m)
 
 
+@pytest.mark.parametrize("n_1", [-3, 0])
+def test_seq_pair_refuses_a_first_run_start_below_1(n_1):
+    # SeqPair((-3,), (2,)) was accepted: measure_mass gave log mass 0.0 at
+    # [1, 1] while sample_measure raised; no spec can hold it now
+    with pytest.raises(InputOutOfRange, match=rf"^the first run start n_1 must be >= 1, got {n_1}$"):
+        SeqPair((n_1,), (2,))
+
+
 def test_admissible_children(spec13):
     assert admissible_children(spec13, (2, 3)) == (1,)  # inside the first run
     assert admissible_children(spec13, (2, 3, 1, 1, 1)) == (1, 2, 3)  # after m_1

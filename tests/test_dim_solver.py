@@ -514,6 +514,23 @@ def test_dim_limit_agrees_with_spectral_grid():
                 assert gap <= half_e + half_s + 1e-12
 
 
+@pytest.mark.parametrize("B, n", [(2, 12), (3, 8)])
+def test_spectral_dim_lies_in_the_continuant_sandwich(B, n):
+    # q(w) q(u) <= q(wu) <= 2 q(w) q(u) gives, with Z_n(rho) the sum of
+    # q^{-2 rho} over {1..B}^n and for every n,
+    #   (log Z_n(rho) - 2 rho log 2)/n <= P_B(rho) <= log Z_n(rho)/n,
+    # so the spectral root lies between two enumerated roots, with no
+    # collocation: predim_hat's above it, and below it the root of the same
+    # sum with every q doubled
+    for alpha, i in itertools.product((Fraction(0), Fraction(1, 4), Fraction(1, 2)), (1, 2)):
+        scale = float(alpha / (1 - alpha)) * n * log_tau(i)
+        doubled = SumKernelSpec(n, tail_digit=i, scale_log=scale + math.log(2))
+        lo = ds.solve_decreasing_root(lambda rho: sum_power(B, doubled, rho), width=1e-12)[1][0]
+        hi = predim_hat(B, alpha, i, n).bracket[1]
+        s_lo, s_hi = spectral_dim(B, alpha, i).bracket
+        assert lo <= s_hi and s_lo <= hi, (alpha, i, (lo, hi), (s_lo, s_hi))
+
+
 def test_dim_limit_raw_trend_small_steps():
     est = dim_limit(3, Fraction(1, 2), 1, (8, 10, 12))  # 3^14 leaves are past the budget
     diffs = [abs(a - b) for a, b in zip(est.trace, est.trace[1:])]

@@ -179,6 +179,15 @@ def test_bench_tracing_hook_arguments_exist(target):
     assert not missing, f"bench/tracing.py reads {missing} of cfdim.{layer}.{name}"
 
 
+def test_bench_self_check_passes():
+    # span nesting, layer self times that sum to the traced wall time, and
+    # the zero cells of tracing.BYPASSED are checked only by the self-check
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--self-check"], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "self-check PASS", proc.stdout + proc.stderr
+
+
 def test_bench_tracing_run_profile_result_has_n_max():
     # the tracer counts run_profile's digits from the result's n_max
     from cfdim.runlength import run_profile

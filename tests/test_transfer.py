@@ -210,6 +210,16 @@ def test_pressure_at_zero_checks_the_alphabet_first(B):
         transfer.pressure(B, 0.0)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_pressure_checks_the_alphabet_once(s, monkeypatch):
+    # past s = 0 transfer_matrix's branch rows check B; pressure once checked it before them too
+    calls = []
+    check = transfer.check_alphabet
+    monkeypatch.setattr(transfer, "check_alphabet", lambda *args: calls.append(args) or check(*args))
+    transfer.pressure(3, s)
+    assert calls == [(3,)]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_leading_eigenvalue_stops_at_a_non_finite_norm(bad):
     M = transfer.transfer_matrix(3, 0.5)
