@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dim_solver, transfer
-from .cf_core import DigitSeq, check_run_digit, denominators, run_continuants
+from .cf_core import DigitSeq, check_integer, check_run_digit, denominators, read_digits, run_continuants
 from .dim_solver import DimEstimate, to_fraction
 from .errors import Inadmissible, InputOutOfRange, NoConvergence
 
@@ -75,9 +75,10 @@ def log_int(n: int) -> float:
 @dataclass(frozen=True)
 class SeqPair:
     """Run-position sequences: the k-th forced run covers n_k+1 .. m_k; every
-    other position is free, in 1..B.  Shape rules: k_max >= 1 and n_1 >= 1
-    (InputOutOfRange); one end per start, n_k < m_k < n_{k+1}, no run shorter
-    than the one before (ValueError).  So every segment has a nonempty free part."""
+    other position is free, in 1..B.  Shape rules: k_max >= 1, integer
+    entries and n_1 >= 1 (InputOutOfRange); one end per start,
+    n_k < m_k < n_{k+1}, no run shorter than the one before (ValueError).
+    So every segment has a nonempty free part."""
 
     n: Tuple[int, ...]
     m: Tuple[int, ...]
@@ -87,6 +88,9 @@ class SeqPair:
             raise InputOutOfRange("k_max must be >= 1: the schedule has no run")
         if len(self.n) != len(self.m):
             raise ValueError(f"{len(self.n)} run starts but {len(self.m)} run ends")
+        for k, (n_k, m_k) in enumerate(zip(self.n, self.m), start=1):
+            check_integer(n_k, f"run start n_{k}")
+            check_integer(m_k, f"run end m_{k}")
         for k in range(len(self.n)):
             if not self.n[k] < self.m[k]:
                 raise ValueError(f"run {k + 1} is empty: n = {self.n[k]}, m = {self.m[k]}")
@@ -176,7 +180,7 @@ def construct_sequences_runlength(alpha, beta, k_max: int = 12) -> SeqPair:
 @dataclass(frozen=True)
 class CantorSpec:
     """Alphabet bound B, run digit i, run schedule, and the insertion digit d
-    (a marker larger than every admissible digit)."""
+    (a marker larger than every admissible digit, an integer)."""
 
     B: int
     i: int
@@ -188,8 +192,10 @@ class CantorSpec:
         transfer.check_alphabet(self.B)
         if self.B < self.i + 1:
             raise InputOutOfRange(f"need B >= i+1, got B={self.B}, i={self.i}")
-        if self.d is not None and self.d <= self.B:
-            raise InputOutOfRange(f"insertion digit must exceed B, got d={self.d}")
+        if self.d is not None:
+            check_integer(self.d, "marker d")
+            if self.d <= self.B:
+                raise InputOutOfRange(f"insertion digit must exceed B, got d={self.d}")
 
     @property
     def marker(self) -> int:
@@ -220,7 +226,7 @@ def admissible_children(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[int, .
     """Digits allowed at the next position given an admissible prefix.
 
     The prefix that measure_mass keeps is known to be admissible, so only
-    the positions past it are validated (MeasureContext.resume)."""
+    the positions past it are read and validated (MeasureContext.resume)."""
     digits = tuple(prefix)
     validate_prefix(spec, digits, len(measure_context(spec).resume(digits)[0]))
     pos = len(digits) + 1
@@ -230,23 +236,24 @@ def admissible_children(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[int, .
     return tuple(range(1, bound + 1))
 
 
-def validate_prefix(spec: CantorSpec, prefix: Sequence[int], start: int = 0) -> None:
-    """Raise Inadmissible naming the first position past `start` that breaks
-    the digit rule; positions 1..start are taken as already checked.
+def validate_prefix(spec: CantorSpec, prefix: Sequence[int], start: int = 0) -> Tuple[int, ...]:
+    """The digits past `start`, read by cf_core.read_digits; raise
+    Inadmissible naming the first of their positions that breaks the digit
+    rule.  Positions 1..start are taken as already read and checked.
 
     Each interval of the rule is checked on its whole slice (count of the run
     digit, or min and max against 1..bound); only a failing slice is scanned
     digit by digit.
     """
-    digits = tuple(prefix)
-    i, L = spec.i, len(digits)
+    digits = read_digits(prefix, start)
+    i, L = spec.i, start + len(digits)
     for lo, hi, bound in spec.intervals:
         if lo >= L:
-            return
+            break
         if hi <= start:
             continue
         lo = lo if lo > start else start  # max() without a call: this runs for every child mass
-        part = digits[lo : hi if hi < L else L]
+        part = digits[lo - start : (hi if hi < L else L) - start]
         if bound is None:
             ok = part.count(i) == len(part)
         else:
@@ -258,6 +265,7 @@ def validate_prefix(spec: CantorSpec, prefix: Sequence[int], start: int = 0) -> 
                 raise Inadmissible(f"position {pos} must carry the run digit {i}, got {a}")
             if bound is not None and not 1 <= a <= bound:
                 raise Inadmissible(f"position {pos} must lie in 1..{bound}, got {a}")
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +350,8 @@ class MeasureContext:
 
     def resume(self, digits: Tuple) -> Tuple[Tuple[int, ...], tuple]:
         """The kept prefix and its state if `digits` extends it, else the
-        empty prefix and its state.  Equal values match, so numpy ints and
-        integral floats do, as int() would convert them."""
+        empty prefix and its state.  Equal values match, so a digit that
+        cf_core.read_digits would read as a kept int matches it."""
         kept = self._kept
         if kept is not None and digits[: len(kept[0])] == kept[0]:
             return kept
@@ -392,12 +400,13 @@ def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
 
     The context keeps one prefix with its state (MeasureContext.advance).
     A prefix that extends it is walked from that state, any other from the
-    empty state, and only the digits past the resume point are converted
-    by int() and validated.  The walk runs on the same integers and the
-    same float operations in the same order from either point, so the mass
-    has the same bits.  The new state is kept unless the prefix is the kept
-    one plus one digit (a child in a child sum), so that its siblings step
-    from the same parent; a call that raises leaves the state as it is.
+    empty state, and only the digits past the resume point are read
+    (cf_core.read_digits) and validated.  The walk runs on the same integers
+    and the same float operations in the same order from either point, so
+    the mass has the same bits.  The new state is kept unless the prefix is
+    the kept one plus one digit (a child in a child sum), so that its
+    siblings step from the same parent; a call that raises leaves the state
+    as it is.
     A prefix longer than the schedule's last run end m_K raises
     InputOutOfRange: the segment exponents past it are not materialized.
     """
@@ -408,8 +417,7 @@ def measure_mass(spec: CantorSpec, prefix: Sequence[int]) -> MeasureNode:
     ctx = measure_context(spec)
     kept = ctx.resume(digits)
     start = len(kept[0])
-    digits = kept[0] + tuple(map(int, digits[start:]))
-    validate_prefix(spec, digits, start)
+    digits = kept[0] + validate_prefix(spec, digits, start)
     state, lm = ctx.advance(kept[1], digits, start)
     if not (kept is ctx._kept and len(digits) == start + 1):  # a child leaves its parent kept
         ctx._kept = (digits, state)
@@ -519,11 +527,10 @@ def _log_length(q_prev: int, q: int) -> float:
 
 def local_dimension(spec: CantorSpec, prefix: Sequence[int]) -> float:
     """log mu(I_n) / log |I_n| with the exact cylinder length."""
-    digits = tuple(map(int, prefix))
-    if not digits:
+    if not len(prefix):
         raise ValueError("need a nonempty prefix")
-    node = measure_mass(spec, digits)
-    return node.log_mass / _log_length(*denominators(digits))
+    node = measure_mass(spec, prefix)
+    return node.log_mass / _log_length(*denominators(node.digits))
 
 
 def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tuple[int, float], ...]:
@@ -537,11 +544,10 @@ def local_dimension_series(spec: CantorSpec, prefix: Sequence[int]) -> Tuple[Tup
     (q_{l-1} P1 + q_l Q1, q_{l-1} P + q_l Q); its forced run is then appended
     in closed form.  Each value equals local_dimension(spec, prefix[:m_k]).
     """
-    digits = tuple(map(int, prefix))
-    done = [seg for seg in spec.sp.segments if seg[2] <= len(digits)]
+    done = [seg for seg in spec.sp.segments if seg[2] <= len(prefix)]
     if not done:
         return ()
-    validate_prefix(spec, digits[: done[-1][2]])
+    digits = validate_prefix(spec, prefix[: done[-1][2]])
     ctx = measure_context(spec)
     out = []
     lm = 0.0
@@ -573,10 +579,9 @@ def insert_map(spec: CantorSpec, x_digits: Sequence[int]) -> InsertResult:
 
     Deleting the marked positions recovers the input exactly.
     """
-    digits = list(map(int, x_digits))
-    validate_prefix(spec, digits)
+    digits = validate_prefix(spec, x_digits)
     sp = spec.sp
-    d = int(spec.marker)
+    d = spec.marker
     out: List[int] = []
     marked: List[int] = []
     n1 = sp.n[0]

@@ -118,8 +118,25 @@ class DigitSeq:
         return self.digits[k]
 
 
+def read_digits(d: Iterable[int] | DigitSeq, start: int = 0) -> Tuple[int, ...]:
+    """The one reader of a digit sequence: its digits past position `start`
+    (a DigitSeq gives its certified digits) as int() of each, so that numpy
+    integers and integral floats such as 2.0 read as the ints they equal.
+    A digit not equal to its int() raises InputOutOfRange naming its 1-based
+    position in d ("digit 1 is 2.7, not an integer"); one that int() cannot
+    convert raises as int() does.  Each caller keeps its own range rules."""
+    seq = tuple(d.digits if isinstance(d, DigitSeq) else d)[start:]
+    if set(map(type, seq)) <= {int}:  # one pass of type(); ints need no int()
+        return seq
+    digits = tuple(map(int, seq))
+    if digits != seq:
+        k, a = next((k, a) for k, (a, b) in enumerate(zip(seq, digits), start=start + 1) if a != b)
+        raise InputOutOfRange(f"digit {k} is {a}, not an integer")
+    return digits
+
+
 def digit_seq(digits: Iterable[int], exhausted: bool = False, complete: bool = False) -> DigitSeq:
-    return DigitSeq(tuple(map(int, digits)), exhausted=exhausted, complete=complete)
+    return DigitSeq(read_digits(digits), exhausted=exhausted, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +161,12 @@ class ContinuantTable:
 
 def continuants(d: Sequence[int] | DigitSeq) -> ContinuantTable:
     """Run the two-term recursion p_{n+1} = a_{n+1} p_n + p_{n-1} (same for q)
-    from p_{-1}=1, q_{-1}=0, p_0=0, q_0=1.  Each digit is converted to int
-    first, so numpy integer digits run the big-int recursion instead of
+    from p_{-1}=1, q_{-1}=0, p_0=0, q_0=1.  The digits are read by
+    read_digits, so numpy integer digits run the big-int recursion instead of
     overflowing a machine word."""
     p0, p1, q0, q1 = 1, 0, 0, 1
     p, q = [p0, p1], [q0, q1]
-    for a in map(int, d.digits if isinstance(d, DigitSeq) else d):
+    for a in read_digits(d):
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
         p.append(p1)
@@ -172,10 +189,16 @@ def denominators(digits: Iterable[int], prev: int = 0, cur: int = 1) -> Tuple[in
     return prev, cur
 
 
+def check_integer(x, name: str) -> None:
+    """InputOutOfRange unless x is an integer: an int or a numpy integer, not 2.0.
+    For run positions, shifts, horizons and the run and marker digits."""
+    if type(x) is not int and not isinstance(x, numbers.Integral):  # numpy integers are Integral; an int skips the ABC
+        raise InputOutOfRange(f"need an integer {name}, got {x}")
+
+
 def check_run_digit(i: int) -> None:
     """The run digit's one range rule: InputOutOfRange unless i is an integer >= 1, as every digit is."""
-    if type(i) is not int and not isinstance(i, numbers.Integral):  # numpy integers are Integral; an int skips the ABC
-        raise InputOutOfRange(f"need an integer i, got {i}")
+    check_integer(i, "i")
     if i < 1:
         raise InputOutOfRange(f"need i >= 1, got {i}")
 
@@ -266,7 +289,7 @@ def basic_interval(d: Sequence[int] | DigitSeq) -> BasicInterval:
     the recursion gives det = (-1)^n and D > 0, so only other digits can fail
     it (ZeroDivisionError, an ArithmeticError, when D == 0).
     """
-    digits = tuple(map(int, d.digits if isinstance(d, DigitSeq) else d))
+    digits = read_digits(d)
     if not digits:
         raise ValueError("empty digit sequence")
     pn1, pn = denominators(digits, 1, 0)

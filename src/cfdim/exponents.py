@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cf_core import DigitSeq, QuadraticTarget, check_run_digit
+from .cf_core import DigitSeq, QuadraticTarget, check_integer, check_run_digit
 from .errors import Exhausted, InputOutOfRange, InsufficientBlocks
 from .runlength import digit_array, maximal_runs
 
@@ -175,8 +175,10 @@ def common_prefix_with_target(d: DigitSeq, n: int, i: int) -> int:
     """Length m of the maximal common prefix of T^n(x)'s digits with (i,i,...).
 
     Raises Exhausted when the run of i's reaches the end of the certified
-    digits of a sequence that might continue.
+    digits of a sequence that might continue, InputOutOfRange when n is not
+    an integer.
     """
+    check_integer(n, "shift n")
     if n < 0:
         raise ValueError("shift must be >= 0")
     return _longest_common_prefix(d, i, n, n)
@@ -248,8 +250,10 @@ def uniform_hit_check(
 
     Decisions are made from the exact distance brackets only; float logs are
     used for screening and every near-threshold comparison is re-done in
-    exact arithmetic, so `certain`/`possible` are rigorous.
+    exact arithmetic, so `certain`/`possible` are rigorous.  A horizon N
+    that is not an integer raises InputOutOfRange.
     """
+    check_integer(N, "horizon N")
     nu_hat = float(nu_hat)
     if not nu_hat >= 0:  # NaN too: every comparison with it is False
         raise ValueError("nu_hat must be >= 0")

@@ -10,12 +10,13 @@ scale both limits are estimated by the min/max of R_n/n over a tail window.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cf_core import DigitSeq
+from .cf_core import DigitSeq, read_digits
 from .errors import InputOutOfRange
 
 
@@ -36,8 +37,18 @@ class RatioEstimate:
 
 
 def digit_array(d: Sequence[int] | DigitSeq) -> np.ndarray:
-    """The digits as an int64 array (a DigitSeq gives its certified digits)."""
-    return np.asarray(d.digits if isinstance(d, DigitSeq) else d, dtype=np.int64)
+    """The digits as a numpy integer array (a DigitSeq gives its certified
+    digits).  A numpy integer array is taken as it is, and integers are
+    packed as int64 words, which casts nothing: any other digit, 2.0 or 2.7,
+    sends the whole sequence to cf_core.read_digits."""
+    seq = d.digits if isinstance(d, DigitSeq) else d
+    if isinstance(seq, np.ndarray) and seq.dtype.kind == "i":
+        return seq
+    try:
+        words = array("q", seq)  # takes integers only (operator.index): TypeError for 2.0
+    except TypeError:
+        words = array("q", read_digits(seq))
+    return np.frombuffer(words, dtype=np.int64)
 
 
 def maximal_runs(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

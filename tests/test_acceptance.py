@@ -191,7 +191,7 @@ def test_criterion_8_monte_carlo_laws():
     mean = r1.series[-1]["mean"]
     mean_ok = 0.40 <= mean <= 0.60 and r1.passed
     frac = r2.series[-1]["exceed_fraction"]
-    bound = fx["mc_nu_zero"]["exceed_bound"]
+    bound = verify.exceed_bound(fx, cfg.n_digits)
     frac_ok = frac <= bound and r2.passed
     # determinism at reduced scale
     small = McConfig(seed=5, samples=20, n_digits=10_000)

@@ -154,6 +154,14 @@ def test_seq_pair_refuses_a_first_run_start_below_1(n_1):
         SeqPair((n_1,), (2,))
 
 
+@pytest.mark.parametrize("n, m", [((2.5,), (4,)), ((2, 5), (3, 9.0)), ((np.float64(2),), (4,))])
+def test_seq_pair_refuses_a_non_integer_run_position(n, m):
+    # SeqPair((2.5,), (4,)) was accepted, and the Cantor functions then raised TypeError
+    with pytest.raises(InputOutOfRange, match=r"^need an integer run (start n|end m)_[12], got (2\.5|9\.0|2\.0)$"):
+        SeqPair(n, m)
+    assert SeqPair((np.int64(2),), (np.int32(4),)).run_length(1) == 2  # numpy integers are integers
+
+
 def test_admissible_children(spec13):
     assert admissible_children(spec13, (2, 3)) == (1,)  # inside the first run
     assert admissible_children(spec13, (2, 3, 1, 1, 1)) == (1, 2, 3)  # after m_1
@@ -168,6 +176,9 @@ def test_cantor_spec_validation(spec13):
         CantorSpec(B=1, i=1, sp=spec13.sp)
     with pytest.raises(InputOutOfRange):
         CantorSpec(B=3, i=1, sp=spec13.sp, d=3)
+    # d = 3.5 passed the d > B rule, and insert_map wrote the admissible marker 3
+    with pytest.raises(InputOutOfRange, match=r"^need an integer marker d, got 3\.5$"):
+        CantorSpec(B=3, i=1, sp=spec13.sp, d=3.5)
 
 
 # ---------------------------------------------------------------------------

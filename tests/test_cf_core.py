@@ -1,6 +1,7 @@
 """Exact continued-fraction kernel tests."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 from itertools import repeat
@@ -12,6 +13,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfdim import cf_core
+from cfdim.cantor import (
+    CantorSpec,
+    admissible_children,
+    construct_sequences,
+    insert_map,
+    local_dimension,
+    local_dimension_series,
+    measure_mass,
+    validate_prefix,
+)
 from cfdim.cf_core import (
     BasicInterval,
     ContinuantTable,
@@ -23,12 +34,15 @@ from cfdim.cf_core import (
     expand,
     gauss_shift,
     denominators,
+    read_digits,
     run_continuant,
     run_continuant_closed_form,
     run_continuants,
     target,
 )
 from cfdim.errors import Exhausted, InputOutOfRange, Overflow
+from cfdim.exponents import decompose
+from cfdim.runlength import run_profile
 from cfdim.surd import Surd
 
 digit_lists = st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=30)
@@ -396,6 +410,62 @@ def test_kernels_reject_empty_digits(d):
         continuants(d)
     with pytest.raises(ValueError, match="empty"):
         basic_interval(d)
+
+
+# ---------------------------------------------------------------------------
+# the digit reader
+# ---------------------------------------------------------------------------
+
+
+def test_read_digits_reads_integers_and_names_a_non_integer():
+    for d in ([1, 2.0, np.int64(3)], np.array([1, 2, 3]), DigitSeq((1, 2, 3)), iter([True, 2, 3]), (1, 2, 3)):
+        got = read_digits(d)
+        assert got == (1, 2, 3) and all(type(a) is int for a in got)
+    assert read_digits([]) == () and read_digits([4, 2.0, 7], 1) == (2, 7)
+    for d, start, message in (
+        ([2.7], 0, "digit 1 is 2.7, not an integer"),
+        ((1, 1, np.float64(1.5), 0.5), 0, "digit 3 is 1.5, not an integer"),
+        ([1, 2, 2.5], 2, "digit 3 is 2.5, not an integer"),  # positions count from the start of d
+        ([1, "2"], 0, "digit 2 is 2, not an integer"),  # int("2") is 2, but "2" is text
+    ):
+        with pytest.raises(InputOutOfRange, match=rf"^{re.escape(message)}$"):
+            read_digits(d, start)
+
+
+_SPEC = CantorSpec(B=3, i=1, sp=construct_sequences(Fraction(1, 3), 1, k_max=4))
+
+# every public entry that reads a digit sequence, each through read_digits
+DIGIT_READERS = {
+    "digit_seq": digit_seq,
+    "continuants": continuants,
+    "basic_interval": basic_interval,
+    "run_profile": run_profile,
+    "decompose": lambda d: decompose(d, 1),
+    "measure_mass": lambda d: measure_mass(_SPEC, d),
+    "admissible_children": lambda d: admissible_children(_SPEC, d),
+    "validate_prefix": lambda d: validate_prefix(_SPEC, d),
+    "local_dimension": lambda d: local_dimension(_SPEC, d),
+    "local_dimension_series": lambda d: local_dimension_series(_SPEC, d),
+    "insert_map": lambda d: insert_map(_SPEC, d),
+}
+
+
+@pytest.mark.parametrize("entry", DIGIT_READERS)
+@pytest.mark.parametrize("digits, k", [([2.9, 3, 1, 1, 1, 2], 1), ([2, 3, 1, 1.5, 1, 2], 4)])
+def test_every_digit_reader_refuses_a_non_integer_digit(entry, digits, k):
+    # each entry once read 2.9 as the digit 2, and 1.5 as 1
+    with pytest.raises(InputOutOfRange, match=rf"^digit {k} is {digits[k - 1]}, not an integer$"):
+        DIGIT_READERS[entry](digits)
+    assert DIGIT_READERS[entry]([float(a) for a in (2, 3, 1, 1, 1, 2)]) is not None
+
+
+def test_a_resumed_mass_names_the_position_in_the_whole_prefix():
+    parent = (2, 3, 1, 1, 1, 2)
+    measure_mass(_SPEC, parent)
+    with pytest.raises(InputOutOfRange, match=r"^digit 7 is 2\.5, not an integer$"):
+        measure_mass(_SPEC, parent + (2.5,))
+    with pytest.raises(InputOutOfRange, match=r"^digit 7 is 2\.5, not an integer$"):
+        admissible_children(_SPEC, parent + (2.5,))
 
 
 # ---------------------------------------------------------------------------

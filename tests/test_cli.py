@@ -781,12 +781,19 @@ def test_every_cli_flag_is_documented():
 
 
 def test_verify_failed_check_exit1(capsys):
-    # tiny sample/horizon: the exceedance fraction sits far above the bound
+    # tiny sample/horizon: no pilot calibrated a bound at n = 2 000
     rc = main(["verify", "--suite", "nu_zero", "--samples", "6", "--n", "2000", "--seed", "1"])
     out = capsys.readouterr().out
     assert rc == 1
     payload = json.loads(out)
     assert payload["report"]["summary"]["failed"] >= 1
+
+
+def test_verify_nu_zero_passes_at_its_own_horizon(capsys):
+    # 10^5 has its own pilot bound, 0.175; the 0.075 of 10^6 failed it
+    assert main(["verify", "--suite", "nu_zero", "--samples", "200", "--n", "100000"]) == 0
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    assert checks[0]["name"] == "exceed_fraction_at_top_horizon" and checks[0]["bound"] == [0.0, 0.175]
 
 
 def test_verify_csv_series(capsys):

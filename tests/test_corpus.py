@@ -14,16 +14,23 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from cfdim import transfer
 from cfdim.cantor import (
     CantorSpec,
+    admissible_children,
     construct_sequences,
     construct_sequences_runlength,
     local_dimension_series,
+    measure_mass,
     sample_measure,
 )
 from cfdim.cf_core import RealInput, expand
+from cfdim.cli import _read_digit_file
 from cfdim.dim_solver import predim_tilde, spectral_dim
+from cfdim.exponents import decompose
+from cfdim.runlength import ratio_estimates, run_profile
 from cfdim.verify import LebesgueDigitChain, RecordTracker, RunMaxTracker
 
 EXPAND_DIGEST = "9d65b5864ffd45af60813d5668eadcd5c306d1bc188703a94083343a9bef27e4"
@@ -31,6 +38,8 @@ CHAIN_DIGEST = "70430166741c240da77c82072f0d8777678dcb32097be3c889f4f256d873a5fc
 SPECTRAL_DIGEST = "670d06257b179fb83e8bcb8f7f9c68160091f6116cc64918ae95e3ed6a70cf62"
 TRACKER_DIGEST = "ba9e769f43bc7ea05a4faa59901c621bdd4e1bc3b86f5eceeced727daa8b5224"
 CANTOR_DIGEST = "fdbcd6404327b5ba7f89960c9a8d885dad18240b51bb9964607b157a490ce77d"
+MASS_DIGEST = "7875b5e7309ebfad921e451c951221d22f6a7a251f8352909beaffda126a372c"
+RUNLENGTH_DIGEST = "955bd72907f67b30f6da86ab5555f49920f38e3228733e029221640cf0e22054"
 
 
 def _rationals(rng, count):
@@ -191,3 +200,60 @@ def cantor_digest() -> str:
 
 def test_cantor_digest_matches_committed_hex():
     assert cantor_digest() == CANTOR_DIGEST
+
+
+def mass_digest() -> str:
+    """sha256 over `repr` of the `measure_mass` log masses of 1 039 prefixes,
+    with the `admissible_children` of each: 225 seeded lengths of one sampled
+    point per spec, each prefix followed by its children, for (B, i) = (3, 1)
+    on the nu_hat = 1/3, nu = 1 schedule in increasing length (each walk
+    resumes from the kept prefix) and (4, 2) on the alpha = 1/3, beta = 1/2
+    run-length schedule in shuffled order (most walk from the start)."""
+    rng = random.Random(20261022)
+    h = hashlib.sha256()
+    specs = (
+        (CantorSpec(3, 1, construct_sequences(Fraction(1, 3), 1, 6)), False),
+        (CantorSpec(4, 2, construct_sequences_runlength(Fraction(1, 3), Fraction(1, 2), 6)), True),
+    )
+    for spec, shuffled in specs:
+        point = sample_measure(spec, spec.sp.m[-1], rng.randrange(2**32)).digits
+        lengths = sorted(rng.sample(range(1, spec.sp.m[-1]), 225))
+        if shuffled:
+            rng.shuffle(lengths)
+        for L in lengths:
+            prefix = point[:L]
+            kids = admissible_children(spec, prefix)
+            h.update(repr((measure_mass(spec, prefix).log_mass, kids)).encode() + b"\n")
+            for a in kids:
+                h.update(repr(measure_mass(spec, prefix + (a,)).log_mass).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_mass_digest_matches_committed_hex():
+    assert mass_digest() == MASS_DIGEST
+
+
+def runlength_digest(tmp_path) -> str:
+    """sha256 over one seeded file of 40 000 i.i.d. Gauss-Kuzmin digits, read
+    as the CLI reads it and also as a tuple of ints: the `run_profile` R
+    array as little-endian int64 bytes, `repr` of its `ratio_estimates` at
+    tail fractions 1, 1/2 and 1/8, and the `decompose` record blocks of the
+    digits 1..4."""
+    x = np.exp2(np.random.default_rng(20261022).random(40_000)) - 1.0  # Gauss-distributed
+    with np.errstate(divide="ignore"):
+        a = np.clip(np.floor(1.0 / x), 1, 2**31 - 1).astype(np.int64)
+    path = tmp_path / "gk.digits"
+    path.write_text(" ".join(map(str, a.tolist())))
+    h = hashlib.sha256()
+    for digits in (_read_digit_file(str(path)), tuple(a.tolist())):
+        prof = run_profile(digits)
+        h.update(prof.R.astype("<i8").tobytes())
+        for tail in (1.0, 0.5, 0.125):
+            h.update(repr(ratio_estimates(prof, tail)).encode() + b"\n")
+        for i in range(1, 5):
+            h.update(repr(decompose(digits, i).record_blocks).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_runlength_digest_matches_committed_hex(tmp_path):
+    assert runlength_digest(tmp_path) == RUNLENGTH_DIGEST

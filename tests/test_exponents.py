@@ -197,6 +197,23 @@ def test_hit_check_empty_window_skips_a_run_at_position_zero():
         uniform_hit_check(digit_seq([1, 1, 1]), t, 1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, t: distance_bracket(d, 2.5, t),
+        lambda d, t: common_prefix_with_target(d, np.float64(1.0), 1),
+        lambda d, t: uniform_hit_check(d, t, 4.5, 0.5),
+    ],
+    ids=["distance_bracket", "common_prefix_with_target", "uniform_hit_check"],
+)
+def test_shift_and_horizon_must_be_integers(call):
+    # distance_bracket(d, 2.5, t) gave the bracket of n = 2, and
+    # uniform_hit_check(d, t, 4.5, 0.5) raised TypeError from the float logs
+    d = digit_seq([1, 1, 1, 2, 1, 1, 3, 1, 1, 1, 1, 2], complete=True)
+    with pytest.raises(InputOutOfRange, match=r"^need an integer (shift n|horizon N), got (2\.5|1\.0|4\.5)$"):
+        call(d, target(1))
+
+
 def test_distance_bracket_upper_example():
     # i = 1, common prefix m = 5: upper = |I_5(y)| = 1/(8*13) = 1/104
     t = target(1)

@@ -83,6 +83,49 @@ def test_stack_layout_guard_catches_a_read(tmp_path):
     assert _stack_layout_reads([mutant]) == ["mutant.py:2 .levels", "mutant.py:2 .step", "mutant.py:2 get_grid()"]
 
 
+def _own_digit_conversions(paths):
+    """path:line of every map(int, ...) and of every int64 cast: asarray,
+    array or fromiter with dtype=np.int64, or astype(np.int64)."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f, args = node.func, node.args
+            if isinstance(f, ast.Name) and f.id == "map" and args and ast.unparse(args[0]) == "int":
+                found.append(f"{path.name}:{node.lineno} map(int, ...)")
+            elif isinstance(f, ast.Attribute) and f.attr in ("asarray", "array", "fromiter", "astype"):
+                dtype = args[:1] if f.attr == "astype" else [kw.value for kw in node.keywords if kw.arg == "dtype"]
+                if [ast.unparse(t) for t in dtype] == ["np.int64"]:
+                    found.append(f"{path.name}:{node.lineno} {f.attr}(..., np.int64)")
+    return found
+
+
+DIGIT_LAYERS = ("cantor.py", "runlength.py", "exponents.py")
+
+
+def test_digits_are_read_only_by_cf_core():
+    # cf_core.read_digits refuses 2.7; map(int, ...) and an int64 cast turn it into 2
+    found = _own_digit_conversions([SRC / name for name in DIGIT_LAYERS])
+    assert not found, f"digit conversions outside cf_core.read_digits: {found}"
+
+
+def test_digit_guard_catches_an_own_conversion(tmp_path):
+    cantor_src = (SRC / "cantor.py").read_text()
+    runlength_src = (SRC / "runlength.py").read_text()
+    mutants = {
+        "cantor.py": cantor_src.replace("    digits = tuple(prefix)\n", "    digits = tuple(map(int, prefix))\n", 1),
+        "runlength.py": runlength_src.replace("np.frombuffer(words, dtype=np.int64)", "np.asarray(seq, dtype=np.int64)"),
+    }
+    found = []
+    for name, text in mutants.items():
+        (tmp_path / name).write_text(text)
+        found += _own_digit_conversions([tmp_path / name])
+    line = cantor_src[: cantor_src.index("    digits = tuple(prefix)\n")].count("\n") + 1
+    cast = runlength_src[: runlength_src.index("np.frombuffer(words")].count("\n") + 1
+    assert found == [f"cantor.py:{line} map(int, ...)", f"runlength.py:{cast} asarray(..., np.int64)"]
+
+
 DICT_FACTORIES = {"dict", "OrderedDict", "defaultdict"}
 
 

@@ -325,6 +325,9 @@ def test_mc_nu_zero_small_scale():
     assert "nu_hat_le_nu_violations" in names
     viol = [c for c in rep.checks if c.name == "nu_hat_le_nu_violations"][0]
     assert viol.statistic == 0.0
+    # the pilot never ran 20 000 digits: no bound is calibrated there
+    top = rep.checks[0]
+    assert (top.name, top.bound, top.passed) == ("exceed_fraction_at_uncalibrated_horizon", (0.0, -math.inf), False)
 
 
 def test_record_tracker_matches_decompose_reference():
@@ -365,11 +368,22 @@ def test_record_tracker_horizon_without_estimates_has_no_fraction():
     assert rep.series_csv().splitlines()[1] == ",50,0"
 
 
-# the run_pilot.py placeholder: bounds that no pilot calibrated
+# bounds that no pilot calibrated: a one-seed panel whose fraction 1 at the
+# horizons that these tests end at gives exceed_bound 1 + 2/1 there
 LOOSE_FIXTURES = {
     "mc_runlength": {"mean_bounds": [0.40, 0.60], "trend_slack": 0.05},
-    "mc_nu_zero": {"exceed_bound": 1.0, "monotone_slack": 1.0},
+    "mc_nu_zero": {"monotone_slack": 1.0},
+    "pilot": {"samples": 1, "mc_nu_zero_fractions": {"0": {"149": 1.0, "20000": 1.0}}},
 }
+
+
+def test_exceed_bound_follows_the_pilot_rule_at_each_horizon():
+    # the panel's largest fraction at the horizon plus 2/samples; 10^6 keeps
+    # the 0.075 calibrated there, and the fixtures store no bound of their own
+    fx = load_fixtures()
+    assert [verify.exceed_bound(fx, h) for h in (10_000, 100_000, 1_000_000)] == [0.38, 0.175, 0.075]
+    assert verify.exceed_bound(fx, 20_000) is None
+    assert "exceed_bound" not in fx["mc_nu_zero"]
 
 
 @pytest.mark.parametrize("seed", load_fixtures()["pilot"]["seeds"])
