@@ -122,17 +122,28 @@ def read_digits(d: Iterable[int] | DigitSeq, start: int = 0) -> Tuple[int, ...]:
     """The one reader of a digit sequence: its digits past position `start`
     (a DigitSeq gives its certified digits) as int() of each, so that numpy
     integers and integral floats such as 2.0 read as the ints they equal.
-    A digit not equal to its int() raises InputOutOfRange naming its 1-based
-    position in d ("digit 1 is 2.7, not an integer"); one that int() cannot
-    convert raises as int() does.  Each caller keeps its own range rules."""
+    A digit not equal to its int(), or one that int() cannot convert (NaN,
+    +-inf, None), raises InputOutOfRange naming its 1-based position in d
+    ("digit 1 is 2.7, not an integer").  Each caller keeps its own range
+    rules."""
     seq = tuple(d.digits if isinstance(d, DigitSeq) else d)[start:]
     if set(map(type, seq)) <= {int}:  # one pass of type(); ints need no int()
         return seq
-    digits = tuple(map(int, seq))
+    try:
+        digits = tuple(map(int, seq))
+    except (TypeError, ValueError, OverflowError):
+        digits = None
     if digits != seq:
-        k, a = next((k, a) for k, (a, b) in enumerate(zip(seq, digits), start=start + 1) if a != b)
+        k, a = next((k, a) for k, a in enumerate(seq, start=start + 1) if not _reads_as_int(a))
         raise InputOutOfRange(f"digit {k} is {a}, not an integer")
     return digits
+
+
+def _reads_as_int(a) -> bool:
+    try:
+        return int(a) == a
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def digit_seq(digits: Iterable[int], exhausted: bool = False, complete: bool = False) -> DigitSeq:

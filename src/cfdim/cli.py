@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--alpha", type=_parse_param, default=None)
     d.add_argument("--beta", type=_parse_param, default=None)
     d.add_argument("--i", type=int, default=1)
-    d.add_argument("--B-schedule", dest="B_schedule", default=None, help="comma-separated increasing bounds")
+    d.add_argument("--B-schedule", dest="B_schedule", default=None, help="comma-separated increasing bounds; only the last is read")
     d.add_argument("--curve", default=None, help='sweep spec, e.g. "nu=0.1..2.0:20" or "B=2..6"')
     add_common(d)
     d.set_defaults(fn=cmd_dim)

@@ -22,8 +22,10 @@ full -2 rho power); pressure-equation displays that drop the factor 2 are
 measuring the orbit speed through q_n instead of |I_n| ~ q_n^{-2}.
 
 Theorem-level formulas map exponent/run-length parameters onto an
-alpha-argument for the B -> infinity dimension value, with the closure
-conventions  s(0) = 1  and  s(1) = 1/2  applied exactly at the endpoints.
+alpha-argument for the B -> infinity dimension value, which dim_full
+encloses between the roots of a lower and an upper bound on the
+full-alphabet pressure at one B, with the closure conventions  s(0) = 1
+and  s(1) = 1/2  applied exactly at the endpoints.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
 
 
 def solve_decreasing_root(
-    F: Callable[[float], float], width: float, hi: float = 2.0
+    F: Callable[[float], float], width: float, hi: float = 2.0, start: Optional[float] = None
 ) -> Tuple[float, Tuple[float, float]]:
     """Bisection root of a strictly decreasing F with F(root) = 0, from
     fewer evaluations of F.
@@ -182,7 +184,14 @@ def solve_decreasing_root(
     root, so the bisection calls F only between them.  The result is plain
     bisection's, bit for bit, whenever evaluated F is monotone beyond
     +-_SIGN_FLOOR (F(y) >= F(x) - _SIGN_FLOOR for all y < x), and costs at
-    most _FALSI_STEPS + 2 evaluations more.
+    most _FALSI_STEPS + 2 evaluations more (3 with a pole, below).
+
+    F(0) = +inf, a pole, leaves regula falsi no finite end.  Then F is
+    evaluated first at `start`, a point of (0, hi) where the caller knows
+    F > 0, or else at the top of the lowest bisection cell, where F <= 0 ends
+    the solve with that cell, bisection's own bracket.  Falsi starts from
+    that point and interpolates in log x, in which F near a logarithmic pole
+    is close to linear.  Without a pole, `start` is not read.
     """
     lo, f_lo = 0.0, F(0.0)
     if f_lo <= 0:
@@ -200,9 +209,22 @@ def solve_decreasing_root(
         raise NoConvergence("sum never drops strictly below 1; no finite root")
     pos, neg = lo, hi  # F > 0 at every midpoint <= pos, F < 0 at every one >= neg
     a, fa, b, fb, side = lo, f_lo, hi, f_hi, 0
-    x0, f0, x, fx = lo, f_lo, hi, f_hi
+    pole = lo == 0 and f_lo == math.inf
+    if pole:
+        top = hi
+        while top > width:
+            top *= 0.5
+        a = top if start is None else start
+        fa = F(a)
+        if not fa > 0:
+            if a != top:
+                raise ValueError(f"F({a}) = {fa}, where start needs F > 0")
+            return 0.5 * top, (0.0, top)
+        if fa > _SIGN_FLOOR:
+            pos = a
+    x0, f0, x, fx = a, fa, hi, f_hi
     for _ in range(_FALSI_STEPS):
-        c = b - fb * (b - a) / (fb - fa)
+        c = b * math.exp(-fb * math.log(b / a) / (fb - fa)) if pole else b - fb * (b - a) / (fb - fa)
         if not a < c < b:
             break
         x0, f0, x, fx = x, fx, c, F(c)
@@ -252,18 +274,6 @@ def check_schedule(schedule: Sequence[int], name: str) -> Tuple[int, ...]:
     if not values or values[0] < 1 or list(values) != sorted(set(values)):
         raise InputOutOfRange(f"{name} must be strictly increasing from at least 1, got {list(values)}")
     return values
-
-
-def _aitken_limit(schedule: Tuple[int, ...], raw_at: Callable[[int], float], pad: float, **fields) -> DimEstimate:
-    """Aitken limit of raw_at(x) along a checked schedule, clamped to [0, 1];
-    the bracket is the last raw value +- (its distance to the extrapolated
-    one + pad), clamped to [0, 1] and widened to hold the value."""
-    raw = [raw_at(x) for x in schedule]
-    extrap, last = aitken(raw), raw[-1]
-    r = abs(last - extrap) + pad
-    value = min(max(extrap, 0.0), 1.0)
-    bracket = (max(min(last - r, value), 0.0), min(max(last + r, value), 1.0))
-    return DimEstimate(value, bracket, trace=tuple(raw), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +347,16 @@ def predim_tilde(B: int, i: int, segment: Tuple[int, int]) -> DimEstimate:
 
 def dim_limit(B: int, alpha: Number, i: int, n_schedule: Sequence[int]) -> DimEstimate:
     """Pre-dimensional numbers along an increasing n-schedule plus Aitken
-    extrapolation; the bracket is the last raw value +- its distance to the
-    extrapolated one."""
+    extrapolation, clamped to [0, 1]; the bracket is the last raw value +-
+    its distance to the extrapolated one, clamped to [0, 1] and widened to
+    hold the value."""
     ns = check_schedule(n_schedule, "n_schedule")
-    return _aitken_limit(
-        ns, lambda n: predim_hat(B, alpha, i, n).value, 0.0, n_used=ns[-1], B_used=B, method="enumerate-limit"
-    )
+    raw = [predim_hat(B, alpha, i, n).value for n in ns]
+    extrap, last = aitken(raw), raw[-1]
+    r = abs(last - extrap)
+    value = min(max(extrap, 0.0), 1.0)
+    bracket = (max(min(last - r, value), 0.0), min(max(last + r, value), 1.0))
+    return DimEstimate(value, bracket, n_used=ns[-1], B_used=B, method="enumerate-limit", trace=tuple(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +392,56 @@ def spectral_dim(B: int, alpha: Number, i: int) -> DimEstimate:
     return DimEstimate(root, bracket, B_used=B, method="spectral")
 
 
-DEFAULT_B_SCHEDULE = (16, 32, 64, 128)
+DEFAULT_B_SCHEDULE = (128,)
 
 
 def dim_full(alpha: Number, i: int, B_schedule: Sequence[int] = DEFAULT_B_SCHEDULE) -> DimEstimate:
-    """Full-alphabet dimension value s(alpha, tau(i)) by B -> infinity
-    extrapolation of spectral roots, with the exact closure conventions
+    """Full-alphabet dimension value s(alpha, tau(i)), the root of
+    P_inf(s) = 2 s (alpha/(1-alpha)) log tau(i), enclosed at one alphabet
+    bound B, the schedule's last entry, with the exact closure conventions
     s(0) = 1 and s(1) = 1/2.
 
     The endpoint values are returned exactly as the labelled limits, with an
     empty trace and no B_used.  Every branch raises InputOutOfRange for
-    i < 1.  Away from the endpoints the truncation
-    error decays like B^{1-2s}, which is too slow for Aitken extrapolation
-    near alpha = 1: there the bracket misses the full-alphabet value (> 1/2).
-    At alpha = 8/9, i = 1 it reads [0.2308, 0.4302] against the B = infinity
-    root 0.50996.
+    i < 1; an interior one also checks the schedule and each of its bounds.
+    transfer.full_pressure_bounds gives a lower and an upper bound on P_inf
+    from one eigen-solve, so their roots lie either side of the full-alphabet
+    root.  Both are bisected in t = s - 1/2 on [0, 1/2] to _SPECTRAL_WIDTH,
+    with F = +inf at the pole t = 0, so both ends move monotonically with
+    alpha.  Each evaluation serves both solves and starts its power
+    iteration from the eigenvector of the one before; the lower root's
+    bracket gives the upper solve a finite start.  The bracket runs from the
+    lower end of the lower bound's root to the upper end of the upper
+    bound's root, at most 1 (the full-alphabet root lies below 1), and the
+    value is its midpoint, strictly above 1/2.  It covers the a > B tail at
+    the nodes, the Euler-Maclaurin remainder and the bisection width, but
+    not the ratio between the nodes, nor the eigenvector's extremes on the
+    tail range, which are sampled.
     """
     af = _solver_inputs(alpha, i)
     if af == 0 or af == 1:
         value = 1.0 if af == 0 else 0.5
         return DimEstimate(value, (value, value), method="convention")
     Bs = check_schedule(B_schedule, "B_schedule")
-    return _aitken_limit(
-        Bs, lambda B: spectral_dim(B, af, i).value, _SPECTRAL_WIDTH, B_used=Bs[-1], method="spectral-extrapolated"
-    )
+    for b in Bs:
+        transfer.check_alphabet(b)
+    B, coeff = Bs[-1], 2.0 * float(af / (1 - af)) * log_tau(i)
+    start = np.ones(transfer.DEFAULT_DEGREE + 1)
+    bounds = {}  # t -> (F_lo(t), F_hi(t)), one eigen-solve each
+
+    def F(t: float, side: int) -> float:
+        if t not in bounds:
+            s = 0.5 + t
+            bounds[t] = tuple(p - coeff * s for p in transfer.full_pressure_bounds(B, s, start))
+        return bounds[t][side]
+
+    lo = solve_decreasing_root(lambda t: F(t, 0), _SPECTRAL_WIDTH, hi=0.5)[1][0]
+    if F(0.5, 1) >= 0:  # the upper bound's root lies at or past s = 1, the full-alphabet root below it
+        hi = 0.5
+    else:
+        hi = solve_decreasing_root(lambda t: F(t, 1), _SPECTRAL_WIDTH, hi=0.5, start=lo or None)[1][1]
+    bracket = (0.5 + lo, 0.5 + hi)
+    return DimEstimate(0.5 * (bracket[0] + bracket[1]), bracket, B_used=B, method="tail-enclosure")
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,12 @@ def leading_eigenvalue(M: np.ndarray, start: Optional[np.ndarray] = None) -> flo
     raise NoConvergence(f"power iteration did not reach rel tol {_EIG_TOL}")
 
 
+def _check_exponent(s: float) -> None:
+    if not 0 <= s <= _MAX_PRESSURE_S:  # NaN too: every comparison with it is False
+        bound = f"<= {_MAX_PRESSURE_S}" if s > 0 else "finite and >= 0"
+        raise InputOutOfRange(f"s must be {bound}, got {s}")
+
+
 def pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
     """log of the leading eigenvalue of L_s on {1..B}; the exponent's one range
     rule is 0 <= s <= 4, else InputOutOfRange; `start` as in leading_eigenvalue.
@@ -179,9 +185,7 @@ def pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
     exact to rounding (|P_1(s) + 2 s log phi| <= 7e-15; degree 64 agrees within
     1e-13 at B = 2, 3, 16, 256, 4096); past it both go wrong silently: P_1 is
     0.51 off at s = 5 and 2.9 at s = 8, the degrees 0.23 apart at s = 5."""
-    if not 0 <= s <= _MAX_PRESSURE_S:  # NaN too: every comparison with it is False
-        bound = f"<= {_MAX_PRESSURE_S}" if s > 0 else "finite and >= 0"
-        raise InputOutOfRange(f"s must be {bound}, got {s}")
+    _check_exponent(s)
     if s == 0:
         check_alphabet(B)
         return math.log(B)
@@ -189,6 +193,72 @@ def pressure(B: int, s: float, start: Optional[np.ndarray] = None) -> float:
     if lam <= 0:
         raise NoConvergence(f"non-positive leading eigenvalue {lam}")
     return math.log(lam)
+
+
+def hurwitz_bounds(s: float, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= zeta(2s, q) = sum_{n >= 0} (n + q)^{-2s} <= hi up to
+    rounding, for s > 1/2 and q >= 1: Euler-Maclaurin with one Bernoulli term,
+
+        hi = q^{-2t}/(2t) + q^{-2s}/2 + 2s q^{-2s-1}/12,   t = s - 1/2,
+        lo = hi - 2s (2s+1) (2s+2) q^{-2s-3}/720,
+
+    as (n + q)^{-2s} is completely monotone in n, so the remainder has the
+    sign of the next term and is at most it.  s - 1/2 is exact in floating
+    point, and the pole term is written in t, so nothing cancels near 1/2."""
+    t, sigma = s - 0.5, 2.0 * s
+    q_sigma = q**-sigma
+    hi = q ** (-2.0 * t) / (2.0 * t) + 0.5 * q_sigma + sigma * q_sigma / (12.0 * q)
+    return hi - sigma * (sigma + 1.0) * (sigma + 2.0) * q_sigma / (720.0 * q**3), hi
+
+
+_TAIL_SAMPLES = 257  # points of [0, 1/(B+1)] at which full_pressure_bounds reads v's extremes
+
+
+@functools.lru_cache(maxsize=8)
+def _tail_rows(B: int) -> np.ndarray:
+    """Interpolation rows at _TAIL_SAMPLES even points of [0, 1/(B+1)], the
+    range of the branches a > B."""
+    rows = get_grid(DEFAULT_DEGREE).interp_matrix(np.linspace(0.0, 1.0 / (B + 1), _TAIL_SAMPLES))
+    rows.flags.writeable = False
+    return rows
+
+
+def full_pressure_bounds(B: int, s: float, start: Optional[np.ndarray] = None) -> Tuple[float, float]:
+    """Lower and upper bounds on the full-alphabet pressure P_inf(s), the log
+    leading eigenvalue of L_s summed over every a >= 1, from one eigen-solve
+    at the bound B.  s keeps pressure's range rule; at s <= 1/2 both are
+    +inf, P_inf's value there, with no matrix.  `start` as in pressure.
+
+    The branches a > B map [0, 1] into [0, 1/(B+1)], where a function is
+    close to its value at 0, so M' = transfer_matrix(B, s) + z e_0^T adds
+    them as one column at node 0 (x = 0), z = hi of hurwitz_bounds(s, B+1+x).
+    With v > 0 its leading eigenvector, v_min and v_max v's extremes on
+    [0, 1/(B+1)] and lo <= zeta(2s, B+1+x) <= hi, Collatz-Wielandt at the
+    nodes gives (Falk & Nussbaum 2016)
+
+        min (M v + lo v_min)/v  <=  lambda_inf(s)  <=  max (M v + hi v_max)/v.
+
+    This covers the a > B tail at the nodes and the Euler-Maclaurin
+    remainder.  It does not cover the ratio between the nodes, and v_min and
+    v_max are sampled at _TAIL_SAMPLES points, not proved."""
+    _check_exponent(s)
+    if s <= 0.5:
+        check_alphabet(B)
+        return math.inf, math.inf
+    z_lo, z_hi = hurwitz_bounds(s, B + 1.0 + get_grid(DEFAULT_DEGREE).nodes)
+    M = transfer_matrix(B, s)
+    v = np.ones(M.shape[0]) if start is None else start
+    M[:, 0] += z_hi
+    leading_eigenvalue(M, v)
+    tail = _tail_rows(B) @ v
+    if not (v.min() > 0 and tail.min() > 0):
+        raise NoConvergence(f"leading eigenvector {v.tolist()} is not positive on the tail range")
+    Mv = M @ v - z_hi * v[0]  # transfer_matrix(B, s) @ v, without the tail column
+    lam_lo = float(((Mv + z_lo * tail.min()) / v).min())
+    lam_hi = float(((Mv + z_hi * tail.max()) / v).max())
+    if not lam_lo > 0:
+        raise NoConvergence(f"non-positive lower eigenvalue bound {lam_lo}")
+    return math.log(lam_lo), math.log(lam_hi)
 
 
 # ---------------------------------------------------------------------------

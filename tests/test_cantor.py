@@ -394,7 +394,7 @@ def test_raising_cold_call_keeps_the_state(spec13, validations):
     _cold_mass(spec13, parent)
     with pytest.raises(Inadmissible):
         measure_mass(spec13, _corrupt(d, sp.n[1] + 1, 3))  # a longer prefix, validated past the parent
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange, match="digit 12 is x, not an integer"):
         measure_mass(spec13, parent + ("x",))  # int() fails on the new digit
     assert _kept(spec13) == parent
     del validations[:]

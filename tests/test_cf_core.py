@@ -427,6 +427,10 @@ def test_read_digits_reads_integers_and_names_a_non_integer():
         ((1, 1, np.float64(1.5), 0.5), 0, "digit 3 is 1.5, not an integer"),
         ([1, 2, 2.5], 2, "digit 3 is 2.5, not an integer"),  # positions count from the start of d
         ([1, "2"], 0, "digit 2 is 2, not an integer"),  # int("2") is 2, but "2" is text
+        # digits that int() refuses: ValueError, OverflowError and TypeError of their own
+        ([1, float("nan")], 0, "digit 2 is nan, not an integer"),
+        ((3, 1, float("-inf")), 1, "digit 3 is -inf, not an integer"),
+        ([None], 0, "digit 1 is None, not an integer"),
     ):
         with pytest.raises(InputOutOfRange, match=rf"^{re.escape(message)}$"):
             read_digits(d, start)

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import random
@@ -724,6 +725,30 @@ def test_golden_files(name, argv, capsys):
     path = GOLDEN / f"{name}.json"
     assert path.exists(), f"golden file {path} missing; regenerate with scripts/make_goldens.py"
     assert out == path.read_text()
+
+
+# the README's dimension curves: the parameter range of their interior rows
+# (theorem argument strictly inside (0, 1)), and how many rows fall in it
+_CURVE_INTERIORS = {
+    "readme_curve_uniform_set": (0.0, 1.0, 21),
+    "readme_curve_asymptotic_level": (0.0, math.inf, 16),
+    "readme_curve_runlength_liminf": (0.0, 0.5, 21),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVE_INTERIORS))
+def test_readme_curve_goldens_hold_full_alphabet_dimensions(name):
+    # theorem_dims returns dim_full of the argument unscaled, so an interior
+    # row lies in (1/2, 1] and inside its bracket; no curve rises along its parameter
+    lines = (GOLDEN / f"{name}.json").read_text().splitlines()
+    assert lines[0] == "param,value,lo,hi"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    p_lo, p_hi, count = _CURVE_INTERIORS[name]
+    interior = [row for row in rows if p_lo < row[0] < p_hi]
+    assert len(interior) == count
+    for p, value, lo, hi in interior:
+        assert 0.5 < value <= 1.0 and lo <= value <= hi, (p, value, lo, hi)
+    assert all(later[1] <= row[1] for row, later in zip(rows, rows[1:]))
 
 
 _GOLDENS_UNDER_O = """

@@ -3,8 +3,9 @@ committed hex value.
 
 A change that claims to keep a layer's outputs must keep its digest.  The
 expansion digest hashes integers, flags and error messages only, so it does
-not depend on the platform.  The chain, spectral and tracker digests hash
-float64 results bit for bit, so they also pin the numpy build's arithmetic.
+not depend on the platform.  The chain, spectral, tracker and dim_full
+digests hash float64 results bit for bit, so they also pin the numpy
+build's arithmetic.
 A change that moves a digest must name it and the correctness fix that
 requires it.
 """
@@ -28,7 +29,7 @@ from cfdim.cantor import (
 )
 from cfdim.cf_core import RealInput, expand
 from cfdim.cli import _read_digit_file
-from cfdim.dim_solver import predim_tilde, spectral_dim
+from cfdim.dim_solver import dim_full, predim_tilde, spectral_dim, theorem_dims
 from cfdim.exponents import decompose
 from cfdim.runlength import ratio_estimates, run_profile
 from cfdim.verify import LebesgueDigitChain, RecordTracker, RunMaxTracker
@@ -40,6 +41,7 @@ TRACKER_DIGEST = "ba9e769f43bc7ea05a4faa59901c621bdd4e1bc3b86f5eceeced727daa8b52
 CANTOR_DIGEST = "fdbcd6404327b5ba7f89960c9a8d885dad18240b51bb9964607b157a490ce77d"
 MASS_DIGEST = "7875b5e7309ebfad921e451c951221d22f6a7a251f8352909beaffda126a372c"
 RUNLENGTH_DIGEST = "955bd72907f67b30f6da86ab5555f49920f38e3228733e029221640cf0e22054"
+DIM_FULL_DIGEST = "0c46c15890816d5a6abfcdb1866d4599da9c53b6bb90ece359e9a49d5bd20d29"
 
 
 def _rationals(rng, count):
@@ -139,6 +141,33 @@ def spectral_digest() -> str:
 
 def test_spectral_digest_matches_committed_hex():
     assert spectral_digest() == SPECTRAL_DIGEST
+
+
+def dim_full_digest() -> str:
+    """sha256 over `repr((value, bracket, method, B_used))` of `dim_full` at
+    k/10 for k = 1..9 and i = 1, 2 (default schedule), and of `theorem_dims`
+    over the grids of the README's three dimension curves at
+    B_schedule=(8, 16, 32, 64): U_set at nu_hat = k/22, nu_level at
+    nu = k/4 and F at alpha = k/44; and `repr` of
+    `transfer.full_pressure_bounds` at a few (B, s), whose last bits the
+    roots above do not see."""
+    h = hashlib.sha256()
+    estimates = [dim_full(Fraction(k, 10), i) for i in (1, 2) for k in range(1, 10)]
+    for kind, param, values in (
+        ("U_set", "nu_hat", [Fraction(k, 22) for k in range(23)]),
+        ("nu_level", "nu", [Fraction(k, 4) for k in range(17)]),
+        ("F", "alpha", [Fraction(k, 44) for k in range(23)]),
+    ):
+        estimates += [theorem_dims(kind, **{param: v}, B_schedule=(8, 16, 32, 64)) for v in values]
+    for est in estimates:
+        h.update(repr((est.value, est.bracket, est.method, est.B_used)).encode() + b"\n")
+    for B, s in ((1, 0.75), (16, 0.5 + 2.0**-27), (16, 0.6), (64, 1.0), (128, 0.8), (128, 2.5)):
+        h.update(repr(transfer.full_pressure_bounds(B, s)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_dim_full_digest_matches_committed_hex():
+    assert dim_full_digest() == DIM_FULL_DIGEST
 
 
 def tracker_digest() -> str:

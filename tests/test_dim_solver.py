@@ -378,9 +378,10 @@ def test_pressure_at_zero_is_log_alphabet():
         assert spectral_pressure(B, 0.0) == math.log(B)
 
 
-def _plain_leading_eigenvalue(M):
+def _plain_leading_eigenvalue(M, start=None):
     """Reference: plain power iteration on M from all ones, stopped when the
-    Rayleigh quotient changes by at most _EIG_TOL relative three steps running."""
+    Rayleigh quotient changes by at most _EIG_TOL relative three steps
+    running; the last unit iterate is written into `start`, if given."""
     v = np.ones(M.shape[0])
     lam_prev = np.inf
     stable = 0
@@ -391,6 +392,8 @@ def _plain_leading_eigenvalue(M):
         if lam != 0 and abs(lam - lam_prev) <= transfer._EIG_TOL * abs(lam):
             stable += 1
             if stable >= 3:
+                if start is not None:
+                    start[:] = v
                 return lam
         else:
             stable = 0
@@ -460,6 +463,9 @@ def test_warm_started_spectral_roots_equal_cold_roots():
 
 
 def test_warm_started_dim_full_and_curves_equal_cold(monkeypatch):
+    # dim_full's bounds read the eigenvector of one warm-started iteration on
+    # M^4 per evaluation; the reference runs plain iteration on M from all
+    # ones at every evaluation, which moves the bounds in their last bits
     args = [Fraction(k, 10) for k in range(1, 10)]
     warm_full = [dim_full(a, i) for i in (1, 2) for a in args]
     # the curve points of the README's three `cfdim dim --curve` commands
@@ -471,7 +477,7 @@ def test_warm_started_dim_full_and_curves_equal_cold(monkeypatch):
         return [theorem_dims(kind, **{param: v}, B_schedule=(8, 16, 32, 64)) for kind, param, vs in curves for v in vs]
 
     warm_curve = curve()
-    monkeypatch.setattr(ds, "spectral_dim", _cold_spectral_dim)
+    monkeypatch.setattr(transfer, "leading_eigenvalue", _plain_leading_eigenvalue)
     assert warm_full == [dim_full(a, i) for i in (1, 2) for a in args]
     assert warm_curve == curve()
 
@@ -554,6 +560,12 @@ def test_dim_full_empty_schedule_raises_input_out_of_range():
     assert dim_full(0, 1, []) == dim_full(0, 1)
 
 
+def test_dim_full_reads_the_last_bound_and_checks_every_one():
+    assert dim_full(Fraction(1, 3), 2, (4, 16)) == dim_full(Fraction(1, 3), 2, (16,))
+    with pytest.raises(InputOutOfRange, match="alphabet bound must be an integer, got 8.5"):
+        dim_full(Fraction(1, 2), 1, (8.5, 16))
+
+
 def test_dim_limit_empty_schedule_raises_input_out_of_range():
     with pytest.raises(InputOutOfRange, match="n_schedule must be strictly increasing"):
         dim_limit(2, Fraction(1, 4), 1, [])
@@ -576,26 +588,51 @@ def test_dim_full_interior_range_and_monotone():
 
 
 @pytest.mark.parametrize(
-    "make, pad, clamped",
+    "make, clamped",
     [
-        (lambda: dim_full(Fraction(1, 2), 1), ds._SPECTRAL_WIDTH, None),
-        (lambda: dim_full(Fraction(19, 20), 2), ds._SPECTRAL_WIDTH, 0),  # last - r < 0
-        (lambda: dim_limit(3, Fraction(1, 3), 1, (3, 6, 9)), 0.0, None),
-        (lambda: dim_limit(5, 0, 1, (2, 3, 4)), 0.0, 1),  # last + r > 1
+        (lambda: dim_limit(3, Fraction(1, 3), 1, (3, 6, 9)), None),
+        (lambda: dim_limit(5, 0, 1, (2, 3, 4)), 1),  # last + r > 1
     ],
-    ids=["full", "full-clamped-lo", "limit", "limit-clamped-hi"],
+    ids=["limit", "limit-clamped-hi"],
 )
-def test_limit_bracket_half_width_pads_only_the_spectral_limit(make, pad, clamped):
-    # the bracket is trace[-1] +- (|trace[-1] - aitken(trace)| + pad), clamped
-    # to [0, 1] and widened to hold the value; only dim_full's finite-B roots
-    # carry a bisection width (_SPECTRAL_WIDTH) into the half-width
+def test_limit_bracket_half_width_pads_only_the_spectral_limit(make, clamped):
+    # the bracket is trace[-1] +- |trace[-1] - aitken(trace)|, clamped to
+    # [0, 1] and widened to hold the value (dim_full's spectral limit has its
+    # own enclosure, below)
     e = make()
     last = e.trace[-1]
-    r = abs(last - aitken(e.trace)) + pad
+    r = abs(last - aitken(e.trace))
     assert e.bracket == (max(min(last - r, e.value), 0.0), min(max(last + r, e.value), 1.0))
     if clamped is not None:
         assert not 0.0 <= last + (2 * clamped - 1) * r <= 1.0
         assert e.bracket[clamped] == float(clamped)
+
+
+# B = infinity roots at i = 1, from mpmath runs (the last from enclosures at B = 128)
+FULL_ALPHABET_ROOTS = {
+    Fraction(1, 4): 0.890055060700769,
+    Fraction(1, 2): 0.757985146934655,
+    Fraction(3, 4): 0.595357923928021,
+    Fraction(8, 9): 0.509963782090612,
+    Fraction(19, 20): 0.5000534327,
+}
+
+
+@pytest.mark.parametrize("B", [16, 32, 64, 128])
+def test_dim_full_bracket_encloses_the_full_alphabet_root(B):
+    for alpha, root in FULL_ALPHABET_ROOTS.items():
+        e = dim_full(alpha, 1, (B,))
+        assert e.bracket[0] <= root <= e.bracket[1], (alpha, e)
+        assert e.bracket[0] < e.value < e.bracket[1] and e.value == 0.5 * (e.bracket[0] + e.bracket[1])
+        assert (e.B_used, e.method, e.trace) == (B, "tail-enclosure", ())
+
+
+def test_dim_full_brackets_nest_as_the_bound_grows():
+    pairs = [(Fraction(k, 10), 1) for k in (1, 3, 5, 7, 9)] + [(Fraction(k, 7), 2) for k in range(1, 6)]
+    for alpha, i in pairs:
+        (a16, b16), (a128, b128), (a1024, b1024) = (dim_full(alpha, i, (B,)).bracket for B in (16, 128, 1024))
+        assert a16 <= a128 <= a1024 <= b1024 <= b128 <= b16, (alpha, i)
+        assert b1024 - a1024 < b16 - a16 or b16 - a16 < 2 * ds._SPECTRAL_WIDTH
 
 
 # ---------------------------------------------------------------------------

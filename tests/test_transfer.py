@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -247,3 +248,48 @@ def test_pressure_at_s_4_does_not_move_when_the_degree_doubles(B):
 def test_pressure_past_s_4_raises(s):
     with pytest.raises(InputOutOfRange, match=f"s must be <= 4.0, got {s}"):
         transfer.pressure(2, s)
+
+
+@pytest.mark.parametrize("B", [1, 16, 128, 1024])
+def test_hurwitz_bounds_enclose_the_zeta_tail(B):
+    # zeta(2s, q) at the tail's arguments q = B + 1 + x, from just above the
+    # pole to s = 4, up to rounding (8 eps relative); at s >= 1 the Bernoulli
+    # term that hi adds is 1.6e-7 of zeta or more, and the remainder that lo
+    # takes off 1.2e-10 or more for B <= 128, so a bound without either fails
+    q = B + 1.0 + transfer.get_grid(transfer.DEFAULT_DEGREE).nodes
+    tol = 8 * np.finfo(np.float64).eps
+    with mpmath.workdps(40):
+        for s in (0.5 + 2.0**-27, 0.51, 0.75, 1.0, 2.0, 4.0):
+            lo, hi = transfer.hurwitz_bounds(s, q)
+            for qj, lo_j, hi_j in zip(q, lo, hi):
+                zeta = float(mpmath.zeta(2 * mpmath.mpf(s), qj))
+                assert lo_j <= zeta * (1 + tol) and zeta * (1 - tol) <= hi_j, (s, qj, lo_j, zeta, hi_j)
+
+
+def test_full_pressure_bounds_enclose_the_full_alphabet_pressure():
+    # P_inf(1) = 0 (the Gauss measure), and every finite alphabet's pressure
+    # lies below P_inf; the bounds tighten as B grows
+    widths = []
+    for B in (1, 2, 16, 128, 1024):
+        lo, hi = transfer.full_pressure_bounds(B, 1.0)
+        assert lo <= 0.0 <= hi, (B, lo, hi)
+        widths.append(hi - lo)
+        for s in (0.55, 0.75, 2.0):
+            assert transfer.full_pressure_bounds(B, s)[1] >= transfer.pressure(1024, s), (B, s)
+    assert widths == sorted(widths, reverse=True) and widths[-1] < 4e-6  # about B^-2
+
+
+def test_full_pressure_bounds_keep_the_range_rules():
+    # P_inf is +inf at s <= 1/2, with no matrix but B checked; s keeps pressure's rule
+    assert transfer.full_pressure_bounds(3, 0.5) == (math.inf, math.inf) == transfer.full_pressure_bounds(3, 0.0)
+    for B, s in ((0, 0.25), (2**12 + 1, 0.75)):
+        with pytest.raises(InputOutOfRange, match=f"got {B}"):
+            transfer.full_pressure_bounds(B, s)
+    for s in (-0.5, 4.5, math.nan):
+        with pytest.raises(InputOutOfRange, match="s must be"):
+            transfer.full_pressure_bounds(3, s)
+    # a warm start is the eigenvector of the corrected matrix, and gives the same bounds
+    start = np.ones(transfer.DEFAULT_DEGREE + 1)
+    first = transfer.full_pressure_bounds(16, 0.7, start)
+    assert not np.array_equal(start, np.ones_like(start))
+    assert transfer.full_pressure_bounds(16, 0.7, start) == pytest.approx(first, rel=0, abs=1e-12)
