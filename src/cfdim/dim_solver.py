@@ -10,7 +10,9 @@ Two independent routes to the same dimension values s(A_B, alpha, tau(i)):
     log-space continuant recursion  log q_{k+1} = log q_k + log(a + r_k),
     r_{k+1} = 1/(a + r_k), and bisection in rho (solve_decreasing_root: a
     regula falsi phase settles the signs of most midpoints without calling F,
-    and the result keeps bisection's bits);
+    and the result keeps bisection's bits).  Their sign floor is proven from
+    sum_power's own rounding (sum_power_error), of order 1e-13; the spectral,
+    dim_full and segment_log_sum roots keep the measured floor 1e-8;
 
   * spectral: the root s of  P_B(s) = 2 s (alpha/(1-alpha)) log tau(i),
     where P_B(s) is the log leading eigenvalue of the transfer operator on
@@ -44,7 +46,9 @@ from .errors import InputOutOfRange, NoConvergence
 
 _ROOT_WIDTH = 1e-12  # bisection width of the enumerated pre-dimensional roots
 _SPECTRAL_WIDTH = 1e-8  # bisection width of the spectral roots; dim_full widens its bracket by it
-_SIGN_FLOOR = 1e-8  # |F| past which a sign holds further out: 390x the largest measured departure from monotone
+# |F| past which a sign holds further out, for the spectral, dim_full and segment_log_sum roots
+_SIGN_FLOOR = 1e-8  # 390x the largest measured departure from monotone (segment_log_sum's)
+_NOISE_FLOOR = 8.0  # sign floor over a proven noise bound: 2 keeps F monotone beyond it, times 4 for safety
 _HI_CAP = 64.0  # solve_decreasing_root looks for a sign change up to here
 _FALSI_STEPS = 8  # most evaluations before the bisection in solve_decreasing_root; roots use 2-5
 _TABLE_LIMIT = 2**20  # most leaves sum_power enumerates; more raise InputOutOfRange
@@ -115,10 +119,11 @@ def _grow_level(logq: np.ndarray, r: np.ndarray, B: int) -> Tuple[np.ndarray, np
 
 
 @functools.lru_cache(maxsize=2**23 // _TABLE_LIMIT)  # 8 tables, 64 MB at most
-def _log_qtotal(B: int, f: int, tail_digit: int, t: int) -> np.ndarray:
-    """log q_total (f free digits, then t copies of tail_digit) over all B^f
-    free strings, as one read-only array: an in-place op on a cached table
-    raises instead of changing later sums.  The tail is added in place as
+def _log_qtotal(B: int, f: int, tail_digit: int, t: int) -> Tuple[np.ndarray, float, float]:
+    """(table, min, max): log q_total (f free digits, then t copies of
+    tail_digit) over all B^f free strings, as one read-only array (an
+    in-place op on a cached table raises instead of changing later sums),
+    and its least and largest entry.  The tail is added in place as
     (log q_f + log u) + log1p((v/u) r), the out-of-place expression's
     operations in its order."""
     logq, r = np.zeros(1), np.zeros(1)
@@ -131,7 +136,7 @@ def _log_qtotal(B: int, f: int, tail_digit: int, t: int) -> np.ndarray:
         logq += log_u
         logq += r
     logq.flags.writeable = False
-    return logq
+    return logq, float(logq.min()), float(logq.max())
 
 
 def _fits_table(B: int, free: int) -> bool:
@@ -139,28 +144,70 @@ def _fits_table(B: int, free: int) -> bool:
     return B ** min(free, _TABLE_LIMIT.bit_length()) <= _TABLE_LIMIT
 
 
-def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
-    """log of  sum over free strings of (exp(scale_log) * q_total)^(-2 rho).
-
-    Enumerates at most _TABLE_LIMIT (2^20) free strings; more raise
-    InputOutOfRange.  _log_qtotal caches the table (the tail digit is no
-    part of the key of a table without a tail), so a repeated call sums the
-    same table.  The terms -2 rho (scale_log + log q), less their maximum,
-    and their exp are computed in place in one fresh array, the out-of-place
-    expression's operations in its order.
-    """
+def _stored_table(B: int, spec: SumKernelSpec, rho: float) -> Tuple[np.ndarray, float, float]:
+    """_log_qtotal's (table, min, max) for spec, once B, rho and the table
+    budget have passed their rules, in that order: more than _TABLE_LIMIT
+    (2^20) free strings raise InputOutOfRange before anything is built.  The
+    tail digit is no part of the key of a table without a tail."""
     transfer.check_alphabet(B)
     if not rho >= 0:  # NaN too: every comparison with it is False
         raise ValueError("rho must be >= 0")
     if not _fits_table(B, spec.free_length):
         raise InputOutOfRange(f"{B}^{spec.free_length} leaves exceed budget {_TABLE_LIMIT}")
-    table = _log_qtotal(B, spec.free_length, spec.tail_digit if spec.tail_i else 0, spec.tail_i)
+    return _log_qtotal(B, spec.free_length, spec.tail_digit if spec.tail_i else 0, spec.tail_i)
+
+
+def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
+    """log of  sum over free strings of (exp(scale_log) * q_total)^(-2 rho).
+
+    Enumerates at most _TABLE_LIMIT (2^20) free strings; more raise
+    InputOutOfRange.  _log_qtotal caches the table with its extremes, so a
+    repeated call sums the same table.  The terms -2 rho (scale_log + log q),
+    less their maximum, and their exp are computed in place in one fresh
+    array, the out-of-place expression's operations in its order.  The
+    maximum is the term of the least table entry, fl(fl(min + scale_log) *
+    -2 rho), with no pass over the terms: both roundings are monotone in the
+    entry (at rho = 0 every term is a zero, and the sum's bits do not depend
+    on which zero).
+    """
+    table, least, _ = _stored_table(B, spec, rho)
     terms = table + spec.scale_log
     terms *= -2.0 * rho
-    m = float(terms.max())
+    m = (least + spec.scale_log) * (-2.0 * rho)
     terms -= m
     np.exp(terms, out=terms)
     return m + math.log(float(terms.sum()))
+
+
+def sum_power_error(B: int, spec: SumKernelSpec, rho: float) -> float:
+    """eta(rho): a bound on |sum_power(B, spec, rho) - log sum_w exp(-2 rho
+    (s + L_w))|, the error of the evaluated sum against the exact one over
+    the stored table L (N entries, s = scale_log), growing with rho.
+
+    With u = 2^-53, c = 2 rho and M = max_w |L_w + s| (at the least or the
+    largest entry), term by term:
+      * t_w = fl(fl(L_w + s) * -c) is off by at most 2u cM; m = max t_w is
+        one of them, and fl(t_w - m), |t_w - m| <= 2cM, adds 2u cM more;
+      * numpy's exp and math.log are taken to be within 4 ulp (relative 8u)
+        each; exp(0) = 1 is exact, so the sum S is at least 1, and an
+        underflowed term's absolute error (N 2^-1072 in all) is below u;
+      * numpy's pairwise sum of N positive terms has relative error at
+        most (log2 N + 32) u (blocks of 8 running sums over at most 128
+        terms, then halving; Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 4);
+      * so |log S_evaluated - log S| <= 4u cM + (8 + log2 N + 32 + 1) u,
+        log S lies in [0, log N], its rounding adds 8u log N, and the final
+        m + log S, |m| <= cM, adds u (cM + log N).
+    In all,  eta = u (5 cM + 9 log N + log2 N + 41 + 1),  the last 1
+    covering the second-order terms and eta's own rounding.  F = sum_power
+    is then monotone beyond +-2 eta(x) below x:  F_eval(y) >= F(y) - eta(y)
+    >= F(x) - eta(y) >= F_eval(x) - 2 eta(x)  for y < x.  Refuses what
+    sum_power refuses, in its order, before anything is built.
+    """
+    table, least, largest = _stored_table(B, spec, rho)
+    n = table.size
+    cM = 2.0 * rho * max(abs(least + spec.scale_log), abs(largest + spec.scale_log))
+    return 2.0**-53 * (5.0 * cM + 9.0 * math.log(n) + math.log2(n) + 42.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +216,11 @@ def sum_power(B: int, spec: SumKernelSpec, rho: float) -> float:
 
 
 def solve_decreasing_root(
-    F: Callable[[float], float], width: float, hi: float = 2.0, start: Optional[float] = None
+    F: Callable[[float], float],
+    width: float,
+    hi: float = 2.0,
+    start: Optional[float] = None,
+    noise: Optional[Callable[[float], float]] = None,
 ) -> Tuple[float, Tuple[float, float]]:
     """Bisection root of a strictly decreasing F with F(root) = 0, from
     fewer evaluations of F.
@@ -177,14 +228,21 @@ def solve_decreasing_root(
     Returns (midpoint, bracket) of plain bisection to `width` on the first
     sign change among 0, hi, 2 hi, ... <= _HI_CAP; F(0) <= 0 short-circuits
     to 0.  Those depend only on the signs of F at the midpoints, and a point
-    p with F(p) > _SIGN_FLOOR settles the sign at every midpoint <= p (with
-    F(p) < -_SIGN_FLOOR, at every midpoint >= p).  Regula falsi with
+    p with F(p) > floor settles the sign at every midpoint <= p (with
+    F(p) < -floor, at every midpoint >= p).  Regula falsi with
     Anderson-Bjorck scaling (at most _FALSI_STEPS evaluations) and one probe
-    each side of its root at 2 _SIGN_FLOOR/|slope| find such points near the
+    each side of its root at 2 floor/|slope| find such points near the
     root, so the bisection calls F only between them.  The result is plain
     bisection's, bit for bit, whenever evaluated F is monotone beyond
-    +-_SIGN_FLOOR (F(y) >= F(x) - _SIGN_FLOOR for all y < x), and costs at
-    most _FALSI_STEPS + 2 evaluations more (3 with a pole, below).
+    +-floor (F(y) >= F(x) - floor for all y < x), and costs at most
+    _FALSI_STEPS + 2 evaluations more (3 with a pole, below).
+
+    The floor is _SIGN_FLOOR (1e-8, measured on segment_log_sum's noise),
+    which the spectral, dim_full and segment_log_sum roots use.  With
+    `noise`, a bound on |evaluated F - F| that grows with x (the enumerated
+    roots pass sum_power_error), F is monotone beyond +-2 noise(x) below x,
+    and the floor is _NOISE_FLOOR noise(hi), read once at the top of the
+    final sign bracket, above every later point.
 
     F(0) = +inf, a pole, leaves regula falsi no finite end.  Then F is
     evaluated first at `start`, a point of (0, hi) where the caller knows
@@ -198,7 +256,7 @@ def solve_decreasing_root(
         return 0.0, (0.0, 0.0)
     f_hi = F(hi)
     while f_hi > 0:
-        lo = hi
+        lo, f_lo = hi, f_hi
         hi *= 2
         if hi > _HI_CAP:
             raise NoConvergence(f"no sign change up to rho = {_HI_CAP}")
@@ -207,6 +265,7 @@ def solve_decreasing_root(
         # hit a float plateau at 0: the sum has a term pinned at 1 and never
         # drops strictly below it, so no root exists (e.g. order-1 sums)
         raise NoConvergence("sum never drops strictly below 1; no finite root")
+    floor = _SIGN_FLOOR if noise is None else _NOISE_FLOOR * noise(hi)
     pos, neg = lo, hi  # F > 0 at every midpoint <= pos, F < 0 at every one >= neg
     a, fa, b, fb, side = lo, f_lo, hi, f_hi, 0
     pole = lo == 0 and f_lo == math.inf
@@ -220,7 +279,7 @@ def solve_decreasing_root(
             if a != top:
                 raise ValueError(f"F({a}) = {fa}, where start needs F > 0")
             return 0.5 * top, (0.0, top)
-        if fa > _SIGN_FLOOR:
+        if fa > floor:
             pos = a
     x0, f0, x, fx = a, fa, hi, f_hi
     for _ in range(_FALSI_STEPS):
@@ -236,14 +295,14 @@ def solve_decreasing_root(
             if side < 0:
                 fa *= 1.0 - fx / fb if fx > fb else 0.5
             b, fb, side = x, fx, -1
-        if not abs(fx) > _SIGN_FLOOR:
+        if not abs(fx) > floor:
             break
         pos, neg = (x, neg) if fx > 0 else (pos, x)
     slope = (fx - f0) / (x - x0)
-    for p in (x - (fx - 2 * _SIGN_FLOOR) / slope, x - (fx + 2 * _SIGN_FLOOR) / slope) if slope < 0 else ():
+    for p in (x - (fx - 2 * floor) / slope, x - (fx + 2 * floor) / slope) if slope < 0 else ():
         if pos < p < neg:
             fp = F(p)
-            if abs(fp) > _SIGN_FLOOR:
+            if abs(fp) > floor:
                 pos, neg = (p, neg) if fp > 0 else (pos, p)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
@@ -294,8 +353,11 @@ def _solver_inputs(alpha: Number, i: int, B: Optional[int] = None) -> Fraction:
 
 
 def _enumerated_root(B: int, spec: SumKernelSpec, width: float, n: int, method: str) -> DimEstimate:
-    """Root rho of sum_power(B, spec, rho) = 0, bisected to `width`."""
-    root, bracket = solve_decreasing_root(lambda rho: sum_power(B, spec, rho), width=width)
+    """Root rho of sum_power(B, spec, rho) = 0, bisected to `width`, with
+    the sign floor that sum_power_error proves."""
+    root, bracket = solve_decreasing_root(
+        lambda rho: sum_power(B, spec, rho), width=width, noise=lambda rho: sum_power_error(B, spec, rho)
+    )
     return DimEstimate(root, bracket, n_used=n, B_used=B, method=method)
 
 

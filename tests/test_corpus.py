@@ -3,14 +3,15 @@ committed hex value.
 
 A change that claims to keep a layer's outputs must keep its digest.  The
 expansion digest hashes integers, flags and error messages only, so it does
-not depend on the platform.  The chain, spectral, tracker and dim_full
-digests hash float64 results bit for bit, so they also pin the numpy
-build's arithmetic.
+not depend on the platform.  The chain, spectral, tracker, dim_full,
+sum_power and enumerated-root digests hash float64 results bit for bit, so
+they also pin the numpy build's arithmetic.
 A change that moves a digest must name it and the correctness fix that
 requires it.
 """
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,10 +30,19 @@ from cfdim.cantor import (
 )
 from cfdim.cf_core import RealInput, expand
 from cfdim.cli import _read_digit_file
-from cfdim.dim_solver import dim_full, predim_tilde, spectral_dim, theorem_dims
+from cfdim.dim_solver import (
+    SumKernelSpec,
+    dim_full,
+    predim_hat,
+    predim_s,
+    predim_tilde,
+    spectral_dim,
+    sum_power,
+    theorem_dims,
+)
 from cfdim.exponents import decompose
 from cfdim.runlength import ratio_estimates, run_profile
-from cfdim.verify import LebesgueDigitChain, RecordTracker, RunMaxTracker
+from cfdim.verify import LebesgueDigitChain, RecordTracker, RunMaxTracker, solver_crosscheck
 
 EXPAND_DIGEST = "9d65b5864ffd45af60813d5668eadcd5c306d1bc188703a94083343a9bef27e4"
 CHAIN_DIGEST = "70430166741c240da77c82072f0d8777678dcb32097be3c889f4f256d873a5fc"
@@ -42,6 +52,8 @@ CANTOR_DIGEST = "fdbcd6404327b5ba7f89960c9a8d885dad18240b51bb9964607b157a490ce77
 MASS_DIGEST = "7875b5e7309ebfad921e451c951221d22f6a7a251f8352909beaffda126a372c"
 RUNLENGTH_DIGEST = "955bd72907f67b30f6da86ab5555f49920f38e3228733e029221640cf0e22054"
 DIM_FULL_DIGEST = "0c46c15890816d5a6abfcdb1866d4599da9c53b6bb90ece359e9a49d5bd20d29"
+SUM_POWER_DIGEST = "7a6179816867d9149a3fff7588d1663fb598727d23258914a14c48ef5cbdc47a"
+ENUM_ROOT_DIGEST = "eca47fac48db6268103a330d40e4e8d41fde07f0c526a7120fdb9bb4d66d0a05"
 
 
 def _rationals(rng, count):
@@ -168,6 +180,59 @@ def dim_full_digest() -> str:
 
 def test_dim_full_digest_matches_committed_hex():
     assert dim_full_digest() == DIM_FULL_DIGEST
+
+
+def sum_power_digest() -> str:
+    """sha256 over `repr` of `sum_power` at rho = 0 (a -0.0 multiplier) and
+    30 more rho up to 4, on five tables with and without a run tail, one of
+    them with a negative scale, one of 3^12 = 531 441 leaves."""
+    h = hashlib.sha256()
+    for B, spec in (
+        (3, SumKernelSpec(12)),
+        (2, SumKernelSpec(10, tail_i=7, tail_digit=1, scale_log=0.7)),
+        (4, SumKernelSpec(6, tail_i=3, tail_digit=2)),
+        (5, SumKernelSpec(5, scale_log=3.3)),
+        (3, SumKernelSpec(8, tail_i=20, tail_digit=3, scale_log=-1.3)),
+    ):
+        for rho in (0.0, *np.linspace(0.05, 4.0, 30).tolist()):
+            h.update(repr(sum_power(B, spec, rho)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_sum_power_digest_matches_committed_hex():
+    assert sum_power_digest() == SUM_POWER_DIGEST
+
+
+def enum_root_digest() -> str:
+    """sha256 over `repr((value, bracket, method))` of `predim_hat` and
+    `predim_s` (bisection width 1e-12) and of enumerated `predim_tilde`
+    (width 1e-14) at 24 seeded (B, alpha, i, n) and segments with at most 9
+    free digits, B = 1 and n = 1 included (an input that raises hashes
+    `Type: message`), then the JSON of the `solver_crosscheck((3, 6, 12))`
+    report, whose `dim_limit` values read the last bits of 54 roots."""
+    rng = random.Random(20261023)
+    h = hashlib.sha256()
+    for _ in range(24):
+        B, i, n = rng.randrange(1, 5), rng.randrange(1, 4), rng.randrange(1, 10)
+        alpha = Fraction(rng.randrange(0, 13), 12)
+        free, tail = rng.randrange(0, 10), rng.randrange(0, 30)
+        for solve in (
+            lambda: predim_hat(B, alpha, i, n),
+            lambda: predim_s(B, alpha, i, n),
+            lambda: predim_tilde(B, i, (free + tail, tail)),
+        ):
+            try:
+                est = solve()
+                line = repr((est.value, est.bracket, est.method))
+            except Exception as exc:  # noqa: BLE001 - the error is the output
+                line = f"{type(exc).__name__}: {exc}"
+            h.update(line.encode() + b"\n")
+    h.update(json.dumps(solver_crosscheck((3, 6, 12)).to_json_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_enum_root_digest_matches_committed_hex():
+    assert enum_root_digest() == ENUM_ROOT_DIGEST
 
 
 def tracker_digest() -> str:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cfdim import dim_solver as ds
-from cfdim import transfer
+from cfdim import transfer, verify
 from cfdim.cf_core import continuants, log_tau
 from cfdim.dim_solver import (
     DimEstimate,
@@ -24,6 +24,7 @@ from cfdim.dim_solver import (
     spectral_dim,
     spectral_pressure,
     sum_power,
+    sum_power_error,
     theorem_argument,
     theorem_dims,
     to_fraction,
@@ -144,6 +145,7 @@ def _sum_power_out_of_place(table, scale_log, rho):
         (3, SumKernelSpec(free_length=7, tail_i=3, tail_digit=2, scale_log=0.7)),
         (2, SumKernelSpec(free_length=10, scale_log=-1.3)),
         (5, SumKernelSpec(free_length=2, tail_i=2, tail_digit=3, scale_log=0.3)),
+        (4, SumKernelSpec(free_length=4, scale_log=3.3)),
     ],
 )
 def test_sum_power_bits_match_out_of_place_expression(B, spec):
@@ -151,9 +153,23 @@ def test_sum_power_bits_match_out_of_place_expression(B, spec):
     # (1-4 of 31 in a scratch mutant), so many rho are checked
     ds._log_qtotal.cache_clear()
     table = _out_of_place_table(B, spec)
-    for rho in [0.0, *np.linspace(0.05, 1.5, 40), 0.5]:  # the repeat reads the kept table
+    for rho in [0.0, *np.linspace(0.05, 1.5, 40), 0.5, 1.7, 2.0, 4.0]:  # the repeat reads the kept table
         assert sum_power(B, spec, rho) == _sum_power_out_of_place(table, spec.scale_log, rho), rho
+        # sum_power takes the maximum term as the least entry's: both roundings are monotone in it
+        terms = -2.0 * rho * (spec.scale_log + table)
+        assert (float(table.min()) + spec.scale_log) * (-2.0 * rho) == float(terms.max()), rho
     assert ds._log_qtotal.cache_info().misses == 1  # one table per case
+
+
+def test_sum_power_at_rho_zero_is_the_log_of_the_count():
+    # rho = 0 multiplies by -0.0: a term of a negative L + s is +0.0, the others -0.0,
+    # and the sum is log N with a + sign whichever zero the maximum is
+    for B, spec in ((3, SumKernelSpec(free_length=5)), (1, SumKernelSpec(free_length=0, tail_i=4, tail_digit=2))):
+        table = _out_of_place_table(B, spec)
+        lo, hi = float(table.min()), float(table.max())
+        for s in (0.0, -lo, -0.5 * (lo + hi), -hi, 2.5):
+            got = sum_power(B, SumKernelSpec(spec.free_length, spec.tail_i, spec.tail_digit, s), 0.0)
+            assert repr(got) == repr(math.log(B**spec.free_length)), (B, s)
 
 
 def test_cached_chunks_are_read_only_and_unchanged_by_sums():
@@ -165,14 +181,16 @@ def test_cached_chunks_are_read_only_and_unchanged_by_sums():
             sum_power(3, spec, rho)
     kept = [ds._log_qtotal(*key) for key in keys]
     assert ds._log_qtotal.cache_info().misses == 2
-    for table in kept:
+    for table, least, largest in kept:
+        assert (least, largest) == (table.min(), table.max())  # cached with the table
         with pytest.raises(ValueError):
             table += 1.0
         with pytest.raises(ValueError):
             np.exp(table, out=table)
     ds._log_qtotal.cache_clear()
-    for key, table in zip(keys, kept):
-        assert np.array_equal(ds._log_qtotal(*key), table)
+    for key, (table, least, largest) in zip(keys, kept):
+        assert np.array_equal(ds._log_qtotal(*key)[0], table)
+        assert ds._log_qtotal(*key)[1:] == (least, largest)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +333,12 @@ def _counted(F):
     return G, calls
 
 
+def _noisy_line(r, eta, amplitude):
+    """F(x) = r - x plus deterministic noise of `amplitude`, stating the
+    noise bound eta (so a sign floor of _NOISE_FLOOR eta)."""
+    return lambda x: r - x + amplitude * math.sin(1e14 * x), {"noise": lambda x: eta}
+
+
 def _random_roots(rng):
     """(kind, F, width, solver keywords) of seeded random roots of every F kind."""
     for _ in range(10):
@@ -328,7 +352,8 @@ def _random_roots(rng):
             B, n = int(rng.integers(2, 5)), int(rng.integers(2, 9))
             tail = int(rng.integers(0, 30))
             spec = SumKernelSpec(n, tail_i=tail, tail_digit=int(rng.integers(1, 4)), scale_log=float(rng.random()) * n)
-            yield "sum_power", lambda rho, B=B, spec=spec: sum_power(B, spec, rho), width, {}
+            noise = lambda rho, B=B, spec=spec: sum_power_error(B, spec, rho)
+            yield "sum_power", lambda rho, B=B, spec=spec: sum_power(B, spec, rho), width, {"noise": noise}
     for _ in range(4):
         B, i = int(rng.integers(2, 5)), int(rng.integers(1, 3))
         free, tail = int(rng.integers(15, 3000)), int(rng.integers(1, 9000))
@@ -338,20 +363,116 @@ def _random_roots(rng):
         # a line plus deterministic noise of 2e-9, a fifth of the floor: near the root its signs are noise
         r = float(rng.random())
         yield "noisy", lambda x, r=r: r - x + 2e-9 * math.sin(1e12 * x), 1e-14, {}
+    for _ in range(4):
+        # noise at a fifth of a proven floor 8 eta, roots up to 3 (past the first hi)
+        eta = 4e-14
+        F, kw = _noisy_line(3 * float(rng.random()), eta, ds._NOISE_FLOOR * eta / 5)
+        yield "noisy-proven", F, 1e-14, kw
 
 
 def test_solver_returns_plain_bisection_bits_from_fewer_evaluations():
-    calls = {"spectral": [], "sum_power": [], "segment": [], "noisy": []}
+    calls = {"spectral": [], "sum_power": [], "segment": [], "noisy": [], "noisy-proven": []}
     for kind, F, width, kw in _random_roots(np.random.default_rng(20261018)):
         G, new_calls = _counted(F)
         H, old_calls = _counted(F)
-        assert ds.solve_decreasing_root(G, width, **kw) == _bisect_oracle(H, width, **kw)
+        assert ds.solve_decreasing_root(G, width, **kw) == _bisect_oracle(H, width, hi=kw.get("hi", 2.0))
         assert len(new_calls) <= len(old_calls) + ds._FALSI_STEPS + 2
         calls[kind].append((len(new_calls), len(old_calls)))
     spectral = calls["spectral"]
     assert sum(n for n, _ in spectral) / len(spectral) <= 12
     for kind in ("spectral", "sum_power", "segment"):
         assert sum(n for n, _ in calls[kind]) < 0.6 * sum(o for _, o in calls[kind]), kind
+
+
+def test_noise_past_the_stated_floor_breaks_the_bisection_bits():
+    # the noisy-proven kind above with noise 10x the floor it states: the
+    # solver then trusts signs that are noise, and its bits leave bisection's
+    rng = np.random.default_rng(20261023)
+    eta, width = 4e-14, 1e-14
+    differ = 0
+    for _ in range(8):
+        F, kw = _noisy_line(3 * float(rng.random()), eta, 10 * ds._NOISE_FLOOR * eta)
+        differ += ds.solve_decreasing_root(F, width, **kw) != _bisect_oracle(F, width)
+    assert differ >= 4
+
+
+@pytest.mark.parametrize("r, doublings", [(3.0, 1), (5.0, 2)])
+def test_sign_search_carries_the_value_at_its_lower_end(r, doublings):
+    # past the first hi = 2 regula falsi starts from the chord through F(lo),
+    # not F(0), so a line costs only the sign search's doublings more than a
+    # root below hi (from F(0), 3 - x took 27 evaluations against 21)
+    G, calls = _counted(lambda x: r - x)
+    assert ds.solve_decreasing_root(G, 1e-12) == _bisect_oracle(lambda x: r - x, 1e-12)
+    G_low, calls_low = _counted(lambda x: 1.5 - x)
+    ds.solve_decreasing_root(G_low, 1e-12)
+    assert len(calls) <= len(calls_low) + doublings
+
+
+# enumerated tables, tailed and untailed, small enough for mpmath sums
+ERROR_TABLES = [
+    (2, SumKernelSpec(9)),
+    (3, SumKernelSpec(6, tail_i=4, tail_digit=2, scale_log=0.7)),
+    (4, SumKernelSpec(5, scale_log=2.9)),
+    (5, SumKernelSpec(4, tail_i=9, tail_digit=1)),
+    (1, SumKernelSpec(0, tail_i=3, tail_digit=3, scale_log=1.3)),
+    (3, SumKernelSpec(7, tail_i=2, tail_digit=1, scale_log=3.3)),
+]
+
+
+def test_sum_power_error_bounds_the_error_against_mpmath():
+    # |sum_power - log sum exp(-2 rho (s + L))| over the stored table, at 40
+    # digits, stays within an eighth of the proven bound, near the root and away
+    for B, spec in ERROR_TABLES:
+        L = [mpmath.mpf(float(x)) for x in _out_of_place_table(B, spec)]  # the stored table's bits
+        root = ds._enumerated_root(B, spec, 1e-12, 0, "").value
+        for rho in (0.0, 0.35, root, 1.0, 2.5, 4.0):
+            with mpmath.workdps(40):
+                exact = mpmath.log(mpmath.fsum(mpmath.exp(-2 * mpmath.mpf(rho) * (spec.scale_log + x)) for x in L))
+                err = abs(sum_power(B, spec, rho) - exact)
+            assert err <= sum_power_error(B, spec, rho) / 8, (B, spec, rho, err)
+        assert sum_power_error(B, spec, 0.5) < sum_power_error(B, spec, 1.0) < 1e-13  # grows with rho
+
+
+@pytest.mark.parametrize(
+    "B, spec",
+    [
+        (3, SumKernelSpec(8, scale_log=8 * log_tau(1))),  # predim_hat(3, 1/2, 1, 8)
+        (2, SumKernelSpec(8, tail_i=4, tail_digit=2)),  # predim_s(2, 1/3, 2, 12)
+        (4, SumKernelSpec(7, tail_i=5, tail_digit=1)),  # predim_tilde(4, 1, (12, 5))
+    ],
+)
+def test_sum_power_is_monotone_beyond_twice_its_error_at_the_root(B, spec):
+    # over 1 001 consecutive floats around an enumerated root, evaluated F
+    # never rises above an earlier value by more than 2 eta
+    root = ds._enumerated_root(B, spec, 1e-12, 0, "").value
+    xs = [root]
+    for _ in range(500):
+        xs = [math.nextafter(xs[0], 0.0), *xs, math.nextafter(xs[-1], math.inf)]
+    values = np.array([sum_power(B, spec, x) for x in xs])
+    departure = float(np.max(values[1:] - np.minimum.accumulate(values)[:-1]))
+    assert departure <= 2 * sum_power_error(B, spec, xs[-1])
+
+
+def test_solver_crosscheck_sums_fewer_tables(monkeypatch):
+    # the enumerated roots' proven floor settles most signs that the 1e-8
+    # floor paid a full table pass for: 775 sum_power calls at the fixed floor
+    calls = []
+    inner = ds.sum_power
+    monkeypatch.setattr(ds, "sum_power", lambda B, spec, rho: calls.append(rho) or inner(B, spec, rho))
+    verify.solver_crosscheck((3, 6, 12))
+    assert len(calls) <= 0.6 * 775
+
+
+def test_sum_power_error_refuses_what_sum_power_refuses():
+    # the floor is read after the refusals, and reading it alone refuses first too
+    for B, spec, rho, err, msg in (
+        (0, SumKernelSpec(3), 1.0, InputOutOfRange, "alphabet bound"),
+        (3, SumKernelSpec(10_000), math.nan, ValueError, "rho must be >= 0"),
+        (3, SumKernelSpec(10_000), 1.0, InputOutOfRange, r"^3\^10000 leaves exceed budget 1048576$"),
+    ):
+        for f in (sum_power, sum_power_error):
+            with pytest.raises(err, match=msg):
+                f(B, spec, rho)
 
 
 # ---------------------------------------------------------------------------
